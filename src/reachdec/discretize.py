@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .linalg import BlockMatrix, discretization_matrices, exp_matrix
+from .linalg import (
+    DENSIFY_BLOCK_FRACTION,
+    BlockMatrix,
+    discretization_matrices,
+    exp_matrix,
+)
 from .sets import (
     ConvexHullPair,
     Hyperrectangle,
@@ -115,7 +120,9 @@ class DiscreteSystem:
 
     ``V`` is a single set (constant input) or a list of per-step sets.
     ``u_sets`` optionally retains the original (pre-discretization) input
-    sets for output feedthrough checks.
+    sets for output feedthrough checks.  A sparse ``phi`` with more than
+    ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied is stored dense, once,
+    since the products with its powers are then cheaper in dense storage.
     """
 
     phi: BlockMatrix
@@ -128,6 +135,8 @@ class DiscreteSystem:
     def __post_init__(self):
         if not isinstance(self.phi, BlockMatrix):
             self.phi = BlockMatrix(self.phi)
+        if self.phi.is_sparse and self.phi.block_density() > DENSIFY_BLOCK_FRACTION:
+            self.phi = BlockMatrix(self.phi.to_dense())
         n = self.phi.n
         if self.x_init.dim != n:
             raise DimensionError(f"DiscreteSystem: X(0) has dimension "

@@ -1,10 +1,11 @@
-"""Matrices with 2x2 block access, exponentials, and incremental powers.
+"""Matrices with 2x2 block access, exponentials, and block rows of powers.
 
 Wraps dense ndarrays and sparse CSR storage behind one interface so the
 reach recurrences can slice row blocks and look up nonzero blocks without
 caring about the backing format.  Also provides the matrix exponential,
 the first two exponential integral matrices used for time discretization,
-and a Krylov routine for the action of the exponential on a vector.
+the row blocks of consecutive matrix powers, and a Krylov routine for the
+action of the exponential on a vector.
 """
 
 from __future__ import annotations
@@ -21,19 +22,30 @@ __all__ = [
     "BlockMatrix",
     "exp_matrix",
     "discretization_matrices",
+    "BlockRows",
     "MatrixPowerState",
     "exp_action",
     "read_matrix_market",
     "write_matrix_market",
 ]
 
-#: sparse power iterates denser than this fraction of nonzero blocks are
-#: converted to dense storage
+#: a sparse transition matrix with more than this fraction of nonzero
+#: blocks is stored dense (see ``DiscreteSystem``)
 DENSIFY_BLOCK_FRACTION = 0.25
 
 
 def _block_ranges(n):
     return tuple((2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))
+
+
+def _nonzero_col_blocks(rows):
+    """Sorted column-block indices with an entry in some of ``rows``
+    (dense, or sparse counting stored entries)."""
+    if sp.issparse(rows):
+        cols = sp.coo_array(rows).coords[1]
+    else:
+        cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+    return np.unique(cols // 2).tolist()
 
 
 class BlockMatrix:
@@ -80,12 +92,6 @@ class BlockMatrix:
     def is_sparse(self):
         return sp.issparse(self.data)
 
-    @classmethod
-    def identity(cls, n, sparse=False):
-        if sparse:
-            return cls(sp.identity(n, format="csr"))
-        return cls(np.eye(n))
-
     def to_dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
 
@@ -110,27 +116,17 @@ class BlockMatrix:
 
     def nonzero_col_blocks(self, i):
         """Sorted column-block indices with a nonzero entry in block-row i."""
-        rb = self.row_block(i)
-        if sp.issparse(rb):
-            cols = sp.coo_array(rb).coords[1]
-            return sorted({int(c) // 2 for c in cols})
-        mask = np.any(rb != 0.0, axis=0)
-        return sorted({int(c) // 2 for c in np.nonzero(mask)[0]})
+        return _nonzero_col_blocks(self.row_block(i))
 
     def block_density(self):
         """Fraction of blocks holding at least one nonzero entry."""
-        nb = len(self.row_ranges) * len(self.col_ranges)
         if self.is_sparse:
-            coo = sp.coo_array(self.data)
-            occupied = len({(int(r) // 2, int(c) // 2)
-                            for r, c in zip(coo.coords[0], coo.coords[1])})
+            rows, cols = sp.coo_array(self.data).coords
         else:
-            occupied = 0
-            for r0, r1 in self.row_ranges:
-                for c0, c1 in self.col_ranges:
-                    if np.any(self.data[r0:r1, c0:c1] != 0.0):
-                        occupied += 1
-        return occupied / nb
+            rows, cols = np.nonzero(self.data)
+        nbc = len(self.col_ranges)
+        keys = (rows.astype(np.int64) // 2) * nbc + cols // 2
+        return np.unique(keys).size / (len(self.row_ranges) * nbc)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -219,35 +215,112 @@ def discretization_matrices(A, delta):
             BlockMatrix(E[:n, 2 * n:]))
 
 
-class MatrixPowerState:
-    """Incremental powers of a square matrix.
+class BlockRows:
+    """Some row blocks of an n-column matrix, stacked in one array.
 
-    Holds P = Phi^k and Q = Phi^(k+1); ``advance`` multiplies once more.
-    Sparse iterates are converted to dense storage when more than a
-    quarter of their blocks are occupied.
+    ``data`` holds the rows of each block in ``ranges`` one after another,
+    as a CSR array or an ndarray; ``ranges`` maps a row-block index of the
+    full matrix to its (first, end) rows in ``data``.  Per-block access
+    reads the CSR index arrays directly, since scipy's slicing costs far
+    more than the one or two rows it returns.
     """
 
-    def __init__(self, phi):
+    def __init__(self, data, ranges):
+        self.data = data
+        self.ranges = ranges
+
+    @property
+    def is_sparse(self):
+        return sp.issparse(self.data)
+
+    def dense_row_block(self, i):
+        """Rows of block-row i as a dense array."""
+        r0, r1 = self.ranges[i]
+        if not self.is_sparse:
+            return self.data[r0:r1]
+        ptr = self.data.indptr[r0:r1 + 1]
+        entries = slice(ptr[0], ptr[-1])
+        out = np.zeros((r1 - r0, self.data.shape[1]))
+        np.add.at(out, (np.repeat(np.arange(r1 - r0), np.diff(ptr)),
+                        self.data.indices[entries]), self.data.data[entries])
+        return out
+
+    def nonzero_col_blocks(self, i):
+        """Sorted column-block indices with a nonzero entry in block-row i."""
+        return _nonzero_col_blocks(self.dense_row_block(i))
+
+    def to_dense(self):
+        """All held rows as one ndarray, in block order."""
+        return self.data.toarray() if self.is_sparse else np.asarray(self.data)
+
+    def abs(self):
+        return BlockRows(abs(self.data), self.ranges)
+
+    def dot(self, x):
+        """{i: (rows of block i) @ x} for every held block.
+
+        Each block's product is computed from its own rows alone, so it is
+        bitwise the same whatever other blocks are held: a CSR product
+        computes every row on its own, and dense rows are multiplied one
+        block at a time, since BLAS may group rows differently.
+        """
+        if self.is_sparse:
+            y = self.data @ x
+            return {i: y[r0:r1] for i, (r0, r1) in self.ranges.items()}
+        return {i: self.data[r0:r1] @ x for i, (r0, r1) in self.ranges.items()}
+
+
+class MatrixPowerState:
+    """Row blocks of consecutive powers of a square matrix.
+
+    For the row blocks ``blocks`` (all of them when None), P holds the rows
+    of Phi^k and Q the rows of Phi^(k+1), as ``BlockRows`` in the storage
+    format of Phi.  ``advance`` moves k on by one with R <- R Phi, which
+    costs O(|blocks| nnz(Phi)): no full power is ever formed.
+    """
+
+    def __init__(self, phi, blocks=None):
         self.phi = _as_block_matrix(phi)
-        self.phi.n
+        n = self.phi.n
+        full = _block_ranges(n)
+        blocks = range(len(full)) if blocks is None else sorted({int(i) for i in blocks})
+        ranges, picked = {}, []
+        for i in blocks:
+            if not 0 <= i < len(full):
+                raise DimensionError(f"MatrixPowerState: row block {i} out of "
+                                     f"range ({len(full)} blocks)", module="linalg")
+            r0, r1 = full[i]
+            ranges[i] = (len(picked), len(picked) + r1 - r0)
+            picked.extend(range(r0, r1))
+        picked = np.array(picked, dtype=np.intp)
+        m = picked.size
+        if self.phi.is_sparse:
+            eye_rows = sp.csr_array((np.ones(m), (np.arange(m), picked)),
+                                    shape=(m, n))
+        else:
+            eye_rows = np.zeros((m, n))
+            eye_rows[np.arange(m), picked] = 1.0
         self.k = 0
-        self.P = BlockMatrix.identity(self.phi.n, sparse=self.phi.is_sparse)
-        self.Q = self.phi
+        self.P = BlockRows(eye_rows, ranges)
+        self.Q = BlockRows(self.phi.data[picked], ranges)
 
     def advance(self):
-        new_q = self.Q @ self.phi
-        data = new_q.data
-        finite = np.all(np.isfinite(data.data)) if new_q.is_sparse \
-            else np.all(np.isfinite(data))
-        if not finite:
+        R, phi = self.Q.data, self.phi.data
+        if self.Q.is_sparse:
+            new = R @ phi               # CSR: every row computed on its own
+            values = new.data
+        else:
+            new = np.empty_like(R)
+            for r0, r1 in self.Q.ranges.values():   # see BlockRows.dot
+                np.matmul(R[r0:r1], phi, out=new[r0:r1])
+            values = new
+        if not np.all(np.isfinite(values)):
             raise NonFiniteError(
                 f"matrix power overflowed to non-finite values at exponent {self.k + 2}",
                 module="linalg")
-        if new_q.is_sparse and new_q.block_density() > DENSIFY_BLOCK_FRACTION:
-            new_q = BlockMatrix(new_q.to_dense())
         self.k += 1
         self.P = self.Q
-        self.Q = new_q
+        self.Q = BlockRows(new, self.Q.ranges)
         return self
 
 

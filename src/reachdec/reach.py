@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .approx import BlockStructure, BoxDirections, approximate, decompose
 from .discretize import DENSE, DiscreteSystem
@@ -94,7 +93,8 @@ class ReachTube:
         total = 0.0
         for i in self.tracked:
             lo, hi = self.bs.blocks[i]
-            total += self.steps[k][i].support_function(l[lo:hi])
+            if np.any(l[lo:hi] != 0.0):     # a zero slice contributes 0
+                total += self.steps[k][i].support_function(l[lo:hi])
         return total
 
     def support_batch(self, k, directions):
@@ -102,7 +102,10 @@ class ReachTube:
         total = np.zeros(L.shape[0])
         for i in self.tracked:
             lo, hi = self.bs.blocks[i]
-            total += self.steps[k][i].support_batch(L[:, lo:hi])
+            sub = L[:, lo:hi]
+            rows = np.any(sub != 0.0, axis=1)   # zero slices contribute 0
+            if rows.any():
+                total[rows] += self.steps[k][i].support_batch(sub[rows])
         return total
 
 
@@ -123,30 +126,49 @@ def _check_tracked(bs, tracked):
     return tracked
 
 
-def _row_image_box(rows, V):
-    """Box hull (center, radius) of the image of V under a row block."""
+def _row_image_boxes(R, V):
+    """Box hulls {i: (center, radius)} of the images of V under the row
+    blocks held by R."""
     if isinstance(V, Hyperrectangle):
-        c = np.asarray(rows @ V.center, dtype=float).ravel()
-        r = np.asarray(abs(rows) @ V.radius, dtype=float).ravel()
-        return c, r
+        c, r = R.dot(V.center), R.abs().dot(V.radius)
+        return {i: (c[i], r[i]) for i in R.ranges}
     if isinstance(V, Singleton):
-        c = np.asarray(rows @ V.point, dtype=float).ravel()
-        return c, np.zeros_like(c)
-    dense = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
-    s = dense.shape[0]
-    vals = V.support_batch(np.vstack([dense, -dense]))
-    hi, lo = vals[:s], -vals[s:]
-    return (hi + lo) / 2.0, (hi - lo) / 2.0
+        c = R.dot(V.point)
+        return {i: (c[i], np.zeros_like(c[i])) for i in R.ranges}
+    out = {}
+    for i in R.ranges:
+        dense = R.dense_row_block(i)
+        s = dense.shape[0]
+        vals = V.support_batch(np.vstack([dense, -dense]))
+        hi, lo = vals[:s], -vals[s:]
+        out[i] = ((hi + lo) / 2.0, (hi - lo) / 2.0)
+    return out
 
 
 def _state_sum_lazy(Q, i, blocks0, bs):
     """Lazy Minkowski sum of Q[i, j] applied to the initial blocks,
     skipping zero blocks."""
-    terms = [LinearMap(Q.block(i, j), blocks0[j])
+    rows = Q.dense_row_block(i)
+    terms = [LinearMap(rows[:, slice(*bs.blocks[j])], blocks0[j])
              for j in Q.nonzero_col_blocks(i)]
     if not terms:
         return zero_set(bs.size(i))
     return minkowski_sum_all(terms)
+
+
+def _phi_blocks(phi, bs):
+    """The nonzero blocks of Phi, sliced once: per block row j, a list of
+    (column block, block)."""
+    return [[(jj, phi.block(j, jj)) for jj in phi.nonzero_col_blocks(j)]
+            for j in range(bs.b)]
+
+
+def _propagate_inputs(phi_blocks, W, vhat, scheme):
+    """One step of the wrapping input recurrence over all blocks:
+    W_j <- sum_jj Phi[j, jj] W_jj + V_j, collapsed through ``scheme``."""
+    return [approximate(minkowski_sum_all(
+                [LinearMap(M, W[jj]) for jj, M in row] + [vhat[j]]), scheme)
+            for j, row in enumerate(phi_blocks)]
 
 
 def _wants_fast_path(sys, blocks0, scheme, lazy, fast):
@@ -209,30 +231,29 @@ def _run_constant_fast(sys, N, bs, tracked, blocks0, steps):
     c0, r0 = _stack_boxes(blocks0, bs)
     w_c = {i: np.zeros(bs.size(i)) for i in tracked}
     w_r = {i: np.zeros(bs.size(i)) for i in tracked}
-    power = MatrixPowerState(sys.phi)
+    power = MatrixPowerState(sys.phi, tracked)
     for _k in range(1, N):
+        sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
+        inputs = _row_image_boxes(power.P, sys.v)
         out = {}
         for i in tracked:
-            rows_q = power.Q.row_block(i)
-            sc = np.asarray(rows_q @ c0, dtype=float).ravel()
-            sr = np.asarray(abs(rows_q) @ r0, dtype=float).ravel()
-            ic, ir = _row_image_box(power.P.row_block(i), sys.v)
+            ic, ir = inputs[i]
             w_c[i] = w_c[i] + ic
             w_r[i] = w_r[i] + ir
-            out[i] = Hyperrectangle(sc + w_c[i], sr + w_r[i])
+            out[i] = Hyperrectangle(sc[i] + w_c[i], sr[i] + w_r[i])
         steps.append(out)
         power.advance()
 
 
 def _run_constant_generic(sys, N, bs, tracked, blocks0, steps, scheme, lazy):
     W = {i: zero_set(bs.size(i)) for i in tracked}
-    power = MatrixPowerState(sys.phi)
+    power = MatrixPowerState(sys.phi, tracked)
     for _k in range(1, N):
         out = {}
         for i in tracked:
             state = _state_sum_lazy(power.Q, i, blocks0, bs)
             W[i] = approximate(
-                MinkowskiSum(W[i], LinearMap(power.P.row_block(i), sys.v)),
+                MinkowskiSum(W[i], LinearMap(power.P.dense_row_block(i), sys.v)),
                 scheme)
             combined = MinkowskiSum(state, W[i])
             out[i] = combined if lazy else approximate(combined, scheme)
@@ -273,39 +294,27 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     c0, r0 = _stack_boxes(blocks0, bs) if use_fast else (None, None)
     if use_fast:
         w_c, w_r = np.zeros(bs.n), np.zeros(bs.n)
-        phi_rows = [sys.phi.row_block(j) for j in range(bs.b)]
+        phi_abs = sys.phi.abs()
     else:
         W = [zero_set(bs.size(j)) for j in range(bs.b)]
-        phi_nz = [sys.phi.nonzero_col_blocks(j) for j in range(bs.b)]
+        phi_blocks = _phi_blocks(sys.phi, bs)
 
-    power = MatrixPowerState(sys.phi)
+    power = MatrixPowerState(sys.phi, tracked)
     for k in range(1, N):
         vk = sys.v_at(k - 1)
         out = {}
         if use_fast:
             vhat = decompose(vk, bs, scheme)
             vc, vr = _stack_boxes(vhat, bs)
-            new_c, new_r = np.empty(bs.n), np.empty(bs.n)
-            for j in range(bs.b):
-                lo, hi = bs.blocks[j]
-                new_c[lo:hi] = np.asarray(phi_rows[j] @ w_c, dtype=float).ravel() + vc[lo:hi]
-                new_r[lo:hi] = np.asarray(abs(phi_rows[j]) @ w_r, dtype=float).ravel() + vr[lo:hi]
-            w_c, w_r = new_c, new_r
+            w_c = sys.phi @ w_c + vc
+            w_r = phi_abs @ w_r + vr
+            sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
             for i in tracked:
                 lo, hi = bs.blocks[i]
-                rows_q = power.Q.row_block(i)
-                sc = np.asarray(rows_q @ c0, dtype=float).ravel()
-                sr = np.asarray(abs(rows_q) @ r0, dtype=float).ravel()
-                out[i] = Hyperrectangle(sc + w_c[lo:hi], sr + w_r[lo:hi])
+                out[i] = Hyperrectangle(sc[i] + w_c[lo:hi], sr[i] + w_r[lo:hi])
         else:
-            vhat = decompose(vk, bs, scheme)
-            new_w = []
-            for j in range(bs.b):
-                terms = [LinearMap(sys.phi.block(j, jj), W[jj])
-                         for jj in phi_nz[j]]
-                terms.append(vhat[j])
-                new_w.append(approximate(minkowski_sum_all(terms), scheme))
-            W = new_w
+            W = _propagate_inputs(phi_blocks, W, decompose(vk, bs, scheme),
+                                  scheme)
             for i in tracked:
                 state = _state_sum_lazy(power.Q, i, blocks0, bs)
                 combined = MinkowskiSum(state, W[i])
@@ -414,21 +423,18 @@ def _step_sets_lazy(sys, N, bs, blocks, scheme):
         W = {i: zero_set(bs.size(i)) for i in blocks}
     else:
         W = [zero_set(bs.size(j)) for j in range(bs.b)]
-        phi_nz = [sys.phi.nonzero_col_blocks(j) for j in range(bs.b)]
-    power = MatrixPowerState(sys.phi)
+        phi_blocks = _phi_blocks(sys.phi, bs)
+    power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         if not constant:
-            vhat = decompose(sys.v_at(k - 1), bs, scheme)
-            W = [approximate(minkowski_sum_all(
-                    [LinearMap(sys.phi.block(j, jj), W[jj]) for jj in phi_nz[j]]
-                    + [vhat[j]]), scheme)
-                 for j in range(bs.b)]
+            W = _propagate_inputs(phi_blocks, W,
+                                  decompose(sys.v_at(k - 1), bs, scheme), scheme)
         out = {}
         for i in blocks:
             state = _state_sum_lazy(power.Q, i, blocks0, bs)
             if constant:
                 W[i] = approximate(
-                    MinkowskiSum(W[i], LinearMap(power.P.row_block(i), sys.v)),
+                    MinkowskiSum(W[i], LinearMap(power.P.dense_row_block(i), sys.v)),
                     scheme)
             out[i] = MinkowskiSum(state, W[i])
         yield k, out

@@ -3,10 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from conftest import random_box
 from reachdec import (
+    BlockMatrix,
     ContinuousSystem,
     ConvexHullPair,
     DimensionError,
@@ -299,3 +301,26 @@ def test_discrete_system_validation():
     assert d.constant_input
     npt.assert_allclose(d.v_at(0).support_function([1.0, 1.0]), 0.0,
                         atol=1e-15)
+
+
+def test_discrete_system_stores_crowded_phi_dense():
+    # the storage of Phi is chosen once, by its share of occupied blocks
+    rng = np.random.default_rng(70)
+    crowded = rng.standard_normal((4, 4)) * 0.5
+    d = DiscreteSystem(BlockMatrix(sp.csr_array(crowded)), unit_box(4), None, 0.1)
+    assert not d.phi.is_sparse      # every block occupied
+    npt.assert_array_equal(d.phi.to_dense(), crowded)
+    # a block-diagonal pattern (5 of 25 blocks) stays sparse
+    R = np.array([[0.8, -0.6], [0.6, 0.8]])
+    d = DiscreteSystem(BlockMatrix(sp.block_diag([R] * 5, format="csr")),
+                       unit_box(10), None, 0.1)
+    assert d.phi.is_sparse
+    # dense storage is never converted to sparse
+    d = DiscreteSystem(np.eye(10), unit_box(10), None, 0.1)
+    assert not d.phi.is_sparse
+    # exp(A delta) of a sparse tridiagonal A fills in, so it ends up dense
+    n = 20
+    A = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    d = discretize(ContinuousSystem(BlockMatrix(A), unit_box(n)), 0.5)
+    assert not d.phi.is_sparse

@@ -289,6 +289,18 @@ def test_cli_compare_coordinate_gaps_vanish(tmp_path, capsys):
     assert m and float(m.group(1)) <= 1e-9
 
 
+def test_cli_compare_eps_tube_with_two_blocks(tmp_path, capsys):
+    # a coordinate direction of one block is zero on the other, whose
+    # polygon has no support in the zero direction: that block adds 0
+    sc = stable_scenario(tmp_path, scheme="eps:0.01")
+    code, text = run_cli(capsys, "compare", "--scenario", str(sc))
+    assert code == 0, text
+    m = re.fullmatch(r"max_gap=(\S+)", text.strip().splitlines()[-1])
+    assert m
+    gap = float(m.group(1))
+    assert np.isfinite(gap) and gap >= 0.0
+
+
 def test_cli_bounds_dominate_measured_gaps(tmp_path, capsys):
     sc = stable_scenario(tmp_path,
                          U={"box": {"center": [0.01] * 4,

@@ -1,4 +1,4 @@
-"""Block matrices, exponentials, incremental powers, MatrixMarket files."""
+"""Block matrices, exponentials, block rows of powers, MatrixMarket files."""
 
 import math
 
@@ -200,8 +200,15 @@ def test_discretization_matrices_sparse_matches_dense():
 
 
 # ----------------------------------------------------------------------
-# incremental powers
+# block rows of powers
 # ----------------------------------------------------------------------
+
+def power_rows(M, k, blocks):
+    """Rows of the requested 2x2 row blocks of M^k, in block order."""
+    n = M.shape[0]
+    rows = [r for i in blocks for r in range(2 * i, min(2 * i + 2, n))]
+    return np.linalg.matrix_power(M, k)[rows]
+
 
 def test_power_state_identity():
     st = MatrixPowerState(np.eye(3))
@@ -219,19 +226,61 @@ def test_power_state_diagonal():
     npt.assert_array_equal(st.P.to_dense(), np.diag([8.0, 27.0]))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n, blocks", [(10, None), (10, (1, 3)), (9, (4,)),
+                                       (9, (0, 4)), (9, None)])
+def test_power_state_rows_match_matrix_power(sparse, n, blocks):
+    # odd n: block 4 is the trailing block of size one
+    rng = np.random.default_rng(68)
+    M = rng.uniform(-1.0, 1.0, (n, n)) / n
+    M[rng.uniform(size=(n, n)) < 0.6] = 0.0
+    st = MatrixPowerState(BlockMatrix(sp.csr_array(M) if sparse else M), blocks)
+    assert st.Q.is_sparse == sparse
+    held = range((n + 1) // 2) if blocks is None else blocks
+    for k in range(7):
+        npt.assert_allclose(st.P.to_dense(), power_rows(M, k, held),
+                            rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(st.Q.to_dense(), power_rows(M, k + 1, held),
+                            rtol=1e-12, atol=1e-15)
+        for i in held:
+            npt.assert_allclose(st.Q.dense_row_block(i), power_rows(M, k + 1, [i]),
+                                rtol=1e-12, atol=1e-15)
+        previous = st.Q
+        st.advance()
+        assert st.P is previous
+        assert st.k == k + 1
+
+
 def test_power_state_sparse_matches_dense_oracle():
     rng = np.random.default_rng(68)
     perm = rng.permutation(10)
     vals = rng.uniform(0.5, 1.5, 10)
     M = np.zeros((10, 10))
     M[np.arange(10), perm] = vals
-    st = MatrixPowerState(BlockMatrix(sp.csr_array(M)))
+    st = MatrixPowerState(BlockMatrix(sp.csr_array(M)), blocks=(0, 2, 3))
     for _ in range(7):
         st.advance()
-    npt.assert_allclose(st.Q.to_dense(), np.linalg.matrix_power(M, 8),
+    npt.assert_allclose(st.Q.to_dense(), power_rows(M, 8, (0, 2, 3)),
                         rtol=1e-12, atol=1e-12)
-    npt.assert_allclose(st.P.to_dense(), np.linalg.matrix_power(M, 7),
+    npt.assert_allclose(st.P.to_dense(), power_rows(M, 7, (0, 2, 3)),
                         rtol=1e-12, atol=1e-12)
+
+
+def test_power_state_blocks_do_not_depend_on_each_other():
+    # a held block's rows are bitwise the same whatever else is held
+    rng = np.random.default_rng(72)
+    M = rng.uniform(-1.0, 1.0, (40, 40)) / 20.0
+    for phi in (M, sp.csr_array(M)):
+        alone = MatrixPowerState(BlockMatrix(phi), blocks=(3,))
+        many = MatrixPowerState(BlockMatrix(phi))
+        for _ in range(20):
+            alone.advance()
+            many.advance()
+        x = rng.standard_normal(40)
+        npt.assert_array_equal(alone.Q.dense_row_block(3),
+                               many.Q.dense_row_block(3))
+        npt.assert_array_equal(alone.Q.dot(x)[3], many.Q.dot(x)[3])
+        npt.assert_array_equal(alone.Q.abs().dot(x)[3], many.Q.abs().dot(x)[3])
 
 
 def test_power_state_index_follows_iterate():
@@ -240,35 +289,50 @@ def test_power_state_index_follows_iterate():
     M[:2, 2:4] = rng.standard_normal((2, 2))
     M[2:4, 4:] = rng.standard_normal((2, 2))
     M[4:, :2] = rng.standard_normal((2, 2))
-    st = MatrixPowerState(BlockMatrix(sp.csr_array(M)))
-    for k in range(1, 6):
-        st.advance()
-        dense = np.linalg.matrix_power(M, k + 1)
-        for i in range(3):
-            expect = sorted({c // 2 for c in np.nonzero(
-                np.any(dense[2 * i:2 * i + 2] != 0.0, axis=0))[0]})
-            assert st.Q.nonzero_col_blocks(i) == expect
+    for phi in (M, sp.csr_array(M)):
+        st = MatrixPowerState(BlockMatrix(phi), blocks=(0, 2))
+        for k in range(1, 6):
+            st.advance()
+            dense = np.linalg.matrix_power(M, k + 1)
+            for i in (0, 2):
+                expect = sorted({c // 2 for c in np.nonzero(
+                    np.any(dense[2 * i:2 * i + 2] != 0.0, axis=0))[0]})
+                assert st.Q.nonzero_col_blocks(i) == expect
 
 
-def test_power_state_densifies_crowded_iterates():
-    rng = np.random.default_rng(70)
-    A = sp.csr_array(rng.standard_normal((4, 4)) * 0.5)
-    st = MatrixPowerState(BlockMatrix(A))
-    st.advance()
-    assert not st.Q.is_sparse   # every block occupied: converted to dense
-    # a block-diagonal pattern stays sparse under powers
-    R = np.array([[0.8, -0.6], [0.6, 0.8]])
-    B = sp.block_diag([R] * 5, format="csr")
-    st = MatrixPowerState(BlockMatrix(B))
-    for _ in range(6):
-        st.advance()
-    assert st.Q.is_sparse
+def test_power_state_rejects_unknown_block():
+    with pytest.raises(DimensionError):
+        MatrixPowerState(np.eye(5), blocks=(3,))
 
 
 def test_power_state_reports_overflow():
-    st = MatrixPowerState(np.diag([1e200, 1.0]))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+    for phi in (np.diag([1e200, 1.0]), sp.csr_array(np.diag([1.0, 1e200]))):
+        st = MatrixPowerState(BlockMatrix(phi))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="at exponent 2"):
+            st.advance()
+    # only the held rows are advanced: block 1 never overflows
+    st = MatrixPowerState(np.diag([1.0, 1.0, 1e200, 1.0]), blocks=(0,))
+    for _ in range(3):
         st.advance()
+    st = MatrixPowerState(np.diag([1.0, 1.0, 1e120, 1.0]), blocks=(1,))
+    st.advance()
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match="at exponent 3"):
+        st.advance()
+
+
+def test_block_density_counts_occupied_blocks():
+    rng = np.random.default_rng(70)
+    for n in (7, 8):
+        M = rng.standard_normal((n, n))
+        M[rng.uniform(size=(n, n)) < 0.85] = 0.0
+        ranges = [(r, min(r + 2, n)) for r in range(0, n, 2)]
+        occupied = sum(np.any(M[r0:r1, c0:c1] != 0.0)
+                       for r0, r1 in ranges for c0, c1 in ranges)
+        expect = occupied / len(ranges) ** 2
+        assert BlockMatrix(M).block_density() == pytest.approx(expect)
+        assert BlockMatrix(sp.csr_array(M)).block_density() == pytest.approx(expect)
 
 
 # ----------------------------------------------------------------------
