@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationError, DimensionError, InvalidSetError, UnboundedSetError
+from .linalg import _block_ranges
 from .sets import (
     HPolygon,
     Hyperrectangle,
@@ -43,7 +44,7 @@ class BlockStructure:
             raise DimensionError("BlockStructure: dimension must be positive",
                                  module="approx")
         self.n = n
-        self.blocks = tuple((2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))
+        self.blocks = _block_ranges(n)
 
     @property
     def b(self):

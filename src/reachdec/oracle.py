@@ -210,15 +210,22 @@ def _block_pnorm(M, p):
 
 
 def _column_alphas(phi: BlockMatrix, bs: BlockStructure, p):
-    """Per column block: (second-largest block norm, index of the largest)."""
+    """Per column block: (second-largest block norm, index of the largest).
+
+    Each block row of Phi is read once, densely, and its blocks are
+    sliced from that copy."""
+    norms = np.zeros((bs.b, bs.b))          # norms[j, i]: block (i, j)
+    for i in range(bs.b):
+        rows = phi.row_block(i)
+        rows = rows.toarray() if phi.is_sparse else rows
+        for j, (lo, hi) in enumerate(bs.blocks):
+            norms[j, i] = _block_pnorm(rows[:, lo:hi], p)
     alphas = np.zeros(bs.b)
     largest = np.zeros(bs.b, dtype=int)
-    for j in range(bs.b):
-        norms = np.array([_block_pnorm(phi.block(i, j), p)
-                          for i in range(bs.b)])
-        order = np.argsort(norms)
+    for j, col in enumerate(norms):
+        order = np.argsort(col)
         largest[j] = int(order[-1])
-        alphas[j] = norms[order[-2]] if bs.b > 1 else 0.0
+        alphas[j] = col[order[-2]] if bs.b > 1 else 0.0
     return alphas, largest
 
 

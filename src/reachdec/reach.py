@@ -110,20 +110,34 @@ class ReachTube:
 
 
 # ----------------------------------------------------------------------
-# shared recurrence machinery
+# the decomposed recurrence
 # ----------------------------------------------------------------------
 
-def _check_tracked(bs, tracked):
+def _checked_run(sys, N, bs, tracked=None):
+    """(N, bs, tracked) of a run, checked against the system: at least one
+    step, a block structure of the system's dimension, known tracked
+    blocks (all when None), and an input sequence covering every step."""
+    N = int(N)
+    if N < 1:
+        raise InputError(f"step count must be at least 1, got {N}", module="reach")
+    bs = bs or BlockStructure(sys.n)
+    if bs.n != sys.n:
+        raise DimensionError(f"block structure is for dimension {bs.n}, "
+                             f"system has {sys.n}", module="reach")
     if tracked is None:
-        return tuple(range(bs.b))
-    tracked = tuple(sorted(set(int(i) for i in tracked)))
-    for i in tracked:
-        if not 0 <= i < bs.b:
-            raise InputError(f"tracked block {i} out of range (b = {bs.b})",
-                             module="reach")
-    if not tracked:
-        raise InputError("no blocks tracked", module="reach")
-    return tracked
+        tracked = tuple(range(bs.b))
+    else:
+        tracked = tuple(sorted({int(i) for i in tracked}))
+        for i in tracked:
+            if not 0 <= i < bs.b:
+                raise InputError(f"tracked block {i} out of range (b = {bs.b})",
+                                 module="reach")
+        if not tracked:
+            raise InputError("no blocks tracked", module="reach")
+    if not sys.constant_input and len(sys.v) < N:
+        raise InputError(f"input sequence has {len(sys.v)} entries, "
+                         f"a {N}-step run requires {N}", module="reach")
+    return N, bs, tracked
 
 
 def _row_image_boxes(R, V):
@@ -156,27 +170,6 @@ def _state_sum_lazy(Q, i, blocks0, bs):
     return minkowski_sum_all(terms)
 
 
-def _phi_blocks(phi, bs):
-    """The nonzero blocks of Phi, sliced once: per block row j, a list of
-    (column block, block)."""
-    return [[(jj, phi.block(j, jj)) for jj in phi.nonzero_col_blocks(j)]
-            for j in range(bs.b)]
-
-
-def _propagate_inputs(phi_blocks, W, vhat, scheme):
-    """One step of the wrapping input recurrence over all blocks:
-    W_j <- sum_jj Phi[j, jj] W_jj + V_j, collapsed through ``scheme``."""
-    return [approximate(minkowski_sum_all(
-                [LinearMap(M, W[jj]) for jj, M in row] + [vhat[j]]), scheme)
-            for j, row in enumerate(phi_blocks)]
-
-
-def _wants_fast_path(sys, blocks0, scheme, lazy, fast):
-    if fast is False or lazy or not isinstance(scheme, BoxDirections):
-        return False
-    return all(isinstance(x, (Hyperrectangle, Singleton)) for x in blocks0)
-
-
 def _stack_boxes(blocks, bs):
     c = np.zeros(bs.n)
     r = np.zeros(bs.n)
@@ -188,6 +181,113 @@ def _stack_boxes(blocks, bs):
             c[lo:hi] = x.center
             r[lo:hi] = x.radius
     return c, r
+
+
+def _box_inputs(sys, bs, blocks, scheme):
+    """Input accumulation of the closed-form box path, as a function of
+    (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
+    accumulated input box {i: (center, radius)} of each block at step k.
+
+    A constant input adds the box hull of Phi^(k-1) V.  An input sequence
+    is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
+    the radii."""
+    if sys.constant_input:
+        acc = {i: (np.zeros(bs.size(i)), np.zeros(bs.size(i))) for i in blocks}
+
+        def step(_k, P):
+            for i, (c, r) in _row_image_boxes(P, sys.v).items():
+                acc[i] = (acc[i][0] + c, acc[i][1] + r)
+            return acc
+        return step
+
+    w_c, w_r = np.zeros(bs.n), np.zeros(bs.n)
+    phi_abs = sys.phi.abs()
+
+    def step(k, _P):
+        nonlocal w_c, w_r
+        vc, vr = _stack_boxes(decompose(sys.v_at(k - 1), bs, scheme), bs)
+        w_c = sys.phi @ w_c + vc
+        w_r = phi_abs @ w_r + vr
+        return {i: (w_c[slice(*bs.blocks[i])], w_r[slice(*bs.blocks[i])])
+                for i in blocks}
+    return step
+
+
+def _set_inputs(sys, bs, blocks, scheme):
+    """Input accumulation collapsed through ``scheme``, as a function of
+    (k, P) like ``_box_inputs`` that returns the accumulated input set of
+    each block at step k.
+
+    A constant input adds Phi^(k-1) V to each block and collapses the sum.
+    An input sequence cannot be kept apart from the dynamics: it is
+    propagated through the nonzero blocks of Phi (sliced once) for all
+    blocks, W_j <- collapse(sum_jj Phi[j, jj] W_jj + V_j(k-1)), and
+    therefore wraps."""
+    if sys.constant_input:
+        W = {i: zero_set(bs.size(i)) for i in blocks}
+
+        def step(_k, P):
+            for i in blocks:
+                W[i] = approximate(
+                    MinkowskiSum(W[i], LinearMap(P.dense_row_block(i), sys.v)),
+                    scheme)
+            return W
+        return step
+
+    W = [zero_set(bs.size(j)) for j in range(bs.b)]
+    phi = sys.phi
+    phi_blocks = [[(jj, phi.block(j, jj)) for jj in phi.nonzero_col_blocks(j)]
+                  for j in range(bs.b)]
+
+    def step(k, _P):
+        nonlocal W
+        vhat = decompose(sys.v_at(k - 1), bs, scheme)
+        W = [approximate(minkowski_sum_all(
+                 [LinearMap(M, W[jj]) for jj, M in row] + [vhat[j]]), scheme)
+             for j, row in enumerate(phi_blocks)]
+        return W
+    return step
+
+
+def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
+    """Yield {block: set} for the steps k = 0..N-1 of the recurrence, for
+    the row blocks ``blocks``.
+
+    Step k is Phi^k applied to the decomposed initial blocks plus the
+    accumulated inputs, and only the rows of Phi^k and Phi^(k-1) in
+    ``blocks`` are carried.  When the initial blocks are boxes or points
+    and steps are collapsed to boxes, a step has a closed form -- the box
+    hull of R X for a box X has center R c and radius |R| r -- unless
+    ``fast`` is False.  Otherwise a block is the lazy sum of its state
+    image and its collapsed input accumulation, collapsed through
+    ``scheme`` when ``collapse`` is set.
+    """
+    blocks0 = decompose(sys.x_init, bs, scheme)
+    yield {i: blocks0[i] for i in blocks}
+    if N == 1:
+        return
+    box = (collapse and fast is not False and isinstance(scheme, BoxDirections)
+           and all(isinstance(x, (Hyperrectangle, Singleton)) for x in blocks0))
+    if box:
+        c0, r0 = _stack_boxes(blocks0, bs)
+        inputs = _box_inputs(sys, bs, blocks, scheme)
+    else:
+        inputs = _set_inputs(sys, bs, blocks, scheme)
+    power = MatrixPowerState(sys.phi, blocks)
+    for k in range(1, N):
+        W = inputs(k, power.P)
+        if box:
+            sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
+            yield {i: Hyperrectangle(sc[i] + W[i][0], sr[i] + W[i][1])
+                   for i in blocks}
+        else:
+            out = {}
+            for i in blocks:
+                combined = MinkowskiSum(_state_sum_lazy(power.Q, i, blocks0, bs),
+                                        W[i])
+                out[i] = approximate(combined, scheme) if collapse else combined
+            yield out
+        power.advance()
 
 
 def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
@@ -204,61 +304,9 @@ def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
         raise InputError("reach_decomposed expects a constant input set; "
                          "use reach_decomposed_varying for sequences",
                          module="reach")
-    N = int(N)
-    if N < 1:
-        raise InputError(f"step count must be at least 1, got {N}", module="reach")
-    bs = bs or BlockStructure(sys.n)
-    if bs.n != sys.n:
-        raise DimensionError(f"block structure is for dimension {bs.n}, "
-                             f"system has {sys.n}", module="reach")
-    tracked = _check_tracked(bs, tracked)
-
-    blocks0 = decompose(sys.x_init, bs, scheme)
-    steps = [{i: blocks0[i] for i in tracked}]
-    if N > 1:
-        if _wants_fast_path(sys, blocks0, scheme, lazy, fast):
-            _run_constant_fast(sys, N, bs, tracked, blocks0, steps)
-        else:
-            _run_constant_generic(sys, N, bs, tracked, blocks0, steps,
-                                  scheme, lazy)
+    N, bs, tracked = _checked_run(sys, N, bs, tracked)
+    steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
     return ReachTube(sys.delta, sys.model, bs, tracked, steps)
-
-
-def _run_constant_fast(sys, N, bs, tracked, blocks0, steps):
-    """Closed-form box recurrence: the box hull of a block image of a box
-    has center R c and radius |R| r, so every step reduces to a few
-    (sparse) matrix-vector products."""
-    c0, r0 = _stack_boxes(blocks0, bs)
-    w_c = {i: np.zeros(bs.size(i)) for i in tracked}
-    w_r = {i: np.zeros(bs.size(i)) for i in tracked}
-    power = MatrixPowerState(sys.phi, tracked)
-    for _k in range(1, N):
-        sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
-        inputs = _row_image_boxes(power.P, sys.v)
-        out = {}
-        for i in tracked:
-            ic, ir = inputs[i]
-            w_c[i] = w_c[i] + ic
-            w_r[i] = w_r[i] + ir
-            out[i] = Hyperrectangle(sc[i] + w_c[i], sr[i] + w_r[i])
-        steps.append(out)
-        power.advance()
-
-
-def _run_constant_generic(sys, N, bs, tracked, blocks0, steps, scheme, lazy):
-    W = {i: zero_set(bs.size(i)) for i in tracked}
-    power = MatrixPowerState(sys.phi, tracked)
-    for _k in range(1, N):
-        out = {}
-        for i in tracked:
-            state = _state_sum_lazy(power.Q, i, blocks0, bs)
-            W[i] = approximate(
-                MinkowskiSum(W[i], LinearMap(power.P.dense_row_block(i), sys.v)),
-                scheme)
-            combined = MinkowskiSum(state, W[i])
-            out[i] = combined if lazy else approximate(combined, scheme)
-        steps.append(out)
-        power.advance()
 
 
 def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
@@ -273,54 +321,8 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
-    N = int(N)
-    if N < 1:
-        raise InputError(f"step count must be at least 1, got {N}", module="reach")
-    bs = bs or BlockStructure(sys.n)
-    if bs.n != sys.n:
-        raise DimensionError(f"block structure is for dimension {bs.n}, "
-                             f"system has {sys.n}", module="reach")
-    tracked = _check_tracked(bs, tracked)
-    if len(sys.v) < N:
-        raise InputError(f"input sequence has {len(sys.v)} entries, "
-                         f"a {N}-step run requires {N}", module="reach")
-
-    blocks0 = decompose(sys.x_init, bs, scheme)
-    steps = [{i: blocks0[i] for i in tracked}]
-    if N == 1:
-        return ReachTube(sys.delta, sys.model, bs, tracked, steps)
-
-    use_fast = _wants_fast_path(sys, blocks0, scheme, lazy, fast)
-    c0, r0 = _stack_boxes(blocks0, bs) if use_fast else (None, None)
-    if use_fast:
-        w_c, w_r = np.zeros(bs.n), np.zeros(bs.n)
-        phi_abs = sys.phi.abs()
-    else:
-        W = [zero_set(bs.size(j)) for j in range(bs.b)]
-        phi_blocks = _phi_blocks(sys.phi, bs)
-
-    power = MatrixPowerState(sys.phi, tracked)
-    for k in range(1, N):
-        vk = sys.v_at(k - 1)
-        out = {}
-        if use_fast:
-            vhat = decompose(vk, bs, scheme)
-            vc, vr = _stack_boxes(vhat, bs)
-            w_c = sys.phi @ w_c + vc
-            w_r = phi_abs @ w_r + vr
-            sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
-            for i in tracked:
-                lo, hi = bs.blocks[i]
-                out[i] = Hyperrectangle(sc[i] + w_c[lo:hi], sr[i] + w_r[lo:hi])
-        else:
-            W = _propagate_inputs(phi_blocks, W, decompose(vk, bs, scheme),
-                                  scheme)
-            for i in tracked:
-                state = _state_sum_lazy(power.Q, i, blocks0, bs)
-                combined = MinkowskiSum(state, W[i])
-                out[i] = combined if lazy else approximate(combined, scheme)
-        steps.append(out)
-        power.advance()
+    N, bs, tracked = _checked_run(sys, N, bs, tracked)
+    steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
     return ReachTube(sys.delta, sys.model, bs, tracked, steps)
 
 
@@ -411,36 +413,6 @@ class CheckResult:
         return self.verified
 
 
-def _step_sets_lazy(sys, N, bs, blocks, scheme):
-    """Yield (k, {block: lazy set}) for the requested blocks, with only the
-    input accumulation collapsed (the state combination stays symbolic)."""
-    blocks0 = decompose(sys.x_init, bs, scheme)
-    yield 0, {i: blocks0[i] for i in blocks}
-    if N == 1:
-        return
-    constant = sys.constant_input
-    if constant:
-        W = {i: zero_set(bs.size(i)) for i in blocks}
-    else:
-        W = [zero_set(bs.size(j)) for j in range(bs.b)]
-        phi_blocks = _phi_blocks(sys.phi, bs)
-    power = MatrixPowerState(sys.phi, blocks)
-    for k in range(1, N):
-        if not constant:
-            W = _propagate_inputs(phi_blocks, W,
-                                  decompose(sys.v_at(k - 1), bs, scheme), scheme)
-        out = {}
-        for i in blocks:
-            state = _state_sum_lazy(power.Q, i, blocks0, bs)
-            if constant:
-                W[i] = approximate(
-                    MinkowskiSum(W[i], LinearMap(power.P.dense_row_block(i), sys.v)),
-                    scheme)
-            out[i] = MinkowskiSum(state, W[i])
-        yield k, out
-        power.advance()
-
-
 def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                    scheme=BoxDirections()):
     """Certify a safety formula along the recurrence.
@@ -450,10 +422,7 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
     Returns Verified, or Violated at the first step where certification
     fails (which is not a proven counterexample).
     """
-    N = int(N)
-    if N < 1:
-        raise InputError(f"step count must be at least 1, got {N}", module="reach")
-    bs = bs or BlockStructure(sys.n)
+    N, bs, _ = _checked_run(sys, N, bs)
     n = sys.n
     atoms = prop.atoms()
     if not atoms:
@@ -505,7 +474,8 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                              f"step {k} requested", module="reach")
         return U[k]
 
-    for k, sets in _step_sets_lazy(sys, N, bs, needed, scheme):
+    for k, sets in enumerate(_steps(sys, N, bs, needed, scheme,
+                                    collapse=False)):
         cert = {}
         values = {}
         for a in atoms:

@@ -362,7 +362,7 @@ def test_exp_action_matches_dense_oracle():
 
 
 def test_exp_action_breakdown_is_exact():
-    # v spans an invariant subspace: Arnoldi terminates early, exactly
+    # v is an eigenvector of the diagonal A: the action scales it by exp(-1)
     A = np.diag([-1.0, 2.0, 0.5, 0.0])
     got = exp_action(A, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
     npt.assert_allclose(got, [np.exp(-1.0), 0.0, 0.0, 0.0], atol=1e-10)
@@ -373,6 +373,9 @@ def test_exp_action_rejects_bad_inputs():
         exp_action(np.eye(3), np.ones(2), 0.1)
     with pytest.raises(NonFiniteError):
         exp_action(np.eye(2), np.array([1.0, np.nan]), 0.1)
+    with pytest.raises(NonFiniteError, match="overflowed"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        exp_action(np.array([[1000.0]]), np.ones(1), 1.0)
     npt.assert_array_equal(exp_action(np.eye(2), np.zeros(2), 0.1), np.zeros(2))
 
 

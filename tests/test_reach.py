@@ -488,6 +488,30 @@ def test_check_rejects_bad_properties():
         check_property(sys, SafetyProperty("x1 < 2"), 5)
 
 
+def test_check_rejects_the_runs_reach_rejects():
+    # the checker takes the same step count, block structure and input
+    # sequence length as the reach tube, and rejects them before any step,
+    # whatever the property's verdict would be
+    seq = [Singleton([0.0, 0.0])] * 4
+    sys = DiscreteSystem(np.eye(2), Hyperrectangle([0.0, 0.0], [1.0, 1.0]),
+                         seq, 0.1)
+    holds = SafetyProperty(atom_x(0, 2, 5.0))
+    fails_at_0 = SafetyProperty(atom_x(0, 2, 0.5))
+    for N, prop in ((5, holds), (6, holds), (50, fails_at_0)):
+        with pytest.raises(InputError):
+            reach_decomposed_varying(sys, N)
+        with pytest.raises(InputError) as exc:
+            check_property(sys, prop, N)
+        assert exc.value.tag() == "error:reach:schema"
+    assert check_property(sys, holds, 4).verified
+    assert not check_property(sys, fails_at_0, 4)
+    with pytest.raises(InputError):
+        check_property(sys, holds, 0)
+    with pytest.raises(DimensionError) as exc:
+        check_property(sys, holds, 4, bs=BlockStructure(4))
+    assert exc.value.tag() == "error:reach:dimension"
+
+
 # ----------------------------------------------------------------------
 # output projection
 # ----------------------------------------------------------------------
