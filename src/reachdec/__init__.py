@@ -39,6 +39,7 @@ from .linalg import (
     discretization_matrices,
     exp_action,
     exp_matrix,
+    phi2_action,
     read_matrix_market,
     write_matrix_market,
 )

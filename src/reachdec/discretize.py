@@ -22,6 +22,7 @@ from .linalg import (
     BlockMatrix,
     discretization_matrices,
     exp_matrix,
+    phi2_action,
 )
 from .sets import (
     ConvexHullPair,
@@ -196,10 +197,31 @@ def _input_count(sys):
     return None if (sys.U is None or isinstance(sys.U, LazySet)) else len(sys.U)
 
 
-def _bloat_from(phi2_abs, mapped):
-    """Symmetric box [phi2(|A|) applied to the interval hull of ``mapped``]."""
-    inner = symmetric_interval_hull(mapped)
-    return symmetric_interval_hull(LinearMap(phi2_abs.data, inner))
+#: relative margin added to the dense-time bloat radii (see ``_bloat_from``)
+BLOAT_MARGIN = 1e-12
+
+
+def _bloat_from(A, sets, delta):
+    """Symmetric boxes [Phi2(|A|, delta) applied to the interval hull of S],
+    one for each set S of ``sets``, from one ``phi2_action``.
+
+    The exact radius x = Phi2(|A|) r is a sum of nonnegative terms, so a
+    truncated sum can only fall short of it.  Each column x is therefore
+    clipped at 0 and widened to x + BLOAT_MARGIN (|x| + max |x|); a zero
+    column stays zero.  The exponential action picks its degree for a
+    backward error of u = 2^-53 and stops once two successive terms fall
+    below u times the partial sum, which is a few u of max |x| because
+    every block of its result is about as large as the column (see
+    ``phi2_action``); its few dozen sparse products add a few u each.  The
+    margin, about 9000 u, lies far above these and far below any width
+    that matters: against an extended-precision series, with delta |A| up
+    to 650, the largest error found was 1e-14 of max |x|.  Like the
+    3n x 3n exponential it replaces, this is not a rigorous bound.
+    """
+    R = np.column_stack([symmetric_interval_hull(S).radius for S in sets])
+    X = np.maximum(phi2_action(A.abs(), R, delta), 0.0)
+    X += BLOAT_MARGIN * (X + X.max(axis=0))
+    return [Hyperrectangle(np.zeros(A.n), x) for x in X.T]
 
 
 def discretize_dense(sys: ContinuousSystem, delta):
@@ -207,35 +229,34 @@ def discretize_dense(sys: ContinuousSystem, delta):
 
     The first step set is the convex hull of X0 with its image bloated by
     the input effect and the second-order curvature of the flow; each
-    input set is bloated the same way.
+    input set is bloated the same way.  All bloat boxes come from one
+    exponential action, with one column for A^2 X0 and one for A U of
+    each nonzero input set.
     """
     phi = exp_matrix(sys.A, delta)
-    _, _, phi2_abs = discretization_matrices(sys.A.abs(), delta)
-    A2 = sys.A @ sys.A
     n = sys.n
-
-    eplus = _bloat_from(phi2_abs, LinearMap(A2.data, sys.X0))
+    count = _input_count(sys)
+    steps = () if sys.U is None else range(1 if count is None else count)
+    mapped = {k: _mapped_input(sys, k) for k in steps}
+    mapped = {k: U for k, U in mapped.items() if not is_zero_set(U)}
+    A2 = sys.A @ sys.A
+    eplus, *epsi = _bloat_from(
+        sys.A, [LinearMap(A2.data, sys.X0)]
+        + [LinearMap(sys.A.data, U) for U in mapped.values()], delta)
+    epsi = dict(zip(mapped, epsi))
 
     def v_for(k):
-        mapped = _mapped_input(sys, k)
-        if mapped is None or is_zero_set(mapped):
+        if k not in mapped:
             return zero_set(n)
-        epsi = _bloat_from(phi2_abs, LinearMap(sys.A.data, mapped))
-        return MinkowskiSum(Scaled(delta, mapped), epsi)
+        return MinkowskiSum(Scaled(delta, mapped[k]), epsi[k])
 
     first_terms = [LinearMap(phi.data, sys.X0)]
-    mapped0 = _mapped_input(sys, 0)
-    if mapped0 is not None and not is_zero_set(mapped0):
-        first_terms.append(Scaled(delta, mapped0))
-        first_terms.append(_bloat_from(phi2_abs, LinearMap(sys.A.data, mapped0)))
+    if 0 in mapped:
+        first_terms += [Scaled(delta, mapped[0]), epsi[0]]
     first_terms.append(eplus)
     x_init = ConvexHullPair(sys.X0, minkowski_sum_all(first_terms))
 
-    count = _input_count(sys)
-    if count is None:
-        v = v_for(0) if sys.U is not None else zero_set(n)
-    else:
-        v = [v_for(k) for k in range(count)]
+    v = v_for(0) if count is None else [v_for(k) for k in range(count)]
     return DiscreteSystem(phi, x_init, v, float(delta), model=DENSE,
                           u_sets=sys.U)
 

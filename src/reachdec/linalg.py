@@ -5,7 +5,8 @@ reach recurrences can slice row blocks and look up nonzero blocks without
 caring about the backing format.  Also provides the matrix exponential,
 the first two exponential integral matrices used for time discretization,
 the row blocks of consecutive matrix powers, and the action of the
-exponential on a vector.
+exponential (and of the second exponential integral) on a block of
+vectors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "BlockRows",
     "MatrixPowerState",
     "exp_action",
+    "phi2_action",
     "read_matrix_market",
     "write_matrix_market",
 ]
@@ -97,11 +99,6 @@ class BlockMatrix:
 
     def to_dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
-
-    def to_sparse(self):
-        if self.is_sparse:
-            return self
-        return BlockMatrix(sp.csr_array(self.data))
 
     # -- block access ---------------------------------------------------
 
@@ -329,19 +326,57 @@ class MatrixPowerState:
 
 def exp_action(A, v, delta):
     """Action exp(A delta) v without forming the full exponential, by
-    scipy's ``expm_multiply`` (Al-Mohy & Higham, SISC 2011)."""
+    scipy's ``expm_multiply`` (Al-Mohy & Higham, SISC 2011).
+
+    ``v`` is a vector of length n or an (n, m) block of columns.  Each
+    column is scaled by a power of two, which is exact, to a largest
+    entry in [0.5, 1) and scaled back afterwards, so that the normwise
+    stopping test of ``expm_multiply`` weighs every column alike.
+    """
     A = _as_block_matrix(A)
     n = A.n
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
+    if v.ndim not in (1, 2) or v.shape[0] != n:
         raise DimensionError(f"exp_action: vector has shape {v.shape}, matrix is {n}x{n}",
                              module="linalg")
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("exp_action: non-finite vector", module="linalg")
-    x = scipy.sparse.linalg.expm_multiply(A.data * delta, v)
+    _, e = np.frexp(np.max(np.abs(v), axis=0, initial=0.0))
+    x = scipy.sparse.linalg.expm_multiply(A.data * delta, np.ldexp(v, -e))
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("exp_action: result overflowed", module="linalg")
     return x
+
+
+def phi2_action(A, R, delta):
+    """Phi2(A, delta) R = sum_{i>=0} delta^(i+2)/(i+2)! A^i R, with one
+    ``exp_action`` for all columns of R and without forming Phi2.
+
+    delta^-2 Phi2(A, delta) R is the top block of exp(M) [0; 0; R] for the
+    sparse augmented matrix M = [[A delta, I, 0], [0, 0, I], [0, 0, 0]]:
+    M^k [0; 0; R] = [(A delta)^(k-2) R; 0; 0] for k >= 2.  The identity
+    blocks are left unscaled so that all three blocks of the result are
+    about as large as R, and the normwise stopping test of the exponential
+    action therefore bounds the error of the top block itself.
+    """
+    A = _as_block_matrix(A)
+    n = A.n
+    R = np.asarray(R, dtype=float)
+    if R.ndim not in (1, 2) or R.shape[0] != n:
+        raise DimensionError(f"phi2_action: block has shape {R.shape}, matrix is {n}x{n}",
+                             module="linalg")
+    if not (np.isfinite(delta) and delta > 0):
+        raise InputError(f"phi2_action: step must be positive, got {delta}",
+                         module="linalg")
+    eye = sp.identity(n, format="csr")
+    aug = sp.bmat([[sp.csr_array(A.data) * delta, eye, None],
+                   [None, None, eye],
+                   [None, None, sp.csr_array((n, n))]], format="csr")
+    top = exp_action(aug, np.concatenate([np.zeros((2 * n,) + R.shape[1:]), R]),
+                     1.0)[:n]
+    return delta * delta * top
 
 
 # ----------------------------------------------------------------------

@@ -438,9 +438,8 @@ class HPolygon(LazySet):
         return lo
 
     def _vertex_for(self, l):
-        if l[0] == 0.0 and l[1] == 0.0:
-            raise InvalidSetError("HPolygon: direction must be nonzero")
-        i = self._search(l)
+        # every point attains the support 0 of direction 0: take vertex 0
+        i = self._search(l) if (l[0] or l[1]) else 0
         j = (i + 1) % self.normals.shape[0]
         return _intersect_rows(self.normals[i], self.offsets[i],
                                self.normals[j], self.offsets[j])
@@ -625,13 +624,19 @@ def symmetric_interval_hull(X):
     """Smallest origin-symmetric box containing X.
 
     Coordinate radius i is max(rho(e_i), rho(-e_i)), evaluated through the
-    support function of X.
+    support function of X; boxes, points and their linear images M X have
+    it in closed form, |M c| + |M| r for a box with center c and radius r.
     """
     n = X.dim
     if isinstance(X, Hyperrectangle):
         radius = np.abs(X.center) + X.radius
     elif isinstance(X, Singleton):
         radius = np.abs(X.point)
+    elif isinstance(X, LinearMap) and isinstance(X.operand, Hyperrectangle):
+        M, Y = X.matrix, X.operand
+        radius = np.abs(M @ Y.center) + abs(M) @ Y.radius
+    elif isinstance(X, LinearMap) and isinstance(X.operand, Singleton):
+        radius = np.abs(X.matrix @ X.operand.point)
     else:
         E = np.vstack([np.eye(n), -np.eye(n)])
         vals = X.support_batch(E)

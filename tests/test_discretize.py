@@ -1,13 +1,17 @@
 """Dense- and discrete-time conversion of continuous systems."""
 
+import importlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+import reachdec.linalg
 from conftest import random_box
 from reachdec import (
+    BallP,
     BlockMatrix,
     ContinuousSystem,
     ConvexHullPair,
@@ -20,9 +24,11 @@ from reachdec import (
     MinkowskiSum,
     Singleton,
     UnboundedSetError,
+    discretization_matrices,
     discretize,
     discretize_dense,
     discretize_discrete,
+    symmetric_interval_hull,
 )
 
 
@@ -32,6 +38,10 @@ def unit_box(n):
 
 def support_on(X, L):
     return X.support_batch(np.asarray(L, dtype=float))
+
+
+# the module (``reachdec.discretize`` is the function of that name)
+DISCRETIZE = importlib.import_module("reachdec.discretize")
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +249,87 @@ def test_dense_sequence_inputs():
         npt.assert_allclose(support_on(d.v_at(k), L),
                             0.1 * support_on(steps[k], L),
                             rtol=1e-12, atol=1e-12)
+
+
+def old_bloat(A, S, delta):
+    """The radius of a bloat box as the 3n x 3n exponential gave it:
+    Phi2(|A|), read off the exponential of the augmented matrix, applied to
+    the interval-hull radius of S."""
+    A = A if isinstance(A, BlockMatrix) else BlockMatrix(A)
+    _, _, phi2 = discretization_matrices(A.abs(), delta)
+    return phi2 @ symmetric_interval_hull(S).radius
+
+
+def assert_bloat_above(new, old):
+    # the exponential action is widened, so it must not fall below the
+    # full exponential, and it must stay close to it
+    assert np.all(new >= old)
+    assert np.all(new - old <= 1e-10 * max(np.max(old), 1e-300))
+
+
+def test_dense_bloat_matches_augmented_exponential():
+    rng = np.random.default_rng(89)
+    cases = [(rng.standard_normal((7, 7)), 0.1),
+             (sp.random_array((9, 9), density=0.3, random_state=rng,
+                              format="csr") * 3.0, 0.2),
+             (rng.standard_normal((5, 5)) * 4.0, 0.05),
+             (np.zeros((5, 5)), 0.3)]
+    for A, delta in cases:
+        n = A.shape[0]
+        A = BlockMatrix(A)
+        sets = [random_box(rng, n), BallP(rng.standard_normal(n), 0.5, 2),
+                LinearMap((A @ A).data, random_box(rng, n)),
+                Singleton(np.zeros(n))]
+        boxes = DISCRETIZE._bloat_from(A, sets, delta)
+        assert len(boxes) == len(sets)
+        for S, box in zip(sets, boxes):
+            npt.assert_array_equal(box.center, np.zeros(n))
+            assert_bloat_above(box.radius, old_bloat(A, S, delta))
+        # a zero radius stays zero
+        npt.assert_array_equal(boxes[-1].radius, np.zeros(n))
+
+
+def test_dense_bloat_of_input_sequence():
+    rng = np.random.default_rng(90)
+    n = 5
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, 2))
+    U = [random_box(rng, 2) for _ in range(3)] + [Singleton(np.zeros(2))]
+    X0 = random_box(rng, n)
+    d = discretize_dense(ContinuousSystem(A, X0, B=B, U=U), 0.1)
+    for k in range(3):
+        epsi = d.v_at(k).right
+        assert_bloat_above(epsi.radius, old_bloat(A, LinearMap(A @ B, U[k]), 0.1))
+    # a zero input has a zero bloat box
+    npt.assert_array_equal(d.v_at(3).right.radius, np.zeros(n))
+    # no input: X(0)'s hull branch is Phi X0 plus the curvature box
+    d = discretize_dense(ContinuousSystem(A, X0), 0.1)
+    eplus = d.x_init.right.right
+    assert_bloat_above(eplus.radius, old_bloat(A, LinearMap(A @ A, X0), 0.1))
+
+
+@pytest.mark.parametrize("U", [None, "constant", "sequence"])
+def test_dense_discretization_is_one_exponential_action(monkeypatch, U):
+    calls = []
+    exp_action = reachdec.linalg.exp_action
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return exp_action(*args)
+
+    def forbidden(*_args):
+        raise AssertionError("discretization_matrices called")
+
+    monkeypatch.setattr(reachdec.linalg, "exp_action", counted)
+    monkeypatch.setattr(DISCRETIZE, "discretization_matrices", forbidden)
+    rng = np.random.default_rng(91)
+    inputs = {None: None, "constant": random_box(rng, 6),
+              "sequence": [random_box(rng, 6) for _ in range(4)]}[U]
+    A = sp.random_array((6, 6), density=0.4, random_state=rng, format="csr")
+    discretize(ContinuousSystem(BlockMatrix(A), random_box(rng, 6), U=inputs),
+               0.1)
+    columns = {None: 1, "constant": 2, "sequence": 5}[U]
+    assert calls == [(18, columns)]
 
 
 # ----------------------------------------------------------------------

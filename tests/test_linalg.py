@@ -17,6 +17,7 @@ from reachdec import (
     discretization_matrices,
     exp_action,
     exp_matrix,
+    phi2_action,
     read_matrix_market,
     write_matrix_market,
 )
@@ -377,6 +378,61 @@ def test_exp_action_rejects_bad_inputs():
             np.errstate(over="ignore", invalid="ignore"):
         exp_action(np.array([[1000.0]]), np.ones(1), 1.0)
     npt.assert_array_equal(exp_action(np.eye(2), np.zeros(2), 0.1), np.zeros(2))
+
+
+def test_exp_action_block_matches_columns():
+    rng = np.random.default_rng(72)
+    n, m = 60, 5
+    A = sp.random_array((n, n), density=0.1, random_state=rng, format="csr")
+    for op in (BlockMatrix(A), BlockMatrix(A.toarray())):
+        # columns of very different sizes, and a zero column
+        V = rng.standard_normal((n, m)) * 10.0 ** np.array([-6, 0, 0, 6, 0])
+        V[:, 2] = 0.0
+        got = exp_action(op, V, 0.7)
+        assert got.shape == (n, m)
+        npt.assert_array_equal(got[:, 2], 0.0)
+        for j in range(m):
+            col = exp_action(op, V[:, j], 0.7)
+            assert col.shape == (n,)
+            npt.assert_allclose(got[:, j], col, rtol=0.0,
+                                atol=1e-14 * np.max(np.abs(col)))
+        assert exp_action(op, V[:, :1], 0.7).shape == (n, 1)
+
+
+def test_exp_action_block_rejects_bad_inputs():
+    with pytest.raises(DimensionError):
+        exp_action(np.eye(3), np.ones((2, 2)), 0.1)
+    with pytest.raises(DimensionError):
+        exp_action(np.eye(3), np.ones((3, 2, 1)), 0.1)
+    with pytest.raises(NonFiniteError):
+        exp_action(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]]), 0.1)
+    with pytest.raises(NonFiniteError, match="overflowed"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        exp_action(np.array([[1000.0]]), np.ones((1, 3)), 1.0)
+
+
+def test_phi2_action_matches_augmented_exponential():
+    rng = np.random.default_rng(73)
+    for n, sparse in ((1, False), (7, False), (9, True), (12, True)):
+        A = random_stable_matrix(rng, n).to_dense()
+        R = rng.standard_normal((n, 3))
+        for M in (A, np.abs(A)):
+            op = BlockMatrix(sp.csr_array(M) if sparse else M)
+            _, _, phi2 = discretization_matrices(op, 0.3)
+            expect = phi2.to_dense() @ R
+            got = phi2_action(op, R, 0.3)
+            assert got.shape == (n, 3)
+            npt.assert_allclose(got, expect, rtol=0.0,
+                                atol=1e-13 * np.max(np.abs(expect)))
+            npt.assert_allclose(phi2_action(op, R[:, 0], 0.3), got[:, 0],
+                                rtol=0.0, atol=1e-14 * np.max(np.abs(got[:, 0])))
+    # A = 0: Phi2 = delta^2 / 2 I
+    npt.assert_allclose(phi2_action(np.zeros((3, 3)), np.ones(3), 0.5),
+                        np.full(3, 0.125), rtol=1e-15)
+    with pytest.raises(DimensionError):
+        phi2_action(np.eye(3), np.ones(2), 0.1)
+    with pytest.raises(InputError):
+        phi2_action(np.eye(3), np.ones(3), 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -169,9 +169,13 @@ def test_invalid_inputs_rejected():
         HPolygon([[0.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 1.0])
 
 
-def test_zero_direction_rejected():
-    with pytest.raises(InvalidSetError):
-        SQUARE.support_vector([0.0, 0.0])
+def test_zero_direction_gives_zero_support():
+    # every point of a nonempty set attains the support 0 of direction 0
+    assert SQUARE.support_function([0.0, 0.0]) == 0.0
+    v = SQUARE.support_vector([0.0, 0.0])
+    assert any(np.allclose(v, w, atol=1e-12) for w in polygon_vertices_bruteforce(
+        SQUARE.normals, SQUARE.offsets))
+    npt.assert_array_equal(SQUARE.support_batch(np.zeros((2, 2))), [0.0, 0.0])
 
 
 def test_near_parallel_adjacent_pair_reported():

@@ -11,6 +11,7 @@ from conftest import random_box, random_stable_matrix
 from reachdec import (
     And,
     Atom,
+    BallP,
     BlockMatrix,
     BlockStructure,
     BoxDirections,
@@ -510,6 +511,29 @@ def test_check_rejects_the_runs_reach_rejects():
     with pytest.raises(DimensionError) as exc:
         check_property(sys, holds, 4, bs=BlockStructure(4))
     assert exc.value.tag() == "error:reach:dimension"
+
+
+def test_eps_close_with_a_block_that_maps_a_direction_to_zero():
+    # block (1, 0) of Phi = [[0.1, 0], [0, 0]] maps the direction e2 of
+    # block 1 to zero, so the polygon of block 0 is asked for its support
+    # in direction 0, which is 0
+    phi = np.diag([0.5] * 4)
+    phi[2, 0] = 0.1
+    X0 = BallP(np.zeros(4), 1.0, 2)
+    V = Hyperrectangle(np.zeros(4), np.full(4, 0.01))
+    N, scheme = 5, EpsilonClose(0.01)
+    L = np.vstack([np.eye(4), -np.eye(4), sample_directions(4, 16, seed=3)])
+    exact = reach_nondecomposed(DiscreteSystem(phi, X0, V, 0.1), N, L)
+    tubes = [reach_decomposed(DiscreteSystem(phi, X0, V, 0.1), N,
+                              scheme=scheme, lazy=lazy) for lazy in (False, True)]
+    tubes.append(reach_decomposed_varying(DiscreteSystem(phi, X0, [V] * N, 0.1),
+                                          N, scheme=scheme))
+    for k in range(N):
+        collapsed, lazy, varying = (t.support_batch(k, L) for t in tubes)
+        assert np.all(np.isfinite(collapsed))
+        assert np.all(exact[k] <= lazy + 1e-9)
+        assert np.all(lazy <= collapsed + 1e-12)
+        npt.assert_allclose(varying, collapsed, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ the operands.
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_ball, random_box, random_set, random_singleton
 from reachdec import (
@@ -274,6 +275,25 @@ def test_symmetric_hull_general_set():
 def test_symmetric_hull_of_singleton():
     h = symmetric_interval_hull(Singleton([-2.0, 3.0]))
     npt.assert_allclose(h.radius, [2.0, 3.0])
+
+
+def test_symmetric_hull_of_linear_map_of_box_or_point():
+    # closed form |M c| + |M| r against the support-function route
+    rng = np.random.default_rng(18)
+    for sparse in (False, True):
+        for _ in range(10):
+            rows, cols = (int(d) for d in rng.integers(1, 9, size=2))
+            M = rng.standard_normal((rows, cols))
+            M[rng.random((rows, cols)) < 0.5] = 0.0
+            if sparse:
+                M = sp.csr_array(M)
+            for Y in (random_box(rng, cols), random_singleton(rng, cols)):
+                X = LinearMap(M, Y)
+                eye = np.eye(rows)
+                expect = np.maximum(X.support_batch(eye), X.support_batch(-eye))
+                h = symmetric_interval_hull(X)
+                npt.assert_array_equal(h.center, np.zeros(rows))
+                npt.assert_allclose(h.radius, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_symmetric_hull_rejects_unbounded():
