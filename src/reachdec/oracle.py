@@ -12,9 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.stats import norm as _gaussian
-from scipy.stats import qmc
 
 from .approx import BlockStructure
 from .discretize import ContinuousSystem, DiscreteSystem
@@ -66,6 +63,11 @@ def sample_directions(dim, count, seed=0):
     if dim == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
+    # imported here: scipy.stats loads scipy.optimize and scipy.spatial,
+    # which nothing else in the package needs
+    from scipy.stats import norm as _gaussian
+    from scipy.stats import qmc
+
     u = qmc.Halton(d=dim, scramble=True, seed=seed).random(count)
     g = _gaussian.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
@@ -429,6 +431,8 @@ def _simulate_continuous(sys: ContinuousSystem, x0, inputs, N, delta):
     if delta is None or float(delta) <= 0.0:
         raise InputError(f"continuous simulation needs a positive interval "
                          f"length, got {delta}", module="oracle")
+    from scipy.integrate import solve_ivp  # loads scipy.optimize: keep it here
+
     delta = float(delta)
     _check_start(sys.X0, x0, "initial state")
     A = sys.A.to_dense()

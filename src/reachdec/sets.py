@@ -11,6 +11,8 @@ between threads.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 from scipy import sparse as _sp
 
@@ -250,16 +252,26 @@ def zero_set(dim):
 # planar constraint polygons with logarithmic support queries
 # ----------------------------------------------------------------------
 
+def _sector(x, y):
+    """Index of the angular sector of (x, y), monotone in the angle over (-pi, pi]."""
+    if y < 0:
+        return 0 if x < 0 else 1  # (-pi, -pi/2), [-pi/2, 0)
+    return 2 if x > 0 else 3      # [0, pi/2), [pi/2, pi]
+
+
 def _sectors(x, y):
-    """Index of the angular sector, monotone in the angle over (-pi, pi]."""
-    s = np.empty(np.shape(x), dtype=np.int8)
-    neg_y = y < 0
-    s[neg_y & (x < 0)] = 0        # (-pi, -pi/2)
-    s[neg_y & (x >= 0)] = 1       # [-pi/2, 0)
-    pos_y = ~neg_y
-    s[pos_y & (x > 0)] = 2        # [0, pi/2)
-    s[pos_y & (x <= 0)] = 3       # [pi/2, pi]
-    return s
+    """`_sector` of every entry of two coordinate arrays."""
+    return np.where(y < 0, np.where(x < 0, 0, 1), np.where(x > 0, 2, 3))
+
+
+def _angle_leq(sa, ax, ay, sb, bx, by):
+    """`direction_leq` on plane vectors given by their sectors and coordinates."""
+    return sa < sb or (sa == sb and ax * by - ay * bx >= 0.0)
+
+
+def _angles_leq(sa, ax, ay, sb, bx, by):
+    """`_angle_leq` elementwise on arrays."""
+    return (sa < sb) | ((sa == sb) & (ax * by - ay * bx >= 0.0))
 
 
 def direction_leq(a, b):
@@ -268,13 +280,8 @@ def direction_leq(a, b):
     Decided by sector membership and a single cross product, so the
     comparison is exact for rational inputs (no trigonometric calls).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sa = int(_sectors(a[0], a[1]))
-    sb = int(_sectors(b[0], b[1]))
-    if sa != sb:
-        return sa < sb
-    return a[0] * b[1] - a[1] * b[0] >= 0.0
+    ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+    return _angle_leq(_sector(ax, ay), ax, ay, _sector(bx, by), bx, by)
 
 
 def _intersect_rows(a1, b1, a2, b2):
@@ -289,15 +296,72 @@ def _intersect_rows(a1, b1, a2, b2):
     return np.array([x, y])
 
 
+def _successive_vertices(A, b):
+    """Vertex of every constraint pair (i, i + 1), as `_intersect_rows`
+    computes it but without its parallel test, and the pair's determinant."""
+    A1, b1 = np.concatenate((A[1:], A[:1])), np.concatenate((b[1:], b[:1]))
+    det = A[:, 0] * A1[:, 1] - A[:, 1] * A1[:, 0]
+    V = np.empty_like(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V[:, 0] = (A1[:, 1] * b - A[:, 1] * b1) / det
+        V[:, 1] = (A[:, 0] * b1 - A1[:, 0] * b) / det
+    return V, det
+
+
+def _bounding_rows(A, b):
+    """Indices of the halfplanes that bound the intersection of all rows.
+
+    The rows are unit normals in angular order that positively span the
+    plane.  One pass keeps a deque of the halfplanes whose edges are
+    nonempty so far: a new halfplane drops those at either end whose last
+    vertex it does not contain strictly.  Returns None when the
+    intersection is empty.
+    """
+    ax, ay, bb = A[:, 0].tolist(), A[:, 1].tolist(), b.tolist()
+
+    def cross(i, j):
+        return ax[i] * ay[j] - ay[i] * ax[j]
+
+    def cuts(k, i, j):
+        # does halfplane k fail to contain the vertex of i and j strictly?
+        det = cross(i, j)
+        x = (ay[j] * bb[i] - ay[i] * bb[j]) / det
+        y = (ax[i] * bb[j] - ax[j] * bb[i]) / det
+        return ax[k] * x + ay[k] * y >= bb[k]
+
+    rows = deque()
+    for k in range(len(bb)):
+        while len(rows) > 1 and cuts(k, rows[-2], rows[-1]):
+            rows.pop()
+        while len(rows) > 1 and cuts(k, rows[0], rows[1]):
+            rows.popleft()
+        # an angle of pi or more between neighbours leaves nothing between them
+        if rows and cross(rows[-1], k) <= 0.0:
+            return None
+        rows.append(k)
+    while len(rows) > 2 and cuts(rows[0], rows[-2], rows[-1]):
+        rows.pop()
+    while len(rows) > 2 and cuts(rows[-1], rows[0], rows[1]):
+        rows.popleft()
+    if len(rows) < 3 or cross(rows[-1], rows[0]) <= 0.0:
+        return None
+    return list(rows)
+
+
 class HPolygon(LazySet):
     """Bounded planar polygon as an intersection of halfplanes a.x <= b.
 
     Constraints are normalised to unit normals and stored sorted by the
-    angular order of their normals, which is what the logarithmic support
-    search requires.  With ``check_feasible`` the constructor verifies that
-    the constraints describe a nonempty bounded region and removes
-    redundant halfplanes; internally constructed polygons (whose
-    constraints are support evaluations of an existing set) may skip that.
+    angular order of their normals.  With ``check_feasible`` the
+    constructor verifies that the constraints describe a nonempty bounded
+    region and removes redundant halfplanes; internally constructed
+    polygons (whose constraints are support evaluations of an existing
+    set) may skip that.
+
+    The vertex of each adjacent constraint pair is computed once, here, and
+    every support query is one binary search over the angular order of
+    the normals: the support vector in direction l is the vertex where the
+    last normal at or before l meets the next one.
     """
 
     dim = 2
@@ -322,11 +386,21 @@ class HPolygon(LazySet):
         b = b / norms
 
         A, b = self._sort_and_dedup(A, b)
-        self._check_spanning(A)
+        V, det = _successive_vertices(A, b)
+        self._check_spanning(det)
         if check_feasible:
-            A, b = self._canonicalize(A, b)
+            A, b, V, det = self._canonicalize(A, b, V, det)
         self.normals = _frozen(A)
         self.offsets = _frozen(b)
+        self._vertices = _frozen(V)
+        # the search reads the normals as Python floats, and their sectors
+        self._ax, self._ay = A[:, 0].tolist(), A[:, 1].tolist()
+        self._sec = _sectors(A[:, 0], A[:, 1])
+        self._sec_list = self._sec.tolist()
+        # pairs that `_intersect_rows` may reject: it decides them at query
+        # time (the normals have unit length, so its scale is about 1)
+        self._near_parallel = frozenset(
+            np.flatnonzero(np.abs(det) < 2.0 * PARALLEL_TOL).tolist())
 
     # -- construction helpers ------------------------------------------
 
@@ -360,61 +434,48 @@ class HPolygon(LazySet):
         return A[keep], b[keep]
 
     @staticmethod
-    def _check_spanning(A):
-        if A.shape[0] < 3:
+    def _check_spanning(det):
+        """Reject normals whose successive pairs (determinants det) do not
+        all turn counter-clockwise by less than pi."""
+        if det.shape[0] < 3:
             raise InvalidSetError("HPolygon: fewer than 3 distinct normal directions")
-        nxt = np.roll(np.arange(A.shape[0]), -1)
-        cross = A[:, 0] * A[nxt, 1] - A[:, 1] * A[nxt, 0]
-        if np.any(cross <= 0.0):
+        if np.any(det <= 0.0):
             raise InvalidSetError(
                 "HPolygon: normals do not positively span the plane "
                 "(the feasible set is unbounded)")
 
     @staticmethod
-    def _successive_vertices(A, b):
-        nxt = np.roll(np.arange(A.shape[0]), -1)
-        det = A[:, 0] * A[nxt, 1] - A[:, 1] * A[nxt, 0]
-        vx = (A[nxt, 1] * b - A[:, 1] * b[nxt]) / det
-        vy = (A[:, 0] * b[nxt] - A[nxt, 0] * b) / det
-        return np.column_stack([vx, vy])
-
-    @classmethod
-    def _canonicalize(cls, A, b):
+    def _canonicalize(A, b, V, det):
         """Ensure every successive constraint pair meets at a feasible vertex.
 
-        When that already holds the representation is minimal and the
-        support search is exact.  Otherwise redundant halfplanes are
-        stripped with an LP + halfspace intersection.
+        When that already holds for the successive vertices V the support
+        search is exact.
+        Otherwise the redundant halfplanes are stripped by one pass over
+        the angular order (`_bounding_rows`).  A region that does not
+        contain a disc of radius 1e-10 * scale, which that pass detects
+        on the offsets moved inwards by this radius, is rejected.
+        Returns the constraints kept, with `_successive_vertices` of them.
         """
         scale = 1.0 + np.max(np.abs(b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V = cls._successive_vertices(A, b)
-        if np.all(np.isfinite(V)) and np.all(A @ V.T <= b[:, None] + 1e-9 * scale):
-            return A, b
 
-        from scipy.optimize import linprog
+        def feasible(V):
+            return np.all(np.isfinite(V)) and np.all(A @ V.T <= b[:, None] + 1e-9 * scale)
 
-        # Chebyshev center: max r subject to  A x + r <= b  (unit normals)
-        res = linprog(c=[0.0, 0.0, -1.0],
-                      A_ub=np.column_stack([A, np.ones(A.shape[0])]),
-                      b_ub=b, bounds=[(None, None), (None, None), (0, None)],
-                      method="highs")
-        if res.status != 0:
-            raise InvalidSetError("HPolygon: constraints are infeasible")
-        r = res.x[2]
-        if r < 1e-10 * scale:
+        if feasible(V):
+            return A, b, V, det
+        inset = 1e-10 * scale
+        if _bounding_rows(A, b - inset) is None:
+            if _bounding_rows(A, b + inset) is None:
+                raise InvalidSetError("HPolygon: constraints are infeasible")
             raise DegeneratePolygonError(
                 "HPolygon: feasible region has empty interior")
-        from scipy.spatial import HalfspaceIntersection
-
-        hs = HalfspaceIntersection(np.column_stack([A, -b]), res.x[:2])
-        active = sorted({int(i) for simplex in hs.dual_facets for i in simplex})
-        A2, b2 = A[active], b[active]
-        V = cls._successive_vertices(A2, b2)
-        if not np.all(A2 @ V.T <= b2[:, None] + 1e-9 * scale):
-            raise InvalidSetError("HPolygon: could not reduce constraints "
-                                  "to a minimal representation")
-        return A2, b2
+        rows = _bounding_rows(A, b)
+        if rows is not None:
+            V, det = _successive_vertices(A[rows], b[rows])
+            if feasible(V):
+                return A[rows], b[rows], V, det
+        raise InvalidSetError("HPolygon: could not reduce constraints "
+                              "to a minimal representation")
 
     # -- queries --------------------------------------------------------
 
@@ -422,33 +483,65 @@ class HPolygon(LazySet):
     def constraints(self):
         return list(zip(self.normals, self.offsets))
 
-    def _search(self, l):
-        """Index i of the last normal with a_i <= l in the angular order."""
-        A = self.normals
-        m = A.shape[0]
-        if not direction_leq(A[0], l):
-            return m - 1
-        lo, hi = 0, m - 1          # invariant: a_lo <= l, a_{hi+1} > l (cyclically)
+    def _search(self, x, y):
+        """Index i of the last normal a_i <= (x, y) in the angular order."""
+        ax, ay, sec = self._ax, self._ay, self._sec_list
+        s = _sector(x, y)
+        if not _angle_leq(sec[0], ax[0], ay[0], s, x, y):
+            return len(sec) - 1
+        lo, hi = 0, len(sec) - 1   # invariant: a_lo <= l, a_{hi+1} > l (cyclically)
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if direction_leq(A[mid], l):
+            if _angle_leq(sec[mid], ax[mid], ay[mid], s, x, y):
                 lo = mid
             else:
                 hi = mid - 1
         return lo
 
-    def _vertex_for(self, l):
-        # every point attains the support 0 of direction 0: take vertex 0
-        i = self._search(l) if (l[0] or l[1]) else 0
+    def _search_batch(self, L):
+        """`_search` of every row of L, as one vectorised binary search."""
+        A, sec = self.normals, self._sec
+        x, y = L[:, 0], L[:, 1]
+        s = _sectors(x, y)
+        first = _angles_leq(sec[0], A[0, 0], A[0, 1], s, x, y)
+        lo = np.zeros(len(L), dtype=np.intp)
+        hi = np.where(first, A.shape[0] - 1, 0)
+        while True:
+            open_ = lo < hi
+            if not open_.any():
+                break
+            mid = (lo + hi + 1) // 2
+            up = _angles_leq(sec[mid], A[mid, 0], A[mid, 1], s, x, y)
+            lo = np.where(open_ & up, mid, lo)
+            hi = np.where(open_ & ~up, mid - 1, hi)
+        return np.where(first, lo, A.shape[0] - 1)
+
+    def _exact_vertex(self, i):
         j = (i + 1) % self.normals.shape[0]
         return _intersect_rows(self.normals[i], self.offsets[i],
                                self.normals[j], self.offsets[j])
+
+    def _vertex_for(self, l):
+        x, y = l.tolist()
+        # every point attains the support 0 of direction 0: take vertex 0
+        i = self._search(x, y) if (x or y) else 0
+        if i in self._near_parallel:
+            return self._exact_vertex(i)
+        return self._vertices[i]
 
     def _rho(self, l):
         return l @ self._vertex_for(l)
 
     def _sigma(self, l):
-        return self._vertex_for(l)
+        return self._vertex_for(l).copy()
+
+    def _rho_batch(self, L):
+        idx = self._search_batch(L)
+        idx[(L[:, 0] == 0.0) & (L[:, 1] == 0.0)] = 0
+        for i in self._near_parallel.intersection(idx.tolist()):
+            self._exact_vertex(i)  # raises on a degenerate pair
+        # a stack of 1x2 by 2x1 products rounds each row as `l @ v` does
+        return (L[:, None, :] @ self._vertices[idx][:, :, None]).ravel()
 
 
 def polygon_support_vector(P, direction):
@@ -620,23 +713,43 @@ def minkowski_sum_all(parts):
     return parts[0]
 
 
+def _row_norms(M, ord):
+    """The ord-norm (1, 2 or inf) of every row of a dense or CSR matrix."""
+    if ord == 1:
+        norms = abs(M).sum(axis=1)
+    elif ord == 2:
+        norms = np.sqrt((M * M).sum(axis=1))
+    else:
+        norms = abs(M).max(axis=1)
+    return norms.toarray() if _sp.issparse(norms) else np.asarray(norms)
+
+
 def symmetric_interval_hull(X):
     """Smallest origin-symmetric box containing X.
 
     Coordinate radius i is max(rho(e_i), rho(-e_i)), evaluated through the
-    support function of X; boxes, points and their linear images M X have
-    it in closed form, |M c| + |M| r for a box with center c and radius r.
+    support function of X.  Boxes, points and balls under a linear map M
+    (nested maps composed first, M (M' Y) = (M M') Y) have it in closed
+    form: |M c| plus |M| r for a box of radius r, or plus r times the dual
+    norm of each row of M for a ball of radius r.
     """
     n = X.dim
+    inner = X
+    while isinstance(inner, LinearMap):
+        inner = inner.operand
     if isinstance(X, Hyperrectangle):
         radius = np.abs(X.center) + X.radius
     elif isinstance(X, Singleton):
         radius = np.abs(X.point)
-    elif isinstance(X, LinearMap) and isinstance(X.operand, Hyperrectangle):
+    elif isinstance(X, LinearMap) and isinstance(inner, (Hyperrectangle, Singleton, BallP)):
         M, Y = X.matrix, X.operand
-        radius = np.abs(M @ Y.center) + abs(M) @ Y.radius
-    elif isinstance(X, LinearMap) and isinstance(X.operand, Singleton):
-        radius = np.abs(X.matrix @ X.operand.point)
+        while isinstance(Y, LinearMap):
+            M, Y = M @ Y.matrix, Y.operand
+        radius = np.abs(M @ (Y.point if isinstance(Y, Singleton) else Y.center))
+        if isinstance(Y, Hyperrectangle):
+            radius = radius + abs(M) @ Y.radius
+        elif isinstance(Y, BallP):
+            radius = radius + Y.radius * _row_norms(M, Y._dual_ord)
     else:
         E = np.vstack([np.eye(n), -np.eye(n)])
         vals = X.support_batch(E)

@@ -4,8 +4,9 @@ Every path of the decomposed recurrence -- the closed-form box path, the
 generic collapsed path, the lazy path, the varying-input recurrence and
 the safety checker -- must agree with the others and stay sound against
 the non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
-initial and input sets drawn from boxes, p-balls and singletons, with
-constant inputs or per-step sequences.
+initial and input sets drawn from boxes, p-balls, singletons and
+products of constraint polygons, with constant inputs or per-step
+sequences.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spanning_angles
 from reachdec import (
     And,
     Atom,
@@ -21,8 +23,10 @@ from reachdec import (
     BlockMatrix,
     BlockStructure,
     BoxDirections,
+    CartesianProduct,
     DiscreteSystem,
     EpsilonClose,
+    HPolygon,
     Hyperrectangle,
     SafetyProperty,
     Singleton,
@@ -36,10 +40,28 @@ from reachdec import (
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
 
-KINDS = ("box", "ball", "point")
+KINDS = ("box", "ball", "point", "polygon")
+
+
+def random_polygons(rng, n, scale):
+    """A product of one random polygon per 2D block, with an interval for
+    an odd last coordinate; some polygons carry redundant halfplanes."""
+    parts = []
+    for lo, hi in BlockStructure(n).blocks:
+        center = rng.uniform(-scale, scale, hi - lo)
+        if hi - lo == 1:
+            parts.append(Hyperrectangle(center, rng.uniform(0.0, scale, 1)))
+            continue
+        angles = spanning_angles(rng, int(rng.integers(3, 9)))
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        offsets = normals @ center + rng.uniform(0.1, 1.0, len(angles)) * scale
+        parts.append(HPolygon(normals, offsets))
+    return CartesianProduct(parts)
 
 
 def random_set(rng, kind, n, scale):
+    if kind == "polygon":
+        return random_polygons(rng, n, scale)
     center = rng.uniform(-scale, scale, n)
     if kind == "box":
         return Hyperrectangle(center, rng.uniform(0.0, scale, n))

@@ -1,22 +1,33 @@
 """Constraint polygons and the logarithmic support search.
 
 The reference oracle throughout is exhaustive vertex enumeration: every
-feasible intersection of a constraint pair, maximized directly.
+feasible intersection of a constraint pair, maximized directly.  The
+cached-vertex kernel is also held bit for bit to a plain binary search on
+`direction_leq` followed by one `_intersect_rows` solve.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import reachdec
 from conftest import polygon_vertices_bruteforce, random_polygon, spanning_angles
 from reachdec import (
+    BallP,
     DegeneratePolygonError,
     DimensionError,
     HPolygon,
     InvalidSetError,
+    LinearMap,
+    overapproximate_eps,
     polygon_support_vector,
 )
-from reachdec.sets import direction_leq
+from reachdec.sets import _angles_leq, _intersect_rows, _sectors, direction_leq
 
 SQUARE = HPolygon([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                   [1.0, 1.0, 1.0, 1.0])
@@ -210,3 +221,137 @@ def test_batch_matches_scalar_queries():
     L = rng.standard_normal((50, 2))
     npt.assert_allclose(P.support_batch(L),
                         [P.support_function(l) for l in L], rtol=1e-12)
+
+
+# -- the cached-vertex kernel against the reference search -------------
+
+BOUNDARY_DIRECTIONS = [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
+                       (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+                       (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+
+
+def reference_vertex(P, l):
+    """The support vertex by a binary search on `direction_leq` and one
+    `_intersect_rows` solve: the kernel must reproduce it bit for bit."""
+    A, b = P.normals, P.offsets
+    m = len(b)
+    if not (l[0] or l[1]):
+        i = 0
+    elif not direction_leq(A[0], l):
+        i = m - 1
+    else:
+        lo, hi = 0, m - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if direction_leq(A[mid], l):
+                lo = mid
+            else:
+                hi = mid - 1
+        i = lo
+    j = (i + 1) % m
+    return _intersect_rows(A[i], b[i], A[j], b[j])
+
+
+def eps_polygon(rng):
+    """A polygon built as overapproximate_eps builds it: support
+    constraints of a set, without the feasibility check."""
+    X = LinearMap(rng.standard_normal((2, 2)),
+                  BallP(rng.uniform(-2, 2, 2), rng.uniform(0.1, 2.0),
+                        float(rng.choice([1.0, 2.0, np.inf]))))
+    return overapproximate_eps(X, float(rng.choice([1e-1, 1e-2, 1e-3])))
+
+
+def kernel_directions(rng, P):
+    A = np.array(P.normals)
+    return np.vstack([rng.standard_normal((30, 2)), A, -A, A[:, ::-1] * [1.0, -1.0],
+                      BOUNDARY_DIRECTIONS])
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    npt.assert_array_equal(got, want)
+    npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("build", ["random", "eps"])
+def test_scalar_and_batched_queries_are_the_reference_vertex(build):
+    rng = np.random.default_rng(29)
+    for _ in range(25):
+        P = random_polygon(rng) if build == "random" else eps_polygon(rng)
+        L = kernel_directions(rng, P)
+        batch = P.support_batch(L)
+        for l, rho in zip(L, batch):
+            v = reference_vertex(P, l)
+            assert_bitwise(P.support_vector(l), v)
+            assert_bitwise(P.support_function(l), l @ v)
+            assert_bitwise(rho, l @ v)
+
+
+def test_support_vector_is_a_private_copy():
+    v = SQUARE.support_vector([1.0, 1.0])
+    v[:] = 7.0
+    npt.assert_array_equal(SQUARE.support_vector([1.0, 1.0]), [1.0, 1.0])
+
+
+def test_scalar_and_vectorised_angular_orders_agree():
+    rng = np.random.default_rng(30)
+    special = np.array(BOUNDARY_DIRECTIONS[:8] + [(1.0, 1.0), (-1.0, 1.0),
+                                                  (1.0, -1.0), (-1.0, -1.0)])
+    pts = np.vstack([special, rng.standard_normal((40, 2)),
+                     rng.integers(-2, 3, (40, 2)).astype(float)])
+    a = np.repeat(pts, len(pts), axis=0)
+    b = np.tile(pts, (len(pts), 1))
+    vectorised = _angles_leq(_sectors(a[:, 0], a[:, 1]), a[:, 0], a[:, 1],
+                                 _sectors(b[:, 0], b[:, 1]), b[:, 0], b[:, 1])
+    scalar = [direction_leq(u, w) for u, w in zip(a, b)]
+    npt.assert_array_equal(vectorised, scalar)
+
+
+def test_batch_through_near_parallel_pair_reported():
+    eps = 1e-13
+    P = HPolygon([[1.0, 0.0], [1.0, eps], [-1.0, 1.0], [-1.0, -1.0]],
+                 [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+    # directions that avoid the pair are answered, one that hits it is not
+    P.support_batch([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(DegeneratePolygonError):
+        P.support_batch([[0.0, 1.0], [1.0, 1e-14], [-1.0, 0.0]])
+    # a near-parallel pair across the wrap (last, first): direction 0 takes
+    # vertex 0, in a batch as in a scalar query
+    Q = HPolygon([[-1.0, -eps], [1.0, -1.0], [1.0, 1.0], [-1.0, eps]],
+                 [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+    with pytest.raises(DegeneratePolygonError):
+        Q.support_batch([[-1.0, 0.0]])
+    assert_bitwise(Q.support_batch([[0.0, 0.0], [1.0, 0.0]]),
+                   [Q.support_function([0.0, 0.0]), Q.support_function([1.0, 0.0])])
+
+
+def test_redundancy_removal_loads_no_solver():
+    code = (
+        "import sys\n"
+        "from reachdec import HPolygon\n"
+        "P = HPolygon([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0], [0.7, 0.7]],\n"
+        "             [1, 1, 1, 1, 5, 9])\n"
+        "assert len(P.offsets) == 4\n"
+        "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])\n")
+    src = str(Path(reachdec.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_redundancy_removal_with_cuts_through_vertices():
+    # halfplanes touching the square at a corner or along an edge, and a
+    # loose one that sends construction through redundancy removal
+    c = np.sqrt(0.5)
+    A = SQUARE.normals.tolist() + [[c, c], [1.0, 0.0], [c, -c], [0.6, 0.8],
+                                   [0.8, -0.6]]
+    b = SQUARE.offsets.tolist() + [2.0 * c, 1.0, 2.0 * c, 1.4, 3.0]
+    P = HPolygon(A, b)
+    assert not np.any(np.all(np.isclose(P.normals, [0.8, -0.6]), axis=1))
+    L = np.random.default_rng(31).standard_normal((40, 2))
+    npt.assert_allclose(P.support_batch(L), SQUARE.support_batch(L),
+                        rtol=1e-12, atol=1e-12)
+    verts = [reference_vertex(P, a) for a in P.normals]
+    assert np.all(P.normals @ np.transpose(verts) <= P.offsets[:, None] + 1e-12)

@@ -296,6 +296,37 @@ def test_symmetric_hull_of_linear_map_of_box_or_point():
                 npt.assert_allclose(h.radius, expect, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_symmetric_hull_of_mapped_ball_and_nested_maps(sparse, monkeypatch):
+    # closed forms |M c| + r ||M_i||_dual for a ball, and nested maps
+    # composed first, against the support-function route
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(12):
+        rows, mid, cols = (int(d) for d in rng.integers(1, 9, size=3))
+        M, N = rng.standard_normal((rows, mid)), rng.standard_normal((mid, cols))
+        M[rng.random((rows, mid)) < 0.5] = 0.0
+        N[rng.random((mid, cols)) < 0.5] = 0.0
+        if sparse:
+            M, N = sp.csr_array(M), sp.csr_array(N)
+        for Y in (random_ball(rng, cols, p) for p in (1.0, 2.0, np.inf)):
+            cases += [LinearMap(N, Y), LinearMap(M, LinearMap(N, Y))]
+        for Y in (random_box(rng, cols), random_singleton(rng, cols)):
+            cases.append(LinearMap(M, LinearMap(N, Y)))
+    expect = [np.maximum(X.support_batch(np.eye(X.dim)),
+                         X.support_batch(-np.eye(X.dim))) for X in cases]
+
+    def no_batches(self, L):
+        raise AssertionError("the closed form must not build a direction batch")
+
+    for cls in (BallP, Hyperrectangle, Singleton, LinearMap):
+        monkeypatch.setattr(cls, "_rho_batch", no_batches)
+    for X, want in zip(cases, expect):
+        h = symmetric_interval_hull(X)
+        npt.assert_array_equal(h.center, np.zeros(X.dim))
+        npt.assert_allclose(h.radius, want, rtol=1e-12, atol=1e-12)
+
+
 def test_symmetric_hull_rejects_unbounded():
     # no concrete type here is unbounded, so emulate one through the
     # generic support interface
