@@ -91,13 +91,24 @@ class EpsilonClose:
 
 
 def overapproximate_box(X):
-    """Tightest axis-aligned box around a set, from 2*dim support queries."""
+    """Tightest axis-aligned box around a set.
+
+    Its bounds are the support values of X in the directions +-e_i, from
+    the axis supports of X (`LazySet._axis_supports`).  They have a
+    closed form for boxes, points and balls, scalings (lambda c, |lambda| r),
+    sums (centers and radii add), products (the parts are concatenated)
+    and hulls (the lows' minimum, the highs' maximum), and for a linear
+    map of these: nested maps are composed and the map is carried inside,
+    down to (M c, |M| r) for a box or a point and to M c with r times the
+    dual row norms of M for a ball.  Only what is left, such as a map of
+    a polygon, is asked through support queries on the rows of +-M.  A
+    sparse M is read by dense rows, as those support queries read it, so
+    the bounds are bitwise theirs.
+    """
     if isinstance(X, Hyperrectangle):
         return X
-    n = X.dim
-    E = np.vstack([np.eye(n), -np.eye(n)])
-    vals = X.support_batch(E)
-    hi, lo = vals[:n], -vals[n:]
+    hi, nlo = X._axis_supports(None, dense_rows=True)
+    lo = -nlo
     if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
         raise UnboundedSetError("overapproximate_box: non-finite support value",
                                 module="approx")
@@ -136,7 +147,7 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
                               module="approx")
 
     def entry(d):
-        return (d, X.support_function(d), X.support_vector(d))
+        return (d, *X.support_pair(d))
 
     start = [entry(np.array(d)) for d in
              [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
@@ -190,16 +201,19 @@ def decompose(X, bs, scheme=BoxDirections()):
     """Per-block overapproximations of the projections of X.
 
     Returns a list of b low-dimensional sets whose Cartesian product
-    contains X.  Boxes and points decompose exactly by slicing.
+    contains X.  Boxes and points decompose exactly by slicing.  Under
+    ``BoxDirections`` every block is a box or a point: the box of a
+    projection is the projection of the box, so one box of X is sliced.
     """
     if X.dim != bs.n:
         raise DimensionError(f"decompose: set has dimension {X.dim}, "
                              f"block structure expects {bs.n}", module="approx")
-    if isinstance(X, Hyperrectangle):
-        return [Hyperrectangle(X.center[lo:hi], X.radius[lo:hi])
-                for lo, hi in bs.blocks]
     if isinstance(X, Singleton):
         return [Singleton(X.point[lo:hi]) for lo, hi in bs.blocks]
+    if isinstance(X, Hyperrectangle) or isinstance(scheme, BoxDirections):
+        box = overapproximate_box(X)
+        return [Hyperrectangle(box.center[lo:hi], box.radius[lo:hi])
+                for lo, hi in bs.blocks]
     out = []
     for i in range(bs.b):
         proj = LinearMap(bs.projection_matrix(i), X)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import BlockStructure, BoxDirections, approximate, decompose
+from .approx import (
+    BlockStructure,
+    BoxDirections,
+    approximate,
+    decompose,
+    overapproximate_box,
+)
 from .discretize import DENSE, DiscreteSystem
 from .errors import DimensionError, InputError
 from .linalg import MatrixPowerState
@@ -68,8 +74,6 @@ class ReachTube:
         return self.steps[k][block]
 
     def box_hull(self, k, block):
-        from .approx import overapproximate_box
-
         return overapproximate_box(self.steps[k][block])
 
     def _direction_slices(self, direction):
@@ -151,11 +155,8 @@ def _row_image_boxes(R, V):
         return {i: (c[i], np.zeros_like(c[i])) for i in R.ranges}
     out = {}
     for i in R.ranges:
-        dense = R.dense_row_block(i)
-        s = dense.shape[0]
-        vals = V.support_batch(np.vstack([dense, -dense]))
-        hi, lo = vals[:s], -vals[s:]
-        out[i] = ((hi + lo) / 2.0, (hi - lo) / 2.0)
+        box = overapproximate_box(LinearMap(R.dense_row_block(i), V))
+        out[i] = (box.center, box.radius)
     return out
 
 
@@ -183,14 +184,14 @@ def _stack_boxes(blocks, bs):
     return c, r
 
 
-def _box_inputs(sys, bs, blocks, scheme):
-    """Input accumulation of the closed-form box path, as a function of
-    (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
+def _box_inputs(sys, bs, blocks):
+    """Input accumulation of the box scheme in closed form, as a function
+    of (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
     accumulated input box {i: (center, radius)} of each block at step k.
 
     A constant input adds the box hull of Phi^(k-1) V.  An input sequence
     is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
-    the radii."""
+    the radii and V(k-1) replaced by its box hull."""
     if sys.constant_input:
         acc = {i: (np.zeros(bs.size(i)), np.zeros(bs.size(i))) for i in blocks}
 
@@ -205,9 +206,9 @@ def _box_inputs(sys, bs, blocks, scheme):
 
     def step(k, _P):
         nonlocal w_c, w_r
-        vc, vr = _stack_boxes(decompose(sys.v_at(k - 1), bs, scheme), bs)
-        w_c = sys.phi @ w_c + vc
-        w_r = phi_abs @ w_r + vr
+        v = overapproximate_box(sys.v_at(k - 1))
+        w_c = sys.phi @ w_c + v.center
+        w_r = phi_abs @ w_r + v.radius
         return {i: (w_c[slice(*bs.blocks[i])], w_r[slice(*bs.blocks[i])])
                 for i in blocks}
     return step
@@ -255,28 +256,29 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
 
     Step k is Phi^k applied to the decomposed initial blocks plus the
     accumulated inputs, and only the rows of Phi^k and Phi^(k-1) in
-    ``blocks`` are carried.  When the initial blocks are boxes or points
-    and steps are collapsed to boxes, a step has a closed form -- the box
-    hull of R X for a box X has center R c and radius |R| r -- unless
-    ``fast`` is False.  Otherwise a block is the lazy sum of its state
-    image and its collapsed input accumulation, collapsed through
-    ``scheme`` when ``collapse`` is set.
+    ``blocks`` are carried.  Under the box scheme the initial blocks are
+    boxes or points and, unless ``fast`` is False, the inputs accumulate
+    in closed form (``_box_inputs``); a collapsed step is then closed-form
+    too -- the box hull of R X for a box X has center R c and radius
+    |R| r.  Otherwise the inputs are collapsed through ``scheme`` every
+    step (``_set_inputs``) and a block is the lazy sum of its state image
+    and its input accumulation, collapsed through ``scheme`` when
+    ``collapse`` is set.
     """
     blocks0 = decompose(sys.x_init, bs, scheme)
     yield {i: blocks0[i] for i in blocks}
     if N == 1:
         return
-    box = (collapse and fast is not False and isinstance(scheme, BoxDirections)
-           and all(isinstance(x, (Hyperrectangle, Singleton)) for x in blocks0))
+    box = fast is not False and isinstance(scheme, BoxDirections)
     if box:
         c0, r0 = _stack_boxes(blocks0, bs)
-        inputs = _box_inputs(sys, bs, blocks, scheme)
+        inputs = _box_inputs(sys, bs, blocks)
     else:
         inputs = _set_inputs(sys, bs, blocks, scheme)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         W = inputs(k, power.P)
-        if box:
+        if box and collapse:
             sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
             yield {i: Hyperrectangle(sc[i] + W[i][0], sr[i] + W[i][1])
                    for i in blocks}
@@ -284,7 +286,7 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
             out = {}
             for i in blocks:
                 combined = MinkowskiSum(_state_sum_lazy(power.Q, i, blocks0, bs),
-                                        W[i])
+                                        Hyperrectangle(*W[i]) if box else W[i])
                 out[i] = approximate(combined, scheme) if collapse else combined
             yield out
         power.advance()
@@ -314,9 +316,11 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     """Reach tube for a per-step input sequence.
 
     The input accumulation cannot be kept separate here: it is propagated
-    through the block rows of Phi every step (and therefore wraps), with
-    the per-step input sets decomposed on the fly.  All blocks of the
-    accumulation are maintained even when only a subset is tracked.
+    through Phi every step (and therefore wraps) -- under the box scheme
+    as one full-dimensional box, w <- Phi w + box(V(k)), otherwise through
+    the block rows of Phi with the per-step input sets decomposed on the
+    fly.  All blocks of the accumulation are maintained even when only a
+    subset is tracked.
     """
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "

@@ -78,6 +78,12 @@ class LazySet:
         l = self._direction(direction)
         return self._sigma(l)
 
+    def support_pair(self, direction):
+        """(support_function, support_vector) from one walk of the set."""
+        l = self._direction(direction)
+        rho, sigma = self._rho_sigma(l)
+        return float(rho), sigma
+
     def support_batch(self, directions):
         """Support values for each row of a (m, dim) direction array."""
         L = np.asarray(directions, dtype=float)
@@ -95,8 +101,34 @@ class LazySet:
     def _sigma(self, l):
         raise NotImplementedError
 
+    def _rho_sigma(self, l):
+        return self._rho(l), self._sigma(l)
+
     def _rho_batch(self, L):
         return np.array([self._rho(row) for row in L])
+
+    def _axis_supports(self, T, dense_rows):
+        """(hi, nlo): the support values of T X in +e_i and in -e_i, for
+        every coordinate i of T X.  T is None (the identity), a float (that
+        multiple of it) or a `_Matrix`.  With ``dense_rows`` a sparse T
+        reaches a box, point or ball as its dense rows, as the directions of
+        a support query in +-e_i do, so the result is bitwise theirs;
+        otherwise it acts by sparse products.
+
+        Here, by support queries on the rows of T and of -T, a chunk of
+        rows at a time, so that no 2m x n direction matrix is built;
+        subclasses with a closed form override it."""
+        hi, nlo = [], []
+        for R in _transform_row_chunks(T, self.dim):
+            h, nl = np.zeros(len(R)), np.zeros(len(R))
+            rows = np.flatnonzero(R.any(axis=1))  # a zero row has support 0
+            if len(rows) < len(R):
+                R = R[rows]
+            vals = self._rho_batch(np.vstack([R, -R]))
+            h[rows], nl[rows] = vals[:len(rows)], vals[len(rows):]
+            hi.append(h)
+            nlo.append(nl)
+        return np.concatenate(hi), np.concatenate(nlo)
 
     def _direction(self, direction):
         l = np.asarray(direction, dtype=float)
@@ -118,6 +150,83 @@ def support_function(X, direction):
 def support_vector(X, direction):
     """Some point of ``X`` attaining the support value in ``direction``."""
     return X.support_vector(direction)
+
+
+# ----------------------------------------------------------------------
+# transforms of the axis-support walk (`LazySet._axis_supports`)
+# ----------------------------------------------------------------------
+
+#: entries of a chunk of rows of a transform (`_transform_row_chunks`)
+_AXIS_CHUNK_ENTRIES = 1 << 16
+
+
+class _Matrix:
+    """A dense or CSR matrix with its entrywise absolute value, formed
+    once, on first use."""
+
+    __slots__ = ("M", "_abs")
+
+    def __init__(self, M):
+        self.M = M
+        self._abs = None
+
+    @property
+    def abs(self):
+        if self._abs is None:
+            self._abs = abs(self.M)
+        return self._abs
+
+
+def _transform_row_chunks(T, n):
+    """The rows of T (of n columns) as dense arrays of a multiple of four
+    rows and at most about `_AXIS_CHUNK_ENTRIES` entries each.
+
+    A sparse T gives them in Fortran order, the layout of the directions
+    L M that scipy forms as (M^T L^T)^T, and BLAS takes the rows of a
+    product four at a time: so a chunk's products round as those of the
+    support queries in +-e_i do."""
+    m = T.M.shape[0] if isinstance(T, _Matrix) else n
+    step = max(4, _AXIS_CHUNK_ENTRIES // n // 4 * 4)
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        if isinstance(T, _Matrix):
+            R = T.M[lo:hi]
+            yield R.toarray(order="F") if _sp.issparse(R) else R
+        else:
+            R = np.zeros((hi - lo, n))
+            R[np.arange(hi - lo), np.arange(lo, hi)] = 1.0 if T is None else T
+            yield R
+
+
+def _transform_apply(T, x, dense_rows, absolute=False):
+    """T x, or |T| x with ``absolute``."""
+    if T is None:
+        return x
+    if isinstance(T, float):
+        return (abs(T) if absolute else T) * x
+    if dense_rows and _sp.issparse(T.M):
+        return np.concatenate([(np.abs(R) if absolute else R) @ x
+                               for R in _transform_row_chunks(T, T.M.shape[1])])
+    return np.asarray((T.abs if absolute else T.M) @ x, dtype=float)
+
+
+def _transform_compose(T, m):
+    """T M for a `_Matrix` m; the product is formed as the support route
+    forms the directions L M, and m itself is kept when T is None."""
+    if T is None:
+        return m
+    if isinstance(T, float):
+        return _Matrix(T * m.M)
+    return _Matrix(T.M @ m.M)
+
+
+def _transform_scale(T, factor):
+    """factor T."""
+    if T is None:
+        return factor
+    if isinstance(T, float):
+        return factor * T
+    return _Matrix(factor * T.M)
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +276,12 @@ class Hyperrectangle(LazySet):
 
     def _rho_batch(self, L):
         return L @ self.center + np.abs(L) @ self.radius
+
+    def _axis_supports(self, T, dense_rows):
+        # T c -+ |T| r
+        Tc = _transform_apply(T, self.center, dense_rows)
+        Tr = _transform_apply(T, self.radius, dense_rows, absolute=True)
+        return Tc + Tr, -Tc + Tr
 
 
 class BallP(LazySet):
@@ -222,6 +337,21 @@ class BallP(LazySet):
             dual = np.max(np.abs(L), axis=1)
         return L @ self.center + self.radius * dual
 
+    def _axis_supports(self, T, dense_rows):
+        # T c -+ r times the dual norm of each row of T
+        Tc = _transform_apply(T, self.center, dense_rows)
+        if T is None:
+            dual = 1.0
+        elif isinstance(T, float):
+            dual = abs(T)
+        elif dense_rows and _sp.issparse(T.M):
+            dual = np.concatenate([_row_norms(R, self._dual_ord)
+                                   for R in _transform_row_chunks(T, self.dim)])
+        else:
+            dual = _row_norms(T.M, self._dual_ord)
+        Tr = self.radius * dual
+        return Tc + Tr, -Tc + Tr
+
 
 class Singleton(LazySet):
     """A single point."""
@@ -241,6 +371,10 @@ class Singleton(LazySet):
 
     def _rho_batch(self, L):
         return L @ self.point
+
+    def _axis_supports(self, T, dense_rows):
+        Tp = _transform_apply(T, self.point, dense_rows)
+        return Tp, -Tp
 
 
 def zero_set(dim):
@@ -535,6 +669,10 @@ class HPolygon(LazySet):
     def _sigma(self, l):
         return self._vertex_for(l).copy()
 
+    def _rho_sigma(self, l):
+        v = self._vertex_for(l)
+        return l @ v, v.copy()
+
     def _rho_batch(self, L):
         idx = self._search_batch(L)
         idx[(L[:, 0] == 0.0) & (L[:, 1] == 0.0)] = 0
@@ -567,7 +705,12 @@ def _wrap_matrix(M):
 
 
 class LinearMap(LazySet):
-    """Image M X of a set under a (possibly sparse) matrix."""
+    """Image M X of a set under a (possibly sparse) matrix.
+
+    M^T is kept, and |M| once formed.  A batch of directions L is mapped
+    as L M = (M^T L^T)^T: for a CSR matrix this is how scipy computes
+    L M, with the transpose built anew on every call.
+    """
 
     def __init__(self, matrix, operand):
         M = _wrap_matrix(matrix)
@@ -577,20 +720,35 @@ class LinearMap(LazySet):
                 f"operand has dimension {operand.dim}")
         self.matrix = M
         self.operand = operand
+        self._mt = M.T
+        self._m = _Matrix(M)
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     def _rho(self, l):
-        return self.operand._rho(np.asarray(self.matrix.T @ l, dtype=float))
+        return self.operand._rho(np.asarray(self._mt @ l, dtype=float))
 
     def _sigma(self, l):
-        inner = self.operand._sigma(np.asarray(self.matrix.T @ l, dtype=float))
+        inner = self.operand._sigma(np.asarray(self._mt @ l, dtype=float))
         return np.asarray(self.matrix @ inner, dtype=float)
 
+    def _rho_sigma(self, l):
+        rho, inner = self.operand._rho_sigma(np.asarray(self._mt @ l, dtype=float))
+        return rho, np.asarray(self.matrix @ inner, dtype=float)
+
     def _rho_batch(self, L):
-        return self.operand._rho_batch(np.asarray(L @ self.matrix, dtype=float))
+        if _sp.issparse(self.matrix):
+            LM = (self._mt @ L.T).T
+        else:
+            LM = L @ self.matrix
+        return self.operand._rho_batch(np.asarray(LM, dtype=float))
+
+    def _axis_supports(self, T, dense_rows):
+        # nested maps compose first: T (M Y) = (T M) Y
+        return self.operand._axis_supports(_transform_compose(T, self._m),
+                                           dense_rows)
 
 
 class Scaled(LazySet):
@@ -612,8 +770,16 @@ class Scaled(LazySet):
     def _sigma(self, l):
         return self.factor * self.operand._sigma(self.factor * l)
 
+    def _rho_sigma(self, l):
+        rho, sigma = self.operand._rho_sigma(self.factor * l)
+        return rho, self.factor * sigma
+
     def _rho_batch(self, L):
         return self.operand._rho_batch(self.factor * L)
+
+    def _axis_supports(self, T, dense_rows):
+        return self.operand._axis_supports(_transform_scale(T, self.factor),
+                                           dense_rows)
 
 
 class MinkowskiSum(LazySet):
@@ -636,8 +802,17 @@ class MinkowskiSum(LazySet):
     def _sigma(self, l):
         return self.left._sigma(l) + self.right._sigma(l)
 
+    def _rho_sigma(self, l):
+        (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
+        return a + b, sa + sb
+
     def _rho_batch(self, L):
         return self.left._rho_batch(L) + self.right._rho_batch(L)
+
+    def _axis_supports(self, T, dense_rows):
+        ha, na = self.left._axis_supports(T, dense_rows)
+        hb, nb = self.right._axis_supports(T, dense_rows)
+        return ha + hb, na + nb
 
 
 class CartesianProduct(LazySet):
@@ -666,11 +841,31 @@ class CartesianProduct(LazySet):
         return np.concatenate([p._sigma(li)
                                for p, li in zip(self.parts, self._split(l))])
 
+    def _rho_sigma(self, l):
+        pairs = [p._rho_sigma(li) for p, li in zip(self.parts, self._split(l))]
+        return sum(rho for rho, _ in pairs), np.concatenate([s for _, s in pairs])
+
     def _rho_batch(self, L):
         total = np.zeros(L.shape[0])
         for i, p in enumerate(self.parts):
             total += p._rho_batch(L[:, self._offsets[i]:self._offsets[i + 1]])
         return total
+
+    def _axis_supports(self, T, dense_rows):
+        # the identity (or a multiple) keeps the parts apart; a matrix
+        # T = [T_1 ... T_p] maps the product to the sum of the T_j X_j
+        if not isinstance(T, _Matrix):
+            pairs = [p._axis_supports(T, dense_rows) for p in self.parts]
+            return (np.concatenate([h for h, _ in pairs]),
+                    np.concatenate([nl for _, nl in pairs]))
+        M = T.M.tocsc() if _sp.issparse(T.M) else T.M   # cheap column slices
+        hi, nlo = np.zeros(M.shape[0]), np.zeros(M.shape[0])
+        for i, p in enumerate(self.parts):
+            cols = _Matrix(M[:, self._offsets[i]:self._offsets[i + 1]])
+            h, nl = p._axis_supports(cols, dense_rows)
+            hi += h
+            nlo += nl
+        return hi, nlo
 
 
 class ConvexHullPair(LazySet):
@@ -695,8 +890,17 @@ class ConvexHullPair(LazySet):
         b = self.right._rho(l)
         return self.left._sigma(l) if a >= b else self.right._sigma(l)
 
+    def _rho_sigma(self, l):
+        (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
+        return max(a, b), (sa if a >= b else sb)
+
     def _rho_batch(self, L):
         return np.maximum(self.left._rho_batch(L), self.right._rho_batch(L))
+
+    def _axis_supports(self, T, dense_rows):
+        ha, na = self.left._axis_supports(T, dense_rows)
+        hb, nb = self.right._axis_supports(T, dense_rows)
+        return np.maximum(ha, hb), np.maximum(na, nb)
 
 
 def minkowski_sum_all(parts):
@@ -727,34 +931,17 @@ def _row_norms(M, ord):
 def symmetric_interval_hull(X):
     """Smallest origin-symmetric box containing X.
 
-    Coordinate radius i is max(rho(e_i), rho(-e_i)), evaluated through the
-    support function of X.  Boxes, points and balls under a linear map M
-    (nested maps composed first, M (M' Y) = (M M') Y) have it in closed
-    form: |M c| plus |M| r for a box of radius r, or plus r times the dual
-    norm of each row of M for a ball of radius r.
+    Coordinate radius i is max(rho(e_i), rho(-e_i)), from the axis
+    supports of X (`LazySet._axis_supports`): in closed form for boxes,
+    points and balls under linear maps and scalings, and for sums,
+    products and hulls of such sets -- |M c| plus |M| r for a box of
+    radius r, or plus r times the dual norm of each row of M for a ball
+    of radius r -- and by support queries for the rest.  A sparse M acts
+    by sparse products.
     """
-    n = X.dim
-    inner = X
-    while isinstance(inner, LinearMap):
-        inner = inner.operand
-    if isinstance(X, Hyperrectangle):
-        radius = np.abs(X.center) + X.radius
-    elif isinstance(X, Singleton):
-        radius = np.abs(X.point)
-    elif isinstance(X, LinearMap) and isinstance(inner, (Hyperrectangle, Singleton, BallP)):
-        M, Y = X.matrix, X.operand
-        while isinstance(Y, LinearMap):
-            M, Y = M @ Y.matrix, Y.operand
-        radius = np.abs(M @ (Y.point if isinstance(Y, Singleton) else Y.center))
-        if isinstance(Y, Hyperrectangle):
-            radius = radius + abs(M) @ Y.radius
-        elif isinstance(Y, BallP):
-            radius = radius + Y.radius * _row_norms(M, Y._dual_ord)
-    else:
-        E = np.vstack([np.eye(n), -np.eye(n)])
-        vals = X.support_batch(E)
-        radius = np.maximum(vals[:n], vals[n:])
+    hi, nlo = X._axis_supports(None, dense_rows=False)
+    radius = np.maximum(hi, nlo)
     if not np.all(np.isfinite(radius)):
         raise UnboundedSetError("symmetric_interval_hull: support evaluation "
                                 "produced a non-finite value")
-    return Hyperrectangle(np.zeros(n), radius)
+    return Hyperrectangle(np.zeros(X.dim), radius)

@@ -1,23 +1,38 @@
 """Box / epsilon-close overapproximation and blockwise decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
-from conftest import random_ball, random_box, random_polygon, random_set
+from conftest import (
+    random_ball,
+    random_box,
+    random_polygon,
+    random_set,
+    random_singleton,
+    spanning_angles,
+)
 from reachdec import (
     ApproximationError,
     BallP,
     BlockStructure,
     BoxDirections,
     CartesianProduct,
+    ConvexHullPair,
     DimensionError,
     EpsilonClose,
+    HPolygon,
     Hyperrectangle,
     InvalidSetError,
+    LazySet,
     LinearMap,
     MinkowskiSum,
+    Scaled,
     Singleton,
+    UnboundedSetError,
     approximate,
     decompose,
     overapproximate_box,
@@ -188,6 +203,148 @@ def test_eps_close_rejects_bad_inputs():
         EpsilonClose(-0.5)
 
 
+def support_route_box(X):
+    """The box of X from support queries in +-e_i, as (center, radius)."""
+    n = X.dim
+    vals = X.support_batch(np.vstack([np.eye(n), -np.eye(n)]))
+    hi, lo = vals[:n], -vals[n:]
+    return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+
+def random_matrix(rng, rows, cols, sparse):
+    M = rng.standard_normal((rows, cols))
+    M[rng.random((rows, cols)) < 0.5] = 0.0
+    return sp.csr_array(M) if sparse else M
+
+
+def closed_form_sets(rng, sparse):
+    """Every expression kind that `overapproximate_box` has a closed form
+    for, on boxes, points and balls, under dense or CSR maps."""
+    out = []
+    for n in (1, 2, 3, 5, 6, 8):
+        def leaf(dim=n):
+            kind = rng.integers(3)
+            if kind == 0:
+                return random_box(rng, dim)
+            if kind == 1:
+                return random_singleton(rng, dim)
+            return random_ball(rng, dim, float(rng.choice([1.0, 2.0, np.inf])))
+
+        def mapped(X, rows=n):
+            return LinearMap(random_matrix(rng, rows, X.dim, sparse), X)
+
+        A, B = leaf(), leaf()
+        k = int(rng.integers(1, n + 1))
+        split = CartesianProduct([leaf(k), leaf(n - k)] if k < n else [leaf()])
+        out += [A, B, Scaled(-1.5, A), Scaled(0.0, B), MinkowskiSum(A, B),
+                ConvexHullPair(A, B), split,
+                CartesianProduct([A, B, Singleton([1.0])]),
+                mapped(A), mapped(mapped(A)), mapped(mapped(mapped(B), 3)),
+                mapped(MinkowskiSum(A, Scaled(0.5, B))),
+                mapped(Scaled(-2.0, mapped(A))),
+                mapped(ConvexHullPair(mapped(A), B)),
+                mapped(CartesianProduct([A, B]), 4),
+                Scaled(3.0, mapped(split)),
+                ConvexHullPair(A, MinkowskiSum(mapped(B), Scaled(0.1, A)))]
+    return out
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_box_closed_forms_match_support_route(sparse, monkeypatch):
+    rng = np.random.default_rng(60 + sparse)
+    cases = closed_form_sets(rng, sparse)
+    expect = [support_route_box(X) for X in cases]
+
+    def no_batches(self, L):
+        raise AssertionError("the closed form must not query supports")
+
+    for cls in (LazySet, Hyperrectangle, BallP, Singleton, HPolygon, LinearMap,
+                Scaled, MinkowskiSum, CartesianProduct, ConvexHullPair):
+        monkeypatch.setattr(cls, "_rho_batch", no_batches)
+    for X, (c, r) in zip(cases, expect):
+        box = overapproximate_box(X)
+        scale = 1.0 + np.max(np.abs(c) + r)
+        npt.assert_allclose(box.center, c, rtol=1e-12, atol=1e-12 * scale)
+        npt.assert_allclose(box.radius, r, rtol=1e-12, atol=1e-12 * scale)
+
+
+def polygon_product(rng, n):
+    """One random polygon per 2D block, an interval for an odd last one."""
+    parts = []
+    for lo, hi in BlockStructure(n).blocks:
+        center = rng.uniform(-1.0, 1.0, hi - lo)
+        if hi - lo == 1:
+            parts.append(Hyperrectangle(center, [0.5]))
+            continue
+        angles = spanning_angles(rng, int(rng.integers(3, 9)))
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        parts.append(HPolygon(normals, normals @ center
+                              + rng.uniform(0.1, 1.0, len(angles))))
+    return CartesianProduct(parts)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_box_of_mapped_polygons_matches_support_route(sparse):
+    # no closed form below the map: the polygons are asked on the rows of +-M
+    rng = np.random.default_rng(62)
+    for n in (1, 2, 5, 8):
+        P = polygon_product(rng, n)
+        Y = MinkowskiSum(P, random_box(rng, n))
+        for X in (P, LinearMap(random_matrix(rng, n + 1, n, sparse), P),
+                  LinearMap(random_matrix(rng, 3, n, sparse),
+                            ConvexHullPair(Y, Scaled(-1.0, P)))):
+            c, r = support_route_box(X)
+            box = overapproximate_box(X)
+            npt.assert_allclose(box.center, c, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(box.radius, r, rtol=1e-12, atol=1e-12)
+
+
+def test_box_of_sparse_map_is_bitwise_the_support_route():
+    # a CSR map is read by dense rows, as the support queries read it
+    rng = np.random.default_rng(63)
+    for n in (4, 8, 64):
+        M = random_matrix(rng, n, n, sparse=True)
+        X = ConvexHullPair(random_box(rng, n),
+                           MinkowskiSum(LinearMap(M, random_box(rng, n)),
+                                        Scaled(0.01, random_box(rng, n))))
+        c, r = support_route_box(X)
+        box = overapproximate_box(X)
+        npt.assert_array_equal(box.center, c)
+        npt.assert_array_equal(box.radius, r)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("X", [
+    Scaled(1e300, Hyperrectangle([1e300, 0.0], [1.0, 1.0])),
+    LinearMap([[1e308, 1e308]], Singleton([1e308, 1e308])),
+    MinkowskiSum(BallP([1.7e308], 1.7e308, 2), Singleton([1.0])),
+])
+def test_box_closed_form_rejects_non_finite(X):
+    with pytest.raises(UnboundedSetError) as info:
+        overapproximate_box(X)
+    assert info.value.tag() == "error:approx:unbounded-set"
+
+
+def test_box_fallback_of_large_mapped_polygons_is_chunked():
+    # a dense 2n x n direction matrix at n = 2000 takes 64 MB
+    rng = np.random.default_rng(64)
+    n = 2000
+    M = sp.random_array((n, n), density=2e-3, random_state=rng, format="csr")
+    X = LinearMap(M, polygon_product(rng, n))
+    tracemalloc.start()
+    try:
+        box = overapproximate_box(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    rows = rng.choice(n, 5, replace=False)
+    E = np.zeros((5, n))
+    E[np.arange(5), rows] = 1.0
+    npt.assert_allclose(box.high[rows], X.support_batch(E), rtol=1e-12)
+    npt.assert_allclose(box.low[rows], -X.support_batch(-E), rtol=1e-12)
+
+
 # ----------------------------------------------------------------------
 # decomposition
 # ----------------------------------------------------------------------
@@ -272,6 +429,23 @@ def test_decompose_of_product_recovers_factors():
     npt.assert_allclose(parts[0].radius, A.radius, rtol=1e-12)
     npt.assert_allclose(parts[1].center, B.center, atol=1e-12)
     npt.assert_allclose(parts[1].radius, [1.0, 1.0], rtol=1e-12)
+
+
+def test_decompose_box_scheme_slices_one_box():
+    # one box of X, sliced, equals the box of every block's projection
+    rng = np.random.default_rng(49)
+    for n in (1, 2, 5, 8):
+        bs = BlockStructure(n)
+        M = random_matrix(rng, n, n, sparse=False)
+        for X in (random_ball(rng, n), polygon_product(rng, n),
+                  LinearMap(M, polygon_product(rng, n)),
+                  MinkowskiSum(LinearMap(M, random_box(rng, n)),
+                               random_ball(rng, n, 1.0))):
+            parts = decompose(X, bs, BoxDirections())
+            for i, part in enumerate(parts):
+                proj = overapproximate_box(LinearMap(bs.projection_matrix(i), X))
+                npt.assert_allclose(part.center, proj.center, rtol=1e-12, atol=1e-12)
+                npt.assert_allclose(part.radius, proj.radius, rtol=1e-12, atol=1e-12)
 
 
 def test_decompose_rejects_dimension_mismatch():

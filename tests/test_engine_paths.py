@@ -1,9 +1,9 @@
 """Differential properties of the engine paths on random small systems.
 
 Every path of the decomposed recurrence -- the closed-form box path, the
-generic collapsed path, the lazy path, the varying-input recurrence and
-the safety checker -- must agree with the others and stay sound against
-the non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
+generic collapsed path, the lazy path with closed-form or collapsed
+inputs, the varying-input recurrence and the safety checker -- must
+agree with the others and stay sound against the non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
 initial and input sets drawn from boxes, p-balls, singletons and
 products of constraint polygons, with constant inputs or per-step
 sequences.
@@ -144,6 +144,20 @@ def test_box_fast_path_matches_generic_path(case):
             (fc, fr), (sc, sr) = boxes(fast, k, i), boxes(slow, k, i)
             npt.assert_allclose(fc, sc, rtol=0.0, atol=1e-12)
             npt.assert_allclose(fr, sr, rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(systems())
+def test_lazy_box_inputs_match_set_inputs(case):
+    # lazy box-scheme steps take their inputs in closed form, and with
+    # fast=False collapsed through the scheme every step
+    sys, N = case
+    L = directions(sys, N)
+    fast = run(sys, N, lazy=True)
+    slow = run(sys, N, lazy=True, fast=False)
+    for k in range(N):
+        npt.assert_allclose(fast.support_batch(k, L), slow.support_batch(k, L),
+                            rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY

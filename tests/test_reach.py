@@ -21,6 +21,7 @@ from reachdec import (
     EpsilonClose,
     Hyperrectangle,
     InputError,
+    LinearMap,
     MinkowskiSum,
     Or,
     SafetyProperty,
@@ -511,6 +512,35 @@ def test_check_rejects_the_runs_reach_rejects():
     with pytest.raises(DimensionError) as exc:
         check_property(sys, holds, 4, bs=BlockStructure(4))
     assert exc.value.tag() == "error:reach:dimension"
+
+
+def test_check_box_inputs_collapse_nothing(monkeypatch):
+    # the box scheme accumulates a sequence of mapped and rounded input
+    # sets in closed form: no step is collapsed through `approximate`
+    rng = np.random.default_rng(112)
+    n, N = 6, 15
+    phi = random_stable_matrix(rng, n)
+    M = rng.standard_normal((n, n))
+    seq = [LinearMap(0.05 * M, random_box(rng, n, scale=0.1)) if k % 2 else
+           MinkowskiSum(BallP(rng.uniform(-0.1, 0.1, n), 0.05, 2),
+                        Singleton(rng.uniform(-0.1, 0.1, n)))
+           for k in range(N)]
+    sys = DiscreteSystem(phi, random_box(rng, n), seq, 0.1)
+    tube = reach_decomposed_varying(sys, N, lazy=True)
+    coeffs = np.array([1.0, -0.5, 0.0, 0.0, 2.0, 0.0])
+    values = np.array([tube.support(k, coeffs) for k in range(N)])
+    bound = float(np.quantile(values, 0.6))
+
+    def no_collapse(X, scheme):
+        raise AssertionError("box-scheme inputs must not be collapsed")
+
+    monkeypatch.setattr("reachdec.approx.approximate", no_collapse)
+    monkeypatch.setattr("reachdec.reach.approximate", no_collapse)
+    res = check_property(sys, SafetyProperty(Atom(coeffs, bound)), N)
+    k = int(np.nonzero(values >= bound)[0][0])
+    assert (res.verified, res.step, res.value) == (False, k, values[k])
+    assert check_property(sys, SafetyProperty(Atom(coeffs, values.max() + 1.0)),
+                          N).verified
 
 
 def test_eps_close_with_a_block_that_maps_a_direction_to_zero():

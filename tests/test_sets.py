@@ -148,6 +148,20 @@ def test_linear_map_identity():
                             rtol=1e-9, atol=1e-12)
 
 
+def test_sparse_linear_map_batch_is_bitwise_l_times_m():
+    # the kept transpose maps a batch as scipy maps L @ M itself
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        rows, cols = (int(d) for d in rng.integers(1, 12, size=2))
+        M = rng.standard_normal((rows, cols))
+        M[rng.random((rows, cols)) < 0.6] = 0.0
+        M = sp.csr_array(M)
+        X = random_box(rng, cols)
+        L = rng.standard_normal((int(rng.integers(1, 9)), rows))
+        npt.assert_array_equal(LinearMap(M, X).support_batch(L),
+                               X.support_batch(np.asarray(L @ M)))
+
+
 def test_minkowski_sum_identity():
     # rho_{X + Y}(l) = rho_X(l) + rho_Y(l)
     rng = np.random.default_rng(12)
@@ -202,6 +216,30 @@ def test_nested_lazy_trees_stay_consistent():
         npt.assert_allclose(tree.support_function(l), expect, rtol=1e-10)
         s = tree.support_vector(l)
         npt.assert_allclose(l @ s, tree.support_function(l), rtol=1e-10)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_support_pair_is_bitwise_value_and_vector(sparse):
+    """One walk for (rho, sigma) answers as the two separate queries do,
+    bitwise, on trees of every combinator over every concrete kind."""
+    rng = np.random.default_rng(20)
+
+    def matrix():
+        M = rng.standard_normal((2, 2))
+        M[rng.random((2, 2)) < 0.3] = 0.0
+        return sp.csr_array(M) if sparse else M
+
+    for _ in range(40):
+        A, B = random_set(rng, 2), random_set(rng, 2)
+        trees = [A, LinearMap(matrix(), A), Scaled(-0.7, B),
+                 MinkowskiSum(A, LinearMap(matrix(), B)),
+                 ConvexHullPair(LinearMap(matrix(), A), Scaled(1.5, B)),
+                 LinearMap(rng.standard_normal((2, 4)), CartesianProduct([A, B]))]
+        for X in trees:
+            for l in [rng.standard_normal(2), np.zeros(2), np.array([1.0, 0.0])]:
+                rho, sigma = X.support_pair(l)
+                assert rho == X.support_function(l)
+                npt.assert_array_equal(sigma, X.support_vector(l))
 
 
 def test_minkowski_sum_all_matches_pairwise():
