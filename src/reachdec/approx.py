@@ -102,12 +102,11 @@ def overapproximate_box(X):
     down to (M c, |M| r) for a box or a point and to M c with r times the
     dual row norms of M for a ball.  Only what is left, such as a map of
     a polygon, is asked through support queries on the rows of +-M.  A
-    sparse M is read by dense rows, as those support queries read it, so
-    the bounds are bitwise theirs.
+    sparse M acts by sparse products.
     """
     if isinstance(X, Hyperrectangle):
         return X
-    hi, nlo = X._axis_supports(None, dense_rows=True)
+    hi, nlo = X._axis_supports(None)
     lo = -nlo
     if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
         raise UnboundedSetError("overapproximate_box: non-finite support value",

@@ -24,8 +24,9 @@ from .approx import (
 )
 from .discretize import DENSE, DiscreteSystem
 from .errors import DimensionError, InputError
-from .linalg import MatrixPowerState
+from .linalg import BlockMatrix, MatrixPowerState
 from .sets import (
+    CartesianProduct,
     Hyperrectangle,
     LazySet,
     LinearMap,
@@ -76,33 +77,33 @@ class ReachTube:
     def box_hull(self, k, block):
         return overapproximate_box(self.steps[k][block])
 
-    def _direction_slices(self, direction):
-        l = np.asarray(direction, dtype=float)
-        if l.shape != (self.bs.n,):
-            raise DimensionError(f"ReachTube: direction has shape {l.shape}, "
+    def _checked_directions(self, directions, ndim):
+        """``directions`` as a float array of ``ndim`` dimensions (one
+        direction, or one per row) over the state, finite and zero on the
+        coordinates of untracked blocks."""
+        L = np.asarray(directions, dtype=float)
+        if L.ndim != ndim or L.shape[-1] != self.bs.n:
+            raise DimensionError(f"ReachTube: direction array has shape {L.shape}, "
                                  f"state dimension is {self.bs.n}", module="reach")
+        if not np.all(np.isfinite(L)):
+            raise InputError("ReachTube: directions must be finite", module="reach")
         untracked = np.ones(self.bs.n, dtype=bool)
         for i in self.tracked:
-            lo, hi = self.bs.blocks[i]
-            untracked[lo:hi] = False
-        if np.any(l[untracked] != 0.0):
+            untracked[slice(*self.bs.blocks[i])] = False
+        if L[..., untracked].any():
             raise DimensionError("ReachTube: direction touches untracked blocks",
                                  module="reach")
-        return l
+        return L
 
     def support(self, k, direction):
         """Support of the Cartesian product of the tracked blocks at step k
         in a full-dimensional direction (zero on untracked coordinates)."""
-        l = self._direction_slices(direction)
-        total = 0.0
-        for i in self.tracked:
-            lo, hi = self.bs.blocks[i]
-            if np.any(l[lo:hi] != 0.0):     # a zero slice contributes 0
-                total += self.steps[k][i].support_function(l[lo:hi])
-        return total
+        l = self._checked_directions(direction, 1)
+        return _block_support_sum(self.steps[k], self.tracked, self.bs, l)
 
     def support_batch(self, k, directions):
-        L = np.asarray(directions, dtype=float)
+        """Supports as in ``support`` for each row of an (m, n) array."""
+        L = self._checked_directions(directions, 2)
         total = np.zeros(L.shape[0])
         for i in self.tracked:
             lo, hi = self.bs.blocks[i]
@@ -111,6 +112,18 @@ class ReachTube:
             if rows.any():
                 total[rows] += self.steps[k][i].support_batch(sub[rows])
         return total
+
+
+def _block_support_sum(sets, blocks, bs, d):
+    """Support in the full-dimensional direction d of the product of the
+    sets {i: set} of ``blocks``, with d zero outside them: the sum of the
+    block supports in the slices of d (a zero slice contributes 0)."""
+    total = 0.0
+    for i in blocks:
+        di = d[slice(*bs.blocks[i])]
+        if np.any(di != 0.0):
+            total += sets[i].support_function(di)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +445,6 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
     if not atoms:
         raise InputError("safety property has no atoms", module="reach")
 
-    from .linalg import BlockMatrix
-
     def as_matrix(M):
         if M is None or isinstance(M, BlockMatrix):
             return M
@@ -483,13 +494,7 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
         cert = {}
         values = {}
         for a in atoms:
-            d_state = state_dirs[id(a)]
-            val = 0.0
-            for i in needed:
-                lo, hi = bs.blocks[i]
-                di = d_state[lo:hi]
-                if np.any(di != 0.0):
-                    val += sets[i].support_function(di)
+            val = _block_support_sum(sets, needed, bs, state_dirs[id(a)])
             if id(a) in feed_dirs:
                 val += u_at(k).support_function(feed_dirs[id(a)])
             values[id(a)] = val
@@ -504,20 +509,6 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
 # ----------------------------------------------------------------------
 # output projection
 # ----------------------------------------------------------------------
-
-def _selects_single_block(M, bs, tracked):
-    """Block index if M exactly selects one tracked block's coordinates."""
-    p, n = M.shape
-    for i in tracked:
-        lo, hi = bs.blocks[i]
-        if hi - lo != p:
-            continue
-        expect = np.zeros((p, n))
-        expect[np.arange(p), np.arange(lo, hi)] = 1.0
-        if np.array_equal(M, expect):
-            return i
-    return None
-
 
 def project_output(tube: ReachTube, M, scheme=BoxDirections()):
     """Per-step sets of the output y = M x over the tracked blocks.
@@ -542,17 +533,19 @@ def project_output(tube: ReachTube, M, scheme=BoxDirections()):
         raise InputError(f"projection touches untracked blocks {missing}",
                          module="reach")
 
-    direct = _selects_single_block(M, tube.bs, tube.tracked)
-    if direct is not None:
-        return [tube.steps[k][direct] for k in range(tube.n_steps)]
+    if len(needed_blocks) == 1:
+        # M selects block i's coordinates iff it reads only block i and is
+        # the identity there
+        i = needed_blocks[0]
+        lo, hi = tube.bs.blocks[i]
+        if hi - lo == M.shape[0] and np.array_equal(M[:, lo:hi], np.eye(hi - lo)):
+            return [tube.steps[k][i] for k in range(tube.n_steps)]
 
     order = sorted(tube.tracked)
     coords = np.concatenate([np.arange(*tube.bs.blocks[i]) for i in order])
     M_sub = M[:, coords]
     out = []
     for k in range(tube.n_steps):
-        from .sets import CartesianProduct
-
         prod = CartesianProduct([tube.steps[k][i] for i in order])
         out.append(approximate(LinearMap(M_sub, prod), scheme))
     return out

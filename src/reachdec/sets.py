@@ -107,13 +107,10 @@ class LazySet:
     def _rho_batch(self, L):
         return np.array([self._rho(row) for row in L])
 
-    def _axis_supports(self, T, dense_rows):
+    def _axis_supports(self, T):
         """(hi, nlo): the support values of T X in +e_i and in -e_i, for
         every coordinate i of T X.  T is None (the identity), a float (that
-        multiple of it) or a `_Matrix`.  With ``dense_rows`` a sparse T
-        reaches a box, point or ball as its dense rows, as the directions of
-        a support query in +-e_i do, so the result is bitwise theirs;
-        otherwise it acts by sparse products.
+        multiple of it) or a `_Matrix`; a sparse T acts by sparse products.
 
         Here, by support queries on the rows of T and of -T, a chunk of
         rows at a time, so that no 2m x n direction matrix is built;
@@ -178,41 +175,32 @@ class _Matrix:
 
 
 def _transform_row_chunks(T, n):
-    """The rows of T (of n columns) as dense arrays of a multiple of four
-    rows and at most about `_AXIS_CHUNK_ENTRIES` entries each.
-
-    A sparse T gives them in Fortran order, the layout of the directions
-    L M that scipy forms as (M^T L^T)^T, and BLAS takes the rows of a
-    product four at a time: so a chunk's products round as those of the
-    support queries in +-e_i do."""
+    """The rows of T (of n columns) as dense arrays of at most about
+    `_AXIS_CHUNK_ENTRIES` entries each."""
     m = T.M.shape[0] if isinstance(T, _Matrix) else n
-    step = max(4, _AXIS_CHUNK_ENTRIES // n // 4 * 4)
+    step = max(1, _AXIS_CHUNK_ENTRIES // n)
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         if isinstance(T, _Matrix):
             R = T.M[lo:hi]
-            yield R.toarray(order="F") if _sp.issparse(R) else R
+            yield R.toarray() if _sp.issparse(R) else R
         else:
             R = np.zeros((hi - lo, n))
             R[np.arange(hi - lo), np.arange(lo, hi)] = 1.0 if T is None else T
             yield R
 
 
-def _transform_apply(T, x, dense_rows, absolute=False):
+def _transform_apply(T, x, absolute=False):
     """T x, or |T| x with ``absolute``."""
     if T is None:
         return x
     if isinstance(T, float):
         return (abs(T) if absolute else T) * x
-    if dense_rows and _sp.issparse(T.M):
-        return np.concatenate([(np.abs(R) if absolute else R) @ x
-                               for R in _transform_row_chunks(T, T.M.shape[1])])
     return np.asarray((T.abs if absolute else T.M) @ x, dtype=float)
 
 
 def _transform_compose(T, m):
-    """T M for a `_Matrix` m; the product is formed as the support route
-    forms the directions L M, and m itself is kept when T is None."""
+    """T M for a `_Matrix` m; m itself is kept when T is None."""
     if T is None:
         return m
     if isinstance(T, float):
@@ -277,10 +265,10 @@ class Hyperrectangle(LazySet):
     def _rho_batch(self, L):
         return L @ self.center + np.abs(L) @ self.radius
 
-    def _axis_supports(self, T, dense_rows):
+    def _axis_supports(self, T):
         # T c -+ |T| r
-        Tc = _transform_apply(T, self.center, dense_rows)
-        Tr = _transform_apply(T, self.radius, dense_rows, absolute=True)
+        Tc = _transform_apply(T, self.center)
+        Tr = _transform_apply(T, self.radius, absolute=True)
         return Tc + Tr, -Tc + Tr
 
 
@@ -337,16 +325,13 @@ class BallP(LazySet):
             dual = np.max(np.abs(L), axis=1)
         return L @ self.center + self.radius * dual
 
-    def _axis_supports(self, T, dense_rows):
+    def _axis_supports(self, T):
         # T c -+ r times the dual norm of each row of T
-        Tc = _transform_apply(T, self.center, dense_rows)
+        Tc = _transform_apply(T, self.center)
         if T is None:
             dual = 1.0
         elif isinstance(T, float):
             dual = abs(T)
-        elif dense_rows and _sp.issparse(T.M):
-            dual = np.concatenate([_row_norms(R, self._dual_ord)
-                                   for R in _transform_row_chunks(T, self.dim)])
         else:
             dual = _row_norms(T.M, self._dual_ord)
         Tr = self.radius * dual
@@ -372,8 +357,8 @@ class Singleton(LazySet):
     def _rho_batch(self, L):
         return L @ self.point
 
-    def _axis_supports(self, T, dense_rows):
-        Tp = _transform_apply(T, self.point, dense_rows)
+    def _axis_supports(self, T):
+        Tp = _transform_apply(T, self.point)
         return Tp, -Tp
 
 
@@ -745,10 +730,9 @@ class LinearMap(LazySet):
             LM = L @ self.matrix
         return self.operand._rho_batch(np.asarray(LM, dtype=float))
 
-    def _axis_supports(self, T, dense_rows):
+    def _axis_supports(self, T):
         # nested maps compose first: T (M Y) = (T M) Y
-        return self.operand._axis_supports(_transform_compose(T, self._m),
-                                           dense_rows)
+        return self.operand._axis_supports(_transform_compose(T, self._m))
 
 
 class Scaled(LazySet):
@@ -777,9 +761,8 @@ class Scaled(LazySet):
     def _rho_batch(self, L):
         return self.operand._rho_batch(self.factor * L)
 
-    def _axis_supports(self, T, dense_rows):
-        return self.operand._axis_supports(_transform_scale(T, self.factor),
-                                           dense_rows)
+    def _axis_supports(self, T):
+        return self.operand._axis_supports(_transform_scale(T, self.factor))
 
 
 class MinkowskiSum(LazySet):
@@ -809,9 +792,9 @@ class MinkowskiSum(LazySet):
     def _rho_batch(self, L):
         return self.left._rho_batch(L) + self.right._rho_batch(L)
 
-    def _axis_supports(self, T, dense_rows):
-        ha, na = self.left._axis_supports(T, dense_rows)
-        hb, nb = self.right._axis_supports(T, dense_rows)
+    def _axis_supports(self, T):
+        ha, na = self.left._axis_supports(T)
+        hb, nb = self.right._axis_supports(T)
         return ha + hb, na + nb
 
 
@@ -851,18 +834,18 @@ class CartesianProduct(LazySet):
             total += p._rho_batch(L[:, self._offsets[i]:self._offsets[i + 1]])
         return total
 
-    def _axis_supports(self, T, dense_rows):
+    def _axis_supports(self, T):
         # the identity (or a multiple) keeps the parts apart; a matrix
         # T = [T_1 ... T_p] maps the product to the sum of the T_j X_j
         if not isinstance(T, _Matrix):
-            pairs = [p._axis_supports(T, dense_rows) for p in self.parts]
+            pairs = [p._axis_supports(T) for p in self.parts]
             return (np.concatenate([h for h, _ in pairs]),
                     np.concatenate([nl for _, nl in pairs]))
         M = T.M.tocsc() if _sp.issparse(T.M) else T.M   # cheap column slices
         hi, nlo = np.zeros(M.shape[0]), np.zeros(M.shape[0])
         for i, p in enumerate(self.parts):
             cols = _Matrix(M[:, self._offsets[i]:self._offsets[i + 1]])
-            h, nl = p._axis_supports(cols, dense_rows)
+            h, nl = p._axis_supports(cols)
             hi += h
             nlo += nl
         return hi, nlo
@@ -897,9 +880,9 @@ class ConvexHullPair(LazySet):
     def _rho_batch(self, L):
         return np.maximum(self.left._rho_batch(L), self.right._rho_batch(L))
 
-    def _axis_supports(self, T, dense_rows):
-        ha, na = self.left._axis_supports(T, dense_rows)
-        hb, nb = self.right._axis_supports(T, dense_rows)
+    def _axis_supports(self, T):
+        ha, na = self.left._axis_supports(T)
+        hb, nb = self.right._axis_supports(T)
         return np.maximum(ha, hb), np.maximum(na, nb)
 
 
@@ -939,7 +922,7 @@ def symmetric_interval_hull(X):
     of radius r -- and by support queries for the rest.  A sparse M acts
     by sparse products.
     """
-    hi, nlo = X._axis_supports(None, dense_rows=False)
+    hi, nlo = X._axis_supports(None)
     radius = np.maximum(hi, nlo)
     if not np.all(np.isfinite(radius)):
         raise UnboundedSetError("symmetric_interval_hull: support evaluation "

@@ -192,10 +192,11 @@ def test_tracked_subset_is_bitwise_the_full_run(case, data):
 
 
 @PROPERTY
-@given(systems(), st.data())
-def test_check_verdict_matches_lazy_tube_supports(case, data):
+@given(systems(), st.sampled_from([BoxDirections(), EpsilonClose(0.05)]),
+       st.data())
+def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
     sys, N = case
-    tube = run(sys, N, lazy=True)
+    tube = run(sys, N, scheme=scheme, lazy=True)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     atoms, values = [], []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -211,7 +212,7 @@ def test_check_verdict_matches_lazy_tube_supports(case, data):
 
     fails = [k for k in range(N)
              if not all(a.holds(v[k]) for a, v in zip(atoms, values))]
-    res = check_property(sys, SafetyProperty(And(atoms)), N)
+    res = check_property(sys, SafetyProperty(And(atoms)), N, scheme=scheme)
     assert res.verified == (not fails)
     if fails:
         k = fails[0]

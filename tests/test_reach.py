@@ -353,6 +353,21 @@ def test_tube_direction_validation():
     with pytest.raises(DimensionError):
         tube.support(0, np.array([1.0, 0.0, 1.0, 0.0]))  # block 1 untracked
     assert tube.support(0, np.array([1.0, 1.0, 0.0, 0.0])) == 2.0
+    # the batch checks its rows as the single query does
+    with pytest.raises(DimensionError):
+        tube.support_batch(0, np.ones((1, 3)))
+    with pytest.raises(DimensionError):
+        tube.support_batch(0, np.ones(4))
+    with pytest.raises(DimensionError):
+        tube.support_batch(0, [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            tube.support(0, np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(InputError):
+            tube.support_batch(0, [[1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]])
+    npt.assert_array_equal(tube.support_batch(0, [[1.0, 1.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0, 0.0]]),
+                           [2.0, 0.0])
 
 
 def test_tube_box_hull():
