@@ -43,16 +43,6 @@ def _block_ranges(n):
     return tuple((2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))
 
 
-def _nonzero_col_blocks(rows):
-    """Sorted column-block indices with an entry in some of ``rows``
-    (dense, or sparse counting stored entries)."""
-    if sp.issparse(rows):
-        cols = sp.coo_array(rows).coords[1]
-    else:
-        cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
-    return np.unique(cols // 2).tolist()
-
-
 class BlockMatrix:
     """A real matrix with aligned access to its 2x2 blocks.
 
@@ -115,8 +105,14 @@ class BlockMatrix:
         return self.data[r0:r1, :]
 
     def nonzero_col_blocks(self, i):
-        """Sorted column-block indices with a nonzero entry in block-row i."""
-        return _nonzero_col_blocks(self.row_block(i))
+        """Sorted column-block indices with a nonzero entry in block-row i
+        (for sparse storage, with a stored entry)."""
+        rows = self.row_block(i)
+        if self.is_sparse:
+            cols = sp.coo_array(rows).coords[1]
+        else:
+            cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+        return np.unique(cols // 2).tolist()
 
     def block_density(self):
         """Fraction of blocks holding at least one nonzero entry."""
@@ -244,10 +240,6 @@ class BlockRows:
         np.add.at(out, (np.repeat(np.arange(r1 - r0), np.diff(ptr)),
                         self.data.indices[entries]), self.data.data[entries])
         return out
-
-    def nonzero_col_blocks(self, i):
-        """Sorted column-block indices with a nonzero entry in block-row i."""
-        return _nonzero_col_blocks(self.dense_row_block(i))
 
     def to_dense(self):
         """All held rows as one ndarray, in block order."""

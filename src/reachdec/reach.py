@@ -173,17 +173,6 @@ def _row_image_boxes(R, V):
     return out
 
 
-def _state_sum_lazy(Q, i, blocks0, bs):
-    """Lazy Minkowski sum of Q[i, j] applied to the initial blocks,
-    skipping zero blocks."""
-    rows = Q.dense_row_block(i)
-    terms = [LinearMap(rows[:, slice(*bs.blocks[j])], blocks0[j])
-             for j in Q.nonzero_col_blocks(i)]
-    if not terms:
-        return zero_set(bs.size(i))
-    return minkowski_sum_all(terms)
-
-
 def _stack_boxes(blocks, bs):
     c = np.zeros(bs.n)
     r = np.zeros(bs.n)
@@ -274,8 +263,11 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
     in closed form (``_box_inputs``); a collapsed step is then closed-form
     too -- the box hull of R X for a box X has center R c and radius
     |R| r.  Otherwise the inputs are collapsed through ``scheme`` every
-    step (``_set_inputs``) and a block is the lazy sum of its state image
-    and its input accumulation, collapsed through ``scheme`` when
+    step (``_set_inputs``).  A lazy step of block i is the image R_i X0 of
+    the whole decomposed initial set X0 -- one box under the box scheme,
+    the product of the blocks otherwise -- under the block's rows R_i of
+    Phi^k, plus its input accumulation: a support query is one product
+    R_i^T d and one query on X0.  It is collapsed through ``scheme`` when
     ``collapse`` is set.
     """
     blocks0 = decompose(sys.x_init, bs, scheme)
@@ -285,8 +277,10 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
     box = fast is not False and isinstance(scheme, BoxDirections)
     if box:
         c0, r0 = _stack_boxes(blocks0, bs)
+        X0 = Hyperrectangle(c0, r0)
         inputs = _box_inputs(sys, bs, blocks)
     else:
+        X0 = CartesianProduct(blocks0)
         inputs = _set_inputs(sys, bs, blocks, scheme)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
@@ -298,7 +292,7 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
         else:
             out = {}
             for i in blocks:
-                combined = MinkowskiSum(_state_sum_lazy(power.Q, i, blocks0, bs),
+                combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0),
                                         Hyperrectangle(*W[i]) if box else W[i])
                 out[i] = approximate(combined, scheme) if collapse else combined
             yield out

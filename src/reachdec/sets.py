@@ -531,7 +531,15 @@ class HPolygon(LazySet):
             ratio = np.where(x != 0.0, y / np.where(x != 0.0, x, 1.0), -np.inf)
         order = np.lexsort((ratio, sec))
         A, b = A[order], b[order]
-        # merge constraints with (numerically) identical normals, keep the tighter
+        # merge constraints with (numerically) identical normals, keep the
+        # tighter.  Only neighbours, or the last and the first entry, can
+        # merge, and only if their cross product is below 1e-14; that is
+        # rare, so all these pairs are tested at once and the loop, which
+        # makes the full test, runs only if some pair passes
+        B = np.concatenate([A, A[:1]])
+        P, Q = B[:-1], B[1:]
+        if not (abs(P[:, 0] * Q[:, 1] - P[:, 1] * Q[:, 0]) < 1e-14).any():
+            return A, b
         keep = []
         for i in range(A.shape[0]):
             if keep:
@@ -542,14 +550,13 @@ class HPolygon(LazySet):
                         keep[-1] = i
                     continue
             keep.append(i)
-        # the first and last entry may be duplicates across the wrap
+        # the first and last entry may be duplicates across the wrap; the
+        # one kept stays where it is, so the angular order holds
         if len(keep) > 1:
             i, j = keep[0], keep[-1]
             cross = A[j, 0] * A[i, 1] - A[j, 1] * A[i, 0]
             if abs(cross) < 1e-14 and A[j] @ A[i] > 0.0:
-                if b[j] < b[i]:
-                    keep[0] = j
-                keep.pop()
+                keep.pop(0 if b[j] < b[i] else -1)
         return A[keep], b[keep]
 
     @staticmethod

@@ -11,6 +11,7 @@ sequences.
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from reachdec import (
     SafetyProperty,
     Singleton,
     check_property,
+    decompose,
     reach_decomposed,
     reach_decomposed_varying,
     reach_nondecomposed,
@@ -220,3 +222,55 @@ def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
         assert res.step == k
         assert res.atom == atoms[bad].describe()
         assert res.value == values[bad][k]
+
+
+def lazy_step_phis():
+    """(name, Phi) pairs, each with an all-zero row block: a dense 7 x 7
+    with zero rows 2-3, and a CSR 8 x 8 that cycles blocks 0 -> 1 -> 2
+    -> 0 with zero rows 6-7 (3 of 16 blocks occupied, so it stays CSR)."""
+    rng = np.random.default_rng(31)
+    dense = rng.standard_normal((7, 7))
+    dense[2:4] = 0.0
+    cyc = np.zeros((8, 8))
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        cyc[2 * i:2 * i + 2, 2 * j:2 * j + 2] = rng.standard_normal((2, 2))
+    out = []
+    for name, M, zero_block in (("dense", dense, 1), ("csr", cyc, 3)):
+        M = M * 0.9 / np.abs(M).sum(axis=1).max()
+        phi = BlockMatrix(sp.csr_array(M) if name == "csr" else M)
+        out.append(pytest.param(phi, M, zero_block, id=name))
+    return out
+
+
+@pytest.mark.parametrize("phi, M, zero_block", lazy_step_phis())
+@pytest.mark.parametrize("kind", ["box", "ball", "polygon"])
+@pytest.mark.parametrize("scheme, fast", [(BoxDirections(), None),
+                                          (BoxDirections(), False),
+                                          (EpsilonClose(0.05), None)],
+                         ids=["box", "box-generic", "eps"])
+def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
+                                                             kind, scheme, fast):
+    # with V = {0}, the support of block i's lazy step k in direction d is
+    # sum_j rho(((Phi^k)_i^T d)_j, X0_j) over the decomposed initial blocks
+    n, N = M.shape[0], 6
+    rng = np.random.default_rng(32)
+    sys = DiscreteSystem(phi, random_set(rng, kind, n, 1.0),
+                         Singleton(np.zeros(n)), 0.1)
+    assert sys.phi.is_sparse == phi.is_sparse
+    bs = BlockStructure(n)
+    X0 = decompose(sys.x_init, bs, scheme)
+    tube = reach_decomposed(sys, N, scheme=scheme, lazy=True, fast=fast)
+    for k in range(N):
+        Pk = np.linalg.matrix_power(M, k)
+        for i, (lo, hi) in enumerate(bs.blocks):
+            for di in rng.standard_normal((3, hi - lo)):
+                d = np.zeros(n)
+                d[lo:hi] = di
+                g = Pk[lo:hi].T @ di
+                want = sum(X0[j].support_function(g[jlo:jhi])
+                           for j, (jlo, jhi) in enumerate(bs.blocks))
+                got = tube.support(k, d)
+                if k > 0 and i == zero_block:
+                    assert got == 0.0
+                else:
+                    npt.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -284,23 +284,6 @@ def test_power_state_blocks_do_not_depend_on_each_other():
         npt.assert_array_equal(alone.Q.abs().dot(x)[3], many.Q.abs().dot(x)[3])
 
 
-def test_power_state_index_follows_iterate():
-    rng = np.random.default_rng(69)
-    M = np.zeros((6, 6))
-    M[:2, 2:4] = rng.standard_normal((2, 2))
-    M[2:4, 4:] = rng.standard_normal((2, 2))
-    M[4:, :2] = rng.standard_normal((2, 2))
-    for phi in (M, sp.csr_array(M)):
-        st = MatrixPowerState(BlockMatrix(phi), blocks=(0, 2))
-        for k in range(1, 6):
-            st.advance()
-            dense = np.linalg.matrix_power(M, k + 1)
-            for i in (0, 2):
-                expect = sorted({c // 2 for c in np.nonzero(
-                    np.any(dense[2 * i:2 * i + 2] != 0.0, axis=0))[0]})
-                assert st.Q.nonzero_col_blocks(i) == expect
-
-
 def test_power_state_rejects_unknown_block():
     with pytest.raises(DimensionError):
         MatrixPowerState(np.eye(5), blocks=(3,))

@@ -67,6 +67,28 @@ def test_normals_sorted_counter_clockwise():
             assert direction_leq(A[i], A[i + 1])
 
 
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_duplicate_normals_keep_the_tighter_offset(tight_first):
+    # (0, 1) twice in the middle of the angular order; (-1, -1e-16) and
+    # (-1, 0) sort first and last, so they coincide across the wrap
+    rng = np.random.default_rng(22)
+    dup_mid = [1.0, 2.0] if tight_first else [2.0, 1.0]
+    dup_wrap = [2.0, 3.0] if tight_first else [3.0, 2.0]
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, -1e-16],
+                  [-1.0, 0.0], [0.0, -1.0]])
+    b = np.array([1.0, *dup_mid, *dup_wrap, 1.0])
+    for _ in range(5):
+        perm = rng.permutation(len(b))
+        P = HPolygon(A[perm], b[perm])
+        assert len(P.offsets) == 4
+        for l, want in (([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0),
+                        ([-1.0, 0.0], 2.0), ([0.0, -1.0], 1.0)):
+            assert P.support_function(l) == pytest.approx(want, abs=1e-12)
+        kept = {tuple(a): off for a, off in zip(P.normals.tolist(), P.offsets)}
+        assert kept[(0.0, 1.0)] == 1.0
+        assert 2.0 in [kept.get((-1.0, 0.0)), kept.get((-1.0, -1e-16))]
+
+
 def test_successive_vertices_feasible_after_construction():
     # the support search is exact iff every adjacent constraint pair meets
     # at a feasible point; the constructor must establish that
