@@ -7,15 +7,28 @@ the first two exponential integral matrices used for time discretization,
 the row blocks of consecutive matrix powers, and the action of the
 exponential (and of the second exponential integral) on a block of
 vectors.
+
+All exponentials come from one truncated Taylor series,
+phi_s(B) X = sum_i B^i X / (i+s)! with B = A delta, summed by Horner's
+rule on CSR or dense storage alike (Moler & Van Loan, SIAM Review 2003;
+Al-Mohy & Higham, SISC 2011).  Then Phi = phi_0(B), Phi1 = delta phi_1(B)
+and Phi2 = delta^2 phi_2(B).  The degree m is the smallest with the
+a-priori tail bound theta^(m+1)/(m+1)! / (1 - theta/(m+2)) <= u = 2^-53,
+theta = ||B||_1, which bounds sum_{i>m} ||B^i X|| / (i+s)! <= u ||X|| for
+every s >= 0.  For theta > 1 the step is halved until theta <= 1: the
+matrices are then squared back up, and an action is taken in substeps.
+The truncation is bounded a priori; the rounding of the products and sums
+is not.  The result depends only on A, delta and X: no random norm
+estimate is made.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import DimensionError, InputError, NonFiniteError
 
@@ -70,6 +83,7 @@ class BlockMatrix:
             self.data = arr
         self.row_ranges = _block_ranges(self.shape[0])
         self.col_ranges = _block_ranges(self.shape[1])
+        self._csr_t = None
 
     # -- basic properties ----------------------------------------------
 
@@ -132,6 +146,20 @@ class BlockMatrix:
             return BlockMatrix(out)
         return self.data @ other
 
+    def left_product(self, L):
+        """L @ self for a dense block of rows L, as a C-ordered ndarray.
+
+        For CSR storage this is (M^T L^T)^T with M^T held as CSR, formed on
+        the first call: scipy's own dense-by-CSR product goes through CSC
+        storage and is several times slower.  Each row of the sparse
+        product is computed from its row of L alone.
+        """
+        if not self.is_sparse:
+            return L @ self.data
+        if self._csr_t is None:
+            self._csr_t = self.data.T.tocsr()
+        return np.ascontiguousarray((self._csr_t @ L.T).T)
+
     def scale(self, factor):
         return BlockMatrix(self.data * factor)
 
@@ -160,20 +188,135 @@ def _as_block_matrix(A):
     return A if isinstance(A, BlockMatrix) else BlockMatrix(A)
 
 
+#: unit roundoff of binary64: the bound on each series' truncation
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: largest ||B||_1 summed as one series; beyond it the step is split
+_THETA_MAX = 1.0
+
+
+def _one_norm(B):
+    theta = float(np.max(abs(B).sum(axis=0), initial=0.0))
+    if not math.isfinite(theta):
+        raise NonFiniteError("A delta overflowed", module="linalg")
+    return theta
+
+
+def _degree(theta):
+    """Smallest m with theta^(m+1)/(m+1)! / (1 - theta/(m+2)) <= u, for
+    0 <= theta <= _THETA_MAX: the tail sum_{i>m} theta^i/(i+s)! of every
+    phi_s then lies below u."""
+    m, term = 0, theta              # term = theta^(m+1) / (m+1)!
+    while term / (1.0 - theta / (m + 2)) > _UNIT_ROUNDOFF:
+        m += 1
+        term *= theta / (m + 1)
+    return m
+
+
+def _identity(B):
+    n = B.shape[0]
+    return sp.eye_array(n, format="csr") if sp.issparse(B) else np.eye(n)
+
+
+def _series(B, X, s, m):
+    """sum_{i=0}^m B^i X / (i+s)! by Horner's rule; B and X are CSR
+    arrays or ndarrays, and the result has the storage of B @ X."""
+    T = X * (1.0 / math.factorial(m + s))
+    for i in range(m - 1, -1, -1):
+        T = B @ T + X * (1.0 / math.factorial(i + s))
+    return T
+
+
+def _phi_matrices(B, s):
+    """[phi_0(B), ..., phi_s(B)] for s <= 2, in the storage of B.
+
+    The series is summed for B h with h = 2^-j and ||B h||_1 <= 1, and the
+    results are doubled back j times with F_k(t) = t^k phi_k(t B):
+    F_0(2t) = F_0(t)^2, F_1(2t) = (I + F_0(t)) F_1(t) and
+    F_2(2t) = (I + F_0(t)) F_2(t) + t F_1(t).
+    """
+    theta = _one_norm(B)
+    j = math.ceil(math.log2(theta / _THETA_MAX)) if theta > _THETA_MAX else 0
+    h = 2.0 ** -j
+    Bh = B * h
+    eye = _identity(B)
+    F = [_series(Bh, eye, s, _degree(theta * h))]
+    for k in range(s, 0, -1):       # phi_(k-1) = I/(k-1)! + B phi_k
+        F.insert(0, eye * (1.0 / math.factorial(k - 1)) + Bh @ F[0])
+    F = [f * h ** k for k, f in enumerate(F)]
+    for _ in range(j):
+        grow = eye + F[0]
+        if s == 2:
+            F[2] = grow @ F[2] + F[1] * h
+        if s >= 1:
+            F[1] = grow @ F[1]
+        F[0] = F[0] @ F[0]
+        h *= 2.0
+    return F
+
+
+def _phi_action(B, X, s):
+    """phi_s(B) X for s <= 2 and a block of columns X (an ndarray).
+
+    For ||B||_1 > 1 the action is taken in q substeps of exp(M / q) on the
+    block vector (x, y, z), started at X in position s, where
+    M (x, y, z) = (B x + y, z, 0): then exp(M) (x, y, z) has the top block
+    phi_0(B) x + phi_1(B) y + phi_2(B) z.  M is never formed; its norm is
+    max(||B||_1, 1), so every substep is one series of degree
+    _degree(||B||_1 / q).  When the q substeps would cost more flops than
+    the dense n x n matrix, phi_s(B) is formed instead: a B with a huge
+    norm but a small spectral radius (a nilpotent part) would otherwise
+    take millions of substeps.
+    """
+    theta = _one_norm(B)
+    if theta <= _THETA_MAX:
+        return _series(B, X, s, _degree(theta))
+    q = math.ceil(theta / _THETA_MAX)
+    n = B.shape[0]
+    nnz = B.nnz if sp.issparse(B) else n * n
+    if q * nnz * (X.shape[1] if X.ndim == 2 else 1) > n ** 3:
+        dense = B.toarray() if sp.issparse(B) else B
+        return _phi_matrices(dense, s)[s] @ X
+    m = _degree(theta / q)
+    Bq = B / q
+    v = [np.zeros_like(X)] * 3
+    v[s] = X
+    for _ in range(q):
+        x, y, z = v
+        c = 1.0 / math.factorial(m)
+        T = [x * c, y * c, z * c]
+        for i in range(m - 1, -1, -1):
+            c = 1.0 / math.factorial(i)
+            T = [Bq @ T[0] + T[1] / q + x * c, T[2] / q + y * c, z * c]
+        v = T
+    return v[0]
+
+
+def _finite(M, what):
+    values = M.data if sp.issparse(M) else M
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what}: result overflowed", module="linalg")
+    return M
+
+
+def _checked_step(delta, what):
+    if not (np.isfinite(delta) and delta > 0):
+        raise InputError(f"{what}: step must be positive and finite, got {delta}",
+                         module="linalg")
+
+
 def exp_matrix(A, delta):
-    """Matrix exponential exp(A * delta) via Pade scaling-and-squaring.
+    """Matrix exponential exp(A * delta) from the truncated Taylor series
+    (see the module docstring).
 
     Sparse inputs stay sparse; dense inputs stay dense.
     """
     A = _as_block_matrix(A)
-    if not (np.isfinite(delta) and delta > 0):
-        raise InputError(f"exp_matrix: step must be positive and finite, got {delta}",
-                         module="linalg")
+    _checked_step(delta, "exp_matrix")
     A.n  # square check
-    if A.is_sparse:
-        E = scipy.sparse.linalg.expm(sp.csc_matrix(A.data * delta))
-        return BlockMatrix(sp.csr_array(E))
-    return BlockMatrix(scipy.linalg.expm(A.to_dense() * delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, = _phi_matrices(A.data * delta, 0)
+    return BlockMatrix(_finite(phi, "exp_matrix"))
 
 
 def discretization_matrices(A, delta):
@@ -183,42 +326,25 @@ def discretization_matrices(A, delta):
       Phi  = exp(A d)
       Phi1 = sum_{i>=0} d^{i+1}/(i+1)! A^i   (integral of exp(A s) over [0, d])
       Phi2 = sum_{i>=0} d^{i+2}/(i+2)! A^i
-    computed simultaneously from one exponential of the augmented matrix
-    [[A, I, 0], [0, 0, I], [0, 0, 0]] * delta.
+    from one series for phi_2(A d), with phi_1 = I + A d phi_2 and
+    phi_0 = I + A d phi_1.  Sparse inputs stay sparse.
     """
     A = _as_block_matrix(A)
-    n = A.n
-    if not (np.isfinite(delta) and delta > 0):
-        raise InputError(f"discretization_matrices: step must be positive, got {delta}",
-                         module="linalg")
-    if A.is_sparse:
-        eye = sp.identity(n, format="csr")
-        zero = sp.csr_array((n, n))
-        aug = sp.bmat([[A.data, eye, None],
-                       [None, None, eye],
-                       [None, None, zero]], format="csc") * delta
-        E = sp.csr_array(scipy.sparse.linalg.expm(aug))
-        return (BlockMatrix(E[:n, :n]),
-                BlockMatrix(E[:n, n:2 * n]),
-                BlockMatrix(E[:n, 2 * n:]))
-    aug = np.zeros((3 * n, 3 * n))
-    aug[:n, :n] = A.to_dense()
-    aug[:n, n:2 * n] = np.eye(n)
-    aug[n:2 * n, 2 * n:] = np.eye(n)
-    E = scipy.linalg.expm(aug * delta)
-    return (BlockMatrix(E[:n, :n]),
-            BlockMatrix(E[:n, n:2 * n]),
-            BlockMatrix(E[:n, 2 * n:]))
+    A.n  # square check
+    _checked_step(delta, "discretization_matrices")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = _phi_matrices(A.data * delta, 2)
+        phis = [_finite(f * delta ** k, "discretization_matrices")
+                for k, f in enumerate(phis)]
+    return tuple(BlockMatrix(f) for f in phis)
 
 
 class BlockRows:
-    """Some row blocks of an n-column matrix, stacked in one array.
+    """Some row blocks of an n-column matrix, stacked in one ndarray.
 
     ``data`` holds the rows of each block in ``ranges`` one after another,
-    as a CSR array or an ndarray; ``ranges`` maps a row-block index of the
-    full matrix to its (first, end) rows in ``data``.  Per-block access
-    reads the CSR index arrays directly, since scipy's slicing costs far
-    more than the one or two rows it returns.
+    C-contiguous; ``ranges`` maps a row-block index of the full matrix to
+    its (first, end) rows in ``data``.
     """
 
     def __init__(self, data, ranges):
@@ -227,38 +353,28 @@ class BlockRows:
 
     @property
     def is_sparse(self):
-        return sp.issparse(self.data)
+        """False: the rows are always held dense."""
+        return False
 
     def dense_row_block(self, i):
         """Rows of block-row i as a dense array."""
         r0, r1 = self.ranges[i]
-        if not self.is_sparse:
-            return self.data[r0:r1]
-        ptr = self.data.indptr[r0:r1 + 1]
-        entries = slice(ptr[0], ptr[-1])
-        out = np.zeros((r1 - r0, self.data.shape[1]))
-        np.add.at(out, (np.repeat(np.arange(r1 - r0), np.diff(ptr)),
-                        self.data.indices[entries]), self.data.data[entries])
-        return out
+        return self.data[r0:r1]
 
     def to_dense(self):
         """All held rows as one ndarray, in block order."""
-        return self.data.toarray() if self.is_sparse else np.asarray(self.data)
+        return self.data
 
     def abs(self):
-        return BlockRows(abs(self.data), self.ranges)
+        return BlockRows(np.abs(self.data), self.ranges)
 
     def dot(self, x):
         """{i: (rows of block i) @ x} for every held block.
 
-        Each block's product is computed from its own rows alone, so it is
-        bitwise the same whatever other blocks are held: a CSR product
-        computes every row on its own, and dense rows are multiplied one
-        block at a time, since BLAS may group rows differently.
+        The rows are multiplied one block at a time, since BLAS may group
+        rows differently: each block's product is then bitwise the same
+        whatever other blocks are held.
         """
-        if self.is_sparse:
-            y = self.data @ x
-            return {i: y[r0:r1] for i, (r0, r1) in self.ranges.items()}
         return {i: self.data[r0:r1] @ x for i, (r0, r1) in self.ranges.items()}
 
 
@@ -266,9 +382,10 @@ class MatrixPowerState:
     """Row blocks of consecutive powers of a square matrix.
 
     For the row blocks ``blocks`` (all of them when None), P holds the rows
-    of Phi^k and Q the rows of Phi^(k+1), as ``BlockRows`` in the storage
-    format of Phi.  ``advance`` moves k on by one with R <- R Phi, which
-    costs O(|blocks| nnz(Phi)): no full power is ever formed.
+    of Phi^k and Q the rows of Phi^(k+1), as dense ``BlockRows``.
+    ``advance`` moves k on by one with R <- R Phi, which costs
+    O(|blocks| nnz(Phi)) for a sparse Phi: no full power is ever formed.
+    Powers fill in, so their rows are held dense even when Phi is sparse.
     """
 
     def __init__(self, phi, blocks=None):
@@ -286,27 +403,24 @@ class MatrixPowerState:
             picked.extend(range(r0, r1))
         picked = np.array(picked, dtype=np.intp)
         m = picked.size
-        if self.phi.is_sparse:
-            eye_rows = sp.csr_array((np.ones(m), (np.arange(m), picked)),
-                                    shape=(m, n))
-        else:
-            eye_rows = np.zeros((m, n))
-            eye_rows[np.arange(m), picked] = 1.0
+        eye_rows = np.zeros((m, n))
+        eye_rows[np.arange(m), picked] = 1.0
+        rows = self.phi.data[picked]
         self.k = 0
         self.P = BlockRows(eye_rows, ranges)
-        self.Q = BlockRows(self.phi.data[picked], ranges)
+        self.Q = BlockRows(rows.toarray() if self.phi.is_sparse else rows, ranges)
 
     def advance(self):
         R, phi = self.Q.data, self.phi.data
-        if self.Q.is_sparse:
-            new = R @ phi               # CSR: every row computed on its own
-            values = new.data
+        if self.phi.is_sparse:
+            # C-ordered, so that the per-block slices of BlockRows.dot stay
+            # bitwise independent of the other blocks
+            new = self.phi.left_product(R)
         else:
             new = np.empty_like(R)
             for r0, r1 in self.Q.ranges.values():   # see BlockRows.dot
                 np.matmul(R[r0:r1], phi, out=new[r0:r1])
-            values = new
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(new)):
             raise NonFiniteError(
                 f"matrix power overflowed to non-finite values at exponent {self.k + 2}",
                 module="linalg")
@@ -316,59 +430,39 @@ class MatrixPowerState:
         return self
 
 
-def exp_action(A, v, delta):
-    """Action exp(A delta) v without forming the full exponential, by
-    scipy's ``expm_multiply`` (Al-Mohy & Higham, SISC 2011).
-
-    ``v`` is a vector of length n or an (n, m) block of columns.  Each
-    column is scaled by a power of two, which is exact, to a largest
-    entry in [0.5, 1) and scaled back afterwards, so that the normwise
-    stopping test of ``expm_multiply`` weighs every column alike.
-    """
+def _action(A, X, delta, s, what):
+    """delta^s phi_s(A delta) X, with X a vector of length n or an (n, m)
+    block of columns."""
     A = _as_block_matrix(A)
     n = A.n
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise DimensionError(f"exp_action: vector has shape {v.shape}, matrix is {n}x{n}",
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[0] != n:
+        raise DimensionError(f"{what}: block has shape {X.shape}, matrix is {n}x{n}",
                              module="linalg")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError("exp_action: non-finite vector", module="linalg")
-    _, e = np.frexp(np.max(np.abs(v), axis=0, initial=0.0))
-    x = scipy.sparse.linalg.expm_multiply(A.data * delta, np.ldexp(v, -e))
-    with np.errstate(over="ignore"):
-        x = np.ldexp(x, e)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("exp_action: result overflowed", module="linalg")
-    return x
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteError(f"{what}: non-finite vector", module="linalg")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = _phi_action(A.data * delta, X, s) * delta ** s
+    return _finite(Y, what)
+
+
+def exp_action(A, v, delta):
+    """Action exp(A delta) v without forming the full exponential.
+
+    ``v`` is a vector of length n or an (n, m) block of columns.  The
+    degree of the series depends on ||A delta||_1 alone, so every column
+    gets the same relative truncation bound whatever its scale.
+    """
+    if not np.isfinite(delta):
+        raise InputError(f"exp_action: step must be finite, got {delta}", module="linalg")
+    return _action(A, v, delta, 0, "exp_action")
 
 
 def phi2_action(A, R, delta):
     """Phi2(A, delta) R = sum_{i>=0} delta^(i+2)/(i+2)! A^i R, with one
-    ``exp_action`` for all columns of R and without forming Phi2.
-
-    delta^-2 Phi2(A, delta) R is the top block of exp(M) [0; 0; R] for the
-    sparse augmented matrix M = [[A delta, I, 0], [0, 0, I], [0, 0, 0]]:
-    M^k [0; 0; R] = [(A delta)^(k-2) R; 0; 0] for k >= 2.  The identity
-    blocks are left unscaled so that all three blocks of the result are
-    about as large as R, and the normwise stopping test of the exponential
-    action therefore bounds the error of the top block itself.
-    """
-    A = _as_block_matrix(A)
-    n = A.n
-    R = np.asarray(R, dtype=float)
-    if R.ndim not in (1, 2) or R.shape[0] != n:
-        raise DimensionError(f"phi2_action: block has shape {R.shape}, matrix is {n}x{n}",
-                             module="linalg")
-    if not (np.isfinite(delta) and delta > 0):
-        raise InputError(f"phi2_action: step must be positive, got {delta}",
-                         module="linalg")
-    eye = sp.identity(n, format="csr")
-    aug = sp.bmat([[sp.csr_array(A.data) * delta, eye, None],
-                   [None, None, eye],
-                   [None, None, sp.csr_array((n, n))]], format="csr")
-    top = exp_action(aug, np.concatenate([np.zeros((2 * n,) + R.shape[1:]), R]),
-                     1.0)[:n]
-    return delta * delta * top
+    series for all columns of R and without forming Phi2."""
+    _checked_step(delta, "phi2_action")
+    return _action(A, R, delta, 2, "phi2_action")
 
 
 # ----------------------------------------------------------------------

@@ -174,19 +174,18 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
                              f"state dimension is {sys.n}", module="oracle")
     m = L.shape[0]
     out = np.empty((N, m))
-    phi = sys.phi.data
     if sys.constant_input:
         acc = np.zeros(m)
         Lk = L
         out[0] = sys.x_init.support_batch(Lk)
         for k in range(1, N):
             acc = acc + sys.v.support_batch(Lk)
-            Lk = np.asarray(Lk @ phi)
+            Lk = sys.phi.left_product(Lk)
             out[k] = sys.x_init.support_batch(Lk) + acc
         return out
     levels = [L]
     for _ in range(N - 1):
-        levels.append(np.asarray(levels[-1] @ phi))
+        levels.append(sys.phi.left_product(levels[-1]))
     for k in range(N):
         total = sys.x_init.support_batch(levels[k])
         for s in range(k):

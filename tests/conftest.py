@@ -66,6 +66,24 @@ def random_stable_matrix(rng, n, cap=0.95, sparse=False):
     return BlockMatrix(M)
 
 
+def augmented_exponential(A, delta):
+    """(Phi, Phi1, Phi2) of A and delta read off scipy's exponential of the
+    3n x 3n augmented matrix [[A, I, 0], [0, 0, I], [0, 0, 0]] delta: an
+    independent reference for the Taylor kernel of `reachdec.linalg`."""
+    import scipy.linalg
+
+    if isinstance(A, BlockMatrix):
+        A = A.to_dense()
+    A = A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)
+    n = A.shape[0]
+    aug = np.zeros((3 * n, 3 * n))
+    aug[:n, :n] = A
+    aug[:n, n:2 * n] = np.eye(n)
+    aug[n:2 * n, 2 * n:] = np.eye(n)
+    E = scipy.linalg.expm(aug * delta)
+    return E[:n, :n], E[:n, n:2 * n], E[:n, 2 * n:]
+
+
 def polygon_vertices_bruteforce(normals, offsets, tol=1e-9):
     """All feasible intersection points of constraint pairs -- an
     independent vertex enumeration for small polygons."""

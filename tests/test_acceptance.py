@@ -428,7 +428,7 @@ def test_10_sparse_high_dimensional_run_is_cheap():
 
 
 def test_11_exp_action_matches_dense_exponential():
-    # Krylov matrix-exponential action on sparse 200x200 matrices against
+    # Taylor matrix-exponential action on sparse 200x200 matrices against
     # the dense exponential applied to the same vector.
     rng = np.random.default_rng(411)
     t0 = time.perf_counter()
@@ -446,3 +446,40 @@ def test_11_exp_action_matches_dense_exponential():
                     / max(1.0, float(np.linalg.norm(ref))))
     finish("11 exponential action", worst, 1e-8,
            time.perf_counter() - t0, 30.0)
+
+
+def test_12_ten_thousand_states_one_block_is_fast():
+    # Dense-time discretization and a 250-step box tube of one tracked
+    # block for 5 000 damped rotations with 2 500 weak couplings (n =
+    # 10 000): the exponential is a sparse Taylor series and each step
+    # advances two rows of Phi^k, so the run must take well under a
+    # second per thousand states.  The tube must contain the exact
+    # recurrence in the block's axis directions.
+    rng = np.random.default_rng(412)
+    n, N, delta = 10_000, 250, 0.01
+    nb = n // 2
+    damp = rng.uniform(0.05, 0.2, nb)
+    freq = rng.uniform(0.5, 2.0, nb)
+    rows = np.repeat(2 * np.arange(nb), 4) + np.tile([0, 0, 1, 1], nb)
+    cols = np.repeat(2 * np.arange(nb), 4) + np.tile([0, 1, 0, 1], nb)
+    vals = np.column_stack([-damp, -freq, freq, -damp]).ravel()
+    extra = n // 4
+    A = sp.csr_array((np.concatenate([vals, rng.uniform(-1e-2, 1e-2, extra)]),
+                      (np.concatenate([rows, rng.integers(0, n, extra)]),
+                       np.concatenate([cols, rng.integers(0, n, extra)]))),
+                     shape=(n, n))
+    X0 = Hyperrectangle(rng.uniform(-1.0, 1.0, n), np.full(n, 0.15))
+    U = Hyperrectangle(np.zeros(n), np.full(n, 1e-3))
+
+    t0 = time.perf_counter()
+    sys = discretize(ContinuousSystem(BlockMatrix(A), X0, U=U), delta, DENSE)
+    tube = reach_decomposed(sys, N, tracked={0})
+    elapsed = time.perf_counter() - t0
+
+    D = np.zeros((4, n))
+    D[[0, 1], [0, 1]] = 1.0
+    D[[2, 3], [0, 1]] = -1.0
+    oracle = reach_nondecomposed(sys, N, D)
+    worst = max(float(np.max(oracle[k] - tube.support_batch(k, D)))
+                for k in range(N))
+    finish("12 one block of 10 000 states", max(worst, 0.0), 1e-9, elapsed, 4.0)

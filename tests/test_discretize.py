@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 import reachdec.linalg
-from conftest import random_box
+from conftest import augmented_exponential, random_box
 from reachdec import (
     BallP,
     BlockMatrix,
@@ -24,7 +24,6 @@ from reachdec import (
     MinkowskiSum,
     Singleton,
     UnboundedSetError,
-    discretization_matrices,
     discretize,
     discretize_dense,
     discretize_discrete,
@@ -256,7 +255,7 @@ def old_bloat(A, S, delta):
     Phi2(|A|), read off the exponential of the augmented matrix, applied to
     the interval-hull radius of S."""
     A = A if isinstance(A, BlockMatrix) else BlockMatrix(A)
-    _, _, phi2 = discretization_matrices(A.abs(), delta)
+    _, _, phi2 = augmented_exponential(A.abs(), delta)
     return phi2 @ symmetric_interval_hull(S).radius
 
 
@@ -310,17 +309,18 @@ def test_dense_bloat_of_input_sequence():
 
 @pytest.mark.parametrize("U", [None, "constant", "sequence"])
 def test_dense_discretization_is_one_exponential_action(monkeypatch, U):
+    # all bloat boxes come from one phi_2 action on an n x k block of radii
     calls = []
-    exp_action = reachdec.linalg.exp_action
+    phi_action = reachdec.linalg._phi_action
 
-    def counted(*args):
-        calls.append(args[1].shape)
-        return exp_action(*args)
+    def counted(B, X, s):
+        calls.append((X.shape, s))
+        return phi_action(B, X, s)
 
     def forbidden(*_args):
         raise AssertionError("discretization_matrices called")
 
-    monkeypatch.setattr(reachdec.linalg, "exp_action", counted)
+    monkeypatch.setattr(reachdec.linalg, "_phi_action", counted)
     monkeypatch.setattr(DISCRETIZE, "discretization_matrices", forbidden)
     rng = np.random.default_rng(91)
     inputs = {None: None, "constant": random_box(rng, 6),
@@ -329,7 +329,7 @@ def test_dense_discretization_is_one_exponential_action(monkeypatch, U):
     discretize(ContinuousSystem(BlockMatrix(A), random_box(rng, 6), U=inputs),
                0.1)
     columns = {None: 1, "constant": 2, "sequence": 5}[U]
-    assert calls == [(18, columns)]
+    assert calls == [((6, columns), 2)]
 
 
 # ----------------------------------------------------------------------

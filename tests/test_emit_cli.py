@@ -409,19 +409,24 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
     assert text.startswith("error:linalg:non-finite")
 
 
-def run_reach_subprocess(command, tmp_path):
-    """Run `reach` on the stable scenario in a child process started with
-    `command` and check its output.  The child imports the same reachdec
+def child_env():
+    """Environment of a child process that imports the same reachdec
     package as this test, whatever directory pytest was started from."""
-    sc = stable_scenario(tmp_path)
-    out = tmp_path / "sub"
     package_root = str(Path(reachdec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_reach_subprocess(command, tmp_path):
+    """Run `reach` on the stable scenario in a child process started with
+    `command` and check its output."""
+    sc = stable_scenario(tmp_path)
+    out = tmp_path / "sub"
     proc = subprocess.run(
         [*command, "reach", "--scenario", str(sc), "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "tube N=8" in proc.stdout
     assert (out / "tube.csv").exists()
@@ -429,6 +434,17 @@ def run_reach_subprocess(command, tmp_path):
 
 def test_cli_entry_point_subprocess(tmp_path):
     run_reach_subprocess([sys.executable, "-m", "reachdec"], tmp_path)
+
+
+def test_cli_import_loads_no_scipy_solvers(tmp_path):
+    # the exponentials are our own Taylor series, so a CLI start pays for
+    # neither scipy.linalg nor scipy.sparse.linalg
+    code = ("import sys, reachdec.cli; print([m for m in "
+            "('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("reachdec") is None,

@@ -1,13 +1,15 @@
 """Block matrices, exponentials, block rows of powers, MatrixMarket files."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_stable_matrix
+import reachdec.linalg
+from conftest import augmented_exponential, random_stable_matrix
 from reachdec import (
     BlockMatrix,
     DimensionError,
@@ -201,6 +203,157 @@ def test_discretization_matrices_sparse_matches_dense():
 
 
 # ----------------------------------------------------------------------
+# the Taylor kernel against independent references
+# ----------------------------------------------------------------------
+
+def kernel_results(A, delta, X):
+    """Phi, Phi1, Phi2 from discretization_matrices, Phi from exp_matrix,
+    and the actions on X, all as ndarrays."""
+    mats = [M.to_dense() for M in discretization_matrices(A, delta)]
+    return (mats + [exp_matrix(A, delta).to_dense()],
+            [exp_action(A, X, delta), phi2_action(A, X, delta)])
+
+
+def assert_kernel_close(A, delta, X, ref, rtol):
+    """Every kernel result within rtol of the largest reference entry."""
+    mats, acts = kernel_results(A, delta, X)
+    for got, want in zip(mats, list(ref) + [ref[0]]):
+        npt.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want)))
+    for got, want in zip(acts, (ref[0] @ X, ref[2] @ X)):
+        npt.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want)))
+
+
+def kernel_case(name):
+    """(A, delta, rtol) for a named case; A is an ndarray."""
+    rng = np.random.default_rng(74)
+    if name == "random":            # ||A delta||_1 below 1: one series
+        return rng.standard_normal((7, 7)), 0.1, 1e-13
+    if name == "random-large":      # halvings; actions in 15 substeps
+        return rng.standard_normal((60, 60)) / 4.0, 1.0, 1e-13
+    if name == "stiff":             # eigenvalues -1/delta .. -1e4/delta
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        return Q @ np.diag(-np.logspace(0, 4, 6) / 0.1) @ Q.T, 0.1, 1e-11
+    if name == "nilpotent":
+        return np.triu(rng.standard_normal((5, 5)), 1) * 3.0, 1.0, 1e-13
+    if name == "zero":
+        return np.zeros((3, 3)), 0.3, 0.0
+    if name == "one-by-one":
+        return np.array([[-2.5]]), 0.4, 1e-15
+    if name == "odd":
+        return random_stable_matrix(rng, 9).to_dense() * 5.0, 0.3, 1e-13
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("name", ["random", "random-large", "stiff", "nilpotent",
+                                  "zero", "one-by-one", "odd"])
+def test_kernel_matches_augmented_exponential(name, sparse):
+    A, delta, rtol = kernel_case(name)
+    X = np.random.default_rng(75).standard_normal((A.shape[0], 3))
+    op = BlockMatrix(sp.csr_array(A) if sparse else A)
+    assert_kernel_close(op, delta, X, augmented_exponential(A, delta), rtol)
+    assert exp_matrix(op, delta).is_sparse == sparse
+    assert all(M.is_sparse == sparse for M in discretization_matrices(op, delta))
+
+
+def phi_scalar(lam, k):
+    """phi_k(lam) = sum_i lam^i / (i+k)! of a real scalar, k <= 2."""
+    if abs(lam) < 1.0:
+        return sum(lam ** i / math.factorial(i + k) for i in range(30))
+    return (math.exp(lam), math.expm1(lam) / lam,
+            (math.expm1(lam) - lam) / lam ** 2)[k]
+
+
+def symmetric_reference(A):
+    """(phi_0, phi_1, phi_2)(A) of a symmetric A from its eigenvectors."""
+    lam, Q = np.linalg.eigh(A)
+    return [(Q * [phi_scalar(x, k) for x in lam]) @ Q.T for k in range(3)]
+
+
+@pytest.mark.parametrize("name", ["spread", "nonnegative", "sparse-nonnegative"])
+def test_kernel_at_large_norms_matches_closed_form(name):
+    # ||A delta||_1 = 650, the range the dense-time bloat margin is argued
+    # for.  scipy's augmented exponential is off by up to 5e-11 relative
+    # here (checked against 50-digit arithmetic), so the reference is the
+    # eigendecomposition of a symmetric A, good to about ||A|| u.
+    rng = np.random.default_rng(76)
+    if name == "spread":            # eigenvalues from -650 to 650
+        Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        A = Q @ np.diag([-650.0, -300.0, -20.0, -1.0, 1.0, 40.0, 650.0]) @ Q.T
+        A = (A + A.T) / 2.0
+    else:                           # like Phi2(|A|) of the bloat boxes
+        n = 400 if name.startswith("sparse") else 6
+        P = sp.random_array((n, n), density=min(1.0, 4.0 / n), random_state=rng)
+        P = (P + P.T + sp.eye_array(n)).toarray()
+        A = P * (650.0 / np.abs(P).sum(axis=0).max())
+    X = np.abs(rng.standard_normal((A.shape[0], 1)))
+    op = BlockMatrix(sp.csr_array(A) if name.startswith("sparse") else A)
+    ref = symmetric_reference(A)
+    if name.startswith("sparse"):   # actions only: q substeps of one column
+        want = ref[2] @ X
+        npt.assert_allclose(phi2_action(op, X, 1.0), want, rtol=0.0,
+                            atol=1e-12 * np.max(np.abs(want)))
+        want = ref[0] @ X
+        npt.assert_allclose(exp_action(op, X, 1.0), want, rtol=0.0,
+                            atol=1e-12 * np.max(np.abs(want)))
+    else:
+        assert_kernel_close(op, 1.0, X, ref, 1e-12)
+
+
+def test_action_substeps_never_form_the_matrix(monkeypatch):
+    rng = np.random.default_rng(77)
+    A = sp.random_array((60, 60), density=0.1, random_state=rng, format="csr")
+    A = A * (10.0 / abs(A).sum(axis=0).max())      # ||A||_1 = 10: 10 substeps
+    X = rng.standard_normal((60, 2))
+    ref = augmented_exponential(A, 1.0)
+    expect = [ref[0] @ X, ref[2] @ X]
+
+    def forbidden(*_args):
+        raise AssertionError("matrix formed")
+
+    monkeypatch.setattr(reachdec.linalg, "_phi_matrices", forbidden)
+    for got, want in zip((exp_action(A, X, 1.0), phi2_action(A, X, 1.0)), expect):
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+    # a huge norm with a nilpotent B forms the 2 x 2 matrix instead of
+    # taking 10^8 substeps: Phi2 = [[1/2, 10^8/6], [0, 1/2]]
+    monkeypatch.undo()
+    got = phi2_action(np.array([[0.0, 1e8], [0.0, 0.0]]), np.ones(2), 1.0)
+    npt.assert_allclose(got, [0.5 + 1e8 / 6.0, 0.5], rtol=1e-15)
+
+
+def test_kernel_is_independent_of_global_random_state():
+    rng = np.random.default_rng(78)
+    A = sp.random_array((40, 40), density=0.1, random_state=rng, format="csr") * 8.0
+    X = rng.standard_normal((40, 2))
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        mats, acts = kernel_results(BlockMatrix(A), 0.5, X)
+        np.random.rand(7)
+        runs.append(mats + acts)
+    for first, second in zip(*runs):
+        npt.assert_array_equal(first, second)
+
+
+def test_kernel_overflow_raises_not_inf():
+    # exp(800) overflows binary64: every entry point raises, and no
+    # overflow warning escapes
+    A = np.array([[800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (A, sp.csr_array(A)):
+            for call in (lambda: exp_matrix(op, 1.0),
+                         lambda: discretization_matrices(op, 1.0),
+                         lambda: exp_action(op, np.ones(1), 1.0),
+                         lambda: phi2_action(op, np.ones((1, 2)), 1.0)):
+                with pytest.raises(NonFiniteError, match="overflowed"):
+                    call()
+        # exp(700) is finite
+        npt.assert_allclose(exp_matrix(np.array([[700.0]]), 1.0).to_dense(),
+                            [[math.exp(700.0)]], rtol=1e-13)
+
+
+# ----------------------------------------------------------------------
 # block rows of powers
 # ----------------------------------------------------------------------
 
@@ -236,7 +389,9 @@ def test_power_state_rows_match_matrix_power(sparse, n, blocks):
     M = rng.uniform(-1.0, 1.0, (n, n)) / n
     M[rng.uniform(size=(n, n)) < 0.6] = 0.0
     st = MatrixPowerState(BlockMatrix(sp.csr_array(M) if sparse else M), blocks)
-    assert st.Q.is_sparse == sparse
+    # Phi keeps its storage; the rows of its powers are dense and C-ordered
+    assert st.phi.is_sparse == sparse
+    assert not st.Q.is_sparse
     held = range((n + 1) // 2) if blocks is None else blocks
     for k in range(7):
         npt.assert_allclose(st.P.to_dense(), power_rows(M, k, held),
@@ -246,6 +401,7 @@ def test_power_state_rows_match_matrix_power(sparse, n, blocks):
         for i in held:
             npt.assert_allclose(st.Q.dense_row_block(i), power_rows(M, k + 1, [i]),
                                 rtol=1e-12, atol=1e-15)
+        assert st.Q.data.flags.c_contiguous
         previous = st.Q
         st.advance()
         assert st.P is previous
@@ -401,8 +557,7 @@ def test_phi2_action_matches_augmented_exponential():
         R = rng.standard_normal((n, 3))
         for M in (A, np.abs(A)):
             op = BlockMatrix(sp.csr_array(M) if sparse else M)
-            _, _, phi2 = discretization_matrices(op, 0.3)
-            expect = phi2.to_dense() @ R
+            expect = augmented_exponential(M, 0.3)[2] @ R
             got = phi2_action(op, R, 0.3)
             assert got.shape == (n, 3)
             npt.assert_allclose(got, expect, rtol=0.0,
