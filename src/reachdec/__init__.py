@@ -30,7 +30,6 @@ from .errors import (
     InputError,
     InvalidSetError,
     NonFiniteError,
-    ToleranceError,
     UnboundedSetError,
 )
 from .linalg import (

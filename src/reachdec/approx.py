@@ -1,7 +1,8 @@
 """Low-dimensional overapproximation schemes and block-wise decomposition.
 
 A state space of dimension n is split into ceil(n/2) consecutive blocks of
-size two (the final block has size one when n is odd).  Sets are decomposed
+size two (the final block has size one when n is odd) by the block rule of
+``linalg.BlockStructure``, which is re-exported here.  Sets are decomposed
 into a Cartesian product of per-block overapproximations, computed either
 from the four axis-aligned support directions (box scheme) or by sandwich
 refinement of support directions until a requested Hausdorff accuracy is
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationError, DimensionError, InvalidSetError, UnboundedSetError
-from .linalg import _block_ranges
+from .linalg import BlockStructure
 from .sets import (
     HPolygon,
     Hyperrectangle,
@@ -33,44 +34,6 @@ __all__ = [
     "approximate",
     "decompose",
 ]
-
-
-class BlockStructure:
-    """Partition of coordinates 0..n-1 into consecutive blocks of size <= 2."""
-
-    def __init__(self, n):
-        n = int(n)
-        if n < 1:
-            raise DimensionError("BlockStructure: dimension must be positive",
-                                 module="approx")
-        self.n = n
-        self.blocks = _block_ranges(n)
-
-    @property
-    def b(self):
-        return len(self.blocks)
-
-    def size(self, i):
-        lo, hi = self.blocks[i]
-        return hi - lo
-
-    def block_of(self, coord):
-        if not 0 <= coord < self.n:
-            raise DimensionError(f"BlockStructure: coordinate {coord} out of range",
-                                 module="approx")
-        return coord // 2
-
-    def projection_matrix(self, i):
-        lo, hi = self.blocks[i]
-        P = np.zeros((hi - lo, self.n))
-        P[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        return P
-
-    def __eq__(self, other):
-        return isinstance(other, BlockStructure) and other.n == self.n
-
-    def __repr__(self):
-        return f"BlockStructure(n={self.n}, b={self.b})"
 
 
 @dataclass(frozen=True)
@@ -196,6 +159,14 @@ def approximate(X, scheme):
     raise InvalidSetError(f"unknown approximation scheme {scheme!r}", module="approx")
 
 
+def _box_block(X, bs, i):
+    """Block i of a box or a point X, sliced from it."""
+    s = bs.slice(i)
+    if isinstance(X, Singleton):
+        return Singleton(X.point[s])
+    return Hyperrectangle(X.center[s], X.radius[s])
+
+
 def decompose(X, bs, scheme=BoxDirections()):
     """Per-block overapproximations of the projections of X.
 
@@ -207,12 +178,10 @@ def decompose(X, bs, scheme=BoxDirections()):
     if X.dim != bs.n:
         raise DimensionError(f"decompose: set has dimension {X.dim}, "
                              f"block structure expects {bs.n}", module="approx")
-    if isinstance(X, Singleton):
-        return [Singleton(X.point[lo:hi]) for lo, hi in bs.blocks]
-    if isinstance(X, Hyperrectangle) or isinstance(scheme, BoxDirections):
-        box = overapproximate_box(X)
-        return [Hyperrectangle(box.center[lo:hi], box.radius[lo:hi])
-                for lo, hi in bs.blocks]
+    if isinstance(X, (Singleton, Hyperrectangle)) or isinstance(scheme, BoxDirections):
+        if not isinstance(X, Singleton):
+            X = overapproximate_box(X)
+        return [_box_block(X, bs, i) for i in range(bs.b)]
     out = []
     for i in range(bs.b):
         proj = LinearMap(bs.projection_matrix(i), X)

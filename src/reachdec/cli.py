@@ -109,7 +109,7 @@ def _cmd_check(sc, out, args):
 
 
 def _compare_directions(sc, bs, tracked):
-    coords = np.concatenate([np.arange(*bs.blocks[i]) for i in tracked])
+    coords = bs.coords(tracked)
     eye = np.zeros((2 * len(coords), bs.n))
     for r, c in enumerate(coords):
         eye[2 * r, c] = 1.0

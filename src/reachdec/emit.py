@@ -177,7 +177,7 @@ def write_tube_svg(tube, block, path):
                  f'text-anchor="end">{y0:.4g}</text>')
     parts.append(f'<text x="{_ML - 6}" y="{Y(y1) + 4}" '
                  f'text-anchor="end">{y1:.4g}</text>')
-    lo_var, _ = tube.bs.blocks[block]
+    lo_var = tube.bs.slice(block).start
     for j in range(nvar):
         color = _BAND_COLORS[j % len(_BAND_COLORS)]
         parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 14 + 16 * j}" '

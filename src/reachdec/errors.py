@@ -61,13 +61,6 @@ class NonFiniteError(EngineError):
     category = "numerical"
 
 
-class ToleranceError(EngineError):
-    """An iterative solver could not meet the requested tolerance."""
-
-    kind = "tolerance"
-    category = "numerical"
-
-
 class ContainmentError(EngineError):
     """A set expected to contain another one does not."""
 

@@ -1,7 +1,10 @@
-"""Matrices with 2x2 block access, exponentials, and block rows of powers.
+"""Blocks of coordinates, matrices with 2x2 block access, exponentials,
+and block rows of powers.
 
-Wraps dense ndarrays and sparse CSR storage behind one interface so the
-reach recurrences can slice row blocks and look up nonzero blocks without
+``BlockStructure`` is the one block rule, kept as arithmetic: matrices,
+set decompositions and reach tubes all ask it.  ``BlockMatrix`` wraps
+dense ndarrays and sparse CSR storage behind one interface so the reach
+recurrences can slice row blocks and look up nonzero blocks without
 caring about the backing format.  Also provides the matrix exponential,
 the first two exponential integral matrices used for time discretization,
 the row blocks of consecutive matrix powers, and the action of the
@@ -24,6 +27,7 @@ estimate is made.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -33,6 +37,7 @@ import scipy.sparse as sp
 from .errors import DimensionError, InputError, NonFiniteError
 
 __all__ = [
+    "BlockStructure",
     "BlockMatrix",
     "exp_matrix",
     "discretization_matrices",
@@ -49,20 +54,66 @@ __all__ = [
 DENSIFY_BLOCK_FRACTION = 0.25
 
 
-def _block_ranges(n):
-    """(first, end) of each block of 0..n-1: consecutive pairs, with a
-    trailing block of size one when n is odd.  The one definition of the
-    blocks, shared by matrices and set decompositions."""
-    return tuple((2 * i, min(2 * i + 2, n)) for i in range((n + 1) // 2))
+class BlockStructure:
+    """Partition of coordinates 0..n-1 into consecutive blocks of size <= 2.
+
+    Block i is ``slice(i)``: coordinates 2i and 2i + 1, or 2i alone when
+    it is the last block of an odd n.  Coordinate c is in block c // 2.
+    """
+
+    def __init__(self, n):
+        n = int(n)
+        if n < 1:
+            raise DimensionError("BlockStructure: dimension must be positive",
+                                 module="approx")
+        self.n = n
+
+    @property
+    def b(self):
+        return (self.n + 1) // 2
+
+    def slice(self, i):
+        """Coordinates of block i."""
+        return slice(2 * i, min(2 * i + 2, self.n))
+
+    def size(self, i):
+        s = self.slice(i)
+        return s.stop - s.start
+
+    def coords(self, blocks):
+        """Coordinates of the blocks ``blocks``, in their order, as an
+        index array."""
+        pairs = 2 * np.asarray(blocks, dtype=np.intp).reshape(-1, 1) + (0, 1)
+        return pairs[pairs < self.n]
+
+    def block_of(self, coords):
+        """Block of a coordinate, or the blocks of an array of them."""
+        c = np.asarray(coords)
+        bad = c[(c < 0) | (c >= self.n)]
+        if bad.size:
+            raise DimensionError(f"BlockStructure: coordinate {bad.flat[0]} "
+                                 "out of range", module="approx")
+        blocks = c // 2
+        return blocks if c.ndim else int(blocks)
+
+    def projection_matrix(self, i):
+        P = np.zeros((self.size(i), self.n))
+        P[:, self.slice(i)] = np.eye(self.size(i))
+        return P
+
+    def __eq__(self, other):
+        return isinstance(other, BlockStructure) and other.n == self.n
+
+    def __repr__(self):
+        return f"BlockStructure(n={self.n}, b={self.b})"
 
 
 class BlockMatrix:
     """A real matrix with aligned access to its 2x2 blocks.
 
-    ``data`` is either a read-only ndarray or a scipy CSR array.  Row and
-    column blocks follow the same convention as the set decomposition:
-    consecutive pairs of indices, with a trailing block of size one for
-    odd dimensions.
+    ``data`` is either a read-only ndarray or a scipy CSR array.  Its rows
+    and columns are blocked by ``BlockStructure``, like the coordinates of
+    the set decomposition.
     """
 
     def __init__(self, data):
@@ -81,8 +132,6 @@ class BlockMatrix:
             arr = arr.copy()
             arr.setflags(write=False)
             self.data = arr
-        self.row_ranges = _block_ranges(self.shape[0])
-        self.col_ranges = _block_ranges(self.shape[1])
         self._csr_t = None
 
     # -- basic properties ----------------------------------------------
@@ -106,17 +155,18 @@ class BlockMatrix:
 
     # -- block access ---------------------------------------------------
 
+    def _blocks(self, axis):
+        """Block structure of the rows (axis 0) or the columns (axis 1)."""
+        return BlockStructure(self.shape[axis])
+
     def block(self, i, j):
         """Dense copy of block (i, j); 2x2, or smaller on trailing blocks."""
-        r0, r1 = self.row_ranges[i]
-        c0, c1 = self.col_ranges[j]
-        sub = self.data[r0:r1, c0:c1]
+        sub = self.data[self._blocks(0).slice(i), self._blocks(1).slice(j)]
         return sub.toarray() if sp.issparse(sub) else np.array(sub)
 
     def row_block(self, i):
         """Rows of block-row i in the native storage format."""
-        r0, r1 = self.row_ranges[i]
-        return self.data[r0:r1, :]
+        return self.data[self._blocks(0).slice(i), :]
 
     def nonzero_col_blocks(self, i):
         """Sorted column-block indices with a nonzero entry in block-row i
@@ -126,7 +176,7 @@ class BlockMatrix:
             cols = sp.coo_array(rows).coords[1]
         else:
             cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
-        return np.unique(cols // 2).tolist()
+        return np.unique(self._blocks(1).block_of(cols)).tolist()
 
     def block_density(self):
         """Fraction of blocks holding at least one nonzero entry."""
@@ -134,9 +184,9 @@ class BlockMatrix:
             rows, cols = sp.coo_array(self.data).coords
         else:
             rows, cols = np.nonzero(self.data)
-        nbc = len(self.col_ranges)
-        keys = (rows.astype(np.int64) // 2) * nbc + cols // 2
-        return np.unique(keys).size / (len(self.row_ranges) * nbc)
+        rb, cb = self._blocks(0), self._blocks(1)
+        keys = rb.block_of(rows.astype(np.int64)) * cb.b + cb.block_of(cols)
+        return np.unique(keys).size / (rb.b * cb.b)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -160,15 +210,8 @@ class BlockMatrix:
             self._csr_t = self.data.T.tocsr()
         return np.ascontiguousarray((self._csr_t @ L.T).T)
 
-    def scale(self, factor):
-        return BlockMatrix(self.data * factor)
-
     def abs(self):
         return BlockMatrix(abs(self.data))
-
-    def transpose(self):
-        d = self.data.T
-        return BlockMatrix(d.tocsr() if sp.issparse(d) else d)
 
     def norm(self, p=np.inf):
         """Induced matrix norm for p in {1, 2, inf}."""
@@ -342,31 +385,39 @@ def discretization_matrices(A, delta):
 class BlockRows:
     """Some row blocks of an n-column matrix, stacked in one ndarray.
 
-    ``data`` holds the rows of each block in ``ranges`` one after another,
-    C-contiguous; ``ranges`` maps a row-block index of the full matrix to
-    its (first, end) rows in ``data``.
+    ``blocks`` holds the sorted indices of the row blocks of the full
+    matrix, and ``data`` their rows one after another, C-contiguous.  Only
+    the last block of a matrix can have one row, so the stacked rows are
+    blocked by the same rule: block ``blocks[p]`` is block p of ``data``.
     """
 
-    def __init__(self, data, ranges):
+    def __init__(self, data, blocks):
         self.data = data
-        self.ranges = ranges
+        self.blocks = tuple(blocks)
+        self._rows = BlockStructure(len(data)) if self.blocks else None
 
     @property
     def is_sparse(self):
         """False: the rows are always held dense."""
         return False
 
+    def _row_slices(self):
+        """(block index, its rows in ``data``) of every held block."""
+        return [(i, self._rows.slice(p)) for p, i in enumerate(self.blocks)]
+
     def dense_row_block(self, i):
         """Rows of block-row i as a dense array."""
-        r0, r1 = self.ranges[i]
-        return self.data[r0:r1]
+        p = bisect.bisect_left(self.blocks, i)
+        if self.blocks[p:p + 1] != (i,):
+            raise KeyError(f"BlockRows: row block {i} is not held")
+        return self.data[self._rows.slice(p)]
 
     def to_dense(self):
         """All held rows as one ndarray, in block order."""
         return self.data
 
     def abs(self):
-        return BlockRows(np.abs(self.data), self.ranges)
+        return BlockRows(np.abs(self.data), self.blocks)
 
     def dot(self, x):
         """{i: (rows of block i) @ x} for every held block.
@@ -375,7 +426,7 @@ class BlockRows:
         rows differently: each block's product is then bitwise the same
         whatever other blocks are held.
         """
-        return {i: self.data[r0:r1] @ x for i, (r0, r1) in self.ranges.items()}
+        return {i: self.data[rows] @ x for i, rows in self._row_slices()}
 
 
 class MatrixPowerState:
@@ -390,25 +441,22 @@ class MatrixPowerState:
 
     def __init__(self, phi, blocks=None):
         self.phi = _as_block_matrix(phi)
-        n = self.phi.n
-        full = _block_ranges(n)
-        blocks = range(len(full)) if blocks is None else sorted({int(i) for i in blocks})
-        ranges, picked = {}, []
-        for i in blocks:
-            if not 0 <= i < len(full):
-                raise DimensionError(f"MatrixPowerState: row block {i} out of "
-                                     f"range ({len(full)} blocks)", module="linalg")
-            r0, r1 = full[i]
-            ranges[i] = (len(picked), len(picked) + r1 - r0)
-            picked.extend(range(r0, r1))
-        picked = np.array(picked, dtype=np.intp)
-        m = picked.size
-        eye_rows = np.zeros((m, n))
-        eye_rows[np.arange(m), picked] = 1.0
+        bs = BlockStructure(self.phi.n)
+        if blocks is None:
+            blocks = range(bs.b)
+        else:
+            blocks = sorted({int(i) for i in blocks})
+            for i in blocks:
+                if not 0 <= i < bs.b:
+                    raise DimensionError(f"MatrixPowerState: row block {i} out of "
+                                         f"range ({bs.b} blocks)", module="linalg")
+        picked = bs.coords(blocks)
+        eye_rows = np.zeros((picked.size, bs.n))
+        eye_rows[np.arange(picked.size), picked] = 1.0
         rows = self.phi.data[picked]
         self.k = 0
-        self.P = BlockRows(eye_rows, ranges)
-        self.Q = BlockRows(rows.toarray() if self.phi.is_sparse else rows, ranges)
+        self.P = BlockRows(eye_rows, blocks)
+        self.Q = BlockRows(rows.toarray() if self.phi.is_sparse else rows, blocks)
 
     def advance(self):
         R, phi = self.Q.data, self.phi.data
@@ -418,15 +466,15 @@ class MatrixPowerState:
             new = self.phi.left_product(R)
         else:
             new = np.empty_like(R)
-            for r0, r1 in self.Q.ranges.values():   # see BlockRows.dot
-                np.matmul(R[r0:r1], phi, out=new[r0:r1])
+            for _, rows in self.Q._row_slices():   # see BlockRows.dot
+                np.matmul(R[rows], phi, out=new[rows])
         if not np.all(np.isfinite(new)):
             raise NonFiniteError(
                 f"matrix power overflowed to non-finite values at exponent {self.k + 2}",
                 module="linalg")
         self.k += 1
         self.P = self.Q
-        self.Q = BlockRows(new, self.Q.ranges)
+        self.Q = BlockRows(new, self.Q.blocks)
         return self
 
 

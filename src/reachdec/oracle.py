@@ -219,8 +219,8 @@ def _column_alphas(phi: BlockMatrix, bs: BlockStructure, p):
     for i in range(bs.b):
         rows = phi.row_block(i)
         rows = rows.toarray() if phi.is_sparse else rows
-        for j, (lo, hi) in enumerate(bs.blocks):
-            norms[j, i] = _block_pnorm(rows[:, lo:hi], p)
+        for j in range(bs.b):
+            norms[j, i] = _block_pnorm(rows[:, bs.slice(j)], p)
     alphas = np.zeros(bs.b)
     largest = np.zeros(bs.b, dtype=int)
     for j, col in enumerate(norms):

@@ -18,6 +18,7 @@ import numpy as np
 from .approx import (
     BlockStructure,
     BoxDirections,
+    _box_block,
     approximate,
     decompose,
     overapproximate_box,
@@ -88,8 +89,7 @@ class ReachTube:
         if not np.all(np.isfinite(L)):
             raise InputError("ReachTube: directions must be finite", module="reach")
         untracked = np.ones(self.bs.n, dtype=bool)
-        for i in self.tracked:
-            untracked[slice(*self.bs.blocks[i])] = False
+        untracked[self.bs.coords(self.tracked)] = False
         if L[..., untracked].any():
             raise DimensionError("ReachTube: direction touches untracked blocks",
                                  module="reach")
@@ -106,8 +106,7 @@ class ReachTube:
         L = self._checked_directions(directions, 2)
         total = np.zeros(L.shape[0])
         for i in self.tracked:
-            lo, hi = self.bs.blocks[i]
-            sub = L[:, lo:hi]
+            sub = L[:, self.bs.slice(i)]
             rows = np.any(sub != 0.0, axis=1)   # zero slices contribute 0
             if rows.any():
                 total[rows] += self.steps[k][i].support_batch(sub[rows])
@@ -120,7 +119,7 @@ def _block_support_sum(sets, blocks, bs, d):
     block supports in the slices of d (a zero slice contributes 0)."""
     total = 0.0
     for i in blocks:
-        di = d[slice(*bs.blocks[i])]
+        di = d[bs.slice(i)]
         if np.any(di != 0.0):
             total += sets[i].support_function(di)
     return total
@@ -162,28 +161,15 @@ def _row_image_boxes(R, V):
     blocks held by R."""
     if isinstance(V, Hyperrectangle):
         c, r = R.dot(V.center), R.abs().dot(V.radius)
-        return {i: (c[i], r[i]) for i in R.ranges}
+        return {i: (c[i], r[i]) for i in R.blocks}
     if isinstance(V, Singleton):
         c = R.dot(V.point)
-        return {i: (c[i], np.zeros_like(c[i])) for i in R.ranges}
+        return {i: (c[i], np.zeros_like(c[i])) for i in R.blocks}
     out = {}
-    for i in R.ranges:
+    for i in R.blocks:
         box = overapproximate_box(LinearMap(R.dense_row_block(i), V))
         out[i] = (box.center, box.radius)
     return out
-
-
-def _stack_boxes(blocks, bs):
-    c = np.zeros(bs.n)
-    r = np.zeros(bs.n)
-    for i, x in enumerate(blocks):
-        lo, hi = bs.blocks[i]
-        if isinstance(x, Singleton):
-            c[lo:hi] = x.point
-        else:
-            c[lo:hi] = x.center
-            r[lo:hi] = x.radius
-    return c, r
 
 
 def _box_inputs(sys, bs, blocks):
@@ -211,8 +197,7 @@ def _box_inputs(sys, bs, blocks):
         v = overapproximate_box(sys.v_at(k - 1))
         w_c = sys.phi @ w_c + v.center
         w_r = phi_abs @ w_r + v.radius
-        return {i: (w_c[slice(*bs.blocks[i])], w_r[slice(*bs.blocks[i])])
-                for i in blocks}
+        return {i: (w_c[bs.slice(i)], w_r[bs.slice(i)]) for i in blocks}
     return step
 
 
@@ -268,16 +253,24 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
     the product of the blocks otherwise -- under the block's rows R_i of
     Phi^k, plus its input accumulation: a support query is one product
     R_i^T d and one query on X0.  It is collapsed through ``scheme`` when
-    ``collapse`` is set.
+    ``collapse`` is set.  In the closed form X0 is the box (or point) of
+    the initial set, and only the step-0 sets of ``blocks`` are sliced
+    from it.
     """
-    blocks0 = decompose(sys.x_init, bs, scheme)
-    yield {i: blocks0[i] for i in blocks}
+    box = fast is not False and isinstance(scheme, BoxDirections)
+    x = sys.x_init
+    if box:
+        x = x if isinstance(x, Singleton) else overapproximate_box(x)
+        yield {i: _box_block(x, bs, i) for i in blocks}
+    else:
+        blocks0 = decompose(x, bs, scheme)
+        yield {i: blocks0[i] for i in blocks}
     if N == 1:
         return
-    box = fast is not False and isinstance(scheme, BoxDirections)
     if box:
-        c0, r0 = _stack_boxes(blocks0, bs)
-        X0 = Hyperrectangle(c0, r0)
+        X0 = (Hyperrectangle(x.point, np.zeros(bs.n)) if isinstance(x, Singleton)
+              else x)
+        c0, r0 = X0.center, X0.radius
         inputs = _box_inputs(sys, bs, blocks)
     else:
         X0 = CartesianProduct(blocks0)
@@ -407,6 +400,33 @@ class SafetyProperty:
         return list(_walk_atoms(self.formula))
 
 
+def _as_matrix(M):
+    return M if M is None or isinstance(M, BlockMatrix) else BlockMatrix(M)
+
+
+def _state_directions(prop, bs):
+    """({id(atom): its direction over the state}, the sorted blocks these
+    directions touch) for the atoms of ``prop``: the coefficients pulled
+    back through the output matrix C, or taken as they are when y = x."""
+    C = _as_matrix(prop.C)
+    dirs = {}
+    for a in prop.atoms():
+        if C is not None:
+            if a.coeffs.shape[0] != C.shape[0]:
+                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
+                                     f"output dimension is {C.shape[0]}",
+                                     module="reach")
+            dirs[id(a)] = np.asarray(C.data.T @ a.coeffs, dtype=float).ravel()
+        else:
+            if a.coeffs.shape[0] != bs.n:
+                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
+                                     f"state dimension is {bs.n}", module="reach")
+            dirs[id(a)] = a.coeffs
+    coords = [np.flatnonzero(d) for d in dirs.values()]
+    blocks = bs.block_of(np.concatenate(coords)) if coords else []
+    return dirs, np.unique(blocks).tolist()
+
+
 @dataclass
 class CheckResult:
     """Outcome of a safety check.
@@ -434,34 +454,14 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
     fails (which is not a proven counterexample).
     """
     N, bs, _ = _checked_run(sys, N, bs)
-    n = sys.n
     atoms = prop.atoms()
     if not atoms:
         raise InputError("safety property has no atoms", module="reach")
+    state_dirs, needed = _state_directions(prop, bs)
+    D = _as_matrix(prop.D)
 
-    def as_matrix(M):
-        if M is None or isinstance(M, BlockMatrix):
-            return M
-        return BlockMatrix(np.asarray(M, dtype=float))
-
-    C = as_matrix(prop.C)
-    D = as_matrix(prop.D)
-
-    state_dirs = {}
     feed_dirs = {}
     for a in atoms:
-        if C is not None:
-            if a.coeffs.shape[0] != C.shape[0]:
-                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
-                                     f"output dimension is {C.shape[0]}",
-                                     module="reach")
-            d_state = np.asarray(C.data.T @ a.coeffs, dtype=float).ravel()
-        else:
-            if a.coeffs.shape[0] != n:
-                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
-                                     f"state dimension is {n}", module="reach")
-            d_state = a.coeffs
-        state_dirs[id(a)] = d_state
         if D is not None:
             du = np.asarray(D.data.T @ a.coeffs, dtype=float).ravel()
             if np.any(du != 0.0):
@@ -469,10 +469,6 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                     raise InputError("property uses feedthrough but the system "
                                      "carries no input sets", module="reach")
                 feed_dirs[id(a)] = du
-
-    needed = sorted({bs.block_of(coord)
-                     for d in state_dirs.values()
-                     for coord in np.nonzero(d)[0]})
 
     def u_at(k):
         U = sys.u_sets
@@ -520,8 +516,8 @@ def project_output(tube: ReachTube, M, scheme=BoxDirections()):
     if M.shape[1] != tube.bs.n:
         raise DimensionError(f"projection matrix has {M.shape[1]} columns, "
                              f"state dimension is {tube.bs.n}", module="reach")
-    cols = np.nonzero(np.any(M != 0.0, axis=0))[0]
-    needed_blocks = sorted({tube.bs.block_of(int(c)) for c in cols})
+    cols = np.flatnonzero(np.any(M != 0.0, axis=0))
+    needed_blocks = np.unique(tube.bs.block_of(cols)).tolist()
     missing = [i for i in needed_blocks if i not in tube.tracked]
     if missing:
         raise InputError(f"projection touches untracked blocks {missing}",
@@ -531,13 +527,12 @@ def project_output(tube: ReachTube, M, scheme=BoxDirections()):
         # M selects block i's coordinates iff it reads only block i and is
         # the identity there
         i = needed_blocks[0]
-        lo, hi = tube.bs.blocks[i]
-        if hi - lo == M.shape[0] and np.array_equal(M[:, lo:hi], np.eye(hi - lo)):
+        size = tube.bs.size(i)
+        if size == M.shape[0] and np.array_equal(M[:, tube.bs.slice(i)], np.eye(size)):
             return [tube.steps[k][i] for k in range(tube.n_steps)]
 
     order = sorted(tube.tracked)
-    coords = np.concatenate([np.arange(*tube.bs.blocks[i]) for i in order])
-    M_sub = M[:, coords]
+    M_sub = M[:, tube.bs.coords(order)]
     out = []
     for k in range(tube.n_steps):
         prod = CartesianProduct([tube.steps[k][i] for i in order])

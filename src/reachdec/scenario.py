@@ -21,7 +21,7 @@ from .approx import BlockStructure, BoxDirections, EpsilonClose
 from .discretize import DENSE, DISCRETE, ContinuousSystem
 from .errors import InputError
 from .linalg import read_matrix_market
-from .reach import And, Atom, Or, SafetyProperty
+from .reach import And, Atom, Or, SafetyProperty, _state_directions
 from .sets import Hyperrectangle, Singleton, zero_set
 
 __all__ = ["Scenario", "parse_scenario", "parse_property", "parse_scheme",
@@ -289,19 +289,8 @@ def parse_property(text, dim, output_vars=False):
 def property_blocks(prop: SafetyProperty, bs: BlockStructure):
     """Blocks touched by the property's atom directions (pulled back
     through the output matrix); all blocks when nothing is touched."""
-    from .linalg import BlockMatrix
-
-    C = prop.C
-    if C is not None and not isinstance(C, BlockMatrix):
-        C = BlockMatrix(np.asarray(C, dtype=float))
-    needed = set()
-    for a in prop.atoms():
-        if C is not None:
-            d = np.asarray(C.data.T @ a.coeffs).ravel()
-        else:
-            d = a.coeffs
-        needed.update(bs.block_of(int(c)) for c in np.nonzero(d)[0])
-    return tuple(sorted(needed)) if needed else tuple(range(bs.b))
+    _, needed = _state_directions(prop, bs)
+    return tuple(needed) if needed else tuple(range(bs.b))
 
 
 # ----------------------------------------------------------------------

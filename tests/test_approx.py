@@ -63,16 +63,28 @@ def test_block_structure_partition():
         bs = BlockStructure(n)
         assert bs.b == (n + 1) // 2
         covered = []
-        for i, (lo, hi) in enumerate(bs.blocks):
-            assert hi - lo == bs.size(i)
+        for i in range(bs.b):
+            s = bs.slice(i)
+            assert s.stop - s.start == bs.size(i)
             assert bs.size(i) in (1, 2)
-            covered.extend(range(lo, hi))
+            covered.extend(range(s.start, s.stop))
         assert covered == list(range(n))
+        npt.assert_array_equal(bs.coords(range(bs.b)), np.arange(n))
         if n % 2 == 1:
             assert bs.size(bs.b - 1) == 1
         for coord in range(n):
-            lo, hi = bs.blocks[bs.block_of(coord)]
-            assert lo <= coord < hi
+            i = bs.block_of(coord)
+            assert type(i) is int
+            assert bs.slice(i).start <= coord < bs.slice(i).stop
+        npt.assert_array_equal(bs.block_of(np.arange(n)),
+                               [bs.block_of(c) for c in range(n)])
+
+
+def test_block_structure_coords_keep_the_block_order():
+    bs = BlockStructure(7)
+    npt.assert_array_equal(bs.coords([3, 0, 2]), [6, 0, 1, 4, 5])
+    npt.assert_array_equal(bs.coords([1]), [2, 3])
+    assert bs.coords([]).size == 0
 
 
 def test_block_structure_projections():
@@ -88,6 +100,8 @@ def test_block_structure_rejects_bad_inputs():
         BlockStructure(0)
     with pytest.raises(DimensionError):
         BlockStructure(4).block_of(4)
+    with pytest.raises(DimensionError, match="coordinate -1 out of range"):
+        BlockStructure(4).block_of(np.array([0, -1, 5]))
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +290,10 @@ def test_box_closed_forms_match_support_route(sparse, monkeypatch):
 def polygon_product(rng, n):
     """One random polygon per 2D block, an interval for an odd last one."""
     parts = []
-    for lo, hi in BlockStructure(n).blocks:
-        center = rng.uniform(-1.0, 1.0, hi - lo)
-        if hi - lo == 1:
+    bs = BlockStructure(n)
+    for i in range(bs.b):
+        center = rng.uniform(-1.0, 1.0, bs.size(i))
+        if bs.size(i) == 1:
             parts.append(Hyperrectangle(center, [0.5]))
             continue
         angles = spanning_angles(rng, int(rng.integers(3, 9)))

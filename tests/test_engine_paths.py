@@ -49,9 +49,10 @@ def random_polygons(rng, n, scale):
     """A product of one random polygon per 2D block, with an interval for
     an odd last coordinate; some polygons carry redundant halfplanes."""
     parts = []
-    for lo, hi in BlockStructure(n).blocks:
-        center = rng.uniform(-scale, scale, hi - lo)
-        if hi - lo == 1:
+    bs = BlockStructure(n)
+    for i in range(bs.b):
+        center = rng.uniform(-scale, scale, bs.size(i))
+        if bs.size(i) == 1:
             parts.append(Hyperrectangle(center, rng.uniform(0.0, scale, 1)))
             continue
         angles = spanning_angles(rng, int(rng.integers(3, 9)))
@@ -262,13 +263,13 @@ def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
     tube = reach_decomposed(sys, N, scheme=scheme, lazy=True, fast=fast)
     for k in range(N):
         Pk = np.linalg.matrix_power(M, k)
-        for i, (lo, hi) in enumerate(bs.blocks):
-            for di in rng.standard_normal((3, hi - lo)):
+        for i in range(bs.b):
+            for di in rng.standard_normal((3, bs.size(i))):
                 d = np.zeros(n)
-                d[lo:hi] = di
-                g = Pk[lo:hi].T @ di
-                want = sum(X0[j].support_function(g[jlo:jhi])
-                           for j, (jlo, jhi) in enumerate(bs.blocks))
+                d[bs.slice(i)] = di
+                g = Pk[bs.slice(i)].T @ di
+                want = sum(X0[j].support_function(g[bs.slice(j)])
+                           for j in range(bs.b))
                 got = tube.support(k, d)
                 if k > 0 and i == zero_block:
                     assert got == 0.0

@@ -12,6 +12,7 @@ import reachdec.linalg
 from conftest import augmented_exponential, random_stable_matrix
 from reachdec import (
     BlockMatrix,
+    BlockStructure,
     DimensionError,
     InputError,
     MatrixPowerState,
@@ -50,39 +51,44 @@ def taylor_series(M, weight, terms=50):
 
 def test_blocks_partition_matrix():
     rng = np.random.default_rng(60)
-    for n in (2, 4, 5, 7):
-        A = BlockMatrix(rng.standard_normal((n, n)))
-        rebuilt = np.zeros((n, n))
-        for i, (r0, r1) in enumerate(A.row_ranges):
-            for j, (c0, c1) in enumerate(A.col_ranges):
+    for m, n in ((2, 2), (4, 4), (5, 5), (7, 7), (3, 6), (6, 3)):
+        A = BlockMatrix(rng.standard_normal((m, n)))
+        rows, cols = BlockStructure(m), BlockStructure(n)
+        rebuilt = np.zeros((m, n))
+        for i in range(rows.b):
+            for j in range(cols.b):
                 blk = A.block(i, j)
-                assert blk.shape == (r1 - r0, c1 - c0)
-                rebuilt[r0:r1, c0:c1] = blk
+                assert blk.shape == (rows.size(i), cols.size(j))
+                rebuilt[rows.slice(i), cols.slice(j)] = blk
         npt.assert_array_equal(rebuilt, A.to_dense())
 
 
 def test_nonzero_block_index_dense_and_sparse():
     rng = np.random.default_rng(61)
-    M = np.zeros((6, 6))
-    M[0, 0] = 1.0   # block (0, 0)
-    M[1, 3] = 2.0   # block (0, 1)
-    M[4, 5] = 3.0   # block (2, 2)
-    for A in (BlockMatrix(M), BlockMatrix(sp.csr_array(M))):
-        assert A.nonzero_col_blocks(0) == [0, 1]
-        assert A.nonzero_col_blocks(1) == []
-        assert A.nonzero_col_blocks(2) == [2]
-        # completeness: summing indexed blocks reconstructs the matrix
-        rebuilt = np.zeros((6, 6))
-        for i, (r0, r1) in enumerate(A.row_ranges):
-            for j in A.nonzero_col_blocks(i):
-                c0, c1 = A.col_ranges[j]
-                rebuilt[r0:r1, c0:c1] = A.block(i, j)
-        npt.assert_array_equal(rebuilt, M)
-    # absent from the index really means a zero block
-    A = BlockMatrix(sp.csr_array(M))
-    for j in range(3):
-        if j not in A.nonzero_col_blocks(1):
-            npt.assert_array_equal(A.block(1, j), 0.0)
+    for n in (6, 7):
+        M = np.zeros((n, n))
+        M[0, 0] = 1.0           # block (0, 0)
+        M[1, 3] = 2.0           # block (0, 1)
+        M[4, 5] = 3.0           # block (2, 2)
+        M[n - 1, n - 1] = 4.0   # block (2, 2) for n = 6, (3, 3) for n = 7
+        bs = BlockStructure(n)
+        for A in (BlockMatrix(M), BlockMatrix(sp.csr_array(M))):
+            assert A.nonzero_col_blocks(0) == [0, 1]
+            assert A.nonzero_col_blocks(1) == []
+            assert A.nonzero_col_blocks(2) == [2]
+            assert A.nonzero_col_blocks(bs.b - 1) == [bs.b - 1]
+            assert A.block_density() == (3 if n == 6 else 4) / bs.b ** 2
+            # completeness: summing indexed blocks reconstructs the matrix
+            rebuilt = np.zeros((n, n))
+            for i in range(bs.b):
+                for j in A.nonzero_col_blocks(i):
+                    rebuilt[bs.slice(i), bs.slice(j)] = A.block(i, j)
+            npt.assert_array_equal(rebuilt, M)
+        # absent from the index really means a zero block
+        A = BlockMatrix(sp.csr_array(M))
+        for j in range(bs.b):
+            if j not in A.nonzero_col_blocks(1):
+                npt.assert_array_equal(A.block(1, j), 0.0)
 
 
 def test_matrix_norms():
@@ -406,6 +412,16 @@ def test_power_state_rows_match_matrix_power(sparse, n, blocks):
         st.advance()
         assert st.P is previous
         assert st.k == k + 1
+
+
+def test_power_state_rows_of_an_unheld_block_are_refused():
+    st = MatrixPowerState(np.eye(5), (0, 2))
+    npt.assert_array_equal(st.Q.dense_row_block(2), np.eye(5)[4:])
+    for i in (1, 3):
+        with pytest.raises(KeyError):
+            st.Q.dense_row_block(i)
+    with pytest.raises(DimensionError):
+        MatrixPowerState(np.eye(5), (3,))
 
 
 def test_power_state_sparse_matches_dense_oracle():

@@ -370,6 +370,83 @@ def test_tube_direction_validation():
                            [2.0, 0.0])
 
 
+def test_untracked_trailing_block_of_size_one():
+    # n = 5: block 2 is coordinate 4 alone, and it is not tracked
+    rng = np.random.default_rng(115)
+    sys = box_system(random_stable_matrix(rng, 5), random_box(rng, 5))
+    tube = reach_decomposed(sys, 4, tracked={0, 1})
+    full = reach_decomposed(sys, 4)
+    for d in (np.eye(5)[4], np.array([0.0, 1.0, 0.0, 0.0, -1.0])):
+        with pytest.raises(DimensionError):
+            tube.support(2, d)
+        with pytest.raises(DimensionError):
+            tube.support_batch(2, [np.eye(5)[0], d])
+    d = np.array([0.5, 0.0, -1.0, 2.0, 0.0])
+    assert tube.support(2, d) == full.support(2, d)
+    with pytest.raises(InputError) as exc:
+        project_output(tube, np.eye(5)[4])
+    assert "[2]" in str(exc.value)
+    # coordinates 3 and 0 sit in the tracked blocks 1 and 0
+    M = np.zeros((2, 5))
+    M[0, 3] = 1.0
+    M[1, 0] = 2.0
+    for k, (S, T) in enumerate(zip(project_output(tube, M),
+                                   project_output(full, M))):
+        c = np.concatenate([tube.set_at(k, i).center for i in (0, 1)])
+        r = np.concatenate([tube.set_at(k, i).radius for i in (0, 1)])
+        npt.assert_allclose(S.center, [c[3], 2.0 * c[0]], rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(S.radius, [r[3], 2.0 * r[0]], rtol=1e-14, atol=1e-15)
+        npt.assert_array_equal(S.center, T.center)
+        npt.assert_array_equal(S.radius, T.radius)
+
+
+@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("kind", ["point", "box", "ball"])
+def test_step_zero_sets_are_the_decomposed_blocks(kind, fast):
+    rng = np.random.default_rng(116)
+    n = 5
+    X0 = {"point": Singleton(rng.standard_normal(n)),
+          "box": random_box(rng, n),
+          "ball": BallP(rng.standard_normal(n), 0.5, 2)}[kind]
+    bs = BlockStructure(n)
+    want = decompose(X0, bs)
+    for tracked in ({2}, {0, 2}, {1}):
+        tube = reach_decomposed(box_system(np.eye(n), X0), 2, tracked=tracked,
+                                fast=fast)
+        for i in tracked:
+            got = tube.set_at(0, i)
+            assert type(got) is type(want[i])
+            if kind == "point":
+                npt.assert_array_equal(got.point, want[i].point)
+            else:
+                npt.assert_array_equal(got.center, want[i].center)
+                npt.assert_array_equal(got.radius, want[i].radius)
+
+
+def test_one_block_box_run_builds_no_set_per_untracked_block(monkeypatch):
+    # the sets a one-block run builds do not depend on how many blocks
+    # are left untracked
+    def boxes_built(n):
+        phi = sp.diags([np.full(n - 1, 0.05), np.full(n, 0.9),
+                        np.full(n - 1, -0.05)], [-1, 0, 1], format="csr")
+        sys = DiscreteSystem(phi, Hyperrectangle(np.ones(n), np.full(n, 0.1)),
+                             Hyperrectangle(np.zeros(n), np.full(n, 0.01)), 0.1)
+        assert sys.phi.is_sparse
+        built = []
+        init = Hyperrectangle.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Hyperrectangle, "__init__", counted)
+            reach_decomposed(sys, 5, tracked={0})
+        return len(built)
+
+    assert boxes_built(2000) == boxes_built(200)
+
+
 def test_tube_box_hull():
     phi = block_diag(rotation(0.5), np.eye(2))
     X0 = Hyperrectangle(np.zeros(4), np.ones(4))
