@@ -11,6 +11,7 @@ met (epsilon-close scheme).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,25 @@ def overapproximate_box(X):
 
 def _local_gap(d1, r1, s1, d2, r2, s2):
     """Distance from the corner of two support constraints to the chord of
-    their support vectors; bounds the overapproximation error in the wedge."""
-    det = d1[0] * d2[1] - d1[1] * d2[0]
+    their support vectors; bounds the overapproximation error in the wedge.
+
+    Directions d and support vectors s are (x, y) float pairs and the
+    arithmetic is scalar, so no array is made per wedge."""
+    (ax, ay), (bx, by) = d1, d2
+    det = ax * by - ay * bx
     if abs(det) < 1e-12:
         return 0.0
-    corner = np.array([(d2[1] * r1 - d1[1] * r2) / det,
-                       (d1[0] * r2 - d2[0] * r1) / det])
-    chord = s2 - s1
-    cc = chord @ chord
+    px = (by * r1 - ay * r2) / det
+    py = (ax * r2 - bx * r1) / det
+    (x1, y1), (x2, y2) = s1, s2
+    cx, cy = x2 - x1, y2 - y1
+    cc = cx * cx + cy * cy
+    ux, uy = px - x1, py - y1
     if cc == 0.0:
-        return float(np.linalg.norm(corner - s1))
-    t = np.clip((corner - s1) @ chord / cc, 0.0, 1.0)
-    return float(np.linalg.norm(corner - (s1 + t * chord)))
+        return math.sqrt(ux * ux + uy * uy)
+    t = min(max((ux * cx + uy * cy) / cc, 0.0), 1.0)
+    ex, ey = px - (x1 + t * cx), py - (y1 + t * cy)
+    return math.sqrt(ex * ex + ey * ey)
 
 
 def overapproximate_eps(X, eps, max_constraints=10_000):
@@ -100,6 +108,14 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
     whose local gap exceeds eps.  The result is an HPolygon whose
     constraints are support evaluations of X, so it contains X and is
     within eps of it.
+
+    The refinement runs on Python floats.  An entry is (l, d, rho, s): the
+    unit direction as an array l and as a float pair d, its support value
+    and its support vector as a float pair.  Only the bisection takes
+    numpy dot products, to normalise l as ``np.linalg.norm`` does and to
+    test splittability: numpy's dot of 2-vectors can round otherwise than
+    x * x + y * y, and the normals must stay those of the refinement
+    written on arrays.
     """
     if X.dim != 2:
         raise DimensionError(f"overapproximate_eps: set has dimension {X.dim}, "
@@ -108,40 +124,45 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
         raise InvalidSetError("overapproximate_eps: eps must be positive",
                               module="approx")
 
-    def entry(d):
-        return (d, *X.support_pair(d))
+    def entry(l):
+        rho, s = X._rho_sigma(l)   # l is a unit 2-vector built here: no check
+        return l, l.tolist(), float(rho), s.tolist()
 
-    start = [entry(np.array(d)) for d in
-             [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
-    budget = [max_constraints - 4]
+    budget = max_constraints - 4
+    entries = []
 
     def refine(e1, e2):
-        gap = _local_gap(*e1, *e2)
+        # appends the entries strictly between e1 and e2 in angular order
+        nonlocal budget
+        gap = _local_gap(*e1[1:], *e2[1:])
         if gap <= eps:
-            return []
-        if budget[0] <= 0:
+            return
+        if budget <= 0:
             raise ApproximationError(
                 f"overapproximate_eps: constraint budget {max_constraints} "
                 f"exhausted, local gap still {gap:.3e} > {eps:.3e}",
                 module="approx")
-        d = e1[0] + e2[0]
-        nrm = np.linalg.norm(d)
+        l1, l2 = e1[0], e2[0]
+        l = l1 + l2
+        nrm = math.sqrt(l.dot(l))
         if nrm == 0.0:
-            return []
-        d = d / nrm
-        if d @ e1[0] >= 1.0 - 1e-15 or d @ e2[0] >= 1.0 - 1e-15:
-            return []  # wedge no longer numerically splittable
-        budget[0] -= 1
-        em = entry(d)
-        return refine(e1, em) + [em] + refine(em, e2)
+            return
+        l = l / nrm
+        if l.dot(l1) >= 1.0 - 1e-15 or l.dot(l2) >= 1.0 - 1e-15:
+            return  # wedge no longer numerically splittable
+        budget -= 1
+        em = entry(l)
+        refine(e1, em)
+        entries.append(em)
+        refine(em, e2)
 
-    entries = []
+    start = [entry(np.array(d)) for d in
+             [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
     for i in range(4):
-        e1, e2 = start[i], start[(i + 1) % 4]
-        entries.append(e1)
-        entries.extend(refine(e1, e2))
-    normals = np.array([e[0] for e in entries])
-    offsets = np.array([e[1] for e in entries])
+        entries.append(start[i])
+        refine(start[i], start[(i + 1) % 4])
+    normals = np.array([e[1] for e in entries])
+    offsets = np.array([e[2] for e in entries])
     if not np.all(np.isfinite(offsets)):
         raise UnboundedSetError("overapproximate_eps: non-finite support value",
                                 module="approx")

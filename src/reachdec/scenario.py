@@ -39,7 +39,10 @@ def _fail(path, msg):
 def _number(val, path, positive=False, nonnegative=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(path, f"expected a number, got {type(val).__name__}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:   # an integer beyond the float range
+        val = float("inf")
     if not np.isfinite(val):
         _fail(path, "must be finite")
     if positive and val <= 0.0:
@@ -58,8 +61,20 @@ def _integer(val, path, minimum=None):
 
 
 def _vector(val, path):
+    """A list of finite numbers as a float array, converted in one call.
+
+    Only a list with a bad entry is walked entry by entry, so that the
+    error names the first bad index."""
     if not isinstance(val, list) or not val:
         _fail(path, "expected a nonempty list of numbers")
+    if set(map(type, val)) <= {int, float}:   # a bool is not a number here
+        try:
+            out = np.array(val, dtype=float)
+        except OverflowError:   # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
     return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(val)])
 
 

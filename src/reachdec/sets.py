@@ -12,6 +12,7 @@ between threads.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse as _sp
@@ -814,16 +815,16 @@ class CartesianProduct(LazySet):
         if not parts:
             raise InvalidSetError("CartesianProduct: at least one factor is required")
         self.parts = tuple(parts)
-        dims = np.array([p.dim for p in parts])
-        self._offsets = np.concatenate([[0], np.cumsum(dims)])
+        # the coordinates of each part, as slices built once
+        ends = accumulate(p.dim for p in parts)
+        self._slices = tuple(slice(e - p.dim, e) for p, e in zip(parts, ends))
 
     @property
     def dim(self):
-        return int(self._offsets[-1])
+        return self._slices[-1].stop
 
     def _split(self, l):
-        return [l[self._offsets[i]:self._offsets[i + 1]]
-                for i in range(len(self.parts))]
+        return [l[s] for s in self._slices]
 
     def _rho(self, l):
         return sum(p._rho(li) for p, li in zip(self.parts, self._split(l)))
@@ -838,8 +839,8 @@ class CartesianProduct(LazySet):
 
     def _rho_batch(self, L):
         total = np.zeros(L.shape[0])
-        for i, p in enumerate(self.parts):
-            total += p._rho_batch(L[:, self._offsets[i]:self._offsets[i + 1]])
+        for p, s in zip(self.parts, self._slices):
+            total += p._rho_batch(L[:, s])
         return total
 
     def _axis_supports(self, T):
@@ -851,8 +852,8 @@ class CartesianProduct(LazySet):
                     np.concatenate([nl for _, nl in pairs]))
         M = T.M.tocsc() if _sp.issparse(T.M) else T.M   # cheap column slices
         hi, nlo = np.zeros(M.shape[0]), np.zeros(M.shape[0])
-        for i, p in enumerate(self.parts):
-            cols = _Matrix(M[:, self._offsets[i]:self._offsets[i + 1]])
+        for p, s in zip(self.parts, self._slices):
+            cols = _Matrix(M[:, s])
             h, nl = p._axis_supports(cols)
             hi += h
             nlo += nl

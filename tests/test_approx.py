@@ -218,6 +218,136 @@ def test_eps_close_rejects_bad_inputs():
         EpsilonClose(-0.5)
 
 
+def _reference_local_gap(d1, r1, s1, d2, r2, s2):
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    if abs(det) < 1e-12:
+        return 0.0
+    corner = np.array([(d2[1] * r1 - d1[1] * r2) / det,
+                       (d1[0] * r2 - d2[0] * r1) / det])
+    chord = s2 - s1
+    cc = chord @ chord
+    if cc == 0.0:
+        return float(np.linalg.norm(corner - s1))
+    t = np.clip((corner - s1) @ chord / cc, 0.0, 1.0)
+    return float(np.linalg.norm(corner - (s1 + t * chord)))
+
+
+def reference_eps(X, eps, max_constraints=10_000):
+    """The sandwich refinement written on numpy 2-vectors throughout: the
+    reference the float kernel of `overapproximate_eps` must reproduce."""
+    def entry(d):
+        return (d, *X.support_pair(d))
+
+    start = [entry(np.array(d)) for d in
+             [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
+    budget = [max_constraints - 4]
+
+    def refine(e1, e2):
+        gap = _reference_local_gap(*e1, *e2)
+        if gap <= eps:
+            return []
+        if budget[0] <= 0:
+            raise ApproximationError("reference: constraint budget exhausted")
+        d = e1[0] + e2[0]
+        nrm = np.linalg.norm(d)
+        if nrm == 0.0:
+            return []
+        d = d / nrm
+        if d @ e1[0] >= 1.0 - 1e-15 or d @ e2[0] >= 1.0 - 1e-15:
+            return []
+        budget[0] -= 1
+        em = entry(d)
+        return refine(e1, em) + [em] + refine(em, e2)
+
+    entries = []
+    for i in range(4):
+        e1, e2 = start[i], start[(i + 1) % 4]
+        entries.append(e1)
+        entries.extend(refine(e1, e2))
+    normals = np.array([e[0] for e in entries])
+    offsets = np.array([e[1] for e in entries])
+    if not np.all(np.isfinite(offsets)):
+        raise UnboundedSetError("reference: non-finite support value")
+    return HPolygon(normals, offsets, check_feasible=False)
+
+
+def planar_sets(rng):
+    """2D sets of every kind that ε-close refinement meets."""
+    def leaf():
+        kind = int(rng.integers(6))
+        if kind == 0:
+            return random_box(rng, 2)
+        if kind == 1:
+            return random_ball(rng, 2, float(rng.choice([1.0, 2.0, np.inf])))
+        if kind == 2:
+            return random_singleton(rng, 2)
+        if kind == 3:   # a zero-width segment, axis-aligned or rotated
+            seg = Hyperrectangle(rng.uniform(-2, 2, 2),
+                                 rng.permutation([rng.uniform(0.1, 2.0), 0.0]))
+            return seg if rng.random() < 0.5 else LinearMap(
+                rotation(rng.uniform(0, np.pi)), seg)
+        if kind == 4:
+            return random_polygon(rng, 3, 12)
+        return polygon_product(rng, 2)
+
+    out = []
+    for _ in range(6):
+        A, B = leaf(), leaf()
+        u = rng.standard_normal((2, 1))
+        singular = u @ rng.standard_normal((1, 2))
+        n = int(rng.integers(3, 9))
+        mixed = CartesianProduct([leaf() for _ in range(n // 2)]
+                                 + [random_box(rng, 1)] * (n % 2))
+        out += [A, LinearMap(singular, A), MinkowskiSum(A, B),
+                ConvexHullPair(A, B), Scaled(float(rng.uniform(-3, 3)), A),
+                LinearMap(rng.standard_normal((2, n)), polygon_product(rng, n)),
+                LinearMap(rng.standard_normal((2, n)), mixed)]
+    return out
+
+
+def counting_rho_sigma(X):
+    """Count the `_rho_sigma` queries that reach X itself."""
+    calls = [0]
+    inner = X._rho_sigma
+
+    def counted(l):
+        calls[0] += 1
+        return inner(l)
+
+    X._rho_sigma = counted
+    return calls
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_eps_close_is_bitwise_the_array_refinement(eps):
+    rng = np.random.default_rng(int(-np.log10(eps)) + 70)
+    for X in planar_sets(rng):
+        calls = counting_rho_sigma(X)
+        want = reference_eps(X, eps)
+        want_calls, calls[0] = calls[0], 0
+        got = overapproximate_eps(X, eps)
+        assert calls[0] == want_calls
+        assert got.normals.tobytes() == want.normals.tobytes()
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+
+
+def test_eps_close_budget_is_the_array_refinement():
+    # the budget counts the four axis constraints: splits + 4 constraints
+    # are just enough, one fewer runs out in the reference and the kernel
+    rng = np.random.default_rng(75)
+    for X in planar_sets(rng):
+        calls = counting_rho_sigma(X)
+        want = reference_eps(X, 1e-4)
+        splits = calls[0] - 4
+        got = overapproximate_eps(X, 1e-4, max_constraints=splits + 4)
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+        for budget in {5, splits + 3} if splits > 1 else ():
+            with pytest.raises(ApproximationError):
+                reference_eps(X, 1e-4, max_constraints=budget)
+            with pytest.raises(ApproximationError, match="budget"):
+                overapproximate_eps(X, 1e-4, max_constraints=budget)
+
+
 def support_route_box(X):
     """The box of X from support queries in +-e_i, as (center, radius)."""
     n = X.dim

@@ -397,6 +397,19 @@ def test_cli_input_error_paths(tmp_path, capsys):
     assert code == 2 and "--seed" in text
 
 
+def test_cli_integer_beyond_the_float_range_is_a_schema_error(tmp_path, capsys):
+    # an integer too large for a float reads as the float 1e400 reads
+    sc = stable_scenario(tmp_path, delta=10 ** 400)
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc))
+    assert code == 2
+    assert text == "error:cli:schema $.delta: must be finite\n"
+    sc = stable_scenario(tmp_path, X0={"box": {"center": [10 ** 400, 0.0, 0.0, 0.0],
+                                               "radius": [0.1] * 4}})
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc))
+    assert code == 2
+    assert text == "error:cli:schema $.X0.box.center[0]: must be finite\n"
+
+
 def test_cli_numerical_error_exit_code(tmp_path, capsys):
     # exp(1000) overflows while discretizing: a mid-computation numerical
     # failure, distinct from schema problems

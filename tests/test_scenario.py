@@ -22,6 +22,7 @@ from reachdec import (
     parse_scheme,
 )
 from reachdec.linalg import write_matrix_market
+from reachdec import scenario
 from reachdec.scenario import property_blocks, set_from_spec
 
 
@@ -269,6 +270,60 @@ def test_set_spec_errors():
         with pytest.raises(InputError) as exc:
             set_from_spec(spec, "$.X0")
         assert fragment in str(exc.value), (spec, str(exc.value))
+
+
+def test_number_lists_convert_as_the_entry_loop():
+    # one conversion of the whole list gives the floats that converting
+    # entry by entry gives, integers beyond int64 included
+    lists = [[0.5, -0.0, 5e-324, 1.7976931348623157e308],
+             [3, -7, 2 ** 53 + 1, 2 ** 63 + 1, -(2 ** 70), 10 ** 300],
+             [1, 2.5, -3, 1e-300], [0]]
+    rng = np.random.default_rng(5)
+    lists.append(rng.standard_normal(50).tolist())
+    lists.append(rng.integers(-10 ** 9, 10 ** 9, 50).tolist())
+    for val in lists:
+        got = scenario._vector(val, "$.v")
+        want = np.array([scenario._number(v, f"$.v[{i}]")
+                         for i, v in enumerate(val)])
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_number_lists_name_the_first_bad_entry(tmp_path):
+    cases = [
+        ([1.0, True, 0.0, 0.0], "$.X0.box.center[1]: expected a number, got bool"),
+        ([1.0, 2.0, "x", 4.0], "$.X0.box.center[2]: expected a number, got str"),
+        ([float("nan"), 1.0, 2.0, 3.0], "$.X0.box.center[0]: must be finite"),
+        ([1.0, float("inf"), 2.0, 3.0], "$.X0.box.center[1]: must be finite"),
+        ([1.0, 2.0, -10 ** 400, 3.0], "$.X0.box.center[2]: must be finite"),
+        ([1, 2, 3, None], "$.X0.box.center[3]: expected a number, got NoneType"),
+        ([1.0, [2.0], 3.0, 4.0], "$.X0.box.center[1]: expected a number, got list"),
+    ]
+    for center, message in cases:
+        doc = base_doc()
+        doc["X0"]["box"]["center"] = center
+        with pytest.raises(InputError) as exc:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert str(exc.value) == message
+    # the JSON words NaN and Infinity, which Python's json reads as floats
+    path = write_scenario(tmp_path, base_doc())
+    text = path.read_text()
+    for word in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(text.replace("[0.1, 0.1, 0.1, 0.1]",
+                                     f"[0.1, 0.1, {word}, 0.1]"))
+        with pytest.raises(InputError) as exc:
+            parse_scenario(path)
+        assert str(exc.value) == "$.X0.box.radius[2]: must be finite"
+
+
+def test_scalar_beyond_the_float_range_is_not_finite(tmp_path):
+    for field, value in (("delta", 10 ** 400), ("delta", -10 ** 400)):
+        with pytest.raises(InputError) as exc:
+            parse_scenario(write_scenario(tmp_path, base_doc(**{field: value})))
+        assert str(exc.value) == f"$.{field}: must be finite"
+    with pytest.raises(InputError) as exc:
+        set_from_spec({"intervals": [[0.0, 1.0], [0.0, 10 ** 400]]}, "$.U")
+    assert str(exc.value) == "$.U.intervals[1][1]: must be finite"
 
 
 def test_scheme_strings():
