@@ -126,7 +126,12 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
 
     def entry(l):
         rho, s = X._rho_sigma(l)   # l is a unit 2-vector built here: no check
-        return l, l.tolist(), float(rho), s.tolist()
+        rho, s = float(rho), s.tolist()
+        # a non-finite value would make every local gap NaN, never <= eps
+        if not (math.isfinite(rho) and math.isfinite(s[0]) and math.isfinite(s[1])):
+            raise UnboundedSetError("overapproximate_eps: non-finite support value",
+                                    module="approx")
+        return l, l.tolist(), rho, s
 
     budget = max_constraints - 4
     entries = []
@@ -163,9 +168,6 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
         refine(start[i], start[(i + 1) % 4])
     normals = np.array([e[1] for e in entries])
     offsets = np.array([e[2] for e in entries])
-    if not np.all(np.isfinite(offsets)):
-        raise UnboundedSetError("overapproximate_eps: non-finite support value",
-                                module="approx")
     return HPolygon(normals, offsets, check_feasible=False)
 
 

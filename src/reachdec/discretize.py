@@ -178,25 +178,25 @@ class DiscreteSystem:
         return isinstance(self.v, LazySet)
 
     def v_at(self, k):
-        if self.constant_input:
-            return self.v
-        if k >= len(self.v):
-            raise InputError(f"DiscreteSystem: input sequence has {len(self.v)} "
-                             f"entries, step {k} requested", module="discretize")
-        return self.v[k]
+        return _step_set(self.v, k, "discretize")
+
+
+def _step_set(U, k, module):
+    """The set of step k: U itself when it is one set, else U[k]; a short
+    sequence is an ``error:<module>:schema``."""
+    if isinstance(U, LazySet):
+        return U
+    if k >= len(U):
+        raise InputError(f"input sequence has {len(U)} entries, "
+                         f"step {k} requested", module=module)
+    return U[k]
 
 
 def _mapped_input(sys, k):
     """Input set at step k, mapped into the state space through B."""
     if sys.U is None:
         return None
-    if isinstance(sys.U, LazySet):
-        Uk = sys.U
-    else:
-        if k >= len(sys.U):
-            raise InputError(f"input sequence has {len(sys.U)} entries, "
-                             f"step {k} requested", module="discretize")
-        Uk = sys.U[k]
+    Uk = _step_set(sys.U, k, "discretize")
     if sys.B is None:
         return Uk
     return LinearMap(sys.B.data, Uk)

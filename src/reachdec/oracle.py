@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import BlockStructure
-from .discretize import ContinuousSystem, DiscreteSystem
+from .discretize import ContinuousSystem, DiscreteSystem, _step_set
 from .errors import ContainmentError, DimensionError, InputError
 from .linalg import BlockMatrix
 from .sets import (
     Hyperrectangle,
-    LazySet,
     LinearMap,
     Singleton,
     minkowski_sum_all,
@@ -450,13 +449,7 @@ def _simulate_continuous(sys: ContinuousSystem, x0, inputs, N, delta):
         if inputs is None:
             forcing = np.zeros(sys.n)
         else:
-            if isinstance(sys.U, LazySet):
-                Uk = sys.U
-            elif k < len(sys.U):
-                Uk = sys.U[k]
-            else:
-                raise InputError(f"input sequence has {len(sys.U)} entries, "
-                                 f"step {k} requested", module="oracle")
+            Uk = _step_set(sys.U, k, "oracle")
             if not support_membership(Uk, inputs[k], seed=11):
                 raise InputError(f"input at step {k} is outside the input set",
                                  module="oracle")

@@ -23,13 +23,12 @@ from .approx import (
     decompose,
     overapproximate_box,
 )
-from .discretize import DENSE, DiscreteSystem
+from .discretize import DENSE, DiscreteSystem, _step_set
 from .errors import DimensionError, InputError
 from .linalg import BlockMatrix, MatrixPowerState
 from .sets import (
     CartesianProduct,
     Hyperrectangle,
-    LazySet,
     LinearMap,
     MinkowskiSum,
     Singleton,
@@ -470,15 +469,6 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                                      "carries no input sets", module="reach")
                 feed_dirs[id(a)] = du
 
-    def u_at(k):
-        U = sys.u_sets
-        if isinstance(U, LazySet):
-            return U
-        if k >= len(U):
-            raise InputError(f"input sequence has {len(U)} entries, "
-                             f"step {k} requested", module="reach")
-        return U[k]
-
     for k, sets in enumerate(_steps(sys, N, bs, needed, scheme,
                                     collapse=False)):
         cert = {}
@@ -486,7 +476,8 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
         for a in atoms:
             val = _block_support_sum(sets, needed, bs, state_dirs[id(a)])
             if id(a) in feed_dirs:
-                val += u_at(k).support_function(feed_dirs[id(a)])
+                val += _step_set(sys.u_sets, k, "reach").support_function(
+                    feed_dirs[id(a)])
             values[id(a)] = val
             cert[id(a)] = a.holds(val)
         if not _formula_certified(prop.formula, cert):

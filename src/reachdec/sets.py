@@ -65,7 +65,11 @@ def _as_vector(x, name, module="sets"):
 
 
 class LazySet:
-    """Base class: a nonempty compact convex set queried via support functions."""
+    """Base class: a nonempty compact convex set queried via support functions.
+
+    Leaves give `_rho` and `_sigma`, paired by the default `_rho_sigma`;
+    `HPolygon` and the combinators give `_rho_sigma`, one walk for both.
+    """
 
     dim = 0
 
@@ -77,7 +81,7 @@ class LazySet:
     def support_vector(self, direction):
         """Return a maximizer of <direction, x> over the set."""
         l = self._direction(direction)
-        return self._sigma(l)
+        return self._rho_sigma(l)[1]
 
     def support_pair(self, direction):
         """(support_function, support_vector) from one walk of the set."""
@@ -389,11 +393,6 @@ def _angle_leq(sa, ax, ay, sb, bx, by):
     return sa < sb or (sa == sb and ax * by - ay * bx >= 0.0)
 
 
-def _angles_leq(sa, ax, ay, sb, bx, by):
-    """`_angle_leq` elementwise on arrays."""
-    return (sa < sb) | ((sa == sb) & (ax * by - ay * bx >= 0.0))
-
-
 def direction_leq(a, b):
     """Angular order on nonzero plane vectors: angle(a) <= angle(b) in (-pi, pi].
 
@@ -481,7 +480,8 @@ class HPolygon(LazySet):
     The vertex of each adjacent constraint pair is computed once, here, and
     every support query is one binary search over the angular order of
     the normals: the support vector in direction l is the vertex where the
-    last normal at or before l meets the next one.
+    last normal at or before l meets the next one.  So the polygon gives
+    `_rho_sigma` from one search, and a batch searches each row.
     """
 
     dim = 2
@@ -515,8 +515,7 @@ class HPolygon(LazySet):
         self._vertices = _frozen(V)
         # the search reads the normals as Python floats, and their sectors
         self._ax, self._ay = A[:, 0].tolist(), A[:, 1].tolist()
-        self._sec = _sectors(A[:, 0], A[:, 1])
-        self._sec_list = self._sec.tolist()
+        self._sec_list = _sectors(A[:, 0], A[:, 1]).tolist()
         # pairs that `_intersect_rows` may reject: it decides them at query
         # time (the normals have unit length, so its scale is about 1)
         self._near_parallel = frozenset(
@@ -606,12 +605,11 @@ class HPolygon(LazySet):
 
     # -- queries --------------------------------------------------------
 
-    @property
-    def constraints(self):
-        return list(zip(self.normals, self.offsets))
-
     def _search(self, x, y):
-        """Index i of the last normal a_i <= (x, y) in the angular order."""
+        """Index i of the last normal a_i <= (x, y) in the angular order;
+        0 for the direction 0, whose support every point attains."""
+        if not (x or y):
+            return 0
         ax, ay, sec = self._ax, self._ay, self._sec_list
         s = _sector(x, y)
         if not _angle_leq(sec[0], ax[0], ay[0], s, x, y):
@@ -625,33 +623,13 @@ class HPolygon(LazySet):
                 hi = mid - 1
         return lo
 
-    def _search_batch(self, L):
-        """`_search` of every row of L, as one vectorised binary search."""
-        A, sec = self.normals, self._sec
-        x, y = L[:, 0], L[:, 1]
-        s = _sectors(x, y)
-        first = _angles_leq(sec[0], A[0, 0], A[0, 1], s, x, y)
-        lo = np.zeros(len(L), dtype=np.intp)
-        hi = np.where(first, A.shape[0] - 1, 0)
-        while True:
-            open_ = lo < hi
-            if not open_.any():
-                break
-            mid = (lo + hi + 1) // 2
-            up = _angles_leq(sec[mid], A[mid, 0], A[mid, 1], s, x, y)
-            lo = np.where(open_ & up, mid, lo)
-            hi = np.where(open_ & ~up, mid - 1, hi)
-        return np.where(first, lo, A.shape[0] - 1)
-
     def _exact_vertex(self, i):
         j = (i + 1) % self.normals.shape[0]
         return _intersect_rows(self.normals[i], self.offsets[i],
                                self.normals[j], self.offsets[j])
 
     def _vertex_for(self, l):
-        x, y = l.tolist()
-        # every point attains the support 0 of direction 0: take vertex 0
-        i = self._search(x, y) if (x or y) else 0
+        i = self._search(*l.tolist())
         if i in self._near_parallel:
             return self._exact_vertex(i)
         return self._vertices[i]
@@ -659,17 +637,13 @@ class HPolygon(LazySet):
     def _rho(self, l):
         return l @ self._vertex_for(l)
 
-    def _sigma(self, l):
-        return self._vertex_for(l).copy()
-
     def _rho_sigma(self, l):
         v = self._vertex_for(l)
         return l @ v, v.copy()
 
     def _rho_batch(self, L):
-        idx = self._search_batch(L)
-        idx[(L[:, 0] == 0.0) & (L[:, 1] == 0.0)] = 0
-        for i in self._near_parallel.intersection(idx.tolist()):
+        idx = [self._search(x, y) for x, y in L.tolist()]
+        for i in self._near_parallel.intersection(idx):
             self._exact_vertex(i)  # raises on a degenerate pair
         # a stack of 1x2 by 2x1 products rounds each row as `l @ v` does
         return (L[:, None, :] @ self._vertices[idx][:, :, None]).ravel()
@@ -724,10 +698,6 @@ class LinearMap(LazySet):
     def _rho(self, l):
         return self.operand._rho(np.asarray(self._mt @ l, dtype=float))
 
-    def _sigma(self, l):
-        inner = self.operand._sigma(np.asarray(self._mt @ l, dtype=float))
-        return np.asarray(self.matrix @ inner, dtype=float)
-
     def _rho_sigma(self, l):
         rho, inner = self.operand._rho_sigma(np.asarray(self._mt @ l, dtype=float))
         return rho, np.asarray(self.matrix @ inner, dtype=float)
@@ -760,9 +730,6 @@ class Scaled(LazySet):
     def _rho(self, l):
         return self.operand._rho(self.factor * l)
 
-    def _sigma(self, l):
-        return self.factor * self.operand._sigma(self.factor * l)
-
     def _rho_sigma(self, l):
         rho, sigma = self.operand._rho_sigma(self.factor * l)
         return rho, self.factor * sigma
@@ -790,9 +757,6 @@ class MinkowskiSum(LazySet):
 
     def _rho(self, l):
         return self.left._rho(l) + self.right._rho(l)
-
-    def _sigma(self, l):
-        return self.left._sigma(l) + self.right._sigma(l)
 
     def _rho_sigma(self, l):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
@@ -828,10 +792,6 @@ class CartesianProduct(LazySet):
 
     def _rho(self, l):
         return sum(p._rho(li) for p, li in zip(self.parts, self._split(l)))
-
-    def _sigma(self, l):
-        return np.concatenate([p._sigma(li)
-                               for p, li in zip(self.parts, self._split(l))])
 
     def _rho_sigma(self, l):
         pairs = [p._rho_sigma(li) for p, li in zip(self.parts, self._split(l))]
@@ -876,11 +836,6 @@ class ConvexHullPair(LazySet):
 
     def _rho(self, l):
         return max(self.left._rho(l), self.right._rho(l))
-
-    def _sigma(self, l):
-        a = self.left._rho(l)
-        b = self.right._rho(l)
-        return self.left._sigma(l) if a >= b else self.right._sigma(l)
 
     def _rho_sigma(self, l):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)

@@ -461,6 +461,20 @@ def test_box_closed_form_rejects_non_finite(X):
     assert info.value.tag() == "error:approx:unbounded-set"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("center, radius", [
+    ([1e308, 1e308], [1e308, 1e308]),
+    ([1e308, 0.0], [1e308, 1.0]),   # the first entry: rho = 1, sigma = (inf, -1)
+])
+def test_eps_close_of_an_overflowing_set_stops_at_once(center, radius):
+    X = Hyperrectangle(center, radius)
+    calls = counting_rho_sigma(X)
+    with pytest.raises(UnboundedSetError) as info:
+        overapproximate_eps(X, 1e-2)
+    assert info.value.tag() == "error:approx:unbounded-set"
+    assert calls[0] <= 4
+
+
 def test_box_fallback_of_large_mapped_polygons_is_chunked():
     # a dense 2n x n direction matrix at n = 2000 takes 64 MB
     rng = np.random.default_rng(64)

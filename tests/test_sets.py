@@ -242,6 +242,52 @@ def test_support_pair_is_bitwise_value_and_vector(sparse):
                 npt.assert_array_equal(sigma, X.support_vector(l))
 
 
+def reference_sigma(X, l):
+    """A support vector of a combinator tree from each combinator's
+    definition, down to the support vectors of the leaves."""
+    if isinstance(X, LinearMap):       # M sigma(M^T l)
+        M = X.matrix
+        inner = reference_sigma(X.operand, np.asarray(M.T @ l, dtype=float))
+        return np.asarray(M @ inner, dtype=float)
+    if isinstance(X, Scaled):          # f sigma(f l)
+        return X.factor * reference_sigma(X.operand, X.factor * l)
+    if isinstance(X, MinkowskiSum):
+        return reference_sigma(X.left, l) + reference_sigma(X.right, l)
+    if isinstance(X, CartesianProduct):
+        ends = np.cumsum([p.dim for p in X.parts])
+        return np.concatenate([reference_sigma(p, l[e - p.dim:e])
+                               for p, e in zip(X.parts, ends)])
+    if isinstance(X, ConvexHullPair):  # the larger support; the left on ties
+        if X.left.support_function(l) >= X.right.support_function(l):
+            return reference_sigma(X.left, l)
+        return reference_sigma(X.right, l)
+    return X.support_vector(l)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_support_vector_is_bitwise_the_combinator_definitions(sparse):
+    """The trees and directions of the support-pair test: the support
+    vector of the one walk is, bit for bit, the one each combinator's
+    definition gives."""
+    rng = np.random.default_rng(20)
+
+    def matrix():
+        M = rng.standard_normal((2, 2))
+        M[rng.random((2, 2)) < 0.3] = 0.0
+        return sp.csr_array(M) if sparse else M
+
+    for _ in range(40):
+        A, B = random_set(rng, 2), random_set(rng, 2)
+        trees = [A, LinearMap(matrix(), A), Scaled(-0.7, B),
+                 MinkowskiSum(A, LinearMap(matrix(), B)),
+                 ConvexHullPair(LinearMap(matrix(), A), Scaled(1.5, B)),
+                 LinearMap(rng.standard_normal((2, 4)), CartesianProduct([A, B]))]
+        for X in trees:
+            for l in [rng.standard_normal(2), np.zeros(2), np.array([1.0, 0.0])]:
+                got, want = X.support_vector(l), reference_sigma(X, l)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_minkowski_sum_all_matches_pairwise():
     rng = np.random.default_rng(16)
     for count in (1, 2, 3, 7):
