@@ -154,17 +154,7 @@ class DiscreteSystem:
                                  module="discretize")
         if self.v is None:
             self.v = zero_set(n)
-        vs = self.v if isinstance(self.v, LazySet) else list(self.v)
-        if isinstance(vs, LazySet):
-            if vs.dim != n:
-                raise DimensionError(f"DiscreteSystem: V has dimension {vs.dim}, "
-                                     f"expected {n}", module="discretize")
-        else:
-            for k, Vk in enumerate(vs):
-                if Vk.dim != n:
-                    raise DimensionError(f"DiscreteSystem: V({k}) has dimension "
-                                         f"{Vk.dim}, expected {n}", module="discretize")
-            self.v = vs
+        self.v = _check_input_sets(self.v, n, "DiscreteSystem")
         if self.model not in (DENSE, DISCRETE):
             raise InputError(f"DiscreteSystem: unknown model {self.model!r}",
                              module="discretize")
@@ -192,18 +182,21 @@ def _step_set(U, k, module):
     return U[k]
 
 
-def _mapped_input(sys, k):
-    """Input set at step k, mapped into the state space through B."""
+def _mapped_inputs(sys):
+    """The input sets mapped into the state space through B, as a list:
+    one entry for a constant input, none when there is no input."""
     if sys.U is None:
+        return []
+    U = [sys.U] if isinstance(sys.U, LazySet) else sys.U
+    return U if sys.B is None else [LinearMap(sys.B.data, Uk) for Uk in U]
+
+
+def _shaped_like(U, vs):
+    """The per-input sets ``vs`` in the shape of the input ``U``: None
+    without input, one set for a constant input, else the list."""
+    if U is None:
         return None
-    Uk = _step_set(sys.U, k, "discretize")
-    if sys.B is None:
-        return Uk
-    return LinearMap(sys.B.data, Uk)
-
-
-def _input_count(sys):
-    return None if (sys.U is None or isinstance(sys.U, LazySet)) else len(sys.U)
+    return vs[0] if isinstance(U, LazySet) else vs
 
 
 #: relative margin added to the dense-time bloat radii (see ``_bloat_from``)
@@ -247,31 +240,23 @@ def discretize_dense(sys: ContinuousSystem, delta):
     each nonzero input set.
     """
     phi = _stored(exp_matrix(sys.A, delta))
-    n = sys.n
-    count = _input_count(sys)
-    steps = () if sys.U is None else range(1 if count is None else count)
-    mapped = {k: _mapped_input(sys, k) for k in steps}
-    mapped = {k: U for k, U in mapped.items() if not is_zero_set(U)}
+    mapped = _mapped_inputs(sys)
+    live = [k for k, U in enumerate(mapped) if not is_zero_set(U)]
     A2 = sys.A @ sys.A
     eplus, *epsi = _bloat_from(
         sys.A, [LinearMap(A2.data, sys.X0)]
-        + [LinearMap(sys.A.data, U) for U in mapped.values()], delta)
-    epsi = dict(zip(mapped, epsi))
-
-    def v_for(k):
-        if k not in mapped:
-            return zero_set(n)
-        return MinkowskiSum(Scaled(delta, mapped[k]), epsi[k])
+        + [LinearMap(sys.A.data, mapped[k]) for k in live], delta)
+    epsi = dict(zip(live, epsi))
+    vs = [MinkowskiSum(Scaled(delta, U), epsi[k]) if k in epsi
+          else zero_set(sys.n) for k, U in enumerate(mapped)]
 
     first_terms = [LinearMap(phi.data, sys.X0)]
-    if 0 in mapped:
+    if 0 in epsi:
         first_terms += [Scaled(delta, mapped[0]), epsi[0]]
     first_terms.append(eplus)
     x_init = ConvexHullPair(sys.X0, minkowski_sum_all(first_terms))
-
-    v = v_for(0) if count is None else [v_for(k) for k in range(count)]
-    return DiscreteSystem(phi, x_init, v, float(delta), model=DENSE,
-                          u_sets=sys.U)
+    return DiscreteSystem(phi, x_init, _shaped_like(sys.U, vs), float(delta),
+                          model=DENSE, u_sets=sys.U)
 
 
 def discretize_discrete(sys: ContinuousSystem, delta):
@@ -280,24 +265,15 @@ def discretize_discrete(sys: ContinuousSystem, delta):
     X(0) is X0 unchanged and inputs act through the first exponential
     integral: V(k) = Phi1(A, d) B U(k).
     """
-    n = sys.n
     if sys.U is None:
-        phi = exp_matrix(sys.A, delta)
-        return DiscreteSystem(phi, sys.X0, zero_set(n), float(delta),
-                              model=DISCRETE, u_sets=None)
+        return DiscreteSystem(exp_matrix(sys.A, delta), sys.X0, None,
+                              float(delta), model=DISCRETE)
     phi, phi1, _ = discretization_matrices(sys.A, delta)
     phi1 = _stored(phi1)
-
-    def v_for(k):
-        mapped = _mapped_input(sys, k)
-        if is_zero_set(mapped):
-            return zero_set(n)
-        return LinearMap(phi1.data, mapped)
-
-    count = _input_count(sys)
-    v = v_for(0) if count is None else [v_for(k) for k in range(count)]
-    return DiscreteSystem(phi, sys.X0, v, float(delta), model=DISCRETE,
-                          u_sets=sys.U)
+    vs = [zero_set(sys.n) if is_zero_set(U) else LinearMap(phi1.data, U)
+          for U in _mapped_inputs(sys)]
+    return DiscreteSystem(phi, sys.X0, _shaped_like(sys.U, vs), float(delta),
+                          model=DISCRETE, u_sets=sys.U)
 
 
 def discretize(sys: ContinuousSystem, delta, model=DENSE):

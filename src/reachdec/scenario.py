@@ -36,7 +36,7 @@ def _fail(path, msg):
     raise InputError(f"{path}: {msg}", module="cli")
 
 
-def _number(val, path, positive=False, nonnegative=False):
+def _number(val, path, positive=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(path, f"expected a number, got {type(val).__name__}")
     try:
@@ -47,8 +47,6 @@ def _number(val, path, positive=False, nonnegative=False):
         _fail(path, "must be finite")
     if positive and val <= 0.0:
         _fail(path, f"must be positive, got {val}")
-    if nonnegative and val < 0.0:
-        _fail(path, f"must be nonnegative, got {val}")
     return val
 
 
@@ -132,8 +130,8 @@ def parse_scheme(text, path="scheme"):
             eps = float(text[4:])
         except ValueError:
             _fail(path, f"cannot parse epsilon in {text!r}")
-        if eps <= 0.0:
-            _fail(path, f"epsilon must be positive, got {eps}")
+        if not (np.isfinite(eps) and eps > 0.0):
+            _fail(path, f"epsilon must be positive and finite, got {eps}")
         return EpsilonClose(eps)
     _fail(path, f"unknown scheme {text!r} (expected 'box' or 'eps:<value>')")
 

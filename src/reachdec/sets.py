@@ -54,13 +54,13 @@ def _frozen(a):
     return out
 
 
-def _as_vector(x, name, module="sets"):
+def _as_vector(x, name):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be one-dimensional, got shape {v.shape}",
-                             module=module)
+                             module="sets")
     if not np.all(np.isfinite(v)):
-        raise InvalidSetError(f"{name} must be finite", module=module)
+        raise InvalidSetError(f"{name} must be finite", module="sets")
     return v
 
 
@@ -321,14 +321,7 @@ class BallP(LazySet):
         return x
 
     def _rho_batch(self, L):
-        q = self._dual_ord
-        if q == 1:
-            dual = np.sum(np.abs(L), axis=1)
-        elif q == 2:
-            dual = np.sqrt(np.sum(L * L, axis=1))
-        else:
-            dual = np.max(np.abs(L), axis=1)
-        return L @ self.center + self.radius * dual
+        return L @ self.center + self.radius * _row_norms(L, self._dual_ord)
 
     def _axis_supports(self, T):
         # T c -+ r times the dual norm of each row of T

@@ -27,6 +27,7 @@ from reachdec import (
     discretize,
     discretize_dense,
     discretize_discrete,
+    overapproximate_box,
     symmetric_interval_hull,
 )
 
@@ -307,6 +308,33 @@ def test_dense_bloat_of_input_sequence():
     assert_bloat_above(eplus.radius, old_bloat(A, LinearMap(A @ A, X0), 0.1))
 
 
+@pytest.mark.parametrize("model", ["dense", "discrete"])
+@pytest.mark.parametrize("with_B", [False, True])
+def test_sequence_input_is_bitwise_the_constant_input(model, with_B):
+    # V(k) of an input sequence is, bit for bit, the V of the constant
+    # input U(k); with a CSR A the bloat columns are computed independently
+    rng = np.random.default_rng(93)
+    n = 6
+    m = 3 if with_B else n
+    A = BlockMatrix(sp.random_array((n, n), density=0.4, random_state=rng,
+                                    format="csr"))
+    B = rng.standard_normal((n, m)) if with_B else None
+    X0 = random_box(rng, n)
+    U = [random_box(rng, m), Singleton(np.zeros(m)), random_box(rng, m)]
+    seq = discretize(ContinuousSystem(A, X0, B=B, U=U), 0.1, model)
+
+    def same_box(X, Y):
+        X, Y = overapproximate_box(X), overapproximate_box(Y)
+        assert X.center.tobytes() == Y.center.tobytes()
+        assert X.radius.tobytes() == Y.radius.tobytes()
+
+    for k, Uk in enumerate(U):
+        const = discretize(ContinuousSystem(A, X0, B=B, U=Uk), 0.1, model)
+        same_box(seq.v_at(k), const.v)
+        if k == 0:
+            same_box(seq.x_init, const.x_init)
+
+
 @pytest.mark.parametrize("U", [None, "constant", "sequence"])
 def test_dense_discretization_is_one_exponential_action(monkeypatch, U):
     # all bloat boxes come from one phi_2 action on an n x k block of radii
@@ -386,6 +414,12 @@ def test_discrete_system_validation():
         DiscreteSystem(np.eye(2), unit_box(2), unit_box(3), 0.1)
     with pytest.raises(DimensionError):
         DiscreteSystem(np.eye(2), unit_box(2), [unit_box(2), unit_box(1)], 0.1)
+    for V in (unit_box(3), [unit_box(2), unit_box(1)]):
+        with pytest.raises(DimensionError) as exc:
+            DiscreteSystem(np.eye(2), unit_box(2), V, 0.1)
+        assert exc.value.tag() == "error:discretize:dimension"
+    with pytest.raises(InputError, match="empty input sequence"):
+        DiscreteSystem(np.eye(2), unit_box(2), [], 0.1)
     with pytest.raises(InputError):
         DiscreteSystem(np.eye(2), unit_box(2), None, 0.1, model="exotic")
     d = DiscreteSystem(np.eye(2), unit_box(2), None, 0.1)

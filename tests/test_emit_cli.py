@@ -397,6 +397,15 @@ def test_cli_input_error_paths(tmp_path, capsys):
     assert code == 2 and "--seed" in text
 
 
+def test_cli_rejects_an_infinite_epsilon(tmp_path, capsys):
+    sc = stable_scenario(tmp_path)
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc),
+                         "--scheme", "eps:inf")
+    assert code == 2
+    assert text == ("error:cli:schema --scheme: epsilon must be positive "
+                    "and finite, got inf\n")
+
+
 def test_cli_integer_beyond_the_float_range_is_a_schema_error(tmp_path, capsys):
     # an integer too large for a float reads as the float 1e400 reads
     sc = stable_scenario(tmp_path, delta=10 ** 400)

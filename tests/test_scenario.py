@@ -332,6 +332,9 @@ def test_scheme_strings():
     assert isinstance(es, EpsilonClose) and es.eps == 0.25
     for bad, fragment in [("eps:abc", "cannot parse epsilon"),
                           ("eps:-1", "must be positive"),
+                          ("eps:inf", "must be positive"),
+                          ("eps:1e400", "must be positive"),
+                          ("eps:nan", "must be positive"),
                           ("polytope", "unknown scheme"),
                           (42, "expected a string")]:
         with pytest.raises(InputError) as exc:
