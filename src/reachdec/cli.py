@@ -20,7 +20,7 @@ from .emit import (
     write_tube_poly,
     write_tube_svg,
 )
-from .errors import ContainmentError, EngineError, InputError
+from .errors import ContainmentError, EngineError, InputError, NonFiniteError
 from .linalg import write_matrix_market
 from .oracle import (
     decomposed_image,
@@ -133,7 +133,11 @@ def _cmd_compare(sc, out, args):
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
     max_gap = 0.0
     for k in range(sc.N):
-        diff = tube.support_batch(k, D) - oracle_vals[k]
+        with np.errstate(invalid="ignore"):
+            diff = tube.support_batch(k, D) - oracle_vals[k]
+        if not np.isfinite(diff).all():
+            raise NonFiniteError(f"support gap at step {k} is not finite",
+                                 module="cli")
         if diff.min() < -1e-9:
             raise ContainmentError(
                 f"decomposed support below oracle by {-diff.min():.3e} "

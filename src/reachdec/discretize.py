@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionError, InputError
 from .linalg import (
-    DENSIFY_BLOCK_FRACTION,
     BlockMatrix,
     discretization_matrices,
     exp_matrix,
@@ -115,25 +114,14 @@ class ContinuousSystem:
         return self.B.shape[1] if self.B is not None else self.n
 
 
-def _stored(M):
-    """M in the storage the recurrences use: a sparse matrix with more than
-    ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied is made dense, since
-    products with it and with its powers are then cheaper in dense
-    storage."""
-    if M.is_sparse and M.block_density() > DENSIFY_BLOCK_FRACTION:
-        return BlockMatrix(M.to_dense())
-    return M
-
-
 @dataclass
 class DiscreteSystem:
     """Set-based recurrence X(k+1) = Phi X(k) + V(k).
 
     ``V`` is a single set (constant input) or a list of per-step sets.
     ``u_sets`` optionally retains the original (pre-discretization) input
-    sets for output feedthrough checks.  A sparse ``phi`` with more than
-    ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied is stored dense, once
-    (see ``_stored``).
+    sets for output feedthrough checks.  ``phi`` is held in the storage
+    of the block rule, decided once (see ``BlockMatrix.stored``).
     """
 
     phi: BlockMatrix
@@ -146,7 +134,7 @@ class DiscreteSystem:
     def __post_init__(self):
         if not isinstance(self.phi, BlockMatrix):
             self.phi = BlockMatrix(self.phi)
-        self.phi = _stored(self.phi)
+        self.phi = self.phi.stored()
         n = self.phi.n
         if self.x_init.dim != n:
             raise DimensionError(f"DiscreteSystem: X(0) has dimension "
@@ -239,7 +227,7 @@ def discretize_dense(sys: ContinuousSystem, delta):
     exponential action, with one column for A^2 X0 and one for A U of
     each nonzero input set.
     """
-    phi = _stored(exp_matrix(sys.A, delta))
+    phi = exp_matrix(sys.A, delta).stored()
     mapped = _mapped_inputs(sys)
     live = [k for k, U in enumerate(mapped) if not is_zero_set(U)]
     A2 = sys.A @ sys.A
@@ -269,7 +257,7 @@ def discretize_discrete(sys: ContinuousSystem, delta):
         return DiscreteSystem(exp_matrix(sys.A, delta), sys.X0, None,
                               float(delta), model=DISCRETE)
     phi, phi1, _ = discretization_matrices(sys.A, delta)
-    phi1 = _stored(phi1)
+    phi1 = phi1.stored()
     vs = [zero_set(sys.n) if is_zero_set(U) else LinearMap(phi1.data, U)
           for U in _mapped_inputs(sys)]
     return DiscreteSystem(phi, sys.X0, _shaped_like(sys.U, vs), float(delta),

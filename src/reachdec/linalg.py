@@ -5,11 +5,21 @@ and block rows of powers.
 set decompositions and reach tubes all ask it.  ``BlockMatrix`` wraps
 dense ndarrays and sparse CSR storage behind one interface so the reach
 recurrences can slice row blocks and look up nonzero blocks without
-caring about the backing format.  Also provides the matrix exponential,
-the first two exponential integral matrices used for time discretization,
-the row blocks of consecutive matrix powers, and the action of the
-exponential (and of the second exponential integral) on a block of
-vectors.
+caring about the backing format.
+
+Storage follows one rule, also block arithmetic: a matrix with more than
+``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks occupied is held dense, any
+other as CSR.  ``read_matrix_market`` applies it to the entries of a
+coordinate file as it loads them (an array file is always dense), and
+``BlockMatrix.stored`` to a CSR result such as exp(A delta).  Only CSR
+storage needs scipy: ``scipy.sparse`` is imported where a CSR matrix is
+built, so a run whose matrices are all dense loads no scipy module, and
+``issparse`` answers without importing it.
+
+Also provides the matrix exponential, the first two exponential integral
+matrices used for time discretization, the row blocks of consecutive
+matrix powers, and the action of the exponential (and of the second
+exponential integral) on a block of vectors.
 
 All exponentials come from one truncated Taylor series,
 phi_s(B) X = sum_i B^i X / (i+s)! with B = A delta, summed by Horner's
@@ -28,11 +38,11 @@ estimate is made.
 from __future__ import annotations
 
 import bisect
+import io
 import math
+import sys
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .errors import DimensionError, InputError, NonFiniteError
 
@@ -49,9 +59,28 @@ __all__ = [
     "write_matrix_market",
 ]
 
-#: a sparse transition matrix with more than this fraction of nonzero
-#: blocks is stored dense (see ``DiscreteSystem``)
+#: a matrix with more than this fraction of its blocks occupied is stored
+#: dense, since products with it and with its powers are then cheaper in
+#: dense storage (see ``read_matrix_market`` and ``BlockMatrix.stored``)
 DENSIFY_BLOCK_FRACTION = 0.25
+
+
+def issparse(M):
+    """Whether M is a scipy sparse array or matrix.  Nothing can be sparse
+    before ``scipy.sparse`` is loaded, so this never imports it; an ndarray
+    is answered before scipy's slower abstract-class check."""
+    if isinstance(M, np.ndarray):
+        return False
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(M)
+
+
+def _block_density(rows, cols, shape):
+    """Fraction of the 2x2 blocks of a ``shape`` matrix that hold one of
+    the entries (rows[e], cols[e])."""
+    rb, cb = (shape[0] + 1) // 2, (shape[1] + 1) // 2
+    keys = np.asarray(rows, dtype=np.int64) // 2 * cb + np.asarray(cols) // 2
+    return np.unique(keys).size / (rb * cb)
 
 
 class BlockStructure:
@@ -117,7 +146,8 @@ class BlockMatrix:
     """
 
     def __init__(self, data):
-        if sp.issparse(data):
+        if issparse(data):
+            from scipy import sparse as sp
             self.data = sp.csr_array(data)
             if self.data.nnz and not np.all(np.isfinite(self.data.data)):
                 raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
@@ -148,7 +178,7 @@ class BlockMatrix:
 
     @property
     def is_sparse(self):
-        return sp.issparse(self.data)
+        return issparse(self.data)
 
     def to_dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
@@ -162,7 +192,7 @@ class BlockMatrix:
     def block(self, i, j):
         """Dense copy of block (i, j); 2x2, or smaller on trailing blocks."""
         sub = self.data[self._blocks(0).slice(i), self._blocks(1).slice(j)]
-        return sub.toarray() if sp.issparse(sub) else np.array(sub)
+        return sub.toarray() if issparse(sub) else np.array(sub)
 
     def row_block(self, i):
         """Rows of block-row i in the native storage format."""
@@ -173,20 +203,28 @@ class BlockMatrix:
         (for sparse storage, with a stored entry)."""
         rows = self.row_block(i)
         if self.is_sparse:
-            cols = sp.coo_array(rows).coords[1]
+            cols = rows.indices
         else:
             cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
         return np.unique(self._blocks(1).block_of(cols)).tolist()
 
     def block_density(self):
-        """Fraction of blocks holding at least one nonzero entry."""
+        """Fraction of blocks holding at least one stored entry (for dense
+        storage, one nonzero entry)."""
         if self.is_sparse:
-            rows, cols = sp.coo_array(self.data).coords
-        else:
-            rows, cols = np.nonzero(self.data)
-        rb, cb = self._blocks(0), self._blocks(1)
-        keys = rb.block_of(rows.astype(np.int64)) * cb.b + cb.block_of(cols)
-        return np.unique(keys).size / (rb.b * cb.b)
+            counts = np.diff(self.data.indptr)
+            rows = np.repeat(np.arange(self.shape[0]), counts)
+            return _block_density(rows, self.data.indices, self.shape)
+        return _block_density(*np.nonzero(self.data), self.shape)
+
+    def stored(self):
+        """This matrix in the storage the recurrences use: CSR storage with
+        more than ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied is made
+        dense, by the rule ``read_matrix_market`` applies at load.  Dense
+        storage stays dense."""
+        if self.is_sparse and self.block_density() > DENSIFY_BLOCK_FRACTION:
+            return BlockMatrix(self.to_dense())
+        return self
 
     # -- arithmetic -----------------------------------------------------
 
@@ -258,7 +296,10 @@ def _degree(theta):
 
 def _identity(B):
     n = B.shape[0]
-    return sp.eye_array(n, format="csr") if sp.issparse(B) else np.eye(n)
+    if not issparse(B):
+        return np.eye(n)
+    from scipy import sparse as sp
+    return sp.eye_array(n, format="csr")
 
 
 def _series(B, X, s, m):
@@ -316,9 +357,9 @@ def _phi_action(B, X, s):
         return _series(B, X, s, _degree(theta))
     q = math.ceil(theta / _THETA_MAX)
     n = B.shape[0]
-    nnz = B.nnz if sp.issparse(B) else n * n
+    nnz = B.nnz if issparse(B) else n * n
     if q * nnz * (X.shape[1] if X.ndim == 2 else 1) > n ** 3:
-        dense = B.toarray() if sp.issparse(B) else B
+        dense = B.toarray() if issparse(B) else B
         return _phi_matrices(dense, s)[s] @ X
     m = _degree(theta / q)
     Bq = B / q
@@ -336,7 +377,7 @@ def _phi_action(B, X, s):
 
 
 def _finite(M, what):
-    values = M.data if sp.issparse(M) else M
+    values = M.data if issparse(M) else M
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(f"{what}: result overflowed", module="linalg")
     return M
@@ -377,7 +418,7 @@ def discretization_matrices(A, delta):
     _checked_step(delta, "discretization_matrices")
     with np.errstate(over="ignore", invalid="ignore"):
         phis = _phi_matrices(A.data * delta, 2)
-        phis = [_finite(f * delta ** k, "discretization_matrices")
+        phis = [_finite(f * np.float64(delta) ** k, "discretization_matrices")
                 for k, f in enumerate(phis)]
     return tuple(BlockMatrix(f) for f in phis)
 
@@ -490,7 +531,7 @@ def _action(A, X, delta, s, what):
     if not np.all(np.isfinite(X)):
         raise NonFiniteError(f"{what}: non-finite vector", module="linalg")
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = _phi_action(A.data * delta, X, s) * delta ** s
+        Y = _phi_action(A.data * delta, X, s) * np.float64(delta) ** s
     return _finite(Y, what)
 
 
@@ -514,22 +555,21 @@ def phi2_action(A, R, delta):
 
 
 # ----------------------------------------------------------------------
-# MatrixMarket input
+# MatrixMarket files
 # ----------------------------------------------------------------------
 
-def read_matrix_market(path):
-    """Read a real MatrixMarket file into a BlockMatrix.
+#: one line of a coordinate file: 1-based row and column, then the value;
+#: int32 indices, as scipy.io.mmread reads them for dimensions below 2^31
+_ENTRY = np.dtype([("row", np.int32), ("col", np.int32), ("value", float)])
 
-    Supports the coordinate and array formats with general or symmetric
-    storage (symmetric entries are mirrored on load).  Coordinate files
-    produce sparse matrices, array files dense ones.
-    """
-    try:
-        with open(path, "r") as fh:
-            header = fh.readline().strip()
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}",
-                         module="linalg") from None
+
+def _malformed(path, what):
+    return InputError(f"{path}: malformed MatrixMarket data: {what}",
+                      module="linalg")
+
+
+def _header(path, header):
+    """(format, symmetric) from the banner line, or an InputError."""
     parts = header.lower().split()
     if len(parts) != 5 or parts[0] != "%%matrixmarket" or parts[1] != "matrix":
         raise InputError(f"{path}: not a MatrixMarket matrix header: {header!r}",
@@ -542,14 +582,117 @@ def read_matrix_market(path):
                          module="linalg")
     if symmetry not in ("general", "symmetric"):
         raise InputError(f"{path}: unsupported symmetry {symmetry!r}", module="linalg")
+    return fmt, symmetry == "symmetric"
+
+
+def _size(path, line, fmt, symmetric):
+    """(shape, entry count) from the size line."""
+    fields = 3 if fmt == "coordinate" else 2
     try:
-        mat = scipy.io.mmread(path)
-    except Exception as exc:
-        raise InputError(f"{path}: malformed MatrixMarket data: {exc}",
+        size = [int(t) for t in line.split()]
+    except ValueError:
+        size = []
+    if (len(size) != fields or not 1 <= min(size[:2]) <= max(size[:2]) < 2 ** 31
+            or size[-1] < 0):
+        raise _malformed(path, f"size line {line.strip()!r} is not {fields} "
+                               "nonnegative integers with dimensions in "
+                               "1..2^31-1")
+    shape = (size[0], size[1])
+    if symmetric and shape[0] != shape[1]:
+        raise _malformed(path, f"symmetric storage of a {shape[0]}x{shape[1]} "
+                               "matrix")
+    if fmt == "coordinate":
+        return shape, size[2]
+    n = shape[0]
+    return shape, n * (n + 1) // 2 if symmetric else n * shape[1]
+
+
+def _entries(path, body, dtype, count):
+    """The ``count`` lines of ``body`` parsed as ``dtype`` in one numpy
+    call; ``%`` comments and blank lines are skipped."""
+    table = np.empty(0, dtype)
+    if body.strip():
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, comments="%",
+                               ndmin=1)
+        except ValueError as exc:     # numpy's own advice follows a ';'
+            raise _malformed(path, str(exc).split(";")[0]) from None
+    if table.ndim != 1:
+        raise _malformed(path, "expected one value per line")
+    if table.size != count:
+        raise _malformed(path, f"expected {count} entries, found {table.size}")
+    return table
+
+
+def _from_coordinates(path, table, shape, symmetric):
+    """The matrix of 1-based coordinate entries, stored by the block rule."""
+    rows, cols, vals = table["row"] - 1, table["col"] - 1, table["value"]
+    outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
+    if outside.any():
+        e = int(np.argmax(outside))
+        raise _malformed(path, f"entry {e + 1} at ({rows[e] + 1}, {cols[e] + 1}) "
+                               f"lies outside the {shape[0]}x{shape[1]} matrix")
+    if symmetric:
+        # mirrored entries follow all listed ones, as scipy.io.mmread has them
+        off = rows != cols
+        rows, cols, vals = (np.concatenate((rows, cols[off])),
+                            np.concatenate((cols, rows[off])),
+                            np.concatenate((vals, vals[off])))
+    if _block_density(rows, cols, shape) > DENSIFY_BLOCK_FRACTION:
+        M = np.zeros(shape)
+        with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
+            np.add.at(M, (rows, cols), vals)     # repeats summed in file order
+        return BlockMatrix(M)
+    from scipy import sparse as sp
+    return BlockMatrix(sp.csr_array((vals, (rows, cols)), shape=shape))
+
+
+def _from_array(values, shape, symmetric):
+    """The matrix of a column-major array body (the lower triangle, for
+    symmetric storage).  Like scipy.io.mmread, it reads a negative zero
+    as +0.0."""
+    values = values + 0.0
+    if not symmetric:
+        return BlockMatrix(values.reshape(shape[1], shape[0]).T)
+    r, c = np.triu_indices(shape[0])     # (c, r) runs down each column
+    M = np.empty(shape)
+    M[c, r] = values
+    M[r, c] = values
+    return BlockMatrix(M)
+
+
+def read_matrix_market(path):
+    """Read a real MatrixMarket file into a BlockMatrix.
+
+    Supports the coordinate and array formats with general or symmetric
+    storage (Boisvert, Pozo & Remington, "The Matrix Market Exchange
+    Formats: Initial Design", NIST 1996).  Symmetric entries are mirrored
+    on load, and duplicate coordinate entries are summed.  The entries are
+    parsed by one numpy call with correctly rounded values, so the matrix
+    is bitwise the one ``scipy.io.mmread`` reads.
+
+    Storage is decided here, once, by the block rule: an array file is
+    dense, and a coordinate file is dense when more than
+    ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks hold an entry, CSR
+    otherwise.  Only a CSR matrix imports ``scipy.sparse``.
+    """
+    try:
+        with open(path, "r") as fh:
+            fmt, symmetric = _header(path, fh.readline().strip())
+            line = fh.readline()
+            while line.startswith("%") or (line and not line.strip()):
+                line = fh.readline()
+            body = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read matrix file {path}: {exc}",
                          module="linalg") from None
-    if sp.issparse(mat):
-        return BlockMatrix(sp.csr_array(mat))
-    return BlockMatrix(np.asarray(mat, dtype=float))
+    except UnicodeDecodeError as exc:
+        raise _malformed(path, exc) from None
+    shape, count = _size(path, line, fmt, symmetric)
+    if fmt == "array":
+        return _from_array(_entries(path, body, float, count), shape, symmetric)
+    return _from_coordinates(path, _entries(path, body, _ENTRY, count), shape,
+                             symmetric)
 
 
 def write_matrix_market(path, A, comment=None):
@@ -558,6 +701,7 @@ def write_matrix_market(path, A, comment=None):
     Always uses general symmetry so the output stays readable by
     read_matrix_market regardless of the matrix's structure.
     """
+    import scipy.io
     A = _as_block_matrix(A)
     scipy.io.mmwrite(path, A.data if A.is_sparse else np.asarray(A.data),
                      comment=comment or "", symmetry="general")

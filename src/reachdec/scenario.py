@@ -11,6 +11,7 @@ offending entry, so nothing starts computing on a half-valid input.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,20 @@ def _vector(val, path):
     return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(val)])
 
 
+def _finite_box(box, path):
+    """``box``, unless its bounds or its radius overflow the float range."""
+    c, r = box.center, box.radius
+    # a Python sum overflows to inf without a warning, and it bounds every
+    # |c_i| + r_i: only a box near the float range is checked entrywise
+    if math.isfinite(float(np.abs(c).max()) + float(r.max())):
+        return box
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(c - r).all() and np.isfinite(c + r).all()
+    if not finite:
+        _fail(path, "center - radius or center + radius is not finite")
+    return box
+
+
 def set_from_spec(spec, path):
     """Build a set from its JSON spec: one of box / intervals / point / zero."""
     if not isinstance(spec, dict):
@@ -97,7 +112,7 @@ def set_from_spec(spec, path):
             _fail(f"{path}.box", f"center has length {len(c)}, radius {len(r)}")
         if np.any(r < 0.0):
             _fail(f"{path}.box.radius", "must be nonnegative")
-        return Hyperrectangle(c, r)
+        return _finite_box(Hyperrectangle(c, r), f"{path}.box")
     if kind == "intervals":
         if not isinstance(body, list) or not body:
             _fail(f"{path}.intervals", "expected a nonempty list of [lo, hi] pairs")
@@ -112,7 +127,9 @@ def set_from_spec(spec, path):
                 _fail(here, f"lower bound {lo} exceeds upper bound {hi}")
             lows.append(lo)
             highs.append(hi)
-        return Hyperrectangle.from_bounds(lows, highs)
+        with np.errstate(over="ignore"):
+            box = Hyperrectangle.from_bounds(lows, highs)
+        return _finite_box(box, f"{path}.intervals")
     if kind == "point":
         return Singleton(_vector(body, f"{path}.point"))
     dim = _integer(body, f"{path}.zero", minimum=1)

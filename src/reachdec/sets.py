@@ -15,7 +15,6 @@ from collections import deque
 from itertools import accumulate
 
 import numpy as np
-from scipy import sparse as _sp
 
 from .errors import (
     DegeneratePolygonError,
@@ -23,6 +22,7 @@ from .errors import (
     InvalidSetError,
     UnboundedSetError,
 )
+from .linalg import issparse
 
 __all__ = [
     "LazySet",
@@ -188,7 +188,7 @@ def _transform_row_chunks(T, n):
         hi = min(m, lo + step)
         if isinstance(T, _Matrix):
             R = T.M[lo:hi]
-            yield R.toarray() if _sp.issparse(R) else R
+            yield R.toarray() if issparse(R) else R
         else:
             R = np.zeros((hi - lo, n))
             R[np.arange(hi - lo), np.arange(lo, hi)] = 1.0 if T is None else T
@@ -654,8 +654,9 @@ def polygon_support_vector(P, direction):
 # ----------------------------------------------------------------------
 
 def _wrap_matrix(M):
-    if _sp.issparse(M):
-        return _sp.csr_array(M)
+    if issparse(M):
+        from scipy import sparse as sp
+        return sp.csr_array(M)
     out = np.asarray(M, dtype=float)
     if out.ndim != 2:
         raise DimensionError(f"LinearMap: matrix must be two-dimensional, got shape {out.shape}")
@@ -681,7 +682,7 @@ class LinearMap(LazySet):
                 f"operand has dimension {operand.dim}")
         self.matrix = M
         self.operand = operand
-        self._mt = M.T.tocsr() if _sp.issparse(M) else M.T
+        self._mt = M.T.tocsr() if issparse(M) else M.T
         self._m = _Matrix(M)
 
     @property
@@ -696,7 +697,7 @@ class LinearMap(LazySet):
         return rho, np.asarray(self.matrix @ inner, dtype=float)
 
     def _rho_batch(self, L):
-        if _sp.issparse(self.matrix):
+        if issparse(self.matrix):
             LM = (self._mt @ L.T).T
         else:
             LM = L @ self.matrix
@@ -803,7 +804,7 @@ class CartesianProduct(LazySet):
             pairs = [p._axis_supports(T) for p in self.parts]
             return (np.concatenate([h for h, _ in pairs]),
                     np.concatenate([nl for _, nl in pairs]))
-        M = T.M.tocsc() if _sp.issparse(T.M) else T.M   # cheap column slices
+        M = T.M.tocsc() if issparse(T.M) else T.M   # cheap column slices
         hi, nlo = np.zeros(M.shape[0]), np.zeros(M.shape[0])
         for p, s in zip(self.parts, self._slices):
             cols = _Matrix(M[:, s])
@@ -865,7 +866,7 @@ def _row_norms(M, ord):
         norms = np.sqrt((M * M).sum(axis=1))
     else:
         norms = abs(M).max(axis=1)
-    return norms.toarray() if _sp.issparse(norms) else np.asarray(norms)
+    return norms.toarray() if issparse(norms) else np.asarray(norms)
 
 
 def symmetric_interval_hull(X):

@@ -14,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import reachdec
 from reachdec import (
@@ -431,6 +432,49 @@ def test_cli_numerical_error_exit_code(tmp_path, capsys):
     assert text.startswith("error:linalg:non-finite")
 
 
+def test_cli_huge_step_overflows_to_a_non_finite_error(tmp_path, capsys):
+    # delta^2 of delta = 1e300 is beyond the float range: it must overflow
+    # to inf and end in the numerical error, not in an OverflowError
+    box = {"box": {"center": [0.5] * 4, "radius": [0.5] * 4}}
+    sc = stable_scenario(tmp_path, delta=1e300, U=box)
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc))
+    assert code == 3
+    assert text == ("error:linalg:non-finite discretization_matrices: "
+                    "result overflowed\n")
+    sc = stable_scenario(tmp_path, delta=1e300, model="dense")
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc))
+    assert code == 3
+    assert text == "error:linalg:non-finite phi2_action: result overflowed\n"
+
+
+def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):
+    sc = stable_scenario(tmp_path, X0={"box": {"center": [1e308] * 4,
+                                               "radius": [1e308] * 4}})
+    code, text = run_cli(capsys, "reach", "--scenario", str(sc))
+    assert code == 2
+    assert text == ("error:cli:schema $.X0.box: center - radius or "
+                    "center + radius is not finite\n")
+    assert not (tmp_path / "tube.csv").exists()
+
+
+def test_cli_compare_fails_on_a_non_finite_gap(tmp_path, capsys, monkeypatch):
+    # max() skips a NaN gap, so compare must stop at the first one
+    real = reachdec.cli.reach_nondecomposed
+
+    def oracle_with_nan(*args):
+        values = np.array(real(*args))
+        values[2, 0] = np.nan
+        return values
+
+    monkeypatch.setattr(reachdec.cli, "reach_nondecomposed", oracle_with_nan)
+    sc = stable_scenario(tmp_path)
+    code, text = run_cli(capsys, "compare", "--scenario", str(sc))
+    assert code == 3
+    lines = text.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["k=0", "k=1"]
+    assert lines[2:] == ["error:cli:non-finite support gap at step 2 is not finite"]
+
+
 def child_env():
     """Environment of a child process that imports the same reachdec
     package as this test, whatever directory pytest was started from."""
@@ -458,6 +502,15 @@ def test_cli_entry_point_subprocess(tmp_path):
     run_reach_subprocess([sys.executable, "-m", "reachdec"], tmp_path)
 
 
+def scipy_modules_after(code, tmp_path):
+    """The scipy modules a child process holds after running ``code``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_cli_import_loads_no_scipy_solvers(tmp_path):
     # the exponentials are our own Taylor series, so a CLI start pays for
     # neither scipy.linalg nor scipy.sparse.linalg
@@ -467,6 +520,44 @@ def test_cli_import_loads_no_scipy_solvers(tmp_path):
                           text=True, env=child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # nor for any scipy module: the matrix files are read with numpy
+    assert scipy_modules_after("import sys, reachdec.cli", tmp_path) == ["[]"]
+    # reach and check on a dense-stored A keep it that way
+    sc = stable_scenario(tmp_path, property="x1 < 2")
+    code = ("import sys\nfrom reachdec.cli import main\n"
+            f"for cmd in ('reach', 'check'):\n"
+            f"    main([cmd, '--scenario', {str(sc)!r}, '--out', 'out'])")
+    assert scipy_modules_after(code, tmp_path) == [
+        "tube N=8 blocks=0 -> tube.csv", "verified N=8", "[]"]
+
+
+def test_cli_block_sparse_matrix_loads_scipy_sparse_and_runs(tmp_path):
+    # 3 of the 16 blocks occupied: A is held as CSR, and the tube matches
+    # the one of the same matrix read from an array file, held dense
+    A = np.zeros((8, 8))
+    A[0:2, 0:2] = STABLE_A[0:2, 0:2]
+    A[2:4, 2:4] = STABLE_A[2:4, 2:4]
+    A[6:8, 6:8] = -np.eye(2)
+    A[5, 0] = 0.1
+    doc = {"A": "A.mtx", "X0": {"box": {"center": np.linspace(-1.0, 1.0, 8).tolist(),
+                                        "radius": [0.1] * 8}},
+           "delta": 0.1, "N": 8, "model": "dense"}
+    tubes = {}
+    for name, M in (("csr", sp.csr_array(A)), ("dense", A)):
+        here = tmp_path / name
+        here.mkdir()
+        sc = write_scenario(here, doc, {"A": M})
+        assert reachdec.parse_scenario(sc).A.is_sparse == (name == "csr")
+        code = ("import sys\nfrom reachdec.cli import main\n"
+                f"main(['reach', '--scenario', {str(sc)!r}, '--out', 'out'])")
+        lines = scipy_modules_after(code, here)
+        assert lines[0] == "tube N=8 blocks=0,1,2,3 -> tube.csv"
+        assert ("'scipy.sparse'" in lines[1]) == (name == "csr")
+        tubes[name] = read_tube_csv(here / "out" / "tube.csv")
+    assert tubes["csr"][0] == tubes["dense"][0]
+    for key, (lo, hi) in tubes["dense"][1].items():
+        npt.assert_allclose(tubes["csr"][1][key][0], lo, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(tubes["csr"][1][key][1], hi, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.skipif(shutil.which("reachdec") is None,

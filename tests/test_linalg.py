@@ -6,7 +6,10 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachdec.linalg
 from conftest import augmented_exponential, random_stable_matrix
@@ -602,12 +605,82 @@ def test_matrix_market_round_trip(tmp_path):
     assert not back.is_sparse
     npt.assert_allclose(back.to_dense(), dense, rtol=1e-12)
 
-    sparse = sp.csr_array(np.triu(dense) * (np.abs(np.triu(dense)) > 0.5))
+    # 3 of the 16 blocks of an 8 x 8 matrix occupied: block-sparse, so CSR
+    blocky = np.zeros((8, 8))
+    blocky[0:2, 0:2] = dense[:2, :2]
+    blocky[2:4, 6:8] = dense[2:, 2:]
+    blocky[7, 3] = dense[0, 3]
+    sparse = sp.csr_array(blocky)
     path = tmp_path / "sparse.mtx"
     write_matrix_market(path, BlockMatrix(sparse))
     back = read_matrix_market(path)
     assert back.is_sparse
     npt.assert_allclose(back.to_dense(), sparse.toarray(), rtol=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.data())
+def test_matrix_market_reader_is_bitwise_mmread(tmp_path_factory, data):
+    # every format and symmetry, values in shortest form or cut to 1-19
+    # digits (so each must parse with correct rounding), and coordinate
+    # entries that repeat (summed in file order).  Beyond 19 digits
+    # scipy's writer pads some values with NUL bytes, which mmread does
+    # not survive (see the NUL case of test_matrix_market_rejects_bad_files).
+    fmt = data.draw(st.sampled_from(["coordinate", "array"]))
+    symmetry = data.draw(st.sampled_from(["general", "symmetric"]))
+    m = data.draw(st.integers(1, 5))
+    n = m if symmetry == "symmetric" else data.draw(st.integers(1, 5))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    if fmt == "array":
+        M = np.reshape(data.draw(st.lists(value, min_size=m * n,
+                                          max_size=m * n)), (m, n))
+    else:
+        entry = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value)
+        table = np.array(data.draw(st.lists(entry, max_size=15)),
+                         dtype=[("row", int), ("col", int), ("value", float)])
+        M = sp.coo_array((table["value"], (table["row"], table["col"])),
+                         shape=(m, n))
+    path = tmp_path_factory.mktemp("mm") / "M.mtx"
+    scipy.io.mmwrite(path, M, symmetry=symmetry,
+                     precision=data.draw(st.none() | st.integers(1, 19)))
+    ref = scipy.io.mmread(path)
+    ref = ref.toarray() if sp.issparse(ref) else ref
+    if not np.isfinite(ref).all():      # a value rounded or summed to inf
+        with pytest.raises(NonFiniteError):
+            read_matrix_market(path)
+        return
+    got = read_matrix_market(path).to_dense()
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_matrix_market_storage_follows_the_block_rule(tmp_path):
+    # a coordinate file is dense when more than a quarter of its 2x2 blocks
+    # hold an entry, an explicit zero included, and CSR otherwise
+    def coordinate_file(n, entries, symmetry="general"):
+        path = tmp_path / f"{n}-{len(entries)}-{symmetry}.mtx"
+        path.write_text("\n".join(
+            [f"%%MatrixMarket matrix coordinate real {symmetry}",
+             f"{n} {n} {len(entries)}"]
+            + [f"{i} {j} {v!r}" for i, j, v in entries]) + "\n")
+        return read_matrix_market(path)
+
+    three_of_four = [(1, 1, 1.5), (2, 3, -2.0), (4, 1, 0.25)]
+    M = coordinate_file(4, three_of_four)
+    assert not M.is_sparse
+    npt.assert_array_equal(M.to_dense()[[0, 1, 3], [0, 2, 0]], [1.5, -2.0, 0.25])
+    four_of_sixteen = [(1, 1, 1.0), (3, 4, 2.0), (8, 8, 3.0), (5, 2, 0.0)]
+    M = coordinate_file(8, four_of_sixteen)
+    assert M.is_sparse and M.block_density() == 0.25
+    M = coordinate_file(8, four_of_sixteen + [(7, 1, 4.0)])
+    assert not M.is_sparse and M.to_dense()[6, 0] == 4.0
+    # the mirrored entries of symmetric storage occupy their blocks too
+    M = coordinate_file(8, [(1, 1, 1.0), (3, 1, 2.0), (5, 1, 3.0)], "symmetric")
+    assert not M.is_sparse and M.to_dense()[0, 4] == 3.0
+    # an array file is dense whatever its blocks
+    path = tmp_path / "array.mtx"
+    write_matrix_market(path, np.eye(8))
+    assert not read_matrix_market(path).is_sparse
 
 
 def test_matrix_market_round_trip_skew_symmetric_matrix(tmp_path):
@@ -651,11 +724,22 @@ def test_matrix_market_rejects_bad_files(tmp_path):
         "badfmt.mtx": "%%MatrixMarket matrix tensor real general\n1 1 1\n",
         "malformed.mtx": "%%MatrixMarket matrix coordinate real general\n"
                          "2 2 oops\n",
+        "count.mtx": "%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 3\n1 1 1.0\n2 2 2.0\n",
+        "index0.mtx": "%%MatrixMarket matrix coordinate real general\n"
+                      "2 2 1\n0 1 1.0\n",
+        "beyond.mtx": "%%MatrixMarket matrix coordinate real general\n"
+                      "2 2 1\n1 3 1.0\n",
+        "shortarray.mtx": "%%MatrixMarket matrix array real general\n"
+                          "2 2\n1.0\n2.0\n3.0\n",
+        "nul.mtx": "%%MatrixMarket matrix array real general\n"
+                   "1 1\n1.5\0\0\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             read_matrix_market(path)
+        assert exc.value.tag() == "error:linalg:schema", name
     with pytest.raises(InputError):
         read_matrix_market(tmp_path / "missing.mtx")
