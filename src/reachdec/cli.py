@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import BlockStructure, decompose, overapproximate_box
-from .discretize import discretize, is_zero_set
+from .discretize import discretize, is_zero_set, restrict
 from .emit import (
     tube_has_polygons,
     write_tube_csv,
@@ -30,8 +30,18 @@ from .oracle import (
     reach_nondecomposed,
     recurrence_error_bound,
 )
-from .reach import reach_decomposed, reach_decomposed_varying, check_property
-from .scenario import parse_scenario, parse_scheme
+from .reach import (
+    ReachTube,
+    check_property,
+    reach_decomposed,
+    reach_decomposed_varying,
+)
+from .scenario import (
+    parse_scenario,
+    parse_scheme,
+    property_blocks,
+    restrict_property,
+)
 from .sets import CartesianProduct, Hyperrectangle, LinearMap, Singleton
 
 __all__ = ["main"]
@@ -41,11 +51,39 @@ def _discretized(sc):
     return discretize(sc.continuous_system(), sc.delta, sc.model)
 
 
+def _restricted(sc, blocks):
+    """The scenario's system cut to the block closure of ``blocks`` and
+    discretized, and the closure (see ``discretize.restrict``).  Block p of
+    the cut system is block ``kept[p]`` of the scenario's."""
+    sys, kept = restrict(sc.continuous_system(), blocks)
+    return discretize(sys, sc.delta, sc.model), kept
+
+
 def _tube(dsys, sc, bs, tracked, lazy=False):
     if dsys.constant_input:
         return reach_decomposed(dsys, sc.N, bs, tracked, sc.scheme, lazy=lazy)
     return reach_decomposed_varying(dsys, sc.N, bs, tracked, sc.scheme,
                                     lazy=lazy)
+
+
+def _restricted_tube(sc, tracked):
+    """The tube of the blocks ``tracked``, run on the block closure of
+    them and numbered as in the cut system, with that system and the
+    closure."""
+    dsys, kept = _restricted(sc, tracked)
+    local = np.searchsorted(kept, tracked).tolist()
+    return _tube(dsys, sc, None, local), dsys, kept
+
+
+def _full_tube(tube, bs, kept):
+    """A tube of the cut system under the block structure ``bs`` and the
+    block numbers of the whole one."""
+    if len(kept) == bs.b:
+        return tube
+    return ReachTube(tube.delta, tube.model, bs,
+                     tuple(kept[p] for p in tube.tracked),
+                     [{kept[p]: s for p, s in step.items()}
+                      for step in tube.steps])
 
 
 def _write_v_bounds(dsys, path):
@@ -75,10 +113,10 @@ def _cmd_discretize(sc, out, args):
 
 
 def _cmd_reach(sc, out, args):
-    dsys = _discretized(sc)
-    bs = BlockStructure(dsys.n)
+    bs = BlockStructure(sc.n)
     tracked = sc.resolve_blocks(bs)
-    tube = _tube(dsys, sc, bs, tracked)
+    tube, _, kept = _restricted_tube(sc, tracked)
+    tube = _full_tube(tube, bs, kept)
     written = []
     if args.format in ("csv", "both"):
         write_tube_csv(tube, out / "tube.csv")
@@ -98,9 +136,12 @@ def _cmd_reach(sc, out, args):
 def _cmd_check(sc, out, args):
     if sc.prop is None:
         raise InputError("scenario has no property to check", module="cli")
-    dsys = _discretized(sc)
-    bs = BlockStructure(dsys.n)
-    res = check_property(dsys, sc.prop, sc.N, bs, sc.scheme)
+    bs = BlockStructure(sc.n)
+    dsys, kept = _restricted(sc, property_blocks(sc.prop, bs, sc.B is None))
+    prop = sc.prop
+    if len(kept) < bs.b:
+        prop = restrict_property(prop, bs.coords(kept), sc.B is None)
+    res = check_property(dsys, prop, sc.N, None, sc.scheme)
     if res.verified:
         print(f"verified N={sc.N}")
         return 0
@@ -108,10 +149,16 @@ def _cmd_check(sc, out, args):
     return 1
 
 
-def _compare_directions(sc, bs, tracked):
+def _compare_directions(sc, bs, tracked, kept):
+    """The directions of ``compare`` and the count of coordinate ones:
+    +-e_c for each coordinate c of the blocks ``tracked``, then 64 normal
+    draws over all n coordinates, zero outside those coordinates and
+    scaled to unit 1-norm.  They are given over the coordinates of the
+    blocks ``kept``, which hold the tracked ones."""
     coords = bs.coords(tracked)
-    eye = np.zeros((2 * len(coords), bs.n))
-    for r, c in enumerate(coords):
+    cols = bs.coords(kept)
+    eye = np.zeros((2 * len(coords), len(cols)))
+    for r, c in enumerate(np.searchsorted(cols, coords)):
         eye[2 * r, c] = 1.0
         eye[2 * r + 1, c] = -1.0
     rng = np.random.default_rng(sc.seed)
@@ -120,16 +167,15 @@ def _compare_directions(sc, bs, tracked):
     mask[coords] = True
     R[:, ~mask] = 0.0
     norms = np.abs(R).sum(axis=1)
-    R = R[norms > 1e-12] / norms[norms > 1e-12, None]
+    R = R[norms > 1e-12][:, cols] / norms[norms > 1e-12, None]
     return np.vstack([eye, R]), len(eye)
 
 
 def _cmd_compare(sc, out, args):
-    dsys = _discretized(sc)
-    bs = BlockStructure(dsys.n)
+    bs = BlockStructure(sc.n)
     tracked = sc.resolve_blocks(bs)
-    tube = _tube(dsys, sc, bs, tracked)
-    D, n_coord = _compare_directions(sc, bs, tracked)
+    tube, dsys, kept = _restricted_tube(sc, tracked)
+    D, n_coord = _compare_directions(sc, bs, tracked, kept)
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
     max_gap = 0.0
     for k in range(sc.N):
@@ -181,8 +227,9 @@ def _cmd_bounds(sc, out, args):
     map_gap = hausdorff_estimate(exact_image, dec_image, p=np.inf, count=512)
     print(f"map bound={map_bound:.6e} gap={map_gap:.6e}")
 
-    tube = _tube(dsys, sc, bs, tuple(range(bs.b)), lazy=True)
-    D, _ = _compare_directions(sc, bs, tuple(range(bs.b)))
+    everything = tuple(range(bs.b))
+    tube = _tube(dsys, sc, bs, everything, lazy=True)
+    D, _ = _compare_directions(sc, bs, everything, everything)
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
     for k in range(sc.N):
         diff = tube.support_batch(k, D) - oracle_vals[k]

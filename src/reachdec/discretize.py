@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DimensionError, InputError
 from .linalg import (
     BlockMatrix,
+    BlockStructure,
+    block_closure,
     discretization_matrices,
     exp_matrix,
     phi2_action,
@@ -44,6 +46,7 @@ __all__ = [
     "discretize",
     "discretize_dense",
     "discretize_discrete",
+    "restrict",
 ]
 
 DENSE = "dense"
@@ -262,6 +265,48 @@ def discretize_discrete(sys: ContinuousSystem, delta):
           for U in _mapped_inputs(sys)]
     return DiscreteSystem(phi, sys.X0, _shaped_like(sys.U, vs), float(delta),
                           model=DISCRETE, u_sets=sys.U)
+
+
+def _cut(X, coords):
+    """The projection of a box or a point on the coordinates ``coords``."""
+    if isinstance(X, Hyperrectangle):
+        return Hyperrectangle(X.center[coords], X.radius[coords])
+    if isinstance(X, Singleton):
+        return Singleton(X.point[coords])
+    raise InputError(f"restrict: cannot cut a {type(X).__name__} to some "
+                     "blocks", module="discretize")
+
+
+def restrict(sys: ContinuousSystem, blocks):
+    """The system on the block closure of ``blocks``, and the closure as a
+    sorted tuple of block indices (``linalg.block_closure``).
+
+    No row of A in the closure C reads a coordinate outside it, so the
+    matrices of ``discretize`` on C, and every row of Phi^k in C, are those
+    of the whole system: tubes, verdicts and oracle supports on C agree
+    with the whole system's up to rounding, and up to the dense-time bloat
+    margin, which is relative to the largest radius of the system it is
+    computed on (``BLOAT_MARGIN``).  A is cut to its principal
+    submatrix on C, X0 (a box or a point) to its projection on C, and B to
+    its rows in C; U is cut like X0 when there is no B (the inputs are
+    then states), and left as it is otherwise.  The blocks of C keep their order, so block p
+    of the cut system is block ``closure[p]`` of the whole one.  When C
+    holds every block, the system itself is returned.
+    """
+    kept = block_closure(sys.A, blocks)
+    bs = BlockStructure(sys.n)
+    if len(kept) == bs.b:
+        return sys, kept
+    coords = bs.coords(kept)
+    B, U = sys.B, sys.U
+    if B is not None:
+        B = BlockMatrix(B.data[coords])
+    elif isinstance(U, LazySet):
+        U = _cut(U, coords)
+    elif U is not None:
+        U = [_cut(Uk, coords) for Uk in U]
+    return ContinuousSystem(sys.A.principal(coords), _cut(sys.X0, coords),
+                            B, U), kept
 
 
 def discretize(sys: ContinuousSystem, delta, model=DENSE):

@@ -49,6 +49,7 @@ from .errors import DimensionError, InputError, NonFiniteError
 __all__ = [
     "BlockStructure",
     "BlockMatrix",
+    "block_closure",
     "exp_matrix",
     "discretization_matrices",
     "BlockRows",
@@ -226,6 +227,13 @@ class BlockMatrix:
             return BlockMatrix(self.to_dense())
         return self
 
+    def principal(self, coords):
+        """The submatrix on the rows and columns ``coords`` (sorted), in
+        the storage of ``stored``."""
+        if self.is_sparse:
+            return BlockMatrix(self.data[coords][:, coords]).stored()
+        return BlockMatrix(self.data[np.ix_(coords, coords)])
+
     # -- arithmetic -----------------------------------------------------
 
     def __matmul__(self, other):
@@ -267,6 +275,46 @@ class BlockMatrix:
 
 def _as_block_matrix(A):
     return A if isinstance(A, BlockMatrix) else BlockMatrix(A)
+
+
+def block_closure(A, blocks):
+    """The smallest set of blocks that holds ``blocks`` and every block
+    that a row of A in the set reads, as a sorted tuple.
+
+    Row i of x' = A x reads coordinate j when A[i, j] is stored (CSR) or
+    nonzero (dense), so block i // 2 reads block j // 2; the walk goes from
+    rows to columns.  A is block-triangular with respect to the closure C:
+    no row in C reads outside it, so every power and every series in A
+    (exp(A delta), Phi1, Phi2, A^2) restricted to C is the one of A
+    restricted to C.  Listing the blocks each block row reads costs
+    O(nnz(A)) (O(n^2) for dense storage), the walk O(visited), and it stops
+    once every block is reached.
+    """
+    A = _as_block_matrix(A)
+    n = A.n
+    b = BlockStructure(n).b
+    if A.is_sparse:
+        indptr, cols = A.data.indptr, A.data.indices
+    else:
+        rows, cols = np.nonzero(A.data)      # row by row
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+    starts = indptr[np.minimum(2 * np.arange(b + 1), n)].tolist()
+    reads = (cols // 2).tolist()
+    seen = [False] * b
+    found = []
+    for i in map(int, blocks):
+        if not seen[i]:
+            seen[i] = True
+            found.append(i)
+    todo = list(found)
+    while todo and len(found) < b:
+        i = todo.pop()
+        for j in reads[starts[i]:starts[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                found.append(j)
+                todo.append(j)
+    return tuple(sorted(found)) if len(found) < b else tuple(range(b))
 
 
 #: unit roundoff of binary64: the bound on each series' truncation

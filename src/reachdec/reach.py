@@ -24,7 +24,7 @@ from .approx import (
     overapproximate_box,
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, InvalidSetError, NonFiniteError
 from .linalg import BlockMatrix, MatrixPowerState
 from .sets import (
     CartesianProduct,
@@ -279,16 +279,28 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
         W = inputs(k, power.P)
         if box and collapse:
             sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
-            yield {i: Hyperrectangle(sc[i] + W[i][0], sr[i] + W[i][1])
+            yield {i: _step_box(k, sc[i] + W[i][0], sr[i] + W[i][1])
                    for i in blocks}
         else:
             out = {}
             for i in blocks:
                 combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0),
-                                        Hyperrectangle(*W[i]) if box else W[i])
+                                        _step_box(k, *W[i]) if box else W[i])
                 out[i] = approximate(combined, scheme) if collapse else combined
             yield out
         power.advance()
+
+
+def _step_box(k, center, radius):
+    """The box (center, radius) of step k of the box scheme.  Its parts are
+    sums of products of finite data, so a non-finite one is an overflow:
+    the tube builders run with numpy's overflow warnings off, and this
+    error reports it instead."""
+    try:
+        return Hyperrectangle(center, radius)
+    except InvalidSetError:
+        raise NonFiniteError(f"the box of step {k} overflowed",
+                             module="reach") from None
 
 
 def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
@@ -306,7 +318,8 @@ def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
                          "use reach_decomposed_varying for sequences",
                          module="reach")
     N, bs, tracked = _checked_run(sys, N, bs, tracked)
-    steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
+    with np.errstate(over="ignore", invalid="ignore"):     # see _step_box
+        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
     return ReachTube(sys.delta, sys.model, bs, tracked, steps)
 
 
@@ -325,7 +338,8 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
     N, bs, tracked = _checked_run(sys, N, bs, tracked)
-    steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
+    with np.errstate(over="ignore", invalid="ignore"):     # see _step_box
+        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
     return ReachTube(sys.delta, sys.model, bs, tracked, steps)
 
 

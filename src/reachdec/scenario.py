@@ -21,12 +21,12 @@ import numpy as np
 from .approx import BlockStructure, BoxDirections, EpsilonClose
 from .discretize import DENSE, DISCRETE, ContinuousSystem
 from .errors import InputError
-from .linalg import read_matrix_market
+from .linalg import BlockMatrix, read_matrix_market
 from .reach import And, Atom, Or, SafetyProperty, _state_directions
 from .sets import Hyperrectangle, Singleton, zero_set
 
 __all__ = ["Scenario", "parse_scenario", "parse_property", "parse_scheme",
-           "property_blocks"]
+           "property_blocks", "restrict_property"]
 
 _TOP_KEYS = {"name", "A", "B", "C", "D", "X0", "U", "delta", "N", "model",
              "blocks", "variables", "property", "scheme", "seed"}
@@ -316,11 +316,49 @@ def parse_property(text, dim, output_vars=False):
     return _PropertyParser(text, dim, output_vars).parse()
 
 
-def property_blocks(prop: SafetyProperty, bs: BlockStructure):
+def _data(M):
+    return M.data if isinstance(M, BlockMatrix) else M
+
+
+def property_blocks(prop: SafetyProperty, bs: BlockStructure,
+                    inputs_are_states=False):
     """Blocks touched by the property's atom directions (pulled back
-    through the output matrix); all blocks when nothing is touched."""
+    through the output matrix); all blocks when nothing is touched.  With
+    ``inputs_are_states`` (no B), the blocks of the feedthrough D's nonzero
+    columns are added: checking the property reads those inputs."""
     _, needed = _state_directions(prop, bs)
-    return tuple(needed) if needed else tuple(range(bs.b))
+    if not needed:
+        return tuple(range(bs.b))
+    if inputs_are_states and prop.D is not None:
+        used = np.flatnonzero(np.asarray(abs(_data(prop.D)).sum(axis=0)).ravel())
+        needed = sorted(set(needed) | set(bs.block_of(used).tolist()))
+    return tuple(needed)
+
+
+def _cut_atoms(node, coords):
+    """The formula with each atom's coefficients cut to ``coords``; an atom
+    keeps the name it had."""
+    if isinstance(node, Atom):
+        return Atom(node.coeffs[coords], node.bound, node.strict,
+                    label=node.describe())
+    return type(node)([_cut_atoms(c, coords) for c in node.children])
+
+
+def restrict_property(prop: SafetyProperty, coords, inputs_are_states):
+    """``prop`` over the state coordinates ``coords`` of a system cut to
+    them (``discretize.restrict``), which must hold every coordinate it
+    reads: C keeps those columns, or, with y = x, the atoms keep those
+    coefficients and D those rows; D also keeps those columns when
+    ``inputs_are_states`` (no B)."""
+    formula, C, D = prop.formula, prop.C, prop.D
+    if C is None:
+        formula = _cut_atoms(formula, coords)
+        D = None if D is None else _data(D)[coords]
+    else:
+        C = _data(C)[:, coords]
+    if D is not None and inputs_are_states:
+        D = _data(D)[:, coords]
+    return SafetyProperty(formula, C=C, D=D)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,26 @@ def test_cli_huge_step_overflows_to_a_non_finite_error(tmp_path, capsys):
     code, text = run_cli(capsys, "reach", "--scenario", str(sc))
     assert code == 3
     assert text == "error:linalg:non-finite phi2_action: result overflowed\n"
+
+
+def test_cli_box_recurrence_overflow_is_a_non_finite_error(tmp_path, capsys):
+    # Phi X0 = e * 1e308 overflows at step 1 of the closed-form box path
+    # (at step 0 of the dense-time first set): a numerical failure, and no
+    # RuntimeWarning on the way
+    expected = {
+        "discrete": "error:reach:non-finite the box of step 1 overflowed\n",
+        "dense": "error:approx:unbounded-set overapproximate_box: "
+                 "non-finite support value\n"}
+    for model, line in expected.items():
+        doc = {"A": "A.mtx", "X0": {"point": [1e308, 1.0]}, "delta": 1.0,
+               "N": 3, "model": model, "scheme": "box"}
+        sc = write_scenario(tmp_path, doc, {"A": sp.csr_array(np.eye(2))})
+        for cmd in ("reach", "compare"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([cmd, "--scenario", str(sc), "--out", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (3, line, "")
 
 
 def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):
