@@ -70,12 +70,28 @@ def overapproximate_box(X):
     """
     if isinstance(X, Hyperrectangle):
         return X
-    hi, nlo = X._axis_supports(None)
+    return Hyperrectangle(*_box_bounds(X))
+
+
+def _box_bounds(X):
+    """(center, radius) of ``overapproximate_box(X)``, without building it."""
+    if isinstance(X, Hyperrectangle):
+        return X.center, X.radius
+    return _box_from_supports(*X._axis_supports(None))
+
+
+def _box_from_supports(hi, nlo):
+    """(center, radius) of the box whose support values in +e_i and in
+    -e_i are hi and nlo (``LazySet._axis_supports``), under the checks of
+    ``overapproximate_box`` and of ``Hyperrectangle``."""
     lo = -nlo
-    if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise UnboundedSetError("overapproximate_box: non-finite support value",
                                 module="approx")
-    return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
+    c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+    if not (np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all()):
+        Hyperrectangle(c, r)    # raises the error of the box
+    return c, r
 
 
 def _local_gap(d1, r1, s1, d2, r2, s2):
@@ -165,10 +181,14 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
              [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
     for i in range(4):
         entries.append(start[i])
+        head = len(entries)
         refine(start[i], start[(i + 1) % 4])
+    # the normals are distinct and in angular order from (0, -1) on; the
+    # order of HPolygon starts at -pi, so the last wedge comes first
+    entries = entries[head:] + entries[:head]
     normals = np.array([e[1] for e in entries])
     offsets = np.array([e[2] for e in entries])
-    return HPolygon(normals, offsets, check_feasible=False)
+    return HPolygon._from_sorted(normals, offsets)
 
 
 def approximate(X, scheme):

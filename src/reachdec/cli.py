@@ -31,7 +31,6 @@ from .oracle import (
     recurrence_error_bound,
 )
 from .reach import (
-    ReachTube,
     check_property,
     reach_decomposed,
     reach_decomposed_varying,
@@ -80,10 +79,7 @@ def _full_tube(tube, bs, kept):
     block numbers of the whole one."""
     if len(kept) == bs.b:
         return tube
-    return ReachTube(tube.delta, tube.model, bs,
-                     tuple(kept[p] for p in tube.tracked),
-                     [{kept[p]: s for p, s in step.items()}
-                      for step in tube.steps])
+    return tube.relabeled(bs, kept)
 
 
 def _write_v_bounds(dsys, path):
@@ -161,14 +157,18 @@ def _compare_directions(sc, bs, tracked, kept):
     for r, c in enumerate(np.searchsorted(cols, coords)):
         eye[2 * r, c] = 1.0
         eye[2 * r + 1, c] = -1.0
+    # the rows are drawn one at a time (the same stream as one (64, n)
+    # draw), and each norm is summed over the whole masked row, as the
+    # 1-norm of that row of the (64, n) array is
     rng = np.random.default_rng(sc.seed)
-    R = rng.standard_normal((64, bs.n))
-    mask = np.zeros(bs.n, dtype=bool)
-    mask[coords] = True
-    R[:, ~mask] = 0.0
-    norms = np.abs(R).sum(axis=1)
-    R = R[norms > 1e-12][:, cols] / norms[norms > 1e-12, None]
-    return np.vstack([eye, R]), len(eye)
+    row = np.zeros(bs.n)
+    drawn = []
+    for _ in range(64):
+        row[coords] = rng.standard_normal(bs.n)[coords]
+        norm = np.abs(row).sum()
+        if norm > 1e-12:
+            drawn.append(row[cols] / norm)
+    return np.vstack([eye, *drawn]), len(eye)
 
 
 def _cmd_compare(sc, out, args):
@@ -178,9 +178,10 @@ def _cmd_compare(sc, out, args):
     D, n_coord = _compare_directions(sc, bs, tracked, kept)
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
     max_gap = 0.0
+    supports = tube.supports(D)
     for k in range(sc.N):
         with np.errstate(invalid="ignore"):
-            diff = tube.support_batch(k, D) - oracle_vals[k]
+            diff = next(supports) - oracle_vals[k]
         if not np.isfinite(diff).all():
             raise NonFiniteError(f"support gap at step {k} is not finite",
                                  module="cli")
@@ -231,8 +232,8 @@ def _cmd_bounds(sc, out, args):
     tube = _tube(dsys, sc, bs, everything, lazy=True)
     D, _ = _compare_directions(sc, bs, everything, everything)
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
-    for k in range(sc.N):
-        diff = tube.support_batch(k, D) - oracle_vals[k]
+    for k, support in enumerate(tube.supports(D)):
+        diff = support - oracle_vals[k]
         gap = float(np.clip(diff, 0.0, None).max())
         print(f"k={k} bound={recurrence_error_bound(report, k):.6e} "
               f"gap={gap:.6e}")

@@ -12,7 +12,6 @@ import csv
 import numpy as np
 
 from .errors import InputError
-from .sets import HPolygon
 
 __all__ = ["CSV_COLUMNS", "write_tube_csv", "read_tube_csv",
            "tube_has_polygons", "write_tube_poly", "write_tube_svg"]
@@ -24,18 +23,19 @@ CSV_COLUMNS = ["k", "t_lo", "t_hi", "block",
 def write_tube_csv(tube, path):
     """One row per (step, tracked block) with the box hull bounds; the
     second variable's columns stay empty for one-dimensional blocks."""
+    bounds = {i: ((c - r).tolist(), (c + r).tolist())
+              for i, (c, r) in tube.box_bounds().items()}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for k in range(tube.n_steps):
             t_lo, t_hi = tube.time_interval(k)
             for i in tube.tracked:
-                box = tube.box_hull(k, i)
-                lo, hi = box.low, box.high
+                lo, hi = bounds[i][0][k], bounds[i][1][k]
                 row = [k, repr(float(t_lo)), repr(float(t_hi)), i,
-                       repr(float(lo[0])), repr(float(hi[0]))]
+                       repr(lo[0]), repr(hi[0])]
                 if len(lo) == 2:
-                    row += [repr(float(lo[1])), repr(float(hi[1]))]
+                    row += [repr(lo[1]), repr(hi[1])]
                 else:
                     row += ["", ""]
                 w.writerow(row)
@@ -78,8 +78,7 @@ def read_tube_csv(path):
 
 
 def tube_has_polygons(tube):
-    return any(isinstance(tube.steps[k][i], HPolygon)
-               for k in range(tube.n_steps) for i in tube.tracked)
+    return any(True for _ in tube.polygons())
 
 
 def write_tube_poly(tube, path):
@@ -88,13 +87,10 @@ def write_tube_poly(tube, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["block", "k", "a1", "a2", "b"])
-        for k in range(tube.n_steps):
-            for i in tube.tracked:
-                s = tube.steps[k][i]
-                if isinstance(s, HPolygon):
-                    for a, b in zip(s.normals, s.offsets):
-                        w.writerow([i, k, repr(float(a[0])), repr(float(a[1])),
-                                    repr(float(b))])
+        for k, i, s in tube.polygons():
+            for a, b in zip(s.normals, s.offsets):
+                w.writerow([i, k, repr(float(a[0])), repr(float(a[1])),
+                            repr(float(b))])
 
 
 # ----------------------------------------------------------------------
@@ -116,19 +112,15 @@ def write_tube_svg(tube, block, path):
     if block not in tube.tracked:
         raise InputError(f"block {block} is not tracked", module="cli")
     spans = []
-    lows, highs = [], []
     for k in range(tube.n_steps):
         t_lo, t_hi = tube.time_interval(k)
         if t_hi == t_lo:
             # discrete model: render the time point as a thin bar
             half = 0.4 * tube.delta
             t_lo, t_hi = t_lo - half, t_lo + half
-        box = tube.box_hull(k, block)
         spans.append((t_lo, t_hi))
-        lows.append(box.low)
-        highs.append(box.high)
-    lows = np.array(lows)
-    highs = np.array(highs)
+    c, r = tube.box_bounds()[block]
+    lows, highs = c - r, c + r
     nvar = lows.shape[1]
 
     t0 = min(s[0] for s in spans)

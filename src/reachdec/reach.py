@@ -12,6 +12,7 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,25 +20,37 @@ from .approx import (
     BlockStructure,
     BoxDirections,
     _box_block,
+    _box_bounds,
+    _box_from_supports,
     approximate,
     decompose,
     overapproximate_box,
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
-from .errors import DimensionError, InputError, InvalidSetError, NonFiniteError
+from .errors import (
+    DimensionError,
+    EngineError,
+    InputError,
+    InvalidSetError,
+    NonFiniteError,
+)
 from .linalg import BlockMatrix, MatrixPowerState
 from .sets import (
     CartesianProduct,
+    HPolygon,
     Hyperrectangle,
     LinearMap,
     MinkowskiSum,
     Singleton,
+    _Matrix,
     minkowski_sum_all,
     zero_set,
 )
 
 __all__ = [
     "ReachTube",
+    "SetTube",
+    "BoxTube",
     "reach_decomposed",
     "reach_decomposed_varying",
     "Atom",
@@ -50,19 +63,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class ReachTube:
-    """Per-step, per-block reach sets of a decomposed recurrence."""
+    """Per-step, per-block reach sets of a decomposed recurrence over the
+    tracked blocks, step by step; ``SetTube`` and ``BoxTube`` hold them."""
 
-    delta: float
-    model: str
-    bs: BlockStructure
-    tracked: tuple
-    steps: list
-
-    @property
-    def n_steps(self):
-        return len(self.steps)
+    def __init__(self, delta, model, bs, tracked):
+        self.delta = delta
+        self.model = model
+        self.bs = bs
+        self.tracked = tuple(tracked)
 
     def time_interval(self, k):
         """Time span covered by step k: an interval for the dense-time
@@ -71,11 +80,35 @@ class ReachTube:
             return (k * self.delta, (k + 1) * self.delta)
         return (k * self.delta, k * self.delta)
 
+    @property
+    def n_steps(self):
+        raise NotImplementedError
+
     def set_at(self, k, block):
-        return self.steps[k][block]
+        """The set of block ``block`` at step k."""
+        raise NotImplementedError
+
+    def polygons(self):
+        """(k, block, polygon) for every polygon-valued set, step by step."""
+        raise NotImplementedError
+
+    def relabeled(self, bs, blocks):
+        """This tube under the block structure ``bs`` of a larger system,
+        in which block p of this tube is block ``blocks[p]``."""
+        raise NotImplementedError
 
     def box_hull(self, k, block):
-        return overapproximate_box(self.steps[k][block])
+        return overapproximate_box(self.set_at(k, block))
+
+    def box_bounds(self):
+        """{block: (centers, radii)}: the box hull of each step of every
+        tracked block, as two (n_steps, block size) arrays."""
+        out = {}
+        for i in self.tracked:
+            hulls = [self.box_hull(k, i) for k in range(self.n_steps)]
+            out[i] = (np.array([h.center for h in hulls]),
+                      np.array([h.radius for h in hulls]))
+        return out
 
     def _checked_directions(self, directions, ndim):
         """``directions`` as a float array of ``ndim`` dimensions (one
@@ -98,29 +131,132 @@ class ReachTube:
         """Support of the Cartesian product of the tracked blocks at step k
         in a full-dimensional direction (zero on untracked coordinates)."""
         l = self._checked_directions(direction, 1)
-        return _block_support_sum(self.steps[k], self.tracked, self.bs, l)
+        return _block_support_sum(partial(self.set_at, k), self.tracked,
+                                  self.bs, l)
 
     def support_batch(self, k, directions):
         """Supports as in ``support`` for each row of an (m, n) array."""
         L = self._checked_directions(directions, 2)
-        total = np.zeros(L.shape[0])
+        return self._step_supports(k, self._direction_parts(L), len(L))
+
+    def supports(self, directions):
+        """``support_batch(k, directions)`` for k = 0, 1, ..., n_steps - 1
+        in turn, with the directions checked once."""
+        L = self._checked_directions(directions, 2)
+        parts = self._direction_parts(L)
+        for k in range(self.n_steps):
+            yield self._step_supports(k, parts, len(L))
+
+    def _direction_parts(self, L):
+        """(block, rows, L_b, |L_b|) for each tracked block: ``rows`` marks
+        the rows of L that are nonzero on the block (a zero slice
+        contributes 0), and L_b holds their slices on it."""
+        parts = []
         for i in self.tracked:
             sub = L[:, self.bs.slice(i)]
-            rows = np.any(sub != 0.0, axis=1)   # zero slices contribute 0
+            rows = np.any(sub != 0.0, axis=1)
             if rows.any():
-                total[rows] += self.steps[k][i].support_batch(sub[rows])
+                sub = sub[rows]
+                parts.append((i, rows, sub, np.abs(sub)))
+        return parts
+
+    def _block_supports(self, k, block, L_b, L_b_abs):
+        """The supports of the set of ``block`` at step k in the rows of
+        L_b (``_direction_parts``)."""
+        raise NotImplementedError
+
+    def _step_supports(self, k, parts, m):
+        total = np.zeros(m)
+        for i, rows, sub, sub_abs in parts:
+            total[rows] += self._block_supports(k, i, sub, sub_abs)
         return total
 
 
-def _block_support_sum(sets, blocks, bs, d):
+class SetTube(ReachTube):
+    """A reach tube holding its sets: ``steps[k][i]`` is block i at step k."""
+
+    def __init__(self, delta, model, bs, tracked, steps):
+        super().__init__(delta, model, bs, tracked)
+        self.steps = steps
+
+    @property
+    def n_steps(self):
+        return len(self.steps)
+
+    def set_at(self, k, block):
+        return self.steps[k][block]
+
+    def polygons(self):
+        return ((k, i, step[i]) for k, step in enumerate(self.steps)
+                for i in self.tracked if isinstance(step[i], HPolygon))
+
+    def relabeled(self, bs, blocks):
+        return SetTube(self.delta, self.model, bs,
+                       [blocks[p] for p in self.tracked],
+                       [{blocks[p]: s for p, s in step.items()}
+                        for step in self.steps])
+
+    def _block_supports(self, k, block, L_b, _L_b_abs):
+        return self.steps[k][block].support_batch(L_b)
+
+
+class BoxTube(ReachTube):
+    """A collapsed box-scheme tube, held as arrays.
+
+    Row k of ``centers`` and of ``radii`` holds the box of step k over the
+    rows of the tracked blocks, block after block.  Step 0 of a run from a
+    point (``point0``) is that point.  A block's set is built, once, only
+    when it is asked for.
+    """
+
+    def __init__(self, delta, model, bs, tracked, centers, radii, point0):
+        super().__init__(delta, model, bs, tracked)
+        self.centers, self.radii, self.point0 = centers, radii, point0
+        rows = BlockStructure(centers.shape[1])
+        self._slices = {i: rows.slice(p) for p, i in enumerate(self.tracked)}
+        self._sets = {}
+
+    @property
+    def n_steps(self):
+        return self.centers.shape[0]
+
+    def set_at(self, k, block):
+        k = range(self.n_steps)[k]
+        key = (k, block)
+        if key not in self._sets:
+            s = self._slices[block]
+            self._sets[key] = (Singleton(self.centers[0, s])
+                               if k == 0 and self.point0 else
+                               Hyperrectangle(self.centers[k, s], self.radii[k, s]))
+        return self._sets[key]
+
+    def box_bounds(self):
+        return {i: (self.centers[:, s], self.radii[:, s])
+                for i, s in self._slices.items()}
+
+    def polygons(self):
+        return iter(())
+
+    def relabeled(self, bs, blocks):
+        return BoxTube(self.delta, self.model, bs,
+                       [blocks[p] for p in self.tracked], self.centers,
+                       self.radii, self.point0)
+
+    def _block_supports(self, k, block, L_b, L_b_abs):
+        # Hyperrectangle._rho_batch on the rows of the arrays
+        s = self._slices[block]
+        return L_b @ self.centers[k, s] + L_b_abs @ self.radii[k, s]
+
+
+def _block_support_sum(set_of, blocks, bs, d):
     """Support in the full-dimensional direction d of the product of the
-    sets {i: set} of ``blocks``, with d zero outside them: the sum of the
-    block supports in the slices of d (a zero slice contributes 0)."""
+    sets ``set_of(i)`` of ``blocks``, with d zero outside them: the sum of
+    the block supports in the slices of d (a zero slice contributes 0)."""
     total = 0.0
     for i in blocks:
         di = d[bs.slice(i)]
         if np.any(di != 0.0):
-            total += sets[i].support_function(di)
+            total += set_of(i).support_function(di)
     return total
 
 
@@ -155,48 +291,66 @@ def _checked_run(sys, N, bs, tracked=None):
     return N, bs, tracked
 
 
-def _row_image_boxes(R, V):
-    """Box hulls {i: (center, radius)} of the images of V under the row
-    blocks held by R."""
+def _joined(arrays):
+    """The arrays, one after another (the array itself when there is one)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _stacked(per_block):
+    """The arrays of {block: array}, one after another."""
+    return _joined(tuple(per_block.values()))
+
+
+def _row_image_box(R, V):
+    """(center, radius) of the box hull of the image of V under the rows
+    held by R, block after block.  Each block's box comes from its own
+    rows (see ``BlockRows.dot``): for a set V that is not a box or a point,
+    from the axis-support walk of ``overapproximate_box(LinearMap(R_i,
+    V))``, checked once for all blocks."""
     if isinstance(V, Hyperrectangle):
-        c, r = R.dot(V.center), R.abs().dot(V.radius)
-        return {i: (c[i], r[i]) for i in R.blocks}
+        return _stacked(R.dot(V.center)), _stacked(R.abs().dot(V.radius))
     if isinstance(V, Singleton):
-        c = R.dot(V.point)
-        return {i: (c[i], np.zeros_like(c[i])) for i in R.blocks}
-    out = {}
-    for i in R.blocks:
-        box = overapproximate_box(LinearMap(R.dense_row_block(i), V))
-        out[i] = (box.center, box.radius)
-    return out
+        c = _stacked(R.dot(V.point))
+        return c, np.zeros_like(c)
+    walks = [V._axis_supports(_Matrix(R.dense_row_block(i))) for i in R.blocks]
+    try:
+        return _box_from_supports(_joined([h for h, _ in walks]),
+                                  _joined([nl for _, nl in walks]))
+    except EngineError:
+        for walk in walks:   # the error of the first block, as block by block
+            _box_from_supports(*walk)
+        raise
 
 
 def _box_inputs(sys, bs, blocks):
     """Input accumulation of the box scheme in closed form, as a function
     of (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
-    accumulated input box {i: (center, radius)} of each block at step k.
+    accumulated input box (center, radius) at step k over the rows of
+    ``blocks``, block after block.
 
     A constant input adds the box hull of Phi^(k-1) V.  An input sequence
     is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
     the radii and V(k-1) replaced by its box hull."""
     if sys.constant_input:
-        acc = {i: (np.zeros(bs.size(i)), np.zeros(bs.size(i))) for i in blocks}
+        acc_c = acc_r = np.zeros(bs.coords(blocks).size)
 
         def step(_k, P):
-            for i, (c, r) in _row_image_boxes(P, sys.v).items():
-                acc[i] = (acc[i][0] + c, acc[i][1] + r)
-            return acc
+            nonlocal acc_c, acc_r
+            c, r = _row_image_box(P, sys.v)
+            acc_c, acc_r = acc_c + c, acc_r + r
+            return acc_c, acc_r
         return step
 
     w_c, w_r = np.zeros(bs.n), np.zeros(bs.n)
     phi_abs = sys.phi.abs()
+    cols = bs.coords(blocks)
 
     def step(k, _P):
         nonlocal w_c, w_r
-        v = overapproximate_box(sys.v_at(k - 1))
-        w_c = sys.phi @ w_c + v.center
-        w_r = phi_abs @ w_r + v.radius
-        return {i: (w_c[bs.slice(i)], w_r[bs.slice(i)]) for i in blocks}
+        v_c, v_r = _box_bounds(sys.v_at(k - 1))
+        w_c = sys.phi @ w_c + v_c
+        w_r = phi_abs @ w_r + v_r
+        return w_c[cols], w_r[cols]
     return step
 
 
@@ -236,71 +390,117 @@ def _set_inputs(sys, bs, blocks, scheme):
     return step
 
 
+def _box_start(sys):
+    """The initial set of the box scheme: the initial point, or the box of
+    the initial set."""
+    x = sys.x_init
+    return x if isinstance(x, Singleton) else overapproximate_box(x)
+
+
+def _box_rows(sys, N, bs, blocks):
+    """The collapsed box scheme over the row blocks ``blocks``: the
+    (N, rows) arrays of the centers and the radii of steps 0..N-1, read
+    only, and whether step 0 is a point.
+
+    Step k is the box hull of Phi^k X0 plus the accumulated inputs
+    (``_box_inputs``), for the box (or point) X0 of the initial set: its
+    center is R c + input center and its radius |R| r + input radius, with
+    R the rows of Phi^k in ``blocks``.  Each row is checked as it is
+    written: its parts are sums of products of finite data, and of
+    nonnegative ones for the radius, so a non-finite entry is an overflow
+    (the tube builders run with numpy's overflow warnings off)."""
+    x = _box_start(sys)
+    point0 = isinstance(x, Singleton)
+    c0, r0 = (x.point, np.zeros(bs.n)) if point0 else (x.center, x.radius)
+    cols = bs.coords(blocks)
+    centers, radii = np.empty((N, cols.size)), np.empty((N, cols.size))
+    centers[0], radii[0] = c0[cols], r0[cols]
+    if N > 1:
+        inputs = _box_inputs(sys, bs, blocks)
+        power = MatrixPowerState(sys.phi, blocks)
+        for k in range(1, N):
+            w_c, w_r = inputs(k, power.P)
+            c, r = centers[k], radii[k]
+            np.add(_stacked(power.Q.dot(c0)), w_c, out=c)
+            np.add(_stacked(power.Q.abs().dot(r0)), w_r, out=r)
+            if not (np.isfinite(c).all() and np.isfinite(r).all()):
+                raise NonFiniteError(f"the box of step {k} overflowed",
+                                     module="reach")
+            power.advance()
+    centers.setflags(write=False)
+    radii.setflags(write=False)
+    return centers, radii, point0
+
+
 def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
     """Yield {block: set} for the steps k = 0..N-1 of the recurrence, for
-    the row blocks ``blocks``.
+    the row blocks ``blocks``, as lazy sets or, with ``collapse``,
+    collapsed through ``scheme``; the collapsed box scheme is
+    ``_box_rows``.
 
     Step k is Phi^k applied to the decomposed initial blocks plus the
     accumulated inputs, and only the rows of Phi^k and Phi^(k-1) in
     ``blocks`` are carried.  Under the box scheme the initial blocks are
     boxes or points and, unless ``fast`` is False, the inputs accumulate
-    in closed form (``_box_inputs``); a collapsed step is then closed-form
-    too -- the box hull of R X for a box X has center R c and radius
-    |R| r.  Otherwise the inputs are collapsed through ``scheme`` every
-    step (``_set_inputs``).  A lazy step of block i is the image R_i X0 of
-    the whole decomposed initial set X0 -- one box under the box scheme,
-    the product of the blocks otherwise -- under the block's rows R_i of
-    Phi^k, plus its input accumulation: a support query is one product
-    R_i^T d and one query on X0.  It is collapsed through ``scheme`` when
-    ``collapse`` is set.  In the closed form X0 is the box (or point) of
-    the initial set, and only the step-0 sets of ``blocks`` are sliced
-    from it.
+    in closed form (``_box_inputs``).  Otherwise the inputs are collapsed
+    through ``scheme`` every step (``_set_inputs``).  A lazy step of
+    block i is the image R_i X0 of the whole decomposed initial set X0 --
+    one box under the box scheme, the product of the blocks otherwise --
+    under the block's rows R_i of Phi^k, plus its input accumulation: a
+    support query is one product R_i^T d and one query on X0.  In the
+    closed form X0 is the box (or point) of the initial set, and only the
+    step-0 sets of ``blocks`` are sliced from it.
     """
     box = fast is not False and isinstance(scheme, BoxDirections)
-    x = sys.x_init
     if box:
-        x = x if isinstance(x, Singleton) else overapproximate_box(x)
+        x = _box_start(sys)
         yield {i: _box_block(x, bs, i) for i in blocks}
     else:
-        blocks0 = decompose(x, bs, scheme)
+        blocks0 = decompose(sys.x_init, bs, scheme)
         yield {i: blocks0[i] for i in blocks}
     if N == 1:
         return
     if box:
         X0 = (Hyperrectangle(x.point, np.zeros(bs.n)) if isinstance(x, Singleton)
               else x)
-        c0, r0 = X0.center, X0.radius
         inputs = _box_inputs(sys, bs, blocks)
+        rows = BlockStructure(bs.coords(blocks).size)
     else:
         X0 = CartesianProduct(blocks0)
         inputs = _set_inputs(sys, bs, blocks, scheme)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         W = inputs(k, power.P)
-        if box and collapse:
-            sc, sr = power.Q.dot(c0), power.Q.abs().dot(r0)
-            yield {i: _step_box(k, sc[i] + W[i][0], sr[i] + W[i][1])
-                   for i in blocks}
-        else:
-            out = {}
-            for i in blocks:
-                combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0),
-                                        _step_box(k, *W[i]) if box else W[i])
-                out[i] = approximate(combined, scheme) if collapse else combined
-            yield out
+        out = {}
+        for p, i in enumerate(blocks):
+            Wi = (_input_box(k, W[0][rows.slice(p)], W[1][rows.slice(p)])
+                  if box else W[i])
+            combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0), Wi)
+            out[i] = approximate(combined, scheme) if collapse else combined
+        yield out
         power.advance()
 
 
-def _step_box(k, center, radius):
-    """The box (center, radius) of step k of the box scheme.  Its parts are
-    sums of products of finite data, so a non-finite one is an overflow:
-    the tube builders run with numpy's overflow warnings off, and this
-    error reports it instead."""
+def _input_box(k, center, radius):
+    """The accumulated input box (center, radius) of step k of the box
+    scheme.  Its parts are sums of products of finite data, so a non-finite
+    one is an overflow: the tube builders run with numpy's overflow
+    warnings off, and this error reports it instead."""
     try:
         return Hyperrectangle(center, radius)
     except InvalidSetError:
         raise NonFiniteError(f"the box of step {k} overflowed",
                              module="reach") from None
+
+
+def _reach(sys, N, bs, tracked, scheme, lazy, fast):
+    N, bs, tracked = _checked_run(sys, N, bs, tracked)
+    with np.errstate(over="ignore", invalid="ignore"):     # see _box_rows
+        if not lazy and fast is not False and isinstance(scheme, BoxDirections):
+            return BoxTube(sys.delta, sys.model, bs, tracked,
+                           *_box_rows(sys, N, bs, tracked))
+        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
+    return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
 def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
@@ -311,16 +511,13 @@ def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
     plus an input accumulation collapsed through ``scheme`` each step.
     With ``lazy`` the per-step state combination is kept symbolic (the
     input accumulation is still collapsed), which is what the safety
-    checker evaluates.
+    checker evaluates.  A collapsed box-scheme run is a ``BoxTube``.
     """
     if not sys.constant_input:
         raise InputError("reach_decomposed expects a constant input set; "
                          "use reach_decomposed_varying for sequences",
                          module="reach")
-    N, bs, tracked = _checked_run(sys, N, bs, tracked)
-    with np.errstate(over="ignore", invalid="ignore"):     # see _step_box
-        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
-    return ReachTube(sys.delta, sys.model, bs, tracked, steps)
+    return _reach(sys, N, bs, tracked, scheme, lazy, fast)
 
 
 def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
@@ -337,10 +534,7 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
-    N, bs, tracked = _checked_run(sys, N, bs, tracked)
-    with np.errstate(over="ignore", invalid="ignore"):     # see _step_box
-        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
-    return ReachTube(sys.delta, sys.model, bs, tracked, steps)
+    return _reach(sys, N, bs, tracked, scheme, lazy, fast)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +682,8 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
         cert = {}
         values = {}
         for a in atoms:
-            val = _block_support_sum(sets, needed, bs, state_dirs[id(a)])
+            val = _block_support_sum(sets.__getitem__, needed, bs,
+                                     state_dirs[id(a)])
             if id(a) in feed_dirs:
                 val += _step_set(sys.u_sets, k, "reach").support_function(
                     feed_dirs[id(a)])
@@ -534,12 +729,12 @@ def project_output(tube: ReachTube, M, scheme=BoxDirections()):
         i = needed_blocks[0]
         size = tube.bs.size(i)
         if size == M.shape[0] and np.array_equal(M[:, tube.bs.slice(i)], np.eye(size)):
-            return [tube.steps[k][i] for k in range(tube.n_steps)]
+            return [tube.set_at(k, i) for k in range(tube.n_steps)]
 
     order = sorted(tube.tracked)
     M_sub = M[:, tube.bs.coords(order)]
     out = []
     for k in range(tube.n_steps):
-        prod = CartesianProduct([tube.steps[k][i] for i in order])
+        prod = CartesianProduct([tube.set_at(k, i) for i in order])
         out.append(approximate(LinearMap(M_sub, prod), scheme))
     return out

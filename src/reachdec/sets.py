@@ -480,6 +480,24 @@ class HPolygon(LazySet):
     dim = 2
 
     def __init__(self, normals, offsets, check_feasible=True):
+        A, b = self._sort_and_dedup(*self._normalised(normals, offsets))
+        self._build(A, b, check_feasible)
+
+    @classmethod
+    def _from_sorted(cls, normals, offsets):
+        """The polygon of constraints whose normals are distinct and already
+        in the angular order, such as support evaluations of a set in
+        increasing direction angle, without sorting them and without the
+        feasibility check."""
+        P = cls.__new__(cls)
+        P._build(*cls._normalised(normals, offsets), check_feasible=False)
+        return P
+
+    # -- construction helpers ------------------------------------------
+
+    @staticmethod
+    def _normalised(normals, offsets):
+        """The checked constraints, scaled to unit normals."""
         A = np.asarray(normals, dtype=float)
         b = np.asarray(offsets, dtype=float)
         if A.ndim != 2 or A.shape[1] != 2:
@@ -495,10 +513,10 @@ class HPolygon(LazySet):
         norms = np.hypot(A[:, 0], A[:, 1])
         if np.any(norms == 0.0):
             raise InvalidSetError("HPolygon: zero normal vector")
-        A = A / norms[:, None]
-        b = b / norms
+        return A / norms[:, None], b / norms
 
-        A, b = self._sort_and_dedup(A, b)
+    def _build(self, A, b, check_feasible):
+        """Set the polygon up from unit normals in angular order."""
         V, det = _successive_vertices(A, b)
         self._check_spanning(det)
         if check_feasible:
@@ -513,8 +531,6 @@ class HPolygon(LazySet):
         # time (the normals have unit length, so its scale is about 1)
         self._near_parallel = frozenset(
             np.flatnonzero(np.abs(det) < 2.0 * PARALLEL_TOL).tolist())
-
-    # -- construction helpers ------------------------------------------
 
     @staticmethod
     def _sort_and_dedup(A, b):

@@ -468,6 +468,24 @@ def test_cli_box_recurrence_overflow_is_a_non_finite_error(tmp_path, capsys):
             assert (code, captured.out, captured.err) == (3, line, "")
 
 
+def test_cli_box_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys):
+    # Phi = 1e100 I: Phi^3 is finite, but Phi^3 x0 with x0 = 1e10 is not,
+    # so the box of step 3 is the first to overflow, before the matrix
+    # power Phi^4 does
+    doc = {"A": "A.mtx", "X0": {"point": [1e10, 1.0]}, "delta": 1.0,
+           "N": 6, "model": "discrete", "scheme": "box"}
+    sc = write_scenario(tmp_path, doc,
+                        {"A": sp.csr_array(np.log(1e100) * np.eye(2))})
+    for cmd in ("reach", "compare"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([cmd, "--scenario", str(sc), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "error:reach:non-finite the box of step 3 overflowed\n", "")
+    assert not (tmp_path / "tube.csv").exists()
+
+
 def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):
     sc = stable_scenario(tmp_path, X0={"box": {"center": [1e308] * 4,
                                                "radius": [1e308] * 4}})

@@ -447,6 +447,78 @@ def test_one_block_box_run_builds_no_set_per_untracked_block(monkeypatch):
     assert boxes_built(2000) == boxes_built(200)
 
 
+@pytest.mark.parametrize("inputs", ["constant", "sequence"])
+def test_box_recurrence_builds_no_set_per_step(monkeypatch, inputs):
+    # a collapsed box run holds its steps as arrays: the boxes it builds do
+    # not depend on the step count, whether the input image is walked
+    # (a constant input that is not a box) or boxed (a sequence)
+    n = 6
+    rng = np.random.default_rng(117)
+    phi = 0.9 * rotation(0.3)
+    phi = block_diag(phi, 0.8 * phi, 0.7 * np.eye(2))
+    phi[0, 4] = 0.05
+    X0 = random_box(rng, n)
+    B = rng.standard_normal((n, 2))
+    U = [Hyperrectangle(rng.standard_normal(2), [0.1, 0.2]) for _ in range(50)]
+
+    def boxes_built(N):
+        if inputs == "constant":
+            sys = DiscreteSystem(phi, X0, MinkowskiSum(LinearMap(B, U[0]),
+                                                       BallP(np.zeros(n), 0.1, 2)), 0.1)
+            run = reach_decomposed
+        else:
+            sys = DiscreteSystem(phi, X0, [LinearMap(B, Uk) for Uk in U[:N]], 0.1)
+            run = reach_decomposed_varying
+        built = []
+        init = Hyperrectangle.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Hyperrectangle, "__init__", counted)
+            run(sys, N, tracked={0, 2})
+        return len(built)
+
+    assert boxes_built(50) == boxes_built(5)
+
+
+def test_box_tube_sets_and_arrays_are_read_only():
+    sys = box_system(0.9 * np.eye(3), Hyperrectangle(np.ones(3), np.full(3, 0.1)),
+                     Hyperrectangle(np.zeros(3), np.full(3, 0.01)))
+    tube = reach_decomposed(sys, 4)
+    for k in range(4):
+        for i in tube.tracked:
+            box = tube.set_at(k, i)
+            assert box is tube.set_at(k, i)
+            for a in (box.center, box.radius, *tube.box_bounds()[i]):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+
+@pytest.mark.parametrize("scheme", [BoxDirections(), EpsilonClose(0.05)])
+def test_relabeled_tube_numbers_the_blocks_of_the_larger_system(scheme):
+    # a tube of a cut system (blocks 0, 1, 2) read as blocks 1, 4, 6 of a
+    # system of 7 blocks: the same sets under the new numbers
+    phi = block_diag(0.9 * rotation(0.4), 0.8 * rotation(-0.3), np.array([[0.7]]))
+    sys = box_system(phi, Hyperrectangle(np.linspace(-1.0, 1.0, 5), np.full(5, 0.2)),
+                     Hyperrectangle(np.zeros(5), np.full(5, 0.01)))
+    tube = reach_decomposed(sys, 4, tracked={0, 2}, scheme=scheme)
+    kept = (1, 4, 6)
+    big = BlockStructure(13)
+    moved = tube.relabeled(big, kept)
+    assert moved.bs is big and moved.tracked == (1, 6) and moved.n_steps == 4
+    for k in range(4):
+        for p in tube.tracked:
+            got, want = moved.box_hull(k, kept[p]), tube.box_hull(k, p)
+            npt.assert_array_equal(got.center, want.center)
+            npt.assert_array_equal(got.radius, want.radius)
+    assert ([(k, kept[p], P) for k, p, P in tube.polygons()]
+            == list(moved.polygons()))
+    assert any(True for _ in tube.polygons()) == isinstance(scheme, EpsilonClose)
+
+
 def test_tube_box_hull():
     phi = block_diag(rotation(0.5), np.eye(2))
     X0 = Hyperrectangle(np.zeros(4), np.ones(4))

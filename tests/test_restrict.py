@@ -405,3 +405,33 @@ def test_large_decoupled_scenario_runs_on_the_closure(tmp_path, monkeypatch):
     assert code == 0 and text.splitlines()[-1].startswith("max_gap=")
     assert len(csv.splitlines()) == 41
     assert seen == [("powers", 4), ("powers", 4), ("powers", 4), ("oracle", 4)]
+
+
+def test_compare_directions_are_the_one_draw_formula(tmp_path):
+    # the rows are drawn one at a time, yet the directions are bitwise those
+    # of one (64, n) draw, masked to the tracked coordinates and scaled to
+    # unit 1-norm over the whole masked row
+    n = 13
+    A = np.diag(np.full(n, -0.5))
+    A[0, 9] = A[5, 12] = 0.2
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0] * n, "radius": [0.1] * n}},
+           "delta": 0.1, "N": 3, "model": "discrete", "blocks": [0, 2, 5],
+           "seed": 11}
+    sc = reachdec.parse_scenario(write_scenario(tmp_path, doc,
+                                                {"A": sp.csr_array(A)}))
+    bs = BlockStructure(n)
+    tracked = sc.resolve_blocks(bs)
+    _, kept = reachdec.cli._restricted(sc, tracked)
+    assert tracked == (0, 2, 5) and kept == (0, 2, 4, 5, 6)
+
+    coords, cols = bs.coords(tracked), bs.coords(kept)
+    R = np.random.default_rng(11).standard_normal((64, n))
+    mask = np.zeros(n, dtype=bool)
+    mask[coords] = True
+    R[:, ~mask] = 0.0
+    norms = np.abs(R).sum(axis=1)
+    want = R[norms > 1e-12][:, cols] / norms[norms > 1e-12, None]
+
+    D, n_coord = reachdec.cli._compare_directions(sc, bs, tracked, kept)
+    assert n_coord == 2 * coords.size
+    npt.assert_array_equal(D[n_coord:], want)
