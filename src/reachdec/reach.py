@@ -3,16 +3,17 @@
 The recurrence X(k+1) = Phi X(k) + V(k) is evaluated block-wise: the
 initial set is decomposed into two-dimensional blocks once, and step k is
 assembled from the powers Phi^k applied to those blocks plus an input
-accumulation that is collapsed to a concrete low-dimensional set every
-step.  Computed step sets are never fed back into the recurrence, so
-approximation errors do not compound (no wrapping effect) for constant
+accumulation, in closed form under the box scheme (``_box_steps``) and
+collapsed to a concrete low-dimensional set every step otherwise
+(``_steps``).  Computed step sets are never fed back into the recurrence,
+so approximation errors do not compound (no wrapping effect) for constant
 inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,13 +28,7 @@ from .approx import (
     overapproximate_box,
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
-from .errors import (
-    DimensionError,
-    EngineError,
-    InputError,
-    InvalidSetError,
-    NonFiniteError,
-)
+from .errors import DimensionError, EngineError, InputError, NonFiniteError
 from .linalg import BlockMatrix, MatrixPowerState
 from .sets import (
     CartesianProduct,
@@ -131,8 +126,8 @@ class ReachTube:
         """Support of the Cartesian product of the tracked blocks at step k
         in a full-dimensional direction (zero on untracked coordinates)."""
         l = self._checked_directions(direction, 1)
-        return _block_support_sum(partial(self.set_at, k), self.tracked,
-                                  self.bs, l)
+        return _block_support_sum(lambda i, d: self.set_at(k, i).support_function(d),
+                                  self.tracked, self.bs, l)
 
     def support_batch(self, k, directions):
         """Supports as in ``support`` for each row of an (m, n) array."""
@@ -201,17 +196,23 @@ class SetTube(ReachTube):
 
 
 class BoxTube(ReachTube):
-    """A collapsed box-scheme tube, held as arrays.
+    """A box-scheme tube, held as arrays.
 
-    Row k of ``centers`` and of ``radii`` holds the box of step k over the
-    rows of the tracked blocks, block after block.  Step 0 of a run from a
-    point (``point0``) is that point.  A block's set is built, once, only
+    Row k of ``centers`` and of ``radii`` holds a box of step k over the
+    rows of the tracked blocks, block after block; row 0 is the initial
+    box, or point (``point0``).  A collapsed tube's row k is step k.  A
+    lazy tube's step k > 0 of block i is R_i x0 plus row k, the input box,
+    with R = ``powers[k]`` the rows of Phi^k (``powers`` is None on a
+    collapsed tube, and ``powers[0]`` None) and x0 the initial box.
+    Supports are read from the arrays; a block's set is built, once, only
     when it is asked for.
     """
 
-    def __init__(self, delta, model, bs, tracked, centers, radii, point0):
+    def __init__(self, delta, model, bs, tracked, centers, radii, point0,
+                 powers=None, x0=None):
         super().__init__(delta, model, bs, tracked)
         self.centers, self.radii, self.point0 = centers, radii, point0
+        self.powers, self.x0 = powers, x0
         rows = BlockStructure(centers.shape[1])
         self._slices = {i: rows.slice(p) for p, i in enumerate(self.tracked)}
         self._sets = {}
@@ -224,13 +225,16 @@ class BoxTube(ReachTube):
         k = range(self.n_steps)[k]
         key = (k, block)
         if key not in self._sets:
-            s = self._slices[block]
-            self._sets[key] = (Singleton(self.centers[0, s])
-                               if k == 0 and self.point0 else
-                               Hyperrectangle(self.centers[k, s], self.radii[k, s]))
+            s, R = self._slices[block], self.powers and self.powers[k]
+            box = (Singleton(self.centers[0, s]) if k == 0 and self.point0 else
+                   Hyperrectangle(self.centers[k, s], self.radii[k, s]))
+            self._sets[key] = (box if R is None else
+                               MinkowskiSum(LinearMap(R[s], self.x0), box))
         return self._sets[key]
 
     def box_bounds(self):
+        if self.powers is not None:
+            return super().box_bounds()
         return {i: (self.centers[:, s], self.radii[:, s])
                 for i, s in self._slices.items()}
 
@@ -240,23 +244,26 @@ class BoxTube(ReachTube):
     def relabeled(self, bs, blocks):
         return BoxTube(self.delta, self.model, bs,
                        [blocks[p] for p in self.tracked], self.centers,
-                       self.radii, self.point0)
+                       self.radii, self.point0, self.powers, self.x0)
 
     def _block_supports(self, k, block, L_b, L_b_abs):
-        # Hyperrectangle._rho_batch on the rows of the arrays
-        s = self._slices[block]
-        return L_b @ self.centers[k, s] + L_b_abs @ self.radii[k, s]
+        # Hyperrectangle._rho_batch on the rows of the arrays, plus the
+        # supports of R_i x0 on a lazy step, as its MinkowskiSum adds them
+        s, R = self._slices[block], self.powers and self.powers[k]
+        out = L_b @ self.centers[k, s] + L_b_abs @ self.radii[k, s]
+        return out if R is None else self.x0._rho_batch(L_b @ R[s]) + out
 
 
-def _block_support_sum(set_of, blocks, bs, d):
+def _block_support_sum(support_of, blocks, bs, d):
     """Support in the full-dimensional direction d of the product of the
-    sets ``set_of(i)`` of ``blocks``, with d zero outside them: the sum of
-    the block supports in the slices of d (a zero slice contributes 0)."""
+    sets of ``blocks``, with d zero outside them: the sum of the block
+    supports ``support_of(i, d_i)`` in the slices of d (a zero slice
+    contributes 0)."""
     total = 0.0
     for i in blocks:
         di = d[bs.slice(i)]
         if np.any(di != 0.0):
-            total += set_of(i).support_function(di)
+            total += support_of(i, di)
     return total
 
 
@@ -322,42 +329,10 @@ def _row_image_box(R, V):
         raise
 
 
-def _box_inputs(sys, bs, blocks):
-    """Input accumulation of the box scheme in closed form, as a function
-    of (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
-    accumulated input box (center, radius) at step k over the rows of
-    ``blocks``, block after block.
-
-    A constant input adds the box hull of Phi^(k-1) V.  An input sequence
-    is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
-    the radii and V(k-1) replaced by its box hull."""
-    if sys.constant_input:
-        acc_c = acc_r = np.zeros(bs.coords(blocks).size)
-
-        def step(_k, P):
-            nonlocal acc_c, acc_r
-            c, r = _row_image_box(P, sys.v)
-            acc_c, acc_r = acc_c + c, acc_r + r
-            return acc_c, acc_r
-        return step
-
-    w_c, w_r = np.zeros(bs.n), np.zeros(bs.n)
-    phi_abs = sys.phi.abs()
-    cols = bs.coords(blocks)
-
-    def step(k, _P):
-        nonlocal w_c, w_r
-        v_c, v_r = _box_bounds(sys.v_at(k - 1))
-        w_c = sys.phi @ w_c + v_c
-        w_r = phi_abs @ w_r + v_r
-        return w_c[cols], w_r[cols]
-    return step
-
-
 def _set_inputs(sys, bs, blocks, scheme):
     """Input accumulation collapsed through ``scheme``, as a function of
-    (k, P) like ``_box_inputs`` that returns the accumulated input set of
-    each block at step k.
+    (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
+    accumulated input set of each block at step k.
 
     A constant input adds Phi^(k-1) V to each block and collapses the sum.
     An input sequence cannot be kept apart from the dynamics: it is
@@ -391,137 +366,133 @@ def _set_inputs(sys, bs, blocks, scheme):
 
 
 def _box_start(sys):
-    """The initial set of the box scheme: the initial point, or the box of
-    the initial set."""
+    """(x, x0): the initial point or the box of the initial set, and x0,
+    that box or the point as a box of radius 0."""
     x = sys.x_init
-    return x if isinstance(x, Singleton) else overapproximate_box(x)
+    if isinstance(x, Singleton):
+        return x, Hyperrectangle(x.point, np.zeros(x.dim))
+    box = overapproximate_box(x)
+    return box, box
 
 
-def _box_rows(sys, N, bs, blocks):
-    """The collapsed box scheme over the row blocks ``blocks``: the
-    (N, rows) arrays of the centers and the radii of steps 0..N-1, read
-    only, and whether step 0 is a point.
+def _box_steps(sys, N, bs, blocks):
+    """The loop of the box scheme over the row blocks ``blocks``: yield
+    (k, R, w_c, w_r) for k = 1..N-1, with R the rows of Phi^k in
+    ``blocks`` (``BlockRows``, kept by no one else) and (w_c, w_r) the
+    accumulated input box of step k over them.  Step k is R x0 plus that
+    box, for the box (or point) x0 of the initial set (``_box_start``).
 
-    Step k is the box hull of Phi^k X0 plus the accumulated inputs
-    (``_box_inputs``), for the box (or point) X0 of the initial set: its
-    center is R c + input center and its radius |R| r + input radius, with
-    R the rows of Phi^k in ``blocks``.  Each row is checked as it is
-    written: its parts are sums of products of finite data, and of
-    nonnegative ones for the radius, so a non-finite entry is an overflow
-    (the tube builders run with numpy's overflow warnings off)."""
-    x = _box_start(sys)
-    point0 = isinstance(x, Singleton)
-    c0, r0 = (x.point, np.zeros(bs.n)) if point0 else (x.center, x.radius)
-    cols = bs.coords(blocks)
-    centers, radii = np.empty((N, cols.size)), np.empty((N, cols.size))
-    centers[0], radii[0] = c0[cols], r0[cols]
-    if N > 1:
-        inputs = _box_inputs(sys, bs, blocks)
-        power = MatrixPowerState(sys.phi, blocks)
-        for k in range(1, N):
-            w_c, w_r = inputs(k, power.P)
-            c, r = centers[k], radii[k]
-            np.add(_stacked(power.Q.dot(c0)), w_c, out=c)
-            np.add(_stacked(power.Q.abs().dot(r0)), w_r, out=r)
-            if not (np.isfinite(c).all() and np.isfinite(r).all()):
-                raise NonFiniteError(f"the box of step {k} overflowed",
-                                     module="reach")
-            power.advance()
-    centers.setflags(write=False)
-    radii.setflags(write=False)
-    return centers, radii, point0
-
-
-def _steps(sys, N, bs, blocks, scheme, collapse=True, fast=None):
-    """Yield {block: set} for the steps k = 0..N-1 of the recurrence, for
-    the row blocks ``blocks``, as lazy sets or, with ``collapse``,
-    collapsed through ``scheme``; the collapsed box scheme is
-    ``_box_rows``.
-
-    Step k is Phi^k applied to the decomposed initial blocks plus the
-    accumulated inputs, and only the rows of Phi^k and Phi^(k-1) in
-    ``blocks`` are carried.  Under the box scheme the initial blocks are
-    boxes or points and, unless ``fast`` is False, the inputs accumulate
-    in closed form (``_box_inputs``).  Otherwise the inputs are collapsed
-    through ``scheme`` every step (``_set_inputs``).  A lazy step of
-    block i is the image R_i X0 of the whole decomposed initial set X0 --
-    one box under the box scheme, the product of the blocks otherwise --
-    under the block's rows R_i of Phi^k, plus its input accumulation: a
-    support query is one product R_i^T d and one query on X0.  In the
-    closed form X0 is the box (or point) of the initial set, and only the
-    step-0 sets of ``blocks`` are sliced from it.
-    """
-    box = fast is not False and isinstance(scheme, BoxDirections)
-    if box:
-        x = _box_start(sys)
-        yield {i: _box_block(x, bs, i) for i in blocks}
-    else:
-        blocks0 = decompose(sys.x_init, bs, scheme)
-        yield {i: blocks0[i] for i in blocks}
+    A constant input adds the box hull of Phi^(k-1) V.  An input sequence
+    is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
+    the radii and V(k-1) replaced by its box hull."""
     if N == 1:
         return
-    if box:
-        X0 = (Hyperrectangle(x.point, np.zeros(bs.n)) if isinstance(x, Singleton)
-              else x)
-        inputs = _box_inputs(sys, bs, blocks)
-        rows = BlockStructure(bs.coords(blocks).size)
-    else:
-        X0 = CartesianProduct(blocks0)
-        inputs = _set_inputs(sys, bs, blocks, scheme)
+    power = MatrixPowerState(sys.phi, blocks)
+    w_c = w_r = np.zeros(bs.coords(blocks).size if sys.constant_input else bs.n)
+    cols = slice(None) if sys.constant_input else bs.coords(blocks)
+    phi_abs = None if sys.constant_input else sys.phi.abs()
+    for k in range(1, N):
+        if sys.constant_input:
+            c, r = _row_image_box(power.P, sys.v)
+            w_c, w_r = w_c + c, w_r + r
+        else:
+            v_c, v_r = _box_bounds(sys.v_at(k - 1))
+            w_c, w_r = sys.phi @ w_c + v_c, phi_abs @ w_r + v_r
+        yield k, power.Q, w_c[cols], w_r[cols]
+        power.advance()
+
+
+def _box_tube(sys, N, bs, tracked, lazy):
+    """The ``BoxTube`` of the box scheme over the tracked blocks.
+
+    Row k of a collapsed tube is the box hull of step k of ``_box_steps``,
+    center R c0 + w_c and radius |R| r0 + w_r for x0 = (c0, r0); a lazy
+    tube keeps R and (w_c, w_r).  Each row is checked as it is written: its
+    parts are sums of products of finite data, and of nonnegative ones for
+    the radius, so a non-finite entry is an overflow (the tube builders run
+    with numpy's overflow warnings off)."""
+    x, x0 = _box_start(sys)
+    cols = bs.coords(tracked)
+    centers, radii = np.empty((N, cols.size)), np.empty((N, cols.size))
+    centers[0], radii[0] = x0.center[cols], x0.radius[cols]
+    powers = [None] if lazy else None
+    for k, R, w_c, w_r in _box_steps(sys, N, bs, tracked):
+        c, r = centers[k], radii[k]
+        if lazy:
+            powers.append(R.data)
+            c[:], r[:] = w_c, w_r
+        else:
+            np.add(_stacked(R.dot(x0.center)), w_c, out=c)
+            np.add(_stacked(R.abs().dot(x0.radius)), w_r, out=r)
+        if not (np.isfinite(c).all() and np.isfinite(r).all()):
+            raise NonFiniteError(f"the box of step {k} overflowed",
+                                 module="reach")
+    centers.setflags(write=False)
+    radii.setflags(write=False)
+    return BoxTube(sys.delta, sys.model, bs, tracked, centers, radii,
+                   isinstance(x, Singleton), powers, x0 if lazy else None)
+
+
+def _steps(sys, N, bs, blocks, scheme, collapse=True):
+    """The set engine, for any scheme (the box scheme has ``_box_steps``):
+    yield {block: set} for the steps k = 0..N-1 of the recurrence, for the
+    row blocks ``blocks``, as lazy sets or, with ``collapse``, collapsed
+    through ``scheme``.
+
+    Step k is Phi^k applied to the decomposed initial blocks plus the
+    inputs, accumulated and collapsed through ``scheme`` every step
+    (``_set_inputs``); only the rows of Phi^k and Phi^(k-1) in ``blocks``
+    are carried.  A lazy step of block i is R_i X0, for the product X0 of
+    the decomposed initial blocks and the block's rows R_i of Phi^k, plus
+    its input accumulation: a support query is one product R_i^T d and one
+    query on X0.
+    """
+    blocks0 = decompose(sys.x_init, bs, scheme)
+    yield {i: blocks0[i] for i in blocks}
+    if N == 1:
+        return
+    X0 = CartesianProduct(blocks0)
+    inputs = _set_inputs(sys, bs, blocks, scheme)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         W = inputs(k, power.P)
         out = {}
-        for p, i in enumerate(blocks):
-            Wi = (_input_box(k, W[0][rows.slice(p)], W[1][rows.slice(p)])
-                  if box else W[i])
-            combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0), Wi)
+        for i in blocks:
+            combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0), W[i])
             out[i] = approximate(combined, scheme) if collapse else combined
         yield out
         power.advance()
 
 
-def _input_box(k, center, radius):
-    """The accumulated input box (center, radius) of step k of the box
-    scheme.  Its parts are sums of products of finite data, so a non-finite
-    one is an overflow: the tube builders run with numpy's overflow
-    warnings off, and this error reports it instead."""
-    try:
-        return Hyperrectangle(center, radius)
-    except InvalidSetError:
-        raise NonFiniteError(f"the box of step {k} overflowed",
-                             module="reach") from None
-
-
-def _reach(sys, N, bs, tracked, scheme, lazy, fast):
+def _reach(sys, N, bs, tracked, scheme, lazy):
     N, bs, tracked = _checked_run(sys, N, bs, tracked)
-    with np.errstate(over="ignore", invalid="ignore"):     # see _box_rows
-        if not lazy and fast is not False and isinstance(scheme, BoxDirections):
-            return BoxTube(sys.delta, sys.model, bs, tracked,
-                           *_box_rows(sys, N, bs, tracked))
-        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy, fast))
+    with np.errstate(over="ignore", invalid="ignore"):     # see _box_tube
+        if isinstance(scheme, BoxDirections):
+            return _box_tube(sys, N, bs, tracked, lazy)
+        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy))
     return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
 def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
-                     scheme=BoxDirections(), lazy=False, fast=None):
+                     scheme=BoxDirections(), lazy=False):
     """Reach tube of a constant-input recurrence over N steps.
 
     Step k is built from Phi^k applied to the decomposed initial blocks
-    plus an input accumulation collapsed through ``scheme`` each step.
-    With ``lazy`` the per-step state combination is kept symbolic (the
-    input accumulation is still collapsed), which is what the safety
-    checker evaluates.  A collapsed box-scheme run is a ``BoxTube``.
+    plus an input accumulation: a box in closed form under the box scheme,
+    collapsed through ``scheme`` each step otherwise.  With ``lazy`` the
+    per-step state combination is kept symbolic (the input accumulation is
+    still a box or a collapsed set), which is what the safety checker
+    evaluates.  A box-scheme run is a ``BoxTube``, lazy or collapsed.
     """
     if not sys.constant_input:
         raise InputError("reach_decomposed expects a constant input set; "
                          "use reach_decomposed_varying for sequences",
                          module="reach")
-    return _reach(sys, N, bs, tracked, scheme, lazy, fast)
+    return _reach(sys, N, bs, tracked, scheme, lazy)
 
 
 def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
-                             scheme=BoxDirections(), lazy=False, fast=None):
+                             scheme=BoxDirections(), lazy=False):
     """Reach tube for a per-step input sequence.
 
     The input accumulation cannot be kept separate here: it is propagated
@@ -534,7 +505,7 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
-    return _reach(sys, N, bs, tracked, scheme, lazy, fast)
+    return _reach(sys, N, bs, tracked, scheme, lazy)
 
 
 # ----------------------------------------------------------------------
@@ -651,14 +622,41 @@ class CheckResult:
         return self.verified
 
 
+def _step_supports(sys, N, bs, blocks, scheme):
+    """Yield, for k = 0..N-1 and one step at a time, the supports of the
+    lazy sets of step k of ``blocks`` as a function (block, d) -> float,
+    to be called before the next step is asked for.  The box scheme builds
+    the sets of step 0 only: a later step reads the rows and the input box
+    of ``_box_steps``.  With no block, the set engine's empty steps stand
+    for either."""
+    if not (blocks and isinstance(scheme, BoxDirections)):
+        for sets in _steps(sys, N, bs, blocks, scheme, collapse=False):
+            yield lambda i, d: sets[i].support_function(d)
+        return
+    x, x0 = _box_start(sys)
+    first = {i: _box_block(x, bs, i) for i in blocks}
+    yield lambda i, d: first[i].support_function(d)
+    for _, R, w_c, w_r in _box_steps(sys, N, bs, blocks):
+        slices = dict(R._row_slices())
+
+        def support_of(i, d):
+            # rho(d, R_i x0 + box) = rho(R_i^T d, x0) + rho(d, box), summed
+            # as MinkowskiSum(LinearMap(R_i, x0), Hyperrectangle) sums it
+            s = slices[i]
+            return float(x0._rho(R.data[s].T @ d) + (d @ w_c[s] + np.abs(d) @ w_r[s]))
+        yield support_of
+
+
 def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                    scheme=BoxDirections()):
     """Certify a safety formula along the recurrence.
 
-    Atom supports are evaluated directly on the lazy per-step sets, so
-    only the blocks appearing in some atom direction are ever computed.
-    Returns Verified, or Violated at the first step where certification
-    fails (which is not a proven counterexample).
+    Atom supports are evaluated directly on the lazy per-step sets
+    (``_step_supports``), so only the blocks appearing in some atom
+    direction are ever computed.  Returns Verified, or Violated at the
+    first step where certification fails (which is not a proven
+    counterexample).  A support that is not finite is an overflow, and
+    raises ``NonFiniteError``.
     """
     N, bs, _ = _checked_run(sys, N, bs)
     atoms = prop.atoms()
@@ -677,22 +675,24 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                                      "carries no input sets", module="reach")
                 feed_dirs[id(a)] = du
 
-    for k, sets in enumerate(_steps(sys, N, bs, needed, scheme,
-                                    collapse=False)):
-        cert = {}
-        values = {}
-        for a in atoms:
-            val = _block_support_sum(sets.__getitem__, needed, bs,
-                                     state_dirs[id(a)])
-            if id(a) in feed_dirs:
-                val += _step_set(sys.u_sets, k, "reach").support_function(
-                    feed_dirs[id(a)])
-            values[id(a)] = val
-            cert[id(a)] = a.holds(val)
-        if not _formula_certified(prop.formula, cert):
-            bad = next(a for a in atoms if not cert[id(a)])
-            return CheckResult(False, step=k, atom=bad.describe(),
-                               value=values[id(bad)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, support_of in enumerate(_step_supports(sys, N, bs, needed, scheme)):
+            values = {}
+            for a in atoms:
+                val = _block_support_sum(support_of, needed, bs,
+                                         state_dirs[id(a)])
+                if id(a) in feed_dirs:
+                    val += _step_set(sys.u_sets, k, "reach").support_function(
+                        feed_dirs[id(a)])
+                if not math.isfinite(val):
+                    raise NonFiniteError(f"the support of step {k} overflowed",
+                                         module="reach")
+                values[id(a)] = val
+            cert = {id(a): a.holds(values[id(a)]) for a in atoms}
+            if not _formula_certified(prop.formula, cert):
+                bad = next(a for a in atoms if not cert[id(a)])
+                return CheckResult(False, step=k, atom=bad.describe(),
+                                   value=values[id(bad)])
     return CheckResult(True)
 
 

@@ -6,7 +6,15 @@ reproducible with their own seeds.
 
 import numpy as np
 
-from reachdec import BallP, BlockMatrix, HPolygon, Hyperrectangle, Singleton
+from reachdec import (
+    BallP,
+    BlockMatrix,
+    BoxDirections,
+    HPolygon,
+    Hyperrectangle,
+    Singleton,
+)
+from reachdec.reach import SetTube, _checked_run, _steps
 
 
 def random_box(rng, dim, scale=2.0):
@@ -64,6 +72,17 @@ def random_stable_matrix(rng, n, cap=0.95, sparse=False):
 
         return BlockMatrix(sp.csr_array(M))
     return BlockMatrix(M)
+
+
+def generic_tube(sys, N, tracked=None, scheme=BoxDirections(), lazy=False):
+    """The tube of `reach_decomposed` (or `reach_decomposed_varying`) as the
+    set engine `reachdec.reach._steps` builds it for any scheme: step sets,
+    with the inputs collapsed through ``scheme`` every step.  Under the box
+    scheme it is the generic reference for the closed-form box engine."""
+    N, bs, tracked = _checked_run(sys, N, None, tracked)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = list(_steps(sys, N, bs, tracked, scheme, collapse=not lazy))
+    return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
 def augmented_exponential(A, delta):

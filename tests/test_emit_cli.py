@@ -24,7 +24,9 @@ from reachdec import (
     HPolygon,
     Hyperrectangle,
     InputError,
+    Singleton,
     reach_decomposed,
+    reach_decomposed_varying,
 )
 from reachdec.cli import main
 from reachdec.emit import (
@@ -93,6 +95,39 @@ def test_csv_round_trip_is_bitwise(tmp_path):
             lo, hi = boxes[(k, i)]
             npt.assert_array_equal(lo, ref.low)
             npt.assert_array_equal(hi, ref.high)
+
+
+@pytest.mark.parametrize("start", ["box", "point"])
+@pytest.mark.parametrize("inputs", ["constant", "sequence"])
+def test_lazy_box_tube_bounds_are_the_hulls_of_its_sets(tmp_path, start, inputs):
+    # the arrays of a lazy box tube hold the input boxes, not its steps:
+    # its bounds, and so its CSV, are the box hulls of its sets
+    n, N = 5, 6
+    rng = np.random.default_rng(41)
+    phi = np.eye(n) * 0.9
+    phi[:2, :2] = 0.95 * rotation(0.4)
+    phi[0, 4] = 0.1
+    X0 = (Singleton(rng.standard_normal(n)) if start == "point" else
+          Hyperrectangle(rng.standard_normal(n), rng.uniform(0.1, 0.5, n)))
+    seq = [Hyperrectangle(0.1 * rng.standard_normal(n), rng.uniform(0.0, 0.1, n))
+           for _ in range(N)]
+    if inputs == "constant":
+        tube = reach_decomposed(DiscreteSystem(phi, X0, seq[0], 0.1), N, lazy=True)
+    else:
+        tube = reach_decomposed_varying(DiscreteSystem(phi, X0, seq, 0.1), N,
+                                        lazy=True)
+    bounds = tube.box_bounds()
+    out = tmp_path / "tube.csv"
+    write_tube_csv(tube, out)
+    _, boxes = read_tube_csv(out)
+    for i in tube.tracked:
+        for k in range(N):
+            hull = tube.box_hull(k, i)
+            npt.assert_array_equal(bounds[i][0][k], hull.center)
+            npt.assert_array_equal(bounds[i][1][k], hull.radius)
+            lo, hi = boxes[(k, i)]
+            npt.assert_array_equal(lo, hull.low)
+            npt.assert_array_equal(hi, hull.high)
 
 
 def test_csv_layout_and_dense_times(tmp_path):
@@ -484,6 +519,27 @@ def test_cli_box_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys):
         assert (code, captured.out, captured.err) == (
             3, "error:reach:non-finite the box of step 3 overflowed\n", "")
     assert not (tmp_path / "tube.csv").exists()
+
+
+@pytest.mark.parametrize("scheme", ["box", "eps:0.1"])
+@pytest.mark.parametrize("X0", [{"point": [1e10, 1.0]},
+                                {"box": {"center": [1e10, 1.0],
+                                         "radius": [0.0, 0.0]}}],
+                         ids=["point", "box"])
+def test_cli_check_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys,
+                                                               scheme, X0):
+    # the scenario above with a property: the support of step 3 overflows,
+    # and check ends the run there as reach does, not with a violation
+    doc = {"A": "A.mtx", "X0": X0, "delta": 1.0, "N": 6, "model": "discrete",
+           "scheme": scheme, "property": "x1 < 1e300"}
+    sc = write_scenario(tmp_path, doc,
+                        {"A": sp.csr_array(np.log(1e100) * np.eye(2))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--scenario", str(sc), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "error:reach:non-finite the support of step 3 overflowed\n", "")
 
 
 def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Differential properties of the engine paths on random small systems.
 
-Every path of the decomposed recurrence -- the closed-form box path, the
-generic collapsed path, the lazy path with closed-form or collapsed
-inputs, the varying-input recurrence and the safety checker -- must
-agree with the others and stay sound against the non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
+Every path of the decomposed recurrence -- the closed-form box engine,
+collapsed or lazy, the set engine (``conftest.generic_tube`` runs it
+under the box scheme as well), the varying-input recurrence and the
+safety checker -- must agree with the others and stay sound against the
+non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
 initial and input sets drawn from boxes, p-balls, singletons and
 products of constraint polygons, with constant inputs or per-step
 sequences.
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spanning_angles
+from conftest import generic_tube, spanning_angles
 from reachdec import (
     And,
     Atom,
@@ -140,8 +141,8 @@ def boxes(tube, k, i):
 @given(systems())
 def test_box_fast_path_matches_generic_path(case):
     sys, N = case
-    fast = run(sys, N, fast=True)
-    slow = run(sys, N, fast=False)
+    fast = run(sys, N)
+    slow = generic_tube(sys, N)
     for k in range(N):
         for i in fast.tracked:
             (fc, fr), (sc, sr) = boxes(fast, k, i), boxes(slow, k, i)
@@ -152,12 +153,12 @@ def test_box_fast_path_matches_generic_path(case):
 @PROPERTY
 @given(systems())
 def test_lazy_box_inputs_match_set_inputs(case):
-    # lazy box-scheme steps take their inputs in closed form, and with
-    # fast=False collapsed through the scheme every step
+    # lazy box-scheme steps take their inputs in closed form, and in the
+    # generic tube collapsed through the scheme every step
     sys, N = case
     L = directions(sys, N)
     fast = run(sys, N, lazy=True)
-    slow = run(sys, N, lazy=True, fast=False)
+    slow = generic_tube(sys, N, lazy=True)
     for k in range(N):
         npt.assert_allclose(fast.support_batch(k, L), slow.support_batch(k, L),
                             rtol=1e-12, atol=1e-12)
@@ -184,9 +185,10 @@ def test_tracked_subset_is_bitwise_the_full_run(case, data):
     sys, N = case
     b = BlockStructure(sys.n).b
     subset = data.draw(st.sets(st.integers(0, b - 1), min_size=1))
-    fast = data.draw(st.sampled_from([None, False]))
-    full = run(sys, N, fast=fast)
-    part = run(sys, N, tracked=subset, fast=fast)
+    fast = data.draw(st.sampled_from([None, False]))   # False: generic_tube
+    build = run if fast is None else generic_tube
+    full = build(sys, N)
+    part = build(sys, N, tracked=subset)
     assert part.tracked == tuple(sorted(subset))
     for k in range(N):
         for i in part.tracked:
@@ -248,7 +250,7 @@ def lazy_step_phis():
 @pytest.mark.parametrize("scheme, fast", [(BoxDirections(), None),
                                           (BoxDirections(), False),
                                           (EpsilonClose(0.05), None)],
-                         ids=["box", "box-generic", "eps"])
+                         ids=["box", "box-generic", "eps"])   # False: generic_tube
 def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
                                                              kind, scheme, fast):
     # with V = {0}, the support of block i's lazy step k in direction d is
@@ -260,7 +262,8 @@ def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
     assert sys.phi.is_sparse == phi.is_sparse
     bs = BlockStructure(n)
     X0 = decompose(sys.x_init, bs, scheme)
-    tube = reach_decomposed(sys, N, scheme=scheme, lazy=True, fast=fast)
+    build = reach_decomposed if fast is None else generic_tube
+    tube = build(sys, N, scheme=scheme, lazy=True)
     for k in range(N):
         Pk = np.linalg.matrix_power(M, k)
         for i in range(bs.b):

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_box, random_stable_matrix
+from conftest import generic_tube, random_box, random_stable_matrix
 from reachdec import (
     And,
     Atom,
@@ -69,8 +69,7 @@ def tube_boxes(tube, k):
 
 def test_identity_system_is_stationary():
     sys = box_system(np.eye(4), Hyperrectangle(np.zeros(4), np.ones(4)))
-    for fast in (True, False):
-        tube = reach_decomposed(sys, 10, fast=fast)
+    for tube in (reach_decomposed(sys, 10), generic_tube(sys, 10)):
         assert tube.n_steps == 10
         for k in range(10):
             for i in (0, 1):
@@ -166,8 +165,8 @@ def test_fast_and_generic_paths_agree():
         phi = random_stable_matrix(rng, n)
         sys = box_system(phi, random_box(rng, n),
                          Hyperrectangle(np.zeros(n), 0.1 * np.ones(n)))
-        fast = reach_decomposed(sys, 20, fast=True)
-        slow = reach_decomposed(sys, 20, fast=False)
+        fast = reach_decomposed(sys, 20)
+        slow = generic_tube(sys, 20)
         for k in range(20):
             for i in fast.tracked:
                 npt.assert_allclose(fast.set_at(k, i).center,
@@ -277,8 +276,7 @@ def test_varying_scalar_ladder():
     seq = [Hyperrectangle([2.0 ** -(k + 1)], [2.0 ** -(k + 1)])
            for k in range(6)]
     sys = DiscreteSystem(np.array([[0.5]]), Singleton([0.0]), seq, 0.1)
-    for fast in (True, False):
-        tube = reach_decomposed_varying(sys, 6, fast=fast)
+    for tube in (reach_decomposed_varying(sys, 6), generic_tube(sys, 6)):
         uppers = [tube.support(k, np.array([1.0])) for k in range(1, 6)]
         npt.assert_allclose(uppers, [1.0, 1.0, 0.75, 0.5, 0.3125], atol=1e-15)
         lowers = [tube.support(k, np.array([-1.0])) for k in range(1, 6)]
@@ -291,8 +289,8 @@ def test_varying_fast_and_generic_paths_agree():
     X0 = random_box(rng, 5)
     seq = [random_box(rng, 5, scale=0.1) for _ in range(12)]
     sys = DiscreteSystem(phi, X0, seq, 0.1)
-    fast = reach_decomposed_varying(sys, 12, fast=True)
-    slow = reach_decomposed_varying(sys, 12, fast=False)
+    fast = reach_decomposed_varying(sys, 12)
+    slow = generic_tube(sys, 12)
     for k in range(12):
         for i in fast.tracked:
             npt.assert_allclose(fast.set_at(k, i).center,
@@ -400,7 +398,7 @@ def test_untracked_trailing_block_of_size_one():
         npt.assert_array_equal(S.radius, T.radius)
 
 
-@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("fast", [None, False])   # False: generic_tube
 @pytest.mark.parametrize("kind", ["point", "box", "ball"])
 def test_step_zero_sets_are_the_decomposed_blocks(kind, fast):
     rng = np.random.default_rng(116)
@@ -411,8 +409,8 @@ def test_step_zero_sets_are_the_decomposed_blocks(kind, fast):
     bs = BlockStructure(n)
     want = decompose(X0, bs)
     for tracked in ({2}, {0, 2}, {1}):
-        tube = reach_decomposed(box_system(np.eye(n), X0), 2, tracked=tracked,
-                                fast=fast)
+        build = reach_decomposed if fast is None else generic_tube
+        tube = build(box_system(np.eye(n), X0), 2, tracked=tracked)
         for i in tracked:
             got = tube.set_at(0, i)
             assert type(got) is type(want[i])
@@ -482,6 +480,25 @@ def test_box_recurrence_builds_no_set_per_step(monkeypatch, inputs):
         return len(built)
 
     assert boxes_built(50) == boxes_built(5)
+
+
+def test_one_step_runs_form_no_matrix_power(monkeypatch):
+    # step 0 is the initial set: a one-step run needs no rows of Phi^k,
+    # which for all blocks would be an n x n array
+    def no_power(*args):
+        raise AssertionError("a one-step run formed a matrix power")
+
+    monkeypatch.setattr("reachdec.reach.MatrixPowerState", no_power)
+    X0 = Hyperrectangle(np.ones(3), np.full(3, 0.1))
+    seq = [Hyperrectangle(np.zeros(3), np.full(3, 0.01))]
+    prop = SafetyProperty(Atom([1.0, 0.0, 1.0], 5.0))
+    for V in (seq[0], seq):
+        sys = box_system(0.9 * np.eye(3), X0, V)
+        run = reach_decomposed if sys.constant_input else reach_decomposed_varying
+        for scheme in (BoxDirections(), EpsilonClose(0.1)):
+            for lazy in (False, True):
+                assert run(sys, 1, scheme=scheme, lazy=lazy).n_steps == 1
+            assert check_property(sys, prop, 1, scheme=scheme).verified
 
 
 def test_box_tube_sets_and_arrays_are_read_only():
@@ -705,6 +722,50 @@ def test_check_box_inputs_collapse_nothing(monkeypatch):
     assert (res.verified, res.step, res.value) == (False, k, values[k])
     assert check_property(sys, SafetyProperty(Atom(coeffs, values.max() + 1.0)),
                           N).verified
+
+
+@pytest.mark.parametrize("inputs", ["constant", "sequence"])
+def test_box_check_builds_no_set_after_step_zero(monkeypatch, inputs):
+    # under the box scheme the checker reads each step's rows of Phi^k and
+    # input box as arrays: the sets it builds (those of step 0) do not
+    # depend on the step count
+    n = 6
+    rng = np.random.default_rng(119)
+    phi = block_diag(0.9 * rotation(0.3), 0.8 * rotation(-0.2), 0.7 * np.eye(2))
+    phi[0, 4] = 0.05
+    B = rng.standard_normal((n, 2))
+    U = [Hyperrectangle(rng.standard_normal(2), [0.1, 0.2]) for _ in range(8)]
+    V = (MinkowskiSum(LinearMap(B, U[0]), BallP(np.zeros(n), 0.1, 2))
+         if inputs == "constant" else [LinearMap(B, Uk) for Uk in U])
+    sys = DiscreteSystem(phi, random_box(rng, n), V, 0.1)
+    prop = SafetyProperty(And([Atom([1.0, 0.0, 0.0, 0.0, -2.0, 0.5], 1e6),
+                               Atom([0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1e6)]))
+
+    def sets_built(N):
+        built = []
+        with monkeypatch.context() as m:
+            for cls in (Hyperrectangle, LinearMap, MinkowskiSum):
+                def counted(self, *args, _init=cls.__init__, **kwargs):
+                    built.append(self)
+                    _init(self, *args, **kwargs)
+                m.setattr(cls, "__init__", counted)
+            assert check_property(sys, prop, N).verified
+        return len(built)
+
+    assert sets_built(8) == sets_built(1)
+
+
+def test_check_of_atoms_that_read_no_state():
+    # an atom that is zero on the state reads no block: its support is 0
+    # at every step, under either scheme
+    sys = box_system(0.5 * np.eye(3), Hyperrectangle(np.ones(3), np.full(3, 0.1)),
+                     Hyperrectangle(np.zeros(3), np.full(3, 0.01)))
+    for scheme in (BoxDirections(), EpsilonClose(0.1)):
+        assert check_property(sys, SafetyProperty(Atom(np.zeros(3), 1.0)), 4,
+                              scheme=scheme).verified
+        res = check_property(sys, SafetyProperty(Atom(np.zeros(3), -1.0)), 4,
+                             scheme=scheme)
+        assert (res.verified, res.step, res.value) == (False, 0, 0.0)
 
 
 def test_eps_close_with_a_block_that_maps_a_direction_to_zero():
