@@ -10,11 +10,16 @@ caring about the backing format.
 Storage follows one rule, also block arithmetic: a matrix with more than
 ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks occupied is held dense, any
 other as CSR.  ``read_matrix_market`` applies it to the entries of a
-coordinate file as it loads them (an array file is always dense), and
-``BlockMatrix.stored`` to a CSR result such as exp(A delta).  Only CSR
-storage needs scipy: ``scipy.sparse`` is imported where a CSR matrix is
-built, so a run whose matrices are all dense loads no scipy module, and
-``issparse`` answers without importing it.
+coordinate file as it loads them (an array file is always dense),
+``BlockMatrix.principal`` to the entries of a cut, and
+``BlockMatrix.stored`` to a CSR result such as exp(A delta).
+
+A CSR matrix read from a file, or cut by ``principal``, is held as its
+entries until a product or a slice needs the CSR array.  The entries
+answer its shape, block density, principal submatrices and block closure,
+so a run whose closure is stored dense loads no scipy module even when A
+is CSR by the rule.  ``scipy.sparse`` is imported where a CSR array is
+built, and ``issparse`` answers without importing it.
 
 Also provides the matrix exponential, the first two exponential integral
 matrices used for time discretization, the row blocks of consecutive
@@ -76,12 +81,20 @@ def issparse(M):
     return sp is not None and sp.issparse(M)
 
 
+def _block_keys(rows, cols, shape):
+    """The 2x2 blocks of a ``shape`` matrix that hold one of the entries
+    (rows[e], cols[e]), sorted, each as its block row times the number of
+    block columns plus its block column."""
+    cb = (shape[1] + 1) // 2
+    return np.unique(np.asarray(rows, dtype=np.int64) // 2 * cb
+                     + np.asarray(cols) // 2)
+
+
 def _block_density(rows, cols, shape):
     """Fraction of the 2x2 blocks of a ``shape`` matrix that hold one of
     the entries (rows[e], cols[e])."""
     rb, cb = (shape[0] + 1) // 2, (shape[1] + 1) // 2
-    keys = np.asarray(rows, dtype=np.int64) // 2 * cb + np.asarray(cols) // 2
-    return np.unique(keys).size / (rb * cb)
+    return _block_keys(rows, cols, shape).size / (rb * cb)
 
 
 class BlockStructure:
@@ -144,13 +157,20 @@ class BlockMatrix:
     ``data`` is either a read-only ndarray or a scipy CSR array.  Its rows
     and columns are blocked by ``BlockStructure``, like the coordinates of
     the set decomposition.
+
+    Sparse storage may be held as its entries (rows, cols, vals), repeated
+    positions not yet summed, as ``read_matrix_market`` and ``principal``
+    make it: the CSR array is then built on the first access to ``data``.
+    ``shape``, ``block_density``, ``principal`` and ``block_closure`` read
+    the entries alone, so they import no scipy.
     """
 
     def __init__(self, data):
+        self._entries = None
         if issparse(data):
             from scipy import sparse as sp
-            self.data = sp.csr_array(data)
-            if self.data.nnz and not np.all(np.isfinite(self.data.data)):
+            self._data = sp.csr_array(data)
+            if self._data.nnz and not np.all(np.isfinite(self._data.data)):
                 raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
         else:
             arr = np.asarray(data, dtype=float)
@@ -162,14 +182,44 @@ class BlockMatrix:
                 raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
             arr = arr.copy()
             arr.setflags(write=False)
-            self.data = arr
+            self._data = arr
+        self._shape = self._data.shape
         self._csr_t = None
+
+    @classmethod
+    def _of_entries(cls, rows, cols, vals, shape):
+        """Sparse storage held as the entries (rows[e], cols[e], vals[e]).
+        Repeated positions are summed in the order given and a non-finite
+        sum is refused here, although the CSR array may never be built.
+        ``data`` checks that array again: scipy sorts a row of more than 16
+        entries without keeping their order, so it may sum three or more
+        repeats in another order."""
+        keys = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+        _, at = np.unique(keys, return_inverse=True)
+        if not np.all(np.isfinite(np.bincount(at, weights=vals))):
+            raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
+        M = cls.__new__(cls)
+        M._entries, M._data, M._shape, M._csr_t = (rows, cols, vals), None, shape, None
+        return M
+
+    @property
+    def data(self):
+        """The read-only ndarray or the CSR array, built from the entries
+        on first access."""
+        if self._data is None:
+            from scipy import sparse as sp
+            rows, cols, vals = self._entries
+            csr = sp.csr_array((vals, (rows, cols)), shape=self._shape)
+            if not np.all(np.isfinite(csr.data)):
+                raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
+            self._data = csr
+        return self._data
 
     # -- basic properties ----------------------------------------------
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._shape
 
     @property
     def n(self):
@@ -179,10 +229,25 @@ class BlockMatrix:
 
     @property
     def is_sparse(self):
-        return issparse(self.data)
+        return not isinstance(self._data, np.ndarray)
 
     def to_dense(self):
         return self.data.toarray() if self.is_sparse else np.asarray(self.data)
+
+    def _stored_entries(self):
+        """(rows, cols, vals) of sparse storage: the entries it is held as,
+        or those read off its CSR arrays."""
+        if self._entries is not None:
+            return self._entries
+        M = self._data
+        return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
+
+    def _pattern(self):
+        """(rows, cols) of the stored entries (sparse storage) or of the
+        nonzero entries (dense storage)."""
+        if self.is_sparse:
+            return self._stored_entries()[:2]
+        return np.nonzero(self._data)
 
     # -- block access ---------------------------------------------------
 
@@ -212,11 +277,7 @@ class BlockMatrix:
     def block_density(self):
         """Fraction of blocks holding at least one stored entry (for dense
         storage, one nonzero entry)."""
-        if self.is_sparse:
-            counts = np.diff(self.data.indptr)
-            rows = np.repeat(np.arange(self.shape[0]), counts)
-            return _block_density(rows, self.data.indices, self.shape)
-        return _block_density(*np.nonzero(self.data), self.shape)
+        return _block_density(*self._pattern(), self.shape)
 
     def stored(self):
         """This matrix in the storage the recurrences use: CSR storage with
@@ -229,10 +290,16 @@ class BlockMatrix:
 
     def principal(self, coords):
         """The submatrix on the rows and columns ``coords`` (sorted), in
-        the storage of ``stored``."""
-        if self.is_sparse:
-            return BlockMatrix(self.data[coords][:, coords]).stored()
-        return BlockMatrix(self.data[np.ix_(coords, coords)])
+        the storage of ``stored``: sparse storage is cut as its entries,
+        which the block rule then stores (``_stored``)."""
+        if not self.is_sparse:
+            return BlockMatrix(self.data[np.ix_(coords, coords)])
+        rows, cols, vals = self._stored_entries()
+        at = np.full(self.n, -1)
+        at[coords] = np.arange(len(coords))
+        rows, cols = at[rows], at[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        return _stored(rows[keep], cols[keep], vals[keep], (len(coords),) * 2)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -281,25 +348,21 @@ def block_closure(A, blocks):
     """The smallest set of blocks that holds ``blocks`` and every block
     that a row of A in the set reads, as a sorted tuple.
 
-    Row i of x' = A x reads coordinate j when A[i, j] is stored (CSR) or
-    nonzero (dense), so block i // 2 reads block j // 2; the walk goes from
-    rows to columns.  A is block-triangular with respect to the closure C:
-    no row in C reads outside it, so every power and every series in A
-    (exp(A delta), Phi1, Phi2, A^2) restricted to C is the one of A
-    restricted to C.  Listing the blocks each block row reads costs
-    O(nnz(A)) (O(n^2) for dense storage), the walk O(visited), and it stops
-    once every block is reached.
+    Row i of x' = A x reads coordinate j when A[i, j] is stored (sparse
+    storage, a stored zero included) or nonzero (dense), so block i // 2
+    reads block j // 2; the walk goes from rows to columns.  A is
+    block-triangular with respect to the closure C: no row in C reads
+    outside it, so every power and every series in A (exp(A delta), Phi1,
+    Phi2, A^2) restricted to C is the one of A restricted to C.  Listing
+    the blocks each block row reads sorts the nnz(A) entries (n^2 for dense
+    storage), the walk costs O(visited), and it stops once every block is
+    reached.
     """
     A = _as_block_matrix(A)
-    n = A.n
-    b = BlockStructure(n).b
-    if A.is_sparse:
-        indptr, cols = A.data.indptr, A.data.indices
-    else:
-        rows, cols = np.nonzero(A.data)      # row by row
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-    starts = indptr[np.minimum(2 * np.arange(b + 1), n)].tolist()
-    reads = (cols // 2).tolist()
+    b = BlockStructure(A.n).b
+    keys = _block_keys(*A._pattern(), A.shape)     # block row by block row
+    starts = np.searchsorted(keys, b * np.arange(b + 1)).tolist()
+    reads = (keys % b).tolist()
     seen = [False] * b
     found = []
     for i in map(int, blocks):
@@ -672,6 +735,19 @@ def _entries(path, body, dtype, count):
     return table
 
 
+def _stored(rows, cols, vals, shape):
+    """The matrix of the entries (rows[e], cols[e], vals[e]), repeated
+    positions summed in the order given, stored by the block rule: dense
+    when more than ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks hold an
+    entry, held as the entries otherwise."""
+    if _block_density(rows, cols, shape) > DENSIFY_BLOCK_FRACTION:
+        M = np.zeros(shape)
+        with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
+            np.add.at(M, (rows, cols), vals)
+        return BlockMatrix(M)
+    return BlockMatrix._of_entries(rows, cols, vals, shape)
+
+
 def _from_coordinates(path, table, shape, symmetric):
     """The matrix of 1-based coordinate entries, stored by the block rule."""
     rows, cols, vals = table["row"] - 1, table["col"] - 1, table["value"]
@@ -686,13 +762,7 @@ def _from_coordinates(path, table, shape, symmetric):
         rows, cols, vals = (np.concatenate((rows, cols[off])),
                             np.concatenate((cols, rows[off])),
                             np.concatenate((vals, vals[off])))
-    if _block_density(rows, cols, shape) > DENSIFY_BLOCK_FRACTION:
-        M = np.zeros(shape)
-        with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
-            np.add.at(M, (rows, cols), vals)     # repeats summed in file order
-        return BlockMatrix(M)
-    from scipy import sparse as sp
-    return BlockMatrix(sp.csr_array((vals, (rows, cols)), shape=shape))
+    return _stored(rows, cols, vals, shape)
 
 
 def _from_array(values, shape, symmetric):
@@ -722,7 +792,10 @@ def read_matrix_market(path):
     Storage is decided here, once, by the block rule: an array file is
     dense, and a coordinate file is dense when more than
     ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks hold an entry, CSR
-    otherwise.  Only a CSR matrix imports ``scipy.sparse``.
+    otherwise.  A CSR matrix is held as its entries, and its CSR array is
+    built, importing ``scipy.sparse``, when a product or a slice first
+    needs it; entries whose sum is not finite are refused here all the
+    same.  Reading a file imports no scipy module.
     """
     try:
         with open(path, "r") as fh:
@@ -746,10 +819,26 @@ def read_matrix_market(path):
 def write_matrix_market(path, A, comment=None):
     """Write a BlockMatrix (or array) to a MatrixMarket file.
 
-    Always uses general symmetry so the output stays readable by
-    read_matrix_market regardless of the matrix's structure.
+    Dense storage is written in the array format, sparse storage in the
+    coordinate format (its entries as held, so no CSR array is built), both
+    with general symmetry so the output stays readable by
+    read_matrix_market regardless of the matrix's structure.  Each line of
+    ``comment`` becomes a ``%`` line, and values are written in shortest
+    round-trip form, so the file reads back bitwise (a negative zero reads
+    as +0.0).
     """
-    import scipy.io
     A = _as_block_matrix(A)
-    scipy.io.mmwrite(path, A.data if A.is_sparse else np.asarray(A.data),
-                     comment=comment or "", symmetry="general")
+    m, n = A.shape
+    if A.is_sparse:
+        rows, cols, vals = A._stored_entries()
+        banner, size = "coordinate", f"{m} {n} {len(vals)}"
+        body = map("{} {} {!r}".format, (rows + 1).tolist(), (cols + 1).tolist(),
+                   vals.tolist())
+    else:
+        banner, size = "array", f"{m} {n}"
+        body = map(repr, A.data.ravel(order="F").tolist())
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix {banner} real general\n")
+        fh.writelines(f"%{line}\n" for line in (comment or "").split("\n"))
+        fh.write(size + "\n")
+        fh.writelines(f"{line}\n" for line in body)

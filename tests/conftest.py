@@ -4,6 +4,8 @@ Everything takes an explicit numpy Generator so individual tests stay
 reproducible with their own seeds.
 """
 
+import json
+
 import numpy as np
 
 from reachdec import (
@@ -121,3 +123,32 @@ def polygon_vertices_bruteforce(normals, offsets, tol=1e-9):
             if np.all(A @ v <= b + tol):
                 vertices.append(v)
     return np.array(vertices)
+
+
+def write_large_decoupled(tmp_path, n):
+    """A scenario of n states in damped rotations, where block 0 reads
+    block 1 and every other block reads its left neighbour."""
+    b = n // 2
+    rows, cols, vals = [], [], []
+    for r, c, v in ((0, 0, -0.1), (0, 1, -1.0), (1, 0, 1.0), (1, 1, -0.1)):
+        rows.append(2 * np.arange(b) + r)
+        cols.append(2 * np.arange(b) + c)
+        vals.append(np.full(b, v))
+    rows.append(2 * np.arange(2, b))
+    cols.append(2 * np.arange(2, b) - 2)
+    vals.append(np.full(b - 2, 0.01))
+    rows.append([1])
+    cols.append([2])
+    vals.append([0.01])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    lines = ["%%MatrixMarket matrix coordinate real general",
+             f"{n} {n} {rows.size}"]
+    lines += [f"{r + 1} {c + 1} {float(v)!r}" for r, c, v in zip(rows, cols, vals)]
+    (tmp_path / "A.mtx").write_text("\n".join(lines) + "\n")
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0] * n, "radius": [0.1] * n}},
+           "U": {"box": {"center": [0.0] * n, "radius": [0.01] * n}},
+           "delta": 0.05, "N": 40, "model": "dense",
+           "property": "x1 < 2 and x2 < 2"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path

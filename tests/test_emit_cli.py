@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -25,6 +26,7 @@ from reachdec import (
     Hyperrectangle,
     InputError,
     Singleton,
+    discretize,
     reach_decomposed,
     reach_decomposed_varying,
 )
@@ -38,6 +40,8 @@ from reachdec.emit import (
     write_tube_svg,
 )
 from reachdec.linalg import read_matrix_market, write_matrix_market
+
+from conftest import write_large_decoupled
 
 
 STABLE_A = np.array([[-0.5, -1.0, 0.1, 0.0],
@@ -624,6 +628,40 @@ def test_cli_import_loads_no_scipy_solvers(tmp_path):
             f"    main([cmd, '--scenario', {str(sc)!r}, '--out', 'out'])")
     assert scipy_modules_after(code, tmp_path) == [
         "tube N=8 blocks=0 -> tube.csv", "verified N=8", "[]"]
+    # and so does a one-block run of an A that is CSR by the block rule: A
+    # is held as its file's entries, and the closure of block 0 (blocks 0
+    # and 1) is stored dense
+    here = tmp_path / "block-sparse"
+    here.mkdir()
+    sc = write_large_decoupled(here, 40)
+    code = ("import sys\nimport reachdec\nfrom reachdec.cli import main\n"
+            f"print(reachdec.parse_scenario({str(sc)!r}).A.is_sparse)\n"
+            "for cmd in ('reach', 'check', 'compare'):\n"
+            f"    main([cmd, '--scenario', {str(sc)!r}, '--out', 'out'])")
+    lines = scipy_modules_after(code, here)
+    assert lines[:3] == ["True", "tube N=40 blocks=0 -> tube.csv",
+                         "verified N=40"]
+    assert lines[-2].startswith("max_gap=")
+    assert lines[-1] == "[]"
+
+
+def test_cli_discretize_writes_phi_with_numpy(tmp_path):
+    # phi.mtx is written without scipy.io, and reads back bitwise, with
+    # scipy's reader and with ours
+    sc = stable_scenario(tmp_path, model="dense")
+    code = ("import sys\nfrom reachdec.cli import main\n"
+            f"main(['discretize', '--scenario', {str(sc)!r}, '--out', 'disc'])")
+    lines = scipy_modules_after(code, tmp_path)
+    assert lines[0].startswith("discretized n=4 model=dense delta=0.1")
+    assert lines[1] == "[]"
+    phi = discretize(reachdec.parse_scenario(sc).continuous_system(), 0.1,
+                     "dense").phi.to_dense()
+    path = tmp_path / "disc" / "phi.mtx"
+    assert path.read_text().startswith(
+        "%%MatrixMarket matrix array real general\n"
+        "%transition matrix of scenario, delta=0.1, model=dense\n4 4\n")
+    assert scipy.io.mmread(path).tobytes() == phi.tobytes()
+    assert read_matrix_market(path).to_dense().tobytes() == phi.tobytes()
 
 
 def test_cli_block_sparse_matrix_loads_scipy_sparse_and_runs(tmp_path):

@@ -27,6 +27,7 @@ from reachdec import (
     read_matrix_market,
     write_matrix_market,
 )
+from reachdec.linalg import block_closure
 
 
 def rotation_generator():
@@ -681,6 +682,137 @@ def test_matrix_market_storage_follows_the_block_rule(tmp_path):
     path = tmp_path / "array.mtx"
     write_matrix_market(path, np.eye(8))
     assert not read_matrix_market(path).is_sparse
+
+
+def closure_by_fixed_point(pattern, blocks):
+    """Blocks reached from ``blocks`` through a boolean pattern, as the
+    sorted tuple of a fixed-point iteration over block rows."""
+    bs = BlockStructure(pattern.shape[0])
+    found = set(blocks)
+    while True:
+        reads = {int(j) // 2 for i in found
+                 for j in np.flatnonzero(pattern[bs.slice(i)].any(axis=0))}
+        if reads <= found:
+            return tuple(sorted(found))
+        found |= reads
+
+
+def test_file_held_entries_agree_with_the_csr_of_the_same_entries(tmp_path):
+    # a CSR matrix read from a coordinate file is held as the file's
+    # entries; what is read off them is bitwise what the CSR array of the
+    # same entries gives (scipy's, built the way the reader builds it),
+    # with explicit zeros, repeats, symmetric mirrors and odd n
+    rng = np.random.default_rng(81)
+    values = np.array([0.0, -0.0, 1.5, -2.25, 1.0 / 3.0, 1e-300, 7e300])
+    outcomes = set()
+    held = 0
+    for case in range(120):
+        n = int(rng.integers(1, 14))
+        symmetric = case % 3 == 0
+        k = int(rng.integers(0, n + 3))
+        rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+        if symmetric:
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        again = rng.integers(0, max(k, 1), k // 2 if k else 0)
+        rows, cols = np.r_[rows, rows[again]], np.r_[cols, cols[again]]
+        vals = rng.choice(values, rows.size) * rng.choice([1.0, 3.0], rows.size)
+        path = tmp_path / f"{case}.mtx"
+        path.write_text("\n".join(
+            [f"%%MatrixMarket matrix coordinate real "
+             f"{'symmetric' if symmetric else 'general'}", f"{n} {n} {rows.size}"]
+            + [f"{r + 1} {c + 1} {float(v)!r}" for r, c, v in zip(rows, cols, vals)])
+            + "\n")
+        M = read_matrix_market(path)
+        if not M.is_sparse:
+            continue
+        held += 1
+        if symmetric:                       # mirrors follow the listed entries
+            off = rows != cols
+            rows, cols, vals = (np.r_[rows, cols[off]], np.r_[cols, rows[off]],
+                                np.r_[vals, vals[off]])
+        ref = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+        pattern = ref.toarray() != 0.0
+        pattern[np.repeat(np.arange(n), np.diff(ref.indptr)), ref.indices] = True
+        assert M.to_dense().tobytes() == ref.toarray().tobytes()
+        assert M.block_density() == BlockMatrix(ref).block_density()
+        bs = BlockStructure(n)
+        occupied = sum(pattern[bs.slice(i), bs.slice(j)].any()
+                       for i in range(bs.b) for j in range(bs.b))
+        assert M.block_density() == occupied / bs.b ** 2
+        for _ in range(3):
+            blocks = sorted(set(rng.integers(0, bs.b, rng.integers(1, bs.b + 1))))
+            assert block_closure(M, blocks) == closure_by_fixed_point(pattern, blocks)
+            coords = bs.coords(blocks)
+            got = M.principal(coords)
+            want = BlockMatrix(ref[coords][:, coords]).stored()
+            assert got.is_sparse == want.is_sparse
+            assert got.to_dense().tobytes() == want.to_dense().tobytes()
+            if got.is_sparse:
+                for attr in ("indptr", "indices", "data"):
+                    npt.assert_array_equal(getattr(got.data, attr),
+                                           getattr(want.data, attr))
+                assert got.data.data.tobytes() == want.data.data.tobytes()
+            outcomes.add(got.is_sparse)
+    assert held > 40 and outcomes == {False, True}
+    # a stored zero counts as read: block 0 reads block 2 through A[1, 5],
+    # and the zero occupies a block of the cut (2 of 4: stored dense)
+    path = tmp_path / "zero.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n8 8 2\n"
+                    "1 1 1.0\n2 6 0.0\n")
+    M = read_matrix_market(path)
+    assert M.is_sparse and block_closure(M, [0]) == (0, 2)
+    assert not M.principal(BlockStructure(8).coords([0, 2])).is_sparse
+
+
+def test_csr_built_from_held_entries_is_checked_again(tmp_path):
+    # the load sums repeats in file order; scipy sorts a row of more than
+    # 16 entries without keeping their order, so three repeats can sum to
+    # inf there alone: the CSR array is then refused when it is built
+    rng = np.random.default_rng(83)
+    spread = [(1, j, 0.5) for j in range(2, 42)]
+    repeats = [(1, 6, 1e308), (1, 6, -1e308), (1, 6, 1e308)]
+    for case in range(20):
+        entries = [spread[i] for i in rng.permutation(len(spread))]
+        for e, at in zip(repeats, sorted(rng.choice(len(entries) + 3, 3, replace=False))):
+            entries.insert(at, e)
+        path = tmp_path / f"{case}.mtx"
+        path.write_text("\n".join(
+            ["%%MatrixMarket matrix coordinate real general", f"41 41 {len(entries)}"]
+            + [f"{r} {c} {v!r}" for r, c, v in entries]) + "\n")
+        M = read_matrix_market(path)         # 1e308 - 1e308 + 1e308 is finite
+        assert M.is_sparse
+        try:
+            assert np.all(np.isfinite(M.data.data))
+        except NonFiniteError:
+            pass
+
+
+def test_matrix_market_writer_is_read_by_mmread(tmp_path):
+    # the numpy writer's files read back bitwise with scipy.io.mmread, a
+    # dense matrix in the array format and a sparse one in the coordinate
+    # format; writing the entries a file's CSR matrix is held as builds no
+    # CSR array, and a repeated entry is written as it was read
+    rng = np.random.default_rng(82)
+    dense = rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-300, 300, (3, 5))
+    dense[1, 2] = 0.0
+    path = tmp_path / "dense.mtx"
+    write_matrix_market(path, dense, comment="two\nlines")
+    assert path.read_text().startswith("%%MatrixMarket matrix array real general\n"
+                                       "%two\n%lines\n3 5\n")
+    assert scipy.io.mmread(path).tobytes() == dense.tobytes()
+    source = tmp_path / "entries.mtx"
+    source.write_text("%%MatrixMarket matrix coordinate real general\n"
+                      "9 9 4\n9 1 0.1\n2 3 0.0\n9 1 0.2\n5 5 -3.5e-310\n")
+    M = read_matrix_market(source)
+    path = tmp_path / "sparse.mtx"
+    write_matrix_market(path, M)
+    assert M._data is None
+    assert path.read_text() == ("%%MatrixMarket matrix coordinate real general\n"
+                                "%\n9 9 4\n9 1 0.1\n2 3 0.0\n9 1 0.2\n"
+                                "5 5 -3.5e-310\n")
+    ref = scipy.io.mmread(source).toarray()
+    assert scipy.io.mmread(path).toarray().tobytes() == ref.tobytes()
+    assert M.to_dense().tobytes() == ref.tobytes()
 
 
 def test_matrix_market_round_trip_skew_symmetric_matrix(tmp_path):

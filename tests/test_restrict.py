@@ -47,6 +47,7 @@ from reachdec.discretize import restrict
 from reachdec.linalg import block_closure
 from reachdec.scenario import property_blocks, restrict_property
 
+from conftest import write_large_decoupled
 from test_emit_cli import STABLE_A, stable_scenario, write_scenario
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -350,35 +351,6 @@ def test_decoupled_scenario_agrees_with_the_whole_system(tmp_path, monkeypatch):
                             atol=1e-15)
 
 
-def write_large_decoupled(tmp_path, n):
-    """A scenario of n states in damped rotations, where block 0 reads
-    block 1 and every other block reads its left neighbour."""
-    b = n // 2
-    rows, cols, vals = [], [], []
-    for r, c, v in ((0, 0, -0.1), (0, 1, -1.0), (1, 0, 1.0), (1, 1, -0.1)):
-        rows.append(2 * np.arange(b) + r)
-        cols.append(2 * np.arange(b) + c)
-        vals.append(np.full(b, v))
-    rows.append(2 * np.arange(2, b))
-    cols.append(2 * np.arange(2, b) - 2)
-    vals.append(np.full(b - 2, 0.01))
-    rows.append([1])
-    cols.append([2])
-    vals.append([0.01])
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{n} {n} {rows.size}"]
-    lines += [f"{r + 1} {c + 1} {float(v)!r}" for r, c, v in zip(rows, cols, vals)]
-    (tmp_path / "A.mtx").write_text("\n".join(lines) + "\n")
-    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0] * n, "radius": [0.1] * n}},
-           "U": {"box": {"center": [0.0] * n, "radius": [0.01] * n}},
-           "delta": 0.05, "N": 40, "model": "dense",
-           "property": "x1 < 2 and x2 < 2"}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def test_large_decoupled_scenario_runs_on_the_closure(tmp_path, monkeypatch):
     # n = 20 000, but block 0 reads only block 1: the power rows and the
     # oracle must only ever see those 4 coordinates
@@ -405,6 +377,21 @@ def test_large_decoupled_scenario_runs_on_the_closure(tmp_path, monkeypatch):
     assert code == 0 and text.splitlines()[-1].startswith("max_gap=")
     assert len(csv.splitlines()) == 41
     assert seen == [("powers", 4), ("powers", 4), ("powers", 4), ("oracle", 4)]
+
+
+def test_entries_that_sum_past_the_float_range_are_refused_at_load(tmp_path):
+    # A is CSR by the block rule and the run reads block 3 alone, so no
+    # product ever sees block 0; its repeated entries still sum to inf
+    (tmp_path / "A.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n8 8 3\n"
+        "1 1 1e308\n1 1 1e308\n8 8 -1.0\n")
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0] * 8, "radius": [0.1] * 8}},
+           "delta": 0.1, "N": 4, "model": "dense", "blocks": [3]}
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    assert run_cli("reach", "--scenario", sc, "--out", tmp_path / "out") == (
+        3, "error:linalg:non-finite BlockMatrix: non-finite entries\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_directions_are_the_one_draw_formula(tmp_path):
