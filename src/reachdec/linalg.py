@@ -3,9 +3,9 @@ and block rows of powers.
 
 ``BlockStructure`` is the one block rule, kept as arithmetic: matrices,
 set decompositions and reach tubes all ask it.  ``BlockMatrix`` wraps
-dense ndarrays and sparse CSR storage behind one interface so the reach
-recurrences can slice row blocks and look up nonzero blocks without
-caring about the backing format.
+dense ndarrays and sparse CSR storage behind one interface, and answers
+every block query from one table of its occupied 2x2 blocks, built once:
+the index of block compressed sparse row storage (BSR; Saad, 2003, 3.4).
 
 Storage follows one rule, also block arithmetic: a matrix with more than
 ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks occupied is held dense, any
@@ -15,11 +15,11 @@ coordinate file as it loads them (an array file is always dense),
 ``BlockMatrix.stored`` to a CSR result such as exp(A delta).
 
 A CSR matrix read from a file, or cut by ``principal``, is held as its
-entries until a product or a slice needs the CSR array.  The entries
-answer its shape, block density, principal submatrices and block closure,
-so a run whose closure is stored dense loads no scipy module even when A
-is CSR by the rule.  ``scipy.sparse`` is imported where a CSR array is
-built, and ``issparse`` answers without importing it.
+entries and the block table the storage rule read until a product or a
+slice needs the CSR array, so a run whose closure is stored dense loads
+no scipy module even when A is CSR by the rule.  ``scipy.sparse`` is
+imported where a CSR array is built, and ``issparse`` answers without
+importing it.
 
 Also provides the matrix exponential, the first two exponential integral
 matrices used for time discretization, the row blocks of consecutive
@@ -81,20 +81,15 @@ def issparse(M):
     return sp is not None and sp.issparse(M)
 
 
-def _block_keys(rows, cols, shape):
-    """The 2x2 blocks of a ``shape`` matrix that hold one of the entries
-    (rows[e], cols[e]), sorted, each as its block row times the number of
-    block columns plus its block column."""
-    cb = (shape[1] + 1) // 2
-    return np.unique(np.asarray(rows, dtype=np.int64) // 2 * cb
-                     + np.asarray(cols) // 2)
-
-
-def _block_density(rows, cols, shape):
-    """Fraction of the 2x2 blocks of a ``shape`` matrix that hold one of
-    the entries (rows[e], cols[e])."""
+def _occupied_blocks(rows, cols, shape):
+    """(keys, starts): the sorted keys (block row times block columns plus
+    block column) of the 2x2 blocks of a ``shape`` matrix that hold one of
+    the entries (rows[e], cols[e]); block row r holds the keys
+    keys[starts[r]:starts[r + 1]]."""
     rb, cb = (shape[0] + 1) // 2, (shape[1] + 1) // 2
-    return _block_keys(rows, cols, shape).size / (rb * cb)
+    keys = np.unique(np.asarray(rows, dtype=np.int64) // 2 * cb
+                     + np.asarray(cols) // 2)
+    return keys, np.searchsorted(keys, cb * np.arange(rb + 1))
 
 
 class BlockStructure:
@@ -156,17 +151,22 @@ class BlockMatrix:
 
     ``data`` is either a read-only ndarray or a scipy CSR array.  Its rows
     and columns are blocked by ``BlockStructure``, like the coordinates of
-    the set decomposition.
+    the set decomposition.  A block is occupied when it holds a stored
+    entry (sparse storage, a stored zero included) or a nonzero entry
+    (dense).  Every block query reads the one table of the occupied blocks
+    (``_block_table``) and, for values, ``_block_values``.
 
     Sparse storage may be held as its entries (rows, cols, vals), repeated
     positions not yet summed, as ``read_matrix_market`` and ``principal``
     make it: the CSR array is then built on the first access to ``data``.
-    ``shape``, ``block_density``, ``principal`` and ``block_closure`` read
-    the entries alone, so they import no scipy.
+    ``shape``, ``principal``, ``block_density``, ``nonzero_col_blocks``
+    and ``block_closure`` read the entries alone, so they import no scipy.
     """
 
+    #: held entries, and what is built from the storage on first use
+    _entries = _data = _csr_t = _table = _values = None
+
     def __init__(self, data):
-        self._entries = None
         if issparse(data):
             from scipy import sparse as sp
             self._data = sp.csr_array(data)
@@ -184,23 +184,6 @@ class BlockMatrix:
             arr.setflags(write=False)
             self._data = arr
         self._shape = self._data.shape
-        self._csr_t = None
-
-    @classmethod
-    def _of_entries(cls, rows, cols, vals, shape):
-        """Sparse storage held as the entries (rows[e], cols[e], vals[e]).
-        Repeated positions are summed in the order given and a non-finite
-        sum is refused here, although the CSR array may never be built.
-        ``data`` checks that array again: scipy sorts a row of more than 16
-        entries without keeping their order, so it may sum three or more
-        repeats in another order."""
-        keys = np.asarray(rows, dtype=np.int64) * shape[1] + cols
-        _, at = np.unique(keys, return_inverse=True)
-        if not np.all(np.isfinite(np.bincount(at, weights=vals))):
-            raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
-        M = cls.__new__(cls)
-        M._entries, M._data, M._shape, M._csr_t = (rows, cols, vals), None, shape, None
-        return M
 
     @property
     def data(self):
@@ -242,42 +225,62 @@ class BlockMatrix:
         M = self._data
         return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
 
-    def _pattern(self):
-        """(rows, cols) of the stored entries (sparse storage) or of the
-        nonzero entries (dense storage)."""
-        if self.is_sparse:
-            return self._stored_entries()[:2]
-        return np.nonzero(self._data)
-
     # -- block access ---------------------------------------------------
 
     def _blocks(self, axis):
         """Block structure of the rows (axis 0) or the columns (axis 1)."""
         return BlockStructure(self.shape[axis])
 
+    def _block_table(self):
+        """(keys, starts) of the occupied blocks (``_occupied_blocks``)."""
+        if self._table is None:
+            rows, cols = (self._stored_entries()[:2] if self.is_sparse
+                          else np.nonzero(self._data))
+            self._table = _occupied_blocks(rows, cols, self.shape)
+        return self._table
+
+    def _block_values(self):
+        """The occupied blocks in key order, padded to 2x2 with zeros, read
+        off ``data`` on the first call: sparse entries summed in storage
+        order from 0.0, as ``toarray`` does, dense blocks copied bitwise."""
+        if self._values is None:
+            keys, _ = self._block_table()
+            cb = self._blocks(1).b
+            if self.is_sparse:
+                M = self.data
+                rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+                at = np.searchsorted(keys, rows // 2 * cb + M.indices // 2)
+                self._values = np.bincount(
+                    4 * at + 2 * (rows % 2) + M.indices % 2, weights=M.data,
+                    minlength=4 * keys.size).reshape(-1, 2, 2)
+            else:
+                M = np.pad(self._data, [(0, self.shape[0] % 2),
+                                        (0, self.shape[1] % 2)])
+                self._values = M.reshape(-1, 2, cb, 2)[keys // cb, :, keys % cb]
+        return self._values
+
     def block(self, i, j):
-        """Dense copy of block (i, j); 2x2, or smaller on trailing blocks."""
-        sub = self.data[self._blocks(0).slice(i), self._blocks(1).slice(j)]
-        return sub.toarray() if issparse(sub) else np.array(sub)
+        """Copy of block (i, j) as a C-ordered ndarray; 2x2, or smaller on
+        trailing blocks.  A block that is not occupied reads as zeros."""
+        rows, cols = self._blocks(0), self._blocks(1)
+        keys, key = self._block_table()[0], i * cols.b + j
+        p = keys.searchsorted(key)
+        if p < keys.size and keys[p] == key:
+            return self._block_values()[p, :rows.size(i), :cols.size(j)].copy()
+        return np.zeros((rows.size(i), cols.size(j)))
 
     def row_block(self, i):
         """Rows of block-row i in the native storage format."""
         return self.data[self._blocks(0).slice(i), :]
 
     def nonzero_col_blocks(self, i):
-        """Sorted column-block indices with a nonzero entry in block-row i
-        (for sparse storage, with a stored entry)."""
-        rows = self.row_block(i)
-        if self.is_sparse:
-            cols = rows.indices
-        else:
-            cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
-        return np.unique(self._blocks(1).block_of(cols)).tolist()
+        """Sorted indices of the occupied column blocks of block-row i."""
+        keys, starts = self._block_table()
+        return (keys[starts[i]:starts[i + 1]] % self._blocks(1).b).tolist()
 
     def block_density(self):
-        """Fraction of blocks holding at least one stored entry (for dense
-        storage, one nonzero entry)."""
-        return _block_density(*self._pattern(), self.shape)
+        """Fraction of the blocks that are occupied."""
+        return self._block_table()[0].size / (self._blocks(0).b * self._blocks(1).b)
 
     def stored(self):
         """This matrix in the storage the recurrences use: CSR storage with
@@ -350,33 +353,27 @@ def block_closure(A, blocks):
 
     Row i of x' = A x reads coordinate j when A[i, j] is stored (sparse
     storage, a stored zero included) or nonzero (dense), so block i // 2
-    reads block j // 2; the walk goes from rows to columns.  A is
-    block-triangular with respect to the closure C: no row in C reads
-    outside it, so every power and every series in A (exp(A delta), Phi1,
-    Phi2, A^2) restricted to C is the one of A restricted to C.  Listing
-    the blocks each block row reads sorts the nnz(A) entries (n^2 for dense
-    storage), the walk costs O(visited), and it stops once every block is
-    reached.
+    reads block j // 2, an occupied block of A; the walk goes from rows to
+    columns.  A is block-triangular with respect to the closure C: no row
+    in C reads outside it, so every power and every series in A (exp(A
+    delta), Phi1, Phi2, A^2) restricted to C is the one of A restricted to
+    C.  The walk costs O(visited) and stops once every block is reached.
+    A block outside 0..b-1 is a ``DimensionError``.
     """
     A = _as_block_matrix(A)
     b = BlockStructure(A.n).b
-    keys = _block_keys(*A._pattern(), A.shape)     # block row by block row
-    starts = np.searchsorted(keys, b * np.arange(b + 1)).tolist()
-    reads = (keys % b).tolist()
-    seen = [False] * b
-    found = []
-    for i in map(int, blocks):
-        if not seen[i]:
-            seen[i] = True
-            found.append(i)
-    todo = list(found)
+    keys, starts = A._block_table()
+    starts, reads = starts.tolist(), (keys % b).tolist()
+    found, todo = set(), [int(i) for i in blocks]
+    for i in todo:
+        if not 0 <= i < b:
+            raise DimensionError(f"block_closure: block {i} out of range "
+                                 f"({b} blocks)", module="linalg")
     while todo and len(found) < b:
         i = todo.pop()
-        for j in reads[starts[i]:starts[i + 1]]:
-            if not seen[j]:
-                seen[j] = True
-                found.append(j)
-                todo.append(j)
+        if i not in found:
+            found.add(i)
+            todo.extend(reads[starts[i]:starts[i + 1]])
     return tuple(sorted(found)) if len(found) < b else tuple(range(b))
 
 
@@ -737,15 +734,23 @@ def _entries(path, body, dtype, count):
 
 def _stored(rows, cols, vals, shape):
     """The matrix of the entries (rows[e], cols[e], vals[e]), repeated
-    positions summed in the order given, stored by the block rule: dense
-    when more than ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks hold an
-    entry, held as the entries otherwise."""
-    if _block_density(rows, cols, shape) > DENSIFY_BLOCK_FRACTION:
+    positions summed in the order given, stored by the block rule: dense,
+    or held as the entries with the block table the rule read.  A
+    non-finite sum is refused here, though the CSR array may never be
+    built (``data`` checks it again: scipy may sum repeats in another order)."""
+    held = BlockMatrix.__new__(BlockMatrix)
+    held._entries, held._shape = (rows, cols, vals), shape
+    held._table = _occupied_blocks(rows, cols, shape)
+    if held.block_density() > DENSIFY_BLOCK_FRACTION:
         M = np.zeros(shape)
         with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
             np.add.at(M, (rows, cols), vals)
         return BlockMatrix(M)
-    return BlockMatrix._of_entries(rows, cols, vals, shape)
+    at = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
+                   return_inverse=True)[1]
+    if not np.all(np.isfinite(np.bincount(at, weights=vals))):
+        raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
+    return held
 
 
 def _from_coordinates(path, table, shape, symmetric):

@@ -197,36 +197,26 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
 # decomposition error bounds
 # ----------------------------------------------------------------------
 
-def _block_pnorm(M, p):
-    M = np.asarray(M, dtype=float)
-    if p == np.inf:
-        return float(np.abs(M).sum(axis=1).max()) if M.size else 0.0
-    if p == 1.0:
-        return float(np.abs(M).sum(axis=0).max()) if M.size else 0.0
-    if p == 2.0:
-        return float(np.linalg.norm(M, 2)) if M.size else 0.0
-    raise InputError(f"matrix norm only for p in {{1, 2, inf}}, got {p}",
-                     module="oracle")
-
-
 def _column_alphas(phi: BlockMatrix, bs: BlockStructure, p):
-    """Per column block: (second-largest block norm, index of the largest).
-
-    Each block row of Phi is read once, densely, and its blocks are
-    sliced from that copy."""
+    """Per column block: (second-largest block norm, index of the largest,
+    ties as ``argsort`` has them).  The p-norms of the occupied blocks of
+    Phi are taken with one call per block shape; the others are 0."""
+    if p not in (1.0, 2.0, np.inf):
+        raise InputError(f"matrix norm only for p in {{1, 2, inf}}, got {p}",
+                         module="oracle")
+    keys, values = phi._block_table()[0], phi._block_values()
+    rows, cols, last = keys // bs.b, keys % bs.b, bs.size(bs.b - 1)
+    h, w = np.where(rows == bs.b - 1, last, 2), np.where(cols == bs.b - 1, last, 2)
     norms = np.zeros((bs.b, bs.b))          # norms[j, i]: block (i, j)
-    for i in range(bs.b):
-        rows = phi.row_block(i)
-        rows = rows.toarray() if phi.is_sparse else rows
-        for j in range(bs.b):
-            norms[j, i] = _block_pnorm(rows[:, bs.slice(j)], p)
-    alphas = np.zeros(bs.b)
-    largest = np.zeros(bs.b, dtype=int)
-    for j, col in enumerate(norms):
-        order = np.argsort(col)
-        largest[j] = int(order[-1])
-        alphas[j] = col[order[-2]] if bs.b > 1 else 0.0
-    return alphas, largest
+    for r, c in {(2, 2), (2, last), (last, 2), (last, last)}:
+        at = (h == r) & (w == c)
+        S = values[at, :r, :c]      # largest singular value, row or column sum
+        norms[cols[at], rows[at]] = (
+            np.linalg.norm(S, 2, axis=(1, 2)) if p == 2.0
+            else np.abs(S).sum(axis=2 if p == np.inf else 1).max(axis=1))
+    order = np.argsort(norms, axis=1)
+    alphas = norms[np.arange(bs.b), order[:, -2]] if bs.b > 1 else np.zeros(1)
+    return alphas, order[:, -1]
 
 
 def decomposed_image(phi: BlockMatrix, blocks, bs=None):

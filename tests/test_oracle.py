@@ -328,6 +328,17 @@ def test_make_report_fields():
     npt.assert_array_equal(no_v.delta_v, [0.0, 0.0])
 
 
+
+def test_error_bounds_refuse_a_norm_order_other_than_1_2_inf():
+    # refused before any block is read, so also for a matrix of zeros
+    x = [Hyperrectangle(np.zeros(2), np.ones(2))] * 2
+    for phi in (BlockMatrix(np.eye(4)), BlockMatrix(np.zeros((4, 4)))):
+        for bound in (make_error_report, decomposed_map_error_bound):
+            with pytest.raises(InputError) as err:
+                bound(phi, x, p=3)
+            assert (err.value.tag(), str(err.value)) == (
+                "error:oracle:schema", "matrix norm only for p in {1, 2, inf}, got 3")
+
 def test_recurrence_bound_hand_values():
     rep = DecompositionErrorReport(
         alpha=np.array([0.3, 0.4]), largest=np.array([0, 1]),

@@ -30,6 +30,7 @@ from reachdec import (
     BlockStructure,
     BoxDirections,
     ContinuousSystem,
+    DimensionError,
     EpsilonClose,
     Hyperrectangle,
     InputError,
@@ -104,6 +105,21 @@ def test_block_closure_walks_rows_to_columns():
     assert block_closure(S, [2]) == (0, 1, 2, 3, 4)
     assert block_closure(S.toarray(), [2]) == (0, 1, 2, 3)
 
+
+
+def test_block_closure_refuses_blocks_out_of_range():
+    # a negative index would wrap to a block from the end, and one past the
+    # last block would index nothing: both are refused, whatever else is
+    # asked for alongside them
+    A = np.diag(-np.ones(6))
+    for M in (A, sp.csr_array(A)):
+        for blocks in ([-1], [-3], [3], [0, 3]):
+            with pytest.raises(DimensionError) as err:
+                block_closure(M, blocks)
+            assert (err.value.tag(), str(err.value)) == (
+                "error:linalg:dimension",
+                f"block_closure: block {blocks[-1]} out of range (3 blocks)")
+        assert block_closure(M, [2, 0]) == (0, 2)
 
 def test_restrict_keeps_the_order_and_the_trailing_block():
     A = np.diag(-np.ones(5))
