@@ -161,6 +161,18 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     the initial set plus the accumulated inputs -- evaluated through
     transposed directions, so nothing is ever collapsed and the values
     carry no approximation error beyond floating point.
+
+    With L_k = L Phi^k, step k is rho(L_k, X(0)) + sum over s < k of
+    rho(L_{k-1-s}, V(s)).  A constant input sums one query per level.  An
+    input sequence is queried once per set, V(s) over the levels
+    L_0 .. L_{N-2-s} stacked, so a run makes 2N - 1 support queries: N on
+    X(0) and N - 1 on the inputs.  When every V(s) is a ``LinearMap`` over
+    one matrix object M (as ``discretize_discrete`` builds them), each
+    level is mapped once, L_k M, and the operands are queried on those
+    rows, since rho(l, M U) = rho(l M, U).  Each step adds its terms in
+    the order X(0), V(0), V(1), ..., as a sum of per-pair queries would;
+    only a query over stacked rows may round a row differently in the
+    last bit.
     """
     N = int(N)
     if N < 1:
@@ -171,6 +183,8 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     if L.shape[1] != sys.n:
         raise DimensionError(f"directions have dimension {L.shape[1]}, "
                              f"state dimension is {sys.n}", module="oracle")
+    if not np.all(np.isfinite(L)):
+        raise InputError("directions must be finite", module="oracle")
     m = L.shape[0]
     out = np.empty((N, m))
     if sys.constant_input:
@@ -182,15 +196,31 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
             Lk = sys.phi.left_product(Lk)
             out[k] = sys.x_init.support_batch(Lk) + acc
         return out
-    levels = [L]
-    for _ in range(N - 1):
-        levels.append(sys.phi.left_product(levels[-1]))
+    seq = [sys.v_at(s) for s in range(N - 1)]
+    shared = _shared_map(seq)
+    if shared is not None:
+        seq = [V.operand for V in seq]
+    p = sys.n if shared is None else shared.matrix.shape[1]
+    rows = np.empty((N - 1, m, p))
+    Lk = L
     for k in range(N):
-        total = sys.x_init.support_batch(levels[k])
-        for s in range(k):
-            total = total + sys.v_at(s).support_batch(levels[k - 1 - s])
-        out[k] = total
+        out[k] = sys.x_init.support_batch(Lk)
+        if k < N - 1:
+            rows[k] = Lk if shared is None else shared.map_rows(Lk)
+            Lk = sys.phi.left_product(Lk)
+    for s, V in enumerate(seq):
+        out[s + 1:] += V.support_batch(rows[:N - 1 - s].reshape(-1, p)).reshape(-1, m)
     return out
+
+
+def _shared_map(seq):
+    """The first set of ``seq`` when every set is a ``LinearMap`` over the
+    same matrix object, else None."""
+    first = seq[0] if seq else None
+    if isinstance(first, LinearMap) and all(
+            isinstance(V, LinearMap) and V.matrix is first.matrix for V in seq):
+        return first
+    return None
 
 
 # ----------------------------------------------------------------------

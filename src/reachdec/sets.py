@@ -672,7 +672,7 @@ def polygon_support_vector(P, direction):
 def _wrap_matrix(M):
     if issparse(M):
         from scipy import sparse as sp
-        return sp.csr_array(M)
+        return M if isinstance(M, sp.csr_array) else sp.csr_array(M)
     out = np.asarray(M, dtype=float)
     if out.ndim != 2:
         raise DimensionError(f"LinearMap: matrix must be two-dimensional, got shape {out.shape}")
@@ -687,7 +687,9 @@ class LinearMap(LazySet):
     M^T is kept, as CSR for a sparse M, and |M| once formed.  A batch of
     directions L is mapped as L M = (M^T L^T)^T: for a CSR matrix this is
     how scipy computes L M, but with the transpose built anew on every call
-    and in CSC storage, whose product is several times slower.
+    and in CSC storage, whose product is several times slower.  A dense
+    float array or a CSR array is held as passed, not copied, so maps
+    built over one matrix hold the same object.
     """
 
     def __init__(self, matrix, operand):
@@ -712,12 +714,14 @@ class LinearMap(LazySet):
         rho, inner = self.operand._rho_sigma(np.asarray(self._mt @ l, dtype=float))
         return rho, np.asarray(self.matrix @ inner, dtype=float)
 
+    def map_rows(self, L):
+        """The directions L (one per row) mapped into the operand's
+        space: L M, formed as (M^T L^T)^T for a CSR matrix."""
+        LM = (self._mt @ L.T).T if issparse(self.matrix) else L @ self.matrix
+        return np.asarray(LM, dtype=float)
+
     def _rho_batch(self, L):
-        if issparse(self.matrix):
-            LM = (self._mt @ L.T).T
-        else:
-            LM = L @ self.matrix
-        return self.operand._rho_batch(np.asarray(LM, dtype=float))
+        return self.operand._rho_batch(self.map_rows(L))
 
     def _axis_supports(self, T):
         # nested maps compose first: T (M Y) = (T M) Y

@@ -12,15 +12,20 @@ from reachdec import (
     CartesianProduct,
     ContainmentError,
     ContinuousSystem,
+    DENSE,
+    DISCRETE,
     DecompositionErrorReport,
     DimensionError,
     DiscreteSystem,
     Hyperrectangle,
     InputError,
+    LazySet,
     LinearMap,
+    MinkowskiSum,
     Singleton,
     decomposed_image,
     decomposed_map_error_bound,
+    discretize,
     dual_exponent,
     hausdorff_estimate,
     make_error_report,
@@ -231,6 +236,125 @@ def test_nondecomposed_validation():
         reach_nondecomposed(sys, 3, np.ones(2))
     with pytest.raises(DimensionError):
         reach_nondecomposed(sys, 3, np.ones((1, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        L = np.eye(2)
+        L[1, 0] = bad
+        with pytest.raises(InputError, match="directions must be finite") as err:
+            reach_nondecomposed(sys, 3, L)
+        assert err.value.module == "oracle"
+
+
+def pairwise_nondecomposed(sys, N, L):
+    """The input-sequence supports as one query per (step, input) pair:
+    rho(L Phi^k, X(0)) + sum over s < k of rho(L Phi^(k-1-s), V(s))."""
+    levels = [L]
+    for _ in range(N - 1):
+        levels.append(sys.phi.left_product(levels[-1]))
+    out = np.empty((N, L.shape[0]))
+    for k in range(N):
+        total = sys.x_init.support_batch(levels[k])
+        for s in range(k):
+            total = total + sys.v_at(s).support_batch(levels[k - 1 - s])
+        out[k] = total
+    return out
+
+
+def varying_continuous(rng, n=6, steps=9, zero_at=()):
+    A = random_stable_matrix(rng, n).data - 0.5 * np.eye(n)
+    U = [Hyperrectangle(np.zeros(n), np.zeros(n)) if k in zero_at
+         else random_box(rng, n, scale=0.3) for k in range(steps)]
+    return ContinuousSystem(A, random_box(rng, n), None, U)
+
+
+def assert_matches_pairwise(sys, N, L):
+    npt.assert_allclose(reach_nondecomposed(sys, N, L),
+                        pairwise_nondecomposed(sys, N, L), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 9])
+def test_nondecomposed_varying_shared_dense_map(N):
+    rng = np.random.default_rng(203)
+    sys = discretize(varying_continuous(rng), 0.1, model=DISCRETE)
+    assert isinstance(sys.v[0].matrix, np.ndarray)
+    assert all(V.matrix is sys.v[0].matrix for V in sys.v)
+    assert_matches_pairwise(sys, N, rng.standard_normal((25, 6)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_nondecomposed_varying_shared_csr_map(N):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(204)
+    M = sp.csr_array(np.diag(rng.uniform(0.5, 1.5, 5))
+                     + np.diag(rng.uniform(-0.3, 0.3, 4), 1))
+    vs = [LinearMap(M, random_box(rng, 5, scale=0.3)) for _ in range(8)]
+    assert all(V.matrix is M for V in vs)
+    sys = DiscreteSystem(random_stable_matrix(rng, 5, sparse=True),
+                         random_box(rng, 5), vs, 0.1)
+    assert_matches_pairwise(sys, N, rng.standard_normal((20, 5)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 9])
+def test_nondecomposed_varying_dense_time_has_no_shared_map(N):
+    rng = np.random.default_rng(205)
+    sys = discretize(varying_continuous(rng), 0.1, model=DENSE)
+    assert all(isinstance(V, MinkowskiSum) for V in sys.v)
+    assert_matches_pairwise(sys, N, rng.standard_normal((25, 6)))
+
+
+def test_nondecomposed_varying_with_a_zero_input():
+    rng = np.random.default_rng(206)
+    sys = discretize(varying_continuous(rng, zero_at=(0, 3)), 0.1,
+                     model=DISCRETE)
+    assert isinstance(sys.v[3], Singleton) and isinstance(sys.v[1], LinearMap)
+    for N in (1, 2, 5, 9):
+        assert_matches_pairwise(sys, N, rng.standard_normal((25, 6)))
+
+
+def test_nondecomposed_short_sequence_names_the_step():
+    rng = np.random.default_rng(207)
+    sys = DiscreteSystem(random_stable_matrix(rng, 3), random_box(rng, 3),
+                         [random_box(rng, 3, scale=0.3) for _ in range(3)], 0.1)
+    reach_nondecomposed(sys, 4, np.eye(3))      # steps 0..3 read V(0..2)
+    with pytest.raises(InputError,
+                       match="input sequence has 3 entries, step 3 requested"):
+        reach_nondecomposed(sys, 5, np.eye(3))
+
+
+class CountingSet(LazySet):
+    """A set that answers as its operand and counts the batch queries
+    that reach it, through ``support_batch`` or through a map over it."""
+
+    def __init__(self, operand, counter):
+        self.operand, self.counter = operand, counter
+
+    @property
+    def dim(self):
+        return self.operand.dim
+
+    def _rho_batch(self, L):
+        self.counter[0] += 1
+        return self.operand._rho_batch(L)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_nondecomposed_varying_queries_each_set_once(shared):
+    # N queries on X(0) and one per input set: 2N - 1, not N(N+1)/2
+    rng = np.random.default_rng(208)
+    N, n, M = 12, 4, random_stable_matrix(rng, 4).data
+    count = [0]
+    boxes = [CountingSet(random_box(rng, n, scale=0.3), count)
+             for _ in range(N - 1)]
+    vs = ([LinearMap(M, U) for U in boxes] if shared
+          else [CountingSet(LinearMap(M, U.operand), count) for U in boxes])
+    sys = DiscreteSystem(random_stable_matrix(rng, n),
+                         CountingSet(random_box(rng, n), count), vs, 0.1)
+    L = rng.standard_normal((10, n))
+    out = reach_nondecomposed(sys, N, L)
+    assert count[0] == 2 * N - 1
+    count[0] = 0
+    npt.assert_allclose(out, pairwise_nondecomposed(sys, N, L), rtol=1e-12, atol=0)
+    assert count[0] == N * (N + 1) // 2
 
 
 # ----------------------------------------------------------------------
