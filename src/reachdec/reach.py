@@ -22,14 +22,13 @@ from .approx import (
     BoxDirections,
     _box_block,
     _box_bounds,
-    _box_from_supports,
     approximate,
     decompose,
     overapproximate_box,
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
-from .errors import DimensionError, EngineError, InputError, NonFiniteError
-from .linalg import BlockMatrix, MatrixPowerState
+from .errors import DimensionError, InputError, NonFiniteError
+from .linalg import BlockMatrix, MatrixPowerState, row_products
 from .sets import (
     CartesianProduct,
     HPolygon,
@@ -298,35 +297,21 @@ def _checked_run(sys, N, bs, tracked=None):
     return N, bs, tracked
 
 
-def _joined(arrays):
-    """The arrays, one after another (the array itself when there is one)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _stacked(per_block):
-    """The arrays of {block: array}, one after another."""
-    return _joined(tuple(per_block.values()))
-
-
 def _row_image_box(R, V):
     """(center, radius) of the box hull of the image of V under the rows
-    held by R, block after block.  Each block's box comes from its own
-    rows (see ``BlockRows.dot``): for a set V that is not a box or a point,
-    from the axis-support walk of ``overapproximate_box(LinearMap(R_i,
-    V))``, checked once for all blocks."""
+    held by R, block after block, by ``row_products`` for a box or a
+    point and otherwise from one axis-support walk of V under R: each
+    row's bounds are then the same whatever other rows R holds.  An entry
+    that overflows is left non-finite, for the check of the step that
+    takes it (``_box_tube``, ``check_property``)."""
     if isinstance(V, Hyperrectangle):
-        return _stacked(R.dot(V.center)), _stacked(R.abs().dot(V.radius))
+        return (row_products(R.data, V.center),
+                row_products(np.abs(R.data), V.radius))
     if isinstance(V, Singleton):
-        c = _stacked(R.dot(V.point))
+        c = row_products(R.data, V.point)
         return c, np.zeros_like(c)
-    walks = [V._axis_supports(_Matrix(R.dense_row_block(i))) for i in R.blocks]
-    try:
-        return _box_from_supports(_joined([h for h, _ in walks]),
-                                  _joined([nl for _, nl in walks]))
-    except EngineError:
-        for walk in walks:   # the error of the first block, as block by block
-            _box_from_supports(*walk)
-        raise
+    hi, nlo = V._axis_supports(_Matrix(R.data))
+    return (hi - nlo) / 2.0, (hi + nlo) / 2.0
 
 
 def _set_inputs(sys, bs, blocks, scheme):
@@ -422,8 +407,8 @@ def _box_tube(sys, N, bs, tracked, lazy):
             powers.append(R.data)
             c[:], r[:] = w_c, w_r
         else:
-            np.add(_stacked(R.dot(x0.center)), w_c, out=c)
-            np.add(_stacked(R.abs().dot(x0.radius)), w_r, out=r)
+            np.add(row_products(R.data, x0.center), w_c, out=c)
+            np.add(row_products(np.abs(R.data), x0.radius), w_r, out=r)
         if not (np.isfinite(c).all() and np.isfinite(r).all()):
             raise NonFiniteError(f"the box of step {k} overflowed",
                                  module="reach")

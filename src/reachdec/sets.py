@@ -12,6 +12,7 @@ between threads.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     InvalidSetError,
     UnboundedSetError,
 )
-from .linalg import issparse
+from .linalg import issparse, row_products
 
 __all__ = [
     "LazySet",
@@ -196,21 +197,27 @@ def _transform_row_chunks(T, n):
 
 
 def _transform_apply(T, x, absolute=False):
-    """T x, or |T| x with ``absolute``."""
+    """T x, or |T| x with ``absolute``; a dense T by ``row_products``, so
+    each row's value is the same whatever rows T holds besides."""
     if T is None:
         return x
     if isinstance(T, float):
         return (abs(T) if absolute else T) * x
-    return np.asarray((T.abs if absolute else T.M) @ x, dtype=float)
+    M = T.abs if absolute else T.M
+    return np.asarray(M @ x, dtype=float) if issparse(M) else row_products(M, x)
 
 
 def _transform_compose(T, m):
-    """T M for a `_Matrix` m; m itself is kept when T is None."""
+    """T M for a `_Matrix` m; m itself is kept when T is None.  Dense
+    factors are multiplied by ``row_products``, as ``_transform_apply``
+    does."""
     if T is None:
         return m
     if isinstance(T, float):
         return _Matrix(T * m.M)
-    return _Matrix(T.M @ m.M)
+    if issparse(T.M) or issparse(m.M):
+        return _Matrix(T.M @ m.M)
+    return _Matrix(row_products(T.M, m.M))
 
 
 def _transform_scale(T, factor):
@@ -684,12 +691,12 @@ def _wrap_matrix(M):
 class LinearMap(LazySet):
     """Image M X of a set under a (possibly sparse) matrix.
 
-    M^T is kept, as CSR for a sparse M, and |M| once formed.  A batch of
-    directions L is mapped as L M = (M^T L^T)^T: for a CSR matrix this is
-    how scipy computes L M, but with the transpose built anew on every call
-    and in CSC storage, whose product is several times slower.  A dense
-    float array or a CSR array is held as passed, not copied, so maps
-    built over one matrix hold the same object.
+    M^T, as CSR for a sparse M, and |M| are formed on first use and kept.
+    A batch of directions L is mapped as L M = (M^T L^T)^T: for a CSR
+    matrix this is how scipy computes L M, but with the transpose built
+    anew on every call and in CSC storage, whose product is several times
+    slower.  A dense float array or a CSR array is held as passed, not
+    copied, so maps built over one matrix hold the same object.
     """
 
     def __init__(self, matrix, operand):
@@ -700,12 +707,16 @@ class LinearMap(LazySet):
                 f"operand has dimension {operand.dim}")
         self.matrix = M
         self.operand = operand
-        self._mt = M.T.tocsr() if issparse(M) else M.T
         self._m = _Matrix(M)
 
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def _mt(self):
+        M = self.matrix
+        return M.T.tocsr() if issparse(M) else M.T
 
     def _rho(self, l):
         return self.operand._rho(np.asarray(self._mt @ l, dtype=float))

@@ -238,6 +238,30 @@ def test_sequence_inputs_discretized_per_step():
         d.v_at(4)
 
 
+def test_input_maps_form_their_transpose_on_first_use(monkeypatch):
+    # 60 input maps over one CSR Phi1 form no transpose until one of them
+    # is queried, and that map's support values are bitwise L Phi1's
+    n = 20
+    A = sp.csr_array(np.diag(np.linspace(-1.0, -0.1, n)))
+    steps = [Hyperrectangle(np.full(n, 0.1 * k), np.full(n, 0.5)) for k in range(60)]
+    transposes = []
+    transpose = sp.csr_array.transpose
+
+    def counted(self, *args, **kwargs):
+        transposes.append(self)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_array, "transpose", counted)
+    d = discretize_discrete(ContinuousSystem(A, unit_box(n), U=steps), 0.1)
+    phi1 = d.v_at(0).matrix
+    assert sp.issparse(phi1) and all(v.matrix is phi1 for v in d.v)
+    assert not any(M is phi1 for M in transposes)
+    L = np.random.default_rng(3).standard_normal((4, n))
+    got = d.v_at(7).support_batch(L)
+    assert sum(M is phi1 for M in transposes) == 1
+    npt.assert_array_equal(got, steps[7].support_batch(np.asarray(L @ phi1)))
+
+
 def test_dense_sequence_inputs():
     steps = [Hyperrectangle([1.0, 0.0], [0.5, 0.5]),
              Hyperrectangle([0.0, 1.0], [0.25, 0.25])]

@@ -507,6 +507,27 @@ def test_cli_box_recurrence_overflow_is_a_non_finite_error(tmp_path, capsys):
             assert (code, captured.out, captured.err) == (3, line, "")
 
 
+def test_cli_input_image_overflow_is_a_non_finite_error(tmp_path, capsys):
+    # the box of Phi^4 V, V = Phi1 U with U of radius 1e306, has finite
+    # bounds near -+1e308 but a width beyond the float range: the step's
+    # overflow, as for a box input, and not an invalid set
+    lines = {"reach": "error:reach:non-finite the box of step 5 overflowed\n",
+             "check": "error:reach:non-finite the support of step 5 overflowed\n",
+             "compare": "error:reach:non-finite the box of step 5 overflowed\n"}
+    for model in ("dense", "discrete"):
+        doc = {"A": "A.mtx", "X0": {"point": [1.0] * 4},
+               "U": {"box": {"center": [0.0] * 4, "radius": [1e306] * 4}},
+               "delta": 1.0, "N": 40, "model": model, "property": "x1 < 1.7e308"}
+        sc = write_scenario(tmp_path, doc, {"A": np.eye(4)})
+        for cmd, line in lines.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([cmd, "--scenario", str(sc), "--out", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (model, code, captured.out, captured.err) == (model, 3, line, "")
+    assert not (tmp_path / "tube.csv").exists()
+
+
 def test_cli_box_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys):
     # Phi = 1e100 I: Phi^3 is finite, but Phi^3 x0 with x0 = 1e10 is not,
     # so the box of step 3 is the first to overflow, before the matrix

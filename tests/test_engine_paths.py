@@ -6,7 +6,8 @@ under the box scheme as well), the varying-input recurrence and the
 safety checker -- must agree with the others and stay sound against the
 non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
 initial and input sets drawn from boxes, p-balls, singletons and
-products of constraint polygons, with constant inputs or per-step
+products of constraint polygons, and input sets also from maps of boxes
+through dense or CSR matrices, with constant inputs or per-step
 sequences.
 """
 
@@ -30,6 +31,7 @@ from reachdec import (
     EpsilonClose,
     HPolygon,
     Hyperrectangle,
+    LinearMap,
     SafetyProperty,
     Singleton,
     check_property,
@@ -44,6 +46,9 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
 
 KINDS = ("box", "ball", "point", "polygon")
+#: input sets may also be a map of a box ("map"), whose box hull under
+#: rows of Phi^k is the walk of the composed matrix
+INPUT_KINDS = KINDS + ("map",)
 
 
 def random_polygons(rng, n, scale):
@@ -66,6 +71,14 @@ def random_polygons(rng, n, scale):
 def random_set(rng, kind, n, scale):
     if kind == "polygon":
         return random_polygons(rng, n, scale)
+    if kind == "map":
+        # a box of 1 to n + 1 dimensions through a dense or a CSR matrix
+        m = int(rng.integers(1, n + 2))
+        M = rng.standard_normal((n, m))
+        M[rng.random((n, m)) < 0.5] = 0.0
+        M /= max(1.0, np.abs(M).sum(axis=1).max())
+        box = random_set(rng, "box", m, scale)
+        return LinearMap(sp.csr_array(M) if rng.random() < 0.5 else M, box)
     center = rng.uniform(-scale, scale, n)
     if kind == "box":
         return Hyperrectangle(center, rng.uniform(0.0, scale, n))
@@ -104,7 +117,7 @@ def systems(draw):
     N = draw(st.integers(1, 8))
     sequence = draw(st.booleans())
     x_kind = draw(st.sampled_from(KINDS))
-    v_kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1,
+    v_kinds = draw(st.lists(st.sampled_from(INPUT_KINDS), min_size=1,
                             max_size=N if sequence else 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     phi = random_phi(rng, n, sparse)

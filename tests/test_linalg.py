@@ -27,7 +27,7 @@ from reachdec import (
     read_matrix_market,
     write_matrix_market,
 )
-from reachdec.linalg import block_closure
+from reachdec.linalg import block_closure, row_products
 
 
 def rotation_generator():
@@ -456,8 +456,44 @@ def test_power_state_blocks_do_not_depend_on_each_other():
         x = rng.standard_normal(40)
         npt.assert_array_equal(alone.Q.dense_row_block(3),
                                many.Q.dense_row_block(3))
-        npt.assert_array_equal(alone.Q.dot(x)[3], many.Q.dot(x)[3])
-        npt.assert_array_equal(alone.Q.abs().dot(x)[3], many.Q.abs().dot(x)[3])
+        rows = BlockStructure(40).slice(3)
+        for R in (lambda Q: Q.data, lambda Q: np.abs(Q.data)):
+            npt.assert_array_equal(row_products(R(alone.Q), x),
+                                   row_products(R(many.Q), x)[rows])
+
+
+def placed_at(A, byte_offset):
+    """A copy of the float array A starting ``byte_offset`` bytes into a
+    fresh buffer: unaligned for an offset that is not a multiple of 8."""
+    buf = np.zeros(A.nbytes + 128, dtype=np.uint8)
+    out = np.frombuffer(buf[byte_offset:byte_offset + A.nbytes].data,
+                        dtype=float).reshape(A.shape)
+    out[...] = A
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 9, 17, 33, 65, 127, 257, 511, 1023,
+                               2047, 4999])
+def test_row_products_do_not_depend_on_the_stack(n):
+    # numpy does not document it: each row of the stacked product is
+    # bitwise its product alone, for any stack size and any placement in
+    # memory, with a vector or with a matrix on the right
+    rng = np.random.default_rng(n)
+
+    def spread(shape):     # entries over 10 orders of magnitude
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+
+    R = spread((33, n))
+    for X in (spread(n), spread((n, 5))):
+        alone = np.array([row_products(R[i:i + 1], X)[0] for i in range(33)])
+        for size in range(1, 34):
+            for start in (0, 33 - size):
+                npt.assert_array_equal(row_products(R[start:start + size], X),
+                                       alone[start:start + size])
+        for offset in range(0, 72, 3):
+            npt.assert_array_equal(
+                row_products(placed_at(R, offset), placed_at(X, (5 * offset) % 64)),
+                alone)
 
 
 def test_power_state_rejects_unknown_block():
