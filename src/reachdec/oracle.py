@@ -15,7 +15,7 @@ import numpy as np
 
 from .approx import BlockStructure
 from .discretize import ContinuousSystem, DiscreteSystem, _step_set
-from .errors import ContainmentError, DimensionError, InputError
+from .errors import ContainmentError, DimensionError, InputError, NonFiniteError
 from .linalg import BlockMatrix
 from .sets import (
     Hyperrectangle,
@@ -107,8 +107,9 @@ def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
 
     Maximizes rho_Y - rho_X over directions scaled to unit *dual* norm,
     which makes each sampled gap a valid lower bound of the distance; the
-    estimate converges from below as directions densify.  A gap below
-    -1e-9 contradicts the containment assumption and raises.
+    estimate converges from below as directions densify.  A gap that is
+    not finite is an overflow, and a gap below -1e-9 contradicts the
+    containment assumption; both raise.
     """
     if X.dim != Y.dim:
         raise DimensionError(f"sets have dimensions {X.dim} and {Y.dim}",
@@ -116,7 +117,11 @@ def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
     if directions is None:
         directions = sample_directions(X.dim, count, seed)
     D = _dual_normalize(directions, p)
-    gaps = Y.support_batch(D) - X.support_batch(D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = Y.support_batch(D) - X.support_batch(D)
+    if not np.isfinite(gaps).all():
+        raise NonFiniteError("hausdorff_estimate: support gap is not finite",
+                             module="oracle")
     worst = float(gaps.min())
     if worst < -1e-9:
         i = int(gaps.argmin())

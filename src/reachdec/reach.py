@@ -12,7 +12,7 @@ inputs.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .approx import (
     BlockStructure,
     BoxDirections,
-    _box_block,
     _box_bounds,
     approximate,
     decompose,
@@ -125,34 +124,21 @@ class ReachTube:
         """Support of the Cartesian product of the tracked blocks at step k
         in a full-dimensional direction (zero on untracked coordinates)."""
         l = self._checked_directions(direction, 1)
-        return _block_support_sum(lambda i, d: self.set_at(k, i).support_function(d),
-                                  self.tracked, self.bs, l)
+        return float(self.support_batch(k, l[None])[0])
 
     def support_batch(self, k, directions):
         """Supports as in ``support`` for each row of an (m, n) array."""
         L = self._checked_directions(directions, 2)
-        return self._step_supports(k, self._direction_parts(L), len(L))
+        return self._step_supports(k, _direction_parts(L, self.bs, self.tracked),
+                                   len(L))
 
     def supports(self, directions):
         """``support_batch(k, directions)`` for k = 0, 1, ..., n_steps - 1
         in turn, with the directions checked once."""
         L = self._checked_directions(directions, 2)
-        parts = self._direction_parts(L)
+        parts = _direction_parts(L, self.bs, self.tracked)
         for k in range(self.n_steps):
             yield self._step_supports(k, parts, len(L))
-
-    def _direction_parts(self, L):
-        """(block, rows, L_b, |L_b|) for each tracked block: ``rows`` marks
-        the rows of L that are nonzero on the block (a zero slice
-        contributes 0), and L_b holds their slices on it."""
-        parts = []
-        for i in self.tracked:
-            sub = L[:, self.bs.slice(i)]
-            rows = np.any(sub != 0.0, axis=1)
-            if rows.any():
-                sub = sub[rows]
-                parts.append((i, rows, sub, np.abs(sub)))
-        return parts
 
     def _block_supports(self, k, block, L_b, L_b_abs):
         """The supports of the set of ``block`` at step k in the rows of
@@ -160,10 +146,8 @@ class ReachTube:
         raise NotImplementedError
 
     def _step_supports(self, k, parts, m):
-        total = np.zeros(m)
-        for i, rows, sub, sub_abs in parts:
-            total[rows] += self._block_supports(k, i, sub, sub_abs)
-        return total
+        return _support_sum(parts, m, lambda i, L_b, L_b_abs:
+                            self._block_supports(k, i, L_b, L_b_abs))
 
 
 class SetTube(ReachTube):
@@ -246,24 +230,39 @@ class BoxTube(ReachTube):
                        self.radii, self.point0, self.powers, self.x0)
 
     def _block_supports(self, k, block, L_b, L_b_abs):
-        # Hyperrectangle._rho_batch on the rows of the arrays, plus the
-        # supports of R_i x0 on a lazy step, as its MinkowskiSum adds them
-        s, R = self._slices[block], self.powers and self.powers[k]
-        out = L_b @ self.centers[k, s] + L_b_abs @ self.radii[k, s]
-        return out if R is None else self.x0._rho_batch(L_b @ R[s]) + out
+        return _box_supports(L_b, L_b_abs, self._slices[block], self.centers[k],
+                             self.radii[k], self.powers and self.powers[k], self.x0)
 
 
-def _block_support_sum(support_of, blocks, bs, d):
-    """Support in the full-dimensional direction d of the product of the
-    sets of ``blocks``, with d zero outside them: the sum of the block
-    supports ``support_of(i, d_i)`` in the slices of d (a zero slice
-    contributes 0)."""
-    total = 0.0
+def _direction_parts(L, bs, blocks):
+    """(block, rows, L_b, |L_b|) for each of ``blocks`` that some row of L
+    reads: ``rows`` marks the rows of L that are nonzero on the block (a
+    zero slice contributes 0), and L_b holds their slices on it."""
+    parts = []
     for i in blocks:
-        di = d[bs.slice(i)]
-        if np.any(di != 0.0):
-            total += support_of(i, di)
+        sub = L[:, bs.slice(i)]
+        rows = np.any(sub != 0.0, axis=1)
+        if rows.any():
+            sub = sub[rows]
+            parts.append((i, rows, sub, np.abs(sub)))
+    return parts
+
+
+def _support_sum(parts, m, block_supports):
+    """The supports in the m rows of L of a step, summed block after block
+    over the ``parts`` of L: ``block_supports(block, L_b, |L_b|)``."""
+    total = np.zeros(m)
+    for i, rows, sub, sub_abs in parts:
+        total[rows] += block_supports(i, sub, sub_abs)
     return total
+
+
+def _box_supports(L_b, L_b_abs, s, c, r, R, x0):
+    """The supports in the rows of L_b of the box (c[s], r[s]) of a block,
+    plus R[s] x0 when the rows R of Phi^k are given (a lazy step), as
+    ``MinkowskiSum(LinearMap(R[s], x0), Hyperrectangle(c[s], r[s]))``."""
+    out = L_b @ c[s] + L_b_abs @ r[s]
+    return out if R is None else x0._rho_batch(L_b @ R[s]) + out
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +302,7 @@ def _row_image_box(R, V):
     point and otherwise from one axis-support walk of V under R: each
     row's bounds are then the same whatever other rows R holds.  An entry
     that overflows is left non-finite, for the check of the step that
-    takes it (``_box_tube``, ``check_property``)."""
+    takes it (``_box_tube``, ``_lazy_supports``)."""
     if isinstance(V, Hyperrectangle):
         return (row_products(R.data, V.center),
                 row_products(np.abs(R.data), V.radius))
@@ -363,9 +362,10 @@ def _box_start(sys):
 def _box_steps(sys, N, bs, blocks):
     """The loop of the box scheme over the row blocks ``blocks``: yield
     (k, R, w_c, w_r) for k = 1..N-1, with R the rows of Phi^k in
-    ``blocks`` (``BlockRows``, kept by no one else) and (w_c, w_r) the
-    accumulated input box of step k over them.  Step k is R x0 plus that
-    box, for the box (or point) x0 of the initial set (``_box_start``).
+    ``blocks``, block after block (an array kept by no one else), and
+    (w_c, w_r) the accumulated input box of step k over them.  Step k is
+    R x0 plus that box, for the box (or point) x0 of the initial set
+    (``_box_start``).
 
     A constant input adds the box hull of Phi^(k-1) V.  An input sequence
     is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
@@ -383,7 +383,7 @@ def _box_steps(sys, N, bs, blocks):
         else:
             v_c, v_r = _box_bounds(sys.v_at(k - 1))
             w_c, w_r = sys.phi @ w_c + v_c, phi_abs @ w_r + v_r
-        yield k, power.Q, w_c[cols], w_r[cols]
+        yield k, power.Q.data, w_c[cols], w_r[cols]
         power.advance()
 
 
@@ -404,11 +404,11 @@ def _box_tube(sys, N, bs, tracked, lazy):
     for k, R, w_c, w_r in _box_steps(sys, N, bs, tracked):
         c, r = centers[k], radii[k]
         if lazy:
-            powers.append(R.data)
+            powers.append(R)
             c[:], r[:] = w_c, w_r
         else:
-            np.add(row_products(R.data, x0.center), w_c, out=c)
-            np.add(row_products(np.abs(R.data), x0.radius), w_r, out=r)
+            np.add(row_products(R, x0.center), w_c, out=c)
+            np.add(row_products(np.abs(R), x0.radius), w_r, out=r)
         if not (np.isfinite(c).all() and np.isfinite(r).all()):
             raise NonFiniteError(f"the box of step {k} overflowed",
                                  module="reach")
@@ -568,26 +568,24 @@ def _as_matrix(M):
 
 
 def _state_directions(prop, bs):
-    """({id(atom): its direction over the state}, the sorted blocks these
-    directions touch) for the atoms of ``prop``: the coefficients pulled
-    back through the output matrix C, or taken as they are when y = x."""
+    """The directions over the state of the atoms of ``prop``, one row per
+    atom: the coefficients pulled back through the output matrix C, or
+    taken as they are when y = x."""
     C = _as_matrix(prop.C)
-    dirs = {}
+    size, what = (bs.n, "state") if C is None else (C.shape[0], "output")
+    rows = []
     for a in prop.atoms():
-        if C is not None:
-            if a.coeffs.shape[0] != C.shape[0]:
-                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
-                                     f"output dimension is {C.shape[0]}",
-                                     module="reach")
-            dirs[id(a)] = np.asarray(C.data.T @ a.coeffs, dtype=float).ravel()
-        else:
-            if a.coeffs.shape[0] != bs.n:
-                raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
-                                     f"state dimension is {bs.n}", module="reach")
-            dirs[id(a)] = a.coeffs
-    coords = [np.flatnonzero(d) for d in dirs.values()]
-    blocks = bs.block_of(np.concatenate(coords)) if coords else []
-    return dirs, np.unique(blocks).tolist()
+        if a.coeffs.shape[0] != size:
+            raise DimensionError(f"atom has {a.coeffs.shape[0]} coefficients, "
+                                 f"{what} dimension is {size}", module="reach")
+        rows.append(a.coeffs if C is None else
+                    np.asarray(C.data.T @ a.coeffs, dtype=float).ravel())
+    return np.array(rows)
+
+
+def _blocks_read(L, bs):
+    """The sorted blocks on which some row of L is nonzero."""
+    return np.unique(bs.block_of(np.flatnonzero(np.any(L != 0.0, axis=0)))).tolist()
 
 
 @dataclass
@@ -607,77 +605,77 @@ class CheckResult:
         return self.verified
 
 
-def _step_supports(sys, N, bs, blocks, scheme):
-    """Yield, for k = 0..N-1 and one step at a time, the supports of the
-    lazy sets of step k of ``blocks`` as a function (block, d) -> float,
-    to be called before the next step is asked for.  The box scheme builds
-    the sets of step 0 only: a later step reads the rows and the input box
-    of ``_box_steps``.  With no block, the set engine's empty steps stand
-    for either."""
-    if not (blocks and isinstance(scheme, BoxDirections)):
-        for sets in _steps(sys, N, bs, blocks, scheme, collapse=False):
-            yield lambda i, d: sets[i].support_function(d)
-        return
-    x, x0 = _box_start(sys)
-    first = {i: _box_block(x, bs, i) for i in blocks}
-    yield lambda i, d: first[i].support_function(d)
-    for _, R, w_c, w_r in _box_steps(sys, N, bs, blocks):
-        slices = dict(R._row_slices())
+def _finite_step(k, values):
+    """The supports ``values`` of step k, checked to be finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"the support of step {k} overflowed", module="reach")
+    return values
 
-        def support_of(i, d):
-            # rho(d, R_i x0 + box) = rho(R_i^T d, x0) + rho(d, box), summed
-            # as MinkowskiSum(LinearMap(R_i, x0), Hyperrectangle) sums it
-            s = slices[i]
-            return float(x0._rho(R.data[s].T @ d) + (d @ w_c[s] + np.abs(d) @ w_r[s]))
-        yield support_of
+
+def _lazy_supports(sys, N, L, bs=None, scheme=BoxDirections()):
+    """Yield, for k = 0..N-1, the supports of lazy step k in the rows of the
+    (m, n) array L, as the lazy tube's ``supports(L)`` does, running the
+    engine (``_box_steps`` or ``_steps``) only for the blocks that L reads.
+    A support that is not finite is an overflow, and raises
+    ``NonFiniteError``; the caller turns numpy's overflow warnings off."""
+    bs = bs or BlockStructure(sys.n)
+    blocks = _blocks_read(L, bs)
+    parts = _direction_parts(L, bs, blocks)
+    m = len(L)
+    if not blocks:
+        yield from (np.zeros(m) for _ in range(N))
+        return
+    if not isinstance(scheme, BoxDirections):
+        for k, sets in enumerate(_steps(sys, N, bs, blocks, scheme, collapse=False)):
+            yield _finite_step(k, _support_sum(parts, m, lambda i, L_b, _:
+                                               sets[i].support_batch(L_b)))
+        return
+    _, x0 = _box_start(sys)
+    cols = bs.coords(blocks)
+    rows = BlockStructure(cols.size)
+    local = {i: rows.slice(p) for p, i in enumerate(blocks)}
+    first = (0, None, x0.center[cols], x0.radius[cols])
+    for k, R, c, r in itertools.chain([first], _box_steps(sys, N, bs, blocks)):
+        yield _finite_step(k, _support_sum(parts, m, lambda i, L_b, L_b_abs:
+                                           _box_supports(L_b, L_b_abs, local[i],
+                                                         c, r, R, x0)))
 
 
 def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                    scheme=BoxDirections()):
     """Certify a safety formula along the recurrence.
 
-    Atom supports are evaluated directly on the lazy per-step sets
-    (``_step_supports``), so only the blocks appearing in some atom
-    direction are ever computed.  Returns Verified, or Violated at the
-    first step where certification fails (which is not a proven
-    counterexample).  A support that is not finite is an overflow, and
-    raises ``NonFiniteError``.
+    The supports of all atoms are read at once from the lazy per-step sets
+    (``_lazy_supports``), so only the blocks appearing in some atom
+    direction are ever computed, and no tube is held.  Returns Verified, or
+    Violated at the first step where certification fails (which is not a
+    proven counterexample).  A support that is not finite is an overflow,
+    and raises ``NonFiniteError``.
     """
     N, bs, _ = _checked_run(sys, N, bs)
     atoms = prop.atoms()
     if not atoms:
         raise InputError("safety property has no atoms", module="reach")
-    state_dirs, needed = _state_directions(prop, bs)
+    L = _state_directions(prop, bs)
     D = _as_matrix(prop.D)
-
-    feed_dirs = {}
-    for a in atoms:
-        if D is not None:
-            du = np.asarray(D.data.T @ a.coeffs, dtype=float).ravel()
-            if np.any(du != 0.0):
-                if sys.u_sets is None:
-                    raise InputError("property uses feedthrough but the system "
-                                     "carries no input sets", module="reach")
-                feed_dirs[id(a)] = du
+    F = np.array([np.zeros(0) if D is None else
+                  np.asarray(D.data.T @ a.coeffs, dtype=float).ravel() for a in atoms])
+    feed = np.any(F != 0.0, axis=1)
+    F = F[feed]
+    if feed.any() and sys.u_sets is None:
+        raise InputError("property uses feedthrough but the system "
+                         "carries no input sets", module="reach")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, support_of in enumerate(_step_supports(sys, N, bs, needed, scheme)):
-            values = {}
-            for a in atoms:
-                val = _block_support_sum(support_of, needed, bs,
-                                         state_dirs[id(a)])
-                if id(a) in feed_dirs:
-                    val += _step_set(sys.u_sets, k, "reach").support_function(
-                        feed_dirs[id(a)])
-                if not math.isfinite(val):
-                    raise NonFiniteError(f"the support of step {k} overflowed",
-                                         module="reach")
-                values[id(a)] = val
-            cert = {id(a): a.holds(values[id(a)]) for a in atoms}
+        for k, values in enumerate(_lazy_supports(sys, N, L, bs, scheme)):
+            if feed.any():
+                values[feed] += _step_set(sys.u_sets, k, "reach").support_batch(F)
+                _finite_step(k, values)
+            cert = {id(a): a.holds(v) for a, v in zip(atoms, values)}
             if not _formula_certified(prop.formula, cert):
-                bad = next(a for a in atoms if not cert[id(a)])
-                return CheckResult(False, step=k, atom=bad.describe(),
-                                   value=values[id(bad)])
+                j = next(j for j, a in enumerate(atoms) if not cert[id(a)])
+                return CheckResult(False, step=k, atom=atoms[j].describe(),
+                                   value=float(values[j]))
     return CheckResult(True)
 
 

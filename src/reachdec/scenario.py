@@ -22,7 +22,7 @@ from .approx import BlockStructure, BoxDirections, EpsilonClose
 from .discretize import DENSE, DISCRETE, ContinuousSystem
 from .errors import InputError
 from .linalg import BlockMatrix, read_matrix_market
-from .reach import And, Atom, Or, SafetyProperty, _state_directions
+from .reach import And, Atom, Or, SafetyProperty, _blocks_read, _state_directions
 from .sets import Hyperrectangle, Singleton, zero_set
 
 __all__ = ["Scenario", "parse_scenario", "parse_property", "parse_scheme",
@@ -326,7 +326,7 @@ def property_blocks(prop: SafetyProperty, bs: BlockStructure,
     through the output matrix); all blocks when nothing is touched.  With
     ``inputs_are_states`` (no B), the blocks of the feedthrough D's nonzero
     columns are added: checking the property reads those inputs."""
-    _, needed = _state_directions(prop, bs)
+    needed = _blocks_read(_state_directions(prop, bs), bs)
     if not needed:
         return tuple(range(bs.b))
     if inputs_are_states and prop.D is not None:

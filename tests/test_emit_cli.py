@@ -567,6 +567,54 @@ def test_cli_check_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys,
         3, "error:reach:non-finite the support of step 3 overflowed\n", "")
 
 
+def run_quiet(capsys, *argv):
+    """(exit code, stdout lines) of one in-process run with warnings as
+    errors, which must write nothing to stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out.splitlines()
+
+
+@pytest.mark.parametrize("scheme", ["box", "eps:0.1"])
+def test_cli_bounds_ends_at_an_overflowing_support(tmp_path, capsys, scheme):
+    # Phi = 1e10 I and x0 = 1e290: the supports of step 2 overflow, and
+    # bounds stops there as check does, before the oracle and before
+    # printing any step
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1e290, 1.0], "radius": [1.0, 1.0]}},
+           "delta": 1.0, "N": 4, "model": "discrete", "scheme": scheme}
+    sc = write_scenario(tmp_path, doc,
+                        {"A": sp.csr_array(np.log(1e10) * np.eye(2))})
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 3
+    assert [line.split()[0] for line in lines[:2]] == ["b=1", "map"]
+    assert lines[2:] == ["error:reach:non-finite the support of step 2 overflowed"]
+    # Phi = 1e100 I: the support of step 3 overflows before Phi^4 does
+    doc = {"A": "A.mtx", "X0": {"point": [1e10, 1.0]}, "delta": 1.0, "N": 6,
+           "model": "discrete", "scheme": scheme}
+    sc = write_scenario(tmp_path, doc,
+                        {"A": sp.csr_array(np.log(1e100) * np.eye(2))})
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 3
+    assert lines[2:] == ["error:reach:non-finite the support of step 3 overflowed"]
+
+
+def test_cli_bounds_ends_at_an_overflowing_map_gap(tmp_path, capsys):
+    # Phi X0 with x0 = 1e300 and Phi = 1e10 I overflows: the sampled gap of
+    # the map is not finite, and must not read as 0
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1e300, 1.0], "radius": [1.0, 1.0]}},
+           "delta": 1.0, "N": 3, "model": "discrete", "scheme": "box"}
+    sc = write_scenario(tmp_path, doc,
+                        {"A": sp.csr_array(np.log(1e10) * np.eye(2))})
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 3
+    assert lines[0].startswith("b=1 ")
+    assert lines[1:] == ["error:oracle:non-finite hausdorff_estimate: "
+                         "support gap is not finite"]
+
+
 def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):
     sc = stable_scenario(tmp_path, X0={"box": {"center": [1e308] * 4,
                                                "radius": [1e308] * 4}})

@@ -31,6 +31,7 @@ from reachdec import (
     EpsilonClose,
     HPolygon,
     Hyperrectangle,
+    LazySet,
     LinearMap,
     SafetyProperty,
     Singleton,
@@ -40,6 +41,7 @@ from reachdec import (
     reach_decomposed_varying,
     reach_nondecomposed,
 )
+from reachdec.reach import _lazy_supports
 
 # derandomized: the same examples on every run, and no example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -216,17 +218,22 @@ def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
     sys, N = case
     tube = run(sys, N, scheme=scheme, lazy=True)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    atoms, values = [], []
+    C = []
     for _ in range(data.draw(st.integers(1, 3))):
         coeffs = rng.standard_normal(sys.n)
         coeffs[rng.random(sys.n) < 0.5] = 0.0
         if not coeffs.any():
             coeffs[rng.integers(sys.n)] = 1.0
-        vals = np.array([tube.support(k, coeffs) for k in range(N)])
+        C.append(coeffs)
+    # the checker asks for all atoms at once, and a set's batch may round
+    # a direction differently in a stack of one row than in a stack of m,
+    # so the reference is one batch over all the atoms' rows per step
+    values = np.array([tube.support_batch(k, C) for k in range(N)]).T
+    atoms = []
+    for coeffs, vals in zip(C, values):
         # a bound inside the range of the supports: some runs fail late
         bound = float(np.quantile(vals, data.draw(st.floats(0.0, 1.0))))
         atoms.append(Atom(coeffs, bound, strict=data.draw(st.booleans())))
-        values.append(vals)
 
     fails = [k for k in range(N)
              if not all(a.holds(v[k]) for a, v in zip(atoms, values))]
@@ -238,6 +245,58 @@ def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
         assert res.step == k
         assert res.atom == atoms[bad].describe()
         assert res.value == values[bad][k]
+
+
+@PROPERTY
+@given(systems(), st.sampled_from([BoxDirections(), EpsilonClose(0.05)]),
+       st.data())
+def test_streamed_supports_are_the_lazy_tube(case, scheme, data):
+    # the stream runs the engine for the blocks that L reads only, and
+    # must give the lazy tube's supports bit for bit
+    sys, N = case
+    bs = BlockStructure(sys.n)
+    L = directions(sys, N)
+    read = data.draw(st.sets(st.integers(0, bs.b - 1)))
+    if data.draw(st.booleans()):
+        L[:, np.setdiff1d(np.arange(sys.n), bs.coords(sorted(read)))] = 0.0
+    tube = run(sys, N, scheme=scheme, lazy=True)
+    streamed = list(_lazy_supports(sys, N, L, scheme=scheme))
+    assert len(streamed) == N
+    for got, want in zip(streamed, tube.supports(L)):
+        npt.assert_array_equal(got, want)
+
+
+def test_streamed_supports_of_no_block_form_no_power(monkeypatch):
+    def no_power(*args):
+        raise AssertionError("directions that read no block formed a power")
+
+    monkeypatch.setattr("reachdec.reach.MatrixPowerState", no_power)
+    X0 = Hyperrectangle(np.ones(3), np.full(3, 0.1))
+    sys = DiscreteSystem(0.9 * np.eye(3), X0, X0, 0.1)
+    for scheme in (BoxDirections(), EpsilonClose(0.1)):
+        streamed = list(_lazy_supports(sys, 5, np.zeros((4, 3)), scheme=scheme))
+        npt.assert_array_equal(streamed, np.zeros((5, 4)))
+
+
+def test_check_asks_each_read_block_once_per_step(monkeypatch):
+    # 16 atoms over blocks 0 and 2 of four, under the eps scheme: one
+    # support batch per read block and step, and no single-direction query
+    rng = np.random.default_rng(41)
+    n, N = 8, 6
+    phi = 0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sys = DiscreteSystem(phi, Hyperrectangle(rng.uniform(-1, 1, n), np.full(n, 0.1)),
+                         Hyperrectangle(np.zeros(n), np.full(n, 0.01)), 0.1)
+    C = rng.standard_normal((16, n))
+    C[:, [2, 3, 6, 7]] = 0.0
+    prop = SafetyProperty(And([Atom(c, 1e6) for c in C]))
+    calls = {"support_batch": 0, "support_function": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _real=getattr(LazySet, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(LazySet, name, counted)
+    assert check_property(sys, prop, N, scheme=EpsilonClose(0.05)).verified
+    assert calls == {"support_batch": 2 * N, "support_function": 0}
 
 
 def lazy_step_phis():

@@ -1,5 +1,7 @@
 """Reference supports, sampled distances, error bounds, and simulation."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,6 +24,7 @@ from reachdec import (
     LazySet,
     LinearMap,
     MinkowskiSum,
+    NonFiniteError,
     Singleton,
     decomposed_image,
     decomposed_map_error_bound,
@@ -137,6 +140,19 @@ def test_hausdorff_rejects_bad_inputs():
         hausdorff_estimate(small, big, directions=np.zeros((1, 2)))
     with pytest.raises(InputError):
         hausdorff_estimate(small, big, directions=np.ones(2))
+
+
+def test_hausdorff_of_an_overflowing_set_raises():
+    # the supports of the image overflow to inf, and inf - inf is a NaN
+    # gap, which max(0, gap) would read as 0
+    X = Hyperrectangle([1e300, 1.0], [1.0, 1.0])
+    image = LinearMap(1e10 * np.eye(2), X)
+    for Y in (image, Hyperrectangle([0.0, 0.0], [2.0, 2.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                hausdorff_estimate(image, Y, count=64)
+        assert exc.value.tag() == "error:oracle:non-finite"
 
 
 # ----------------------------------------------------------------------
