@@ -47,7 +47,6 @@ class EpsilonClose:
     """Overapproximate each 2D block by a polygon within eps Hausdorff distance."""
 
     eps: float
-    max_constraints: int = 10_000
 
     def __post_init__(self):
         if not (self.eps > 0):
@@ -197,7 +196,7 @@ def approximate(X, scheme):
         return overapproximate_box(X)
     if isinstance(scheme, EpsilonClose):
         if X.dim == 2:
-            return overapproximate_eps(X, scheme.eps, scheme.max_constraints)
+            return overapproximate_eps(X, scheme.eps)
         return overapproximate_box(X)  # 1D blocks: the interval hull is exact
     raise InvalidSetError(f"unknown approximation scheme {scheme!r}", module="approx")
 

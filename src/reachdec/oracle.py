@@ -28,6 +28,7 @@ from .sets import (
 __all__ = [
     "sample_directions",
     "dual_exponent",
+    "support_gaps",
     "hausdorff_estimate",
     "set_diameter",
     "reach_nondecomposed",
@@ -101,6 +102,32 @@ def _dual_normalize(directions, p):
 # sampled Hausdorff distance and diameters
 # ----------------------------------------------------------------------
 
+def support_gaps(outer, inner, what, module):
+    """The gaps g = outer - inner between the support values ``outer`` of
+    a set and ``inner`` of a set it is to contain, two arrays over the
+    same directions.
+
+    A g that is not finite is an overflow, and raises ``NonFiniteError``
+    ("<what> is not finite").  A g below -1e-9 * max(1, |outer|, |inner|)
+    contradicts the containment beyond the rounding of values of that
+    size, and raises ``ContainmentError`` for the direction where g is
+    lowest relative to that allowance.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = outer - inner
+    if not np.isfinite(g).all():
+        raise NonFiniteError(f"{what} is not finite", module=module)
+    if g.min() >= -1e-9:    # the allowance is at least 1e-9
+        return g
+    allowance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(outer), np.abs(inner)))
+    i = int(np.argmin(g / allowance))
+    if g[i] < -allowance[i]:
+        raise ContainmentError(
+            f"{what} is {g[i]:.3e} in direction {i}, below the rounding "
+            f"allowance {-allowance[i]:.3e}", module=module)
+    return g
+
+
 def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
     """Sampled p-norm Hausdorff distance between X and Y, assuming X is
     contained in Y.
@@ -108,8 +135,8 @@ def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
     Maximizes rho_Y - rho_X over directions scaled to unit *dual* norm,
     which makes each sampled gap a valid lower bound of the distance; the
     estimate converges from below as directions densify.  A gap that is
-    not finite is an overflow, and a gap below -1e-9 contradicts the
-    containment assumption; both raise.
+    not finite is an overflow, and a gap below the rounding allowance of
+    ``support_gaps`` contradicts the containment assumption; both raise.
     """
     if X.dim != Y.dim:
         raise DimensionError(f"sets have dimensions {X.dim} and {Y.dim}",
@@ -118,16 +145,8 @@ def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
         directions = sample_directions(X.dim, count, seed)
     D = _dual_normalize(directions, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = Y.support_batch(D) - X.support_batch(D)
-    if not np.isfinite(gaps).all():
-        raise NonFiniteError("hausdorff_estimate: support gap is not finite",
-                             module="oracle")
-    worst = float(gaps.min())
-    if worst < -1e-9:
-        i = int(gaps.argmin())
-        raise ContainmentError(
-            f"support gap {worst:.3e} in direction {D[i]}: "
-            "the first set is not contained in the second", module="oracle")
+        outer, inner = Y.support_batch(D), X.support_batch(D)
+    gaps = support_gaps(outer, inner, "hausdorff_estimate: support gap", "oracle")
     return max(0.0, float(gaps.max()))
 
 
@@ -254,10 +273,10 @@ def _column_alphas(phi: BlockMatrix, bs: BlockStructure, p):
     return alphas, order[:, -1]
 
 
-def decomposed_image(phi: BlockMatrix, blocks, bs=None):
+def decomposed_image(phi: BlockMatrix, blocks):
     """Lazy per-block image of a decomposed set: block row i maps to the
     Minkowski sum of the block entries applied to the source blocks."""
-    bs = bs or BlockStructure(phi.n)
+    bs = BlockStructure(phi.n)
     if len(blocks) != bs.b:
         raise DimensionError(f"{len(blocks)} blocks for a structure with {bs.b}",
                              module="oracle")

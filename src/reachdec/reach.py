@@ -269,17 +269,14 @@ def _box_supports(L_b, L_b_abs, s, c, r, R, x0):
 # the decomposed recurrence
 # ----------------------------------------------------------------------
 
-def _checked_run(sys, N, bs, tracked=None):
+def _checked_run(sys, N, tracked=None):
     """(N, bs, tracked) of a run, checked against the system: at least one
-    step, a block structure of the system's dimension, known tracked
-    blocks (all when None), and an input sequence covering every step."""
+    step, known tracked blocks (all when None) of the system's block
+    structure bs, and an input sequence covering every step."""
     N = int(N)
     if N < 1:
         raise InputError(f"step count must be at least 1, got {N}", module="reach")
-    bs = bs or BlockStructure(sys.n)
-    if bs.n != sys.n:
-        raise DimensionError(f"block structure is for dimension {bs.n}, "
-                             f"system has {sys.n}", module="reach")
+    bs = BlockStructure(sys.n)
     if tracked is None:
         tracked = tuple(range(bs.b))
     else:
@@ -449,8 +446,8 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True):
         power.advance()
 
 
-def _reach(sys, N, bs, tracked, scheme, lazy):
-    N, bs, tracked = _checked_run(sys, N, bs, tracked)
+def _reach(sys, N, tracked, scheme, lazy):
+    N, bs, tracked = _checked_run(sys, N, tracked)
     with np.errstate(over="ignore", invalid="ignore"):     # see _box_tube
         if isinstance(scheme, BoxDirections):
             return _box_tube(sys, N, bs, tracked, lazy)
@@ -458,7 +455,7 @@ def _reach(sys, N, bs, tracked, scheme, lazy):
     return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
-def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
+def reach_decomposed(sys: DiscreteSystem, N, tracked=None,
                      scheme=BoxDirections(), lazy=False):
     """Reach tube of a constant-input recurrence over N steps.
 
@@ -473,10 +470,10 @@ def reach_decomposed(sys: DiscreteSystem, N, bs=None, tracked=None,
         raise InputError("reach_decomposed expects a constant input set; "
                          "use reach_decomposed_varying for sequences",
                          module="reach")
-    return _reach(sys, N, bs, tracked, scheme, lazy)
+    return _reach(sys, N, tracked, scheme, lazy)
 
 
-def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
+def reach_decomposed_varying(sys: DiscreteSystem, N, tracked=None,
                              scheme=BoxDirections(), lazy=False):
     """Reach tube for a per-step input sequence.
 
@@ -490,7 +487,7 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, bs=None, tracked=None,
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
-    return _reach(sys, N, bs, tracked, scheme, lazy)
+    return _reach(sys, N, tracked, scheme, lazy)
 
 
 # ----------------------------------------------------------------------
@@ -612,13 +609,13 @@ def _finite_step(k, values):
     return values
 
 
-def _lazy_supports(sys, N, L, bs=None, scheme=BoxDirections()):
+def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     """Yield, for k = 0..N-1, the supports of lazy step k in the rows of the
     (m, n) array L, as the lazy tube's ``supports(L)`` does, running the
     engine (``_box_steps`` or ``_steps``) only for the blocks that L reads.
     A support that is not finite is an overflow, and raises
     ``NonFiniteError``; the caller turns numpy's overflow warnings off."""
-    bs = bs or BlockStructure(sys.n)
+    bs = BlockStructure(sys.n)
     blocks = _blocks_read(L, bs)
     parts = _direction_parts(L, bs, blocks)
     m = len(L)
@@ -641,7 +638,7 @@ def _lazy_supports(sys, N, L, bs=None, scheme=BoxDirections()):
                                                          c, r, R, x0)))
 
 
-def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
+def check_property(sys: DiscreteSystem, prop: SafetyProperty, N,
                    scheme=BoxDirections()):
     """Certify a safety formula along the recurrence.
 
@@ -652,7 +649,7 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
     proven counterexample).  A support that is not finite is an overflow,
     and raises ``NonFiniteError``.
     """
-    N, bs, _ = _checked_run(sys, N, bs)
+    N, bs, _ = _checked_run(sys, N)
     atoms = prop.atoms()
     if not atoms:
         raise InputError("safety property has no atoms", module="reach")
@@ -667,7 +664,7 @@ def check_property(sys: DiscreteSystem, prop: SafetyProperty, N, bs=None,
                          "carries no input sets", module="reach")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, values in enumerate(_lazy_supports(sys, N, L, bs, scheme)):
+        for k, values in enumerate(_lazy_supports(sys, N, L, scheme)):
             if feed.any():
                 values[feed] += _step_set(sys.u_sets, k, "reach").support_batch(F)
                 _finite_step(k, values)

@@ -68,8 +68,12 @@ def _as_vector(x, name):
 class LazySet:
     """Base class: a nonempty compact convex set queried via support functions.
 
-    Leaves give `_rho` and `_sigma`, paired by the default `_rho_sigma`;
-    `HPolygon` and the combinators give `_rho_sigma`, one walk for both.
+    Every set answers through three walks of its operand tree:
+    `_rho_sigma` (one direction: its support value and a maximizer),
+    `_rho_batch` (the support values of a stack of directions; by default
+    one `_rho_sigma` per row) and `_axis_supports` (the support values in
+    +-e_i of a transform of the set; by default support batches).  The
+    public queries below read only these.
     """
 
     dim = 0
@@ -77,7 +81,7 @@ class LazySet:
     def support_function(self, direction):
         """Return max of <direction, x> over the set."""
         l = self._direction(direction)
-        return float(self._rho(l))
+        return float(self._rho_sigma(l)[0])
 
     def support_vector(self, direction):
         """Return a maximizer of <direction, x> over the set."""
@@ -101,17 +105,11 @@ class LazySet:
 
     # -- subclass hooks -------------------------------------------------
 
-    def _rho(self, l):
-        raise NotImplementedError
-
-    def _sigma(self, l):
-        raise NotImplementedError
-
     def _rho_sigma(self, l):
-        return self._rho(l), self._sigma(l)
+        raise NotImplementedError
 
     def _rho_batch(self, L):
-        return np.array([self._rho(row) for row in L])
+        return np.array([self._rho_sigma(row)[0] for row in L])
 
     def _axis_supports(self, T):
         """(hi, nlo): the support values of T X in +e_i and in -e_i, for
@@ -268,11 +266,9 @@ class Hyperrectangle(LazySet):
     def high(self):
         return self.center + self.radius
 
-    def _rho(self, l):
-        return l @ self.center + np.abs(l) @ self.radius
-
-    def _sigma(self, l):
-        return self.center + np.where(l >= 0.0, self.radius, -self.radius)
+    def _rho_sigma(self, l):
+        return (l @ self.center + np.abs(l) @ self.radius,
+                self.center + np.where(l >= 0.0, self.radius, -self.radius))
 
     def _rho_batch(self, L):
         return L @ self.center + np.abs(L) @ self.radius
@@ -310,22 +306,20 @@ class BallP(LazySet):
             return 2
         return 1
 
-    def _rho(self, l):
-        return l @ self.center + self.radius * np.linalg.norm(l, ord=self._dual_ord)
-
-    def _sigma(self, l):
+    def _rho_sigma(self, l):
+        rho = l @ self.center + self.radius * np.linalg.norm(l, ord=self._dual_ord)
         nrm = np.linalg.norm(l)
         if nrm == 0.0:
-            return self.center.copy()
+            return rho, self.center.copy()
         if self.p == 2:
-            return self.center + self.radius * l / nrm
+            return rho, self.center + self.radius * l / nrm
         if np.isinf(self.p):
-            return self.center + self.radius * np.where(l >= 0.0, 1.0, -1.0)
+            return rho, self.center + self.radius * np.where(l >= 0.0, 1.0, -1.0)
         # p = 1: a signed coordinate vertex with the largest |l_i|
         i = int(np.argmax(np.abs(l)))
         x = self.center.copy()
         x[i] += self.radius * (1.0 if l[i] >= 0 else -1.0)
-        return x
+        return rho, x
 
     def _rho_batch(self, L):
         return L @ self.center + self.radius * _row_norms(L, self._dual_ord)
@@ -353,11 +347,8 @@ class Singleton(LazySet):
     def dim(self):
         return self.point.shape[0]
 
-    def _rho(self, l):
-        return l @ self.point
-
-    def _sigma(self, l):
-        return self.point.copy()
+    def _rho_sigma(self, l):
+        return l @ self.point, self.point.copy()
 
     def _rho_batch(self, L):
         return L @ self.point
@@ -644,18 +635,11 @@ class HPolygon(LazySet):
         return _intersect_rows(self.normals[i], self.offsets[i],
                                self.normals[j], self.offsets[j])
 
-    def _vertex_for(self, l):
-        i = self._search(*l.tolist())
-        if i in self._near_parallel:
-            return self._exact_vertex(i)
-        return self._vertices[i]
-
-    def _rho(self, l):
-        return l @ self._vertex_for(l)
-
     def _rho_sigma(self, l):
-        v = self._vertex_for(l)
-        return l @ v, v.copy()
+        i = self._search(*l.tolist())
+        v = (self._exact_vertex(i) if i in self._near_parallel
+             else self._vertices[i].copy())
+        return l @ v, v
 
     def _rho_batch(self, L):
         idx = [self._search(x, y) for x, y in L.tolist()]
@@ -718,9 +702,6 @@ class LinearMap(LazySet):
         M = self.matrix
         return M.T.tocsr() if issparse(M) else M.T
 
-    def _rho(self, l):
-        return self.operand._rho(np.asarray(self._mt @ l, dtype=float))
-
     def _rho_sigma(self, l):
         rho, inner = self.operand._rho_sigma(np.asarray(self._mt @ l, dtype=float))
         return rho, np.asarray(self.matrix @ inner, dtype=float)
@@ -752,9 +733,6 @@ class Scaled(LazySet):
     def dim(self):
         return self.operand.dim
 
-    def _rho(self, l):
-        return self.operand._rho(self.factor * l)
-
     def _rho_sigma(self, l):
         rho, sigma = self.operand._rho_sigma(self.factor * l)
         return rho, self.factor * sigma
@@ -779,9 +757,6 @@ class MinkowskiSum(LazySet):
     @property
     def dim(self):
         return self.left.dim
-
-    def _rho(self, l):
-        return self.left._rho(l) + self.right._rho(l)
 
     def _rho_sigma(self, l):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
@@ -812,14 +787,8 @@ class CartesianProduct(LazySet):
     def dim(self):
         return self._slices[-1].stop
 
-    def _split(self, l):
-        return [l[s] for s in self._slices]
-
-    def _rho(self, l):
-        return sum(p._rho(li) for p, li in zip(self.parts, self._split(l)))
-
     def _rho_sigma(self, l):
-        pairs = [p._rho_sigma(li) for p, li in zip(self.parts, self._split(l))]
+        pairs = [p._rho_sigma(l[s]) for p, s in zip(self.parts, self._slices)]
         return sum(rho for rho, _ in pairs), np.concatenate([s for _, s in pairs])
 
     def _rho_batch(self, L):
@@ -858,9 +827,6 @@ class ConvexHullPair(LazySet):
     @property
     def dim(self):
         return self.left.dim
-
-    def _rho(self, l):
-        return max(self.left._rho(l), self.right._rho(l))
 
     def _rho_sigma(self, l):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)

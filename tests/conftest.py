@@ -81,7 +81,7 @@ def generic_tube(sys, N, tracked=None, scheme=BoxDirections(), lazy=False):
     set engine `reachdec.reach._steps` builds it for any scheme: step sets,
     with the inputs collapsed through ``scheme`` every step.  Under the box
     scheme it is the generic reference for the closed-form box engine."""
-    N, bs, tracked = _checked_run(sys, N, None, tracked)
+    N, bs, tracked = _checked_run(sys, N, tracked)
     with np.errstate(over="ignore", invalid="ignore"):
         steps = list(_steps(sys, N, bs, tracked, scheme, collapse=not lazy))
     return SetTube(sys.delta, sys.model, bs, tracked, steps)

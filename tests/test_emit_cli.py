@@ -643,6 +643,49 @@ def test_cli_compare_fails_on_a_non_finite_gap(tmp_path, capsys, monkeypatch):
     assert lines[2:] == ["error:cli:non-finite support gap at step 2 is not finite"]
 
 
+@pytest.mark.parametrize("model", ["discrete", "dense"])
+def test_cli_gaps_allow_rounding_relative_to_large_supports(tmp_path, capsys, model):
+    # inputs of radius 1e306: the supports round by about 1e290, 1e-16 of
+    # themselves, which is no failure of containment
+    doc = {"A": "A.mtx", "X0": {"point": [1.0] * 4},
+           "U": {"box": {"center": [0.0] * 4, "radius": [1e306] * 4}},
+           "delta": 1.0, "N": 3, "model": model}
+    sc = write_scenario(tmp_path, doc, {"A": np.eye(4)})
+    code, lines = run_quiet(capsys, "compare", "--scenario", str(sc))
+    assert code == 0
+    assert [line.split()[0] for line in lines[:3]] == ["k=0", "k=1", "k=2"]
+    assert len(lines) == 4 and lines[3].startswith("max_gap=")
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 0
+    assert [line.split()[0] for line in lines] == ["b=2", "map", "k=0", "k=1", "k=2"]
+
+
+@pytest.mark.parametrize("fault", ["nan", "raised"])
+def test_cli_bounds_fails_on_a_bad_oracle_gap(tmp_path, capsys, monkeypatch, fault):
+    # a NaN oracle value, or one 1.0 above the decomposed support, at step
+    # 2 must end bounds there, not print a clipped gap
+    real = reachdec.cli.reach_nondecomposed
+    raised = []
+
+    def bad_oracle(*args):
+        values = np.array(real(*args))
+        values[2, 0] = np.nan if fault == "nan" else values[2, 0] + 1.0
+        raised.append(values[2, 0])
+        return values
+
+    monkeypatch.setattr(reachdec.cli, "reach_nondecomposed", bad_oracle)
+    sc = stable_scenario(tmp_path)
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 3
+    assert [line.split()[0] for line in lines[:4]] == ["b=2", "map", "k=0", "k=1"]
+    if fault == "nan":
+        want = "error:cli:non-finite support gap at step 2 is not finite"
+    else:
+        want = ("error:cli:containment support gap at step 2 is -1.000e+00 in "
+                f"direction 0, below the rounding allowance {-1e-9 * raised[0]:.3e}")
+    assert lines[4:] == [want]
+
+
 def child_env():
     """Environment of a child process that imports the same reachdec
     package as this test, whatever directory pytest was started from."""

@@ -41,6 +41,7 @@ from reachdec import (
     simulate,
     support_membership,
 )
+from reachdec.oracle import support_gaps
 
 
 def rotation(theta):
@@ -127,6 +128,23 @@ def test_hausdorff_explicit_directions():
     # only the x axis sees the growth
     assert hausdorff_estimate(X, Y, directions=np.array([[1.0, 0.0]])) == 0.5
     assert hausdorff_estimate(X, Y, directions=np.array([[0.0, 1.0]])) == 0.0
+
+
+def test_support_gaps_allow_rounding_relative_to_the_values():
+    # the allowance is 1e-9 times max(1, |outer|, |inner|)
+    big = np.array([1e306, -1e306])
+    npt.assert_array_equal(support_gaps(big, big * (1 + 1e-12), "gap", "oracle"),
+                           big - big * (1 + 1e-12))
+    support_gaps(np.array([0.0]), np.array([0.9e-9]), "gap", "oracle")
+    with pytest.raises(ContainmentError) as exc:
+        support_gaps(np.array([0.0, 1e300]), np.array([1.1e-9, 1e300]), "gap", "oracle")
+    assert str(exc.value) == ("gap is -1.100e-09 in direction 0, "
+                              "below the rounding allowance -1.000e-09")
+    with pytest.raises(ContainmentError):
+        support_gaps(np.array([2.0]), np.array([2.0 + 4.1e-9]), "gap", "oracle")
+    with pytest.raises(NonFiniteError) as exc:
+        support_gaps(np.array([np.inf]), np.array([np.inf]), "gap", "oracle")
+    assert exc.value.tag() == "error:oracle:non-finite"
 
 
 def test_hausdorff_rejects_bad_inputs():

@@ -225,8 +225,6 @@ def test_reach_rejects_bad_arguments():
         reach_decomposed(sys, 5, tracked={3})
     with pytest.raises(InputError):
         reach_decomposed(sys, 5, tracked=set())
-    with pytest.raises(DimensionError):
-        reach_decomposed(sys, 5, bs=BlockStructure(4))
     seq_sys = DiscreteSystem(np.eye(2), Hyperrectangle([0.0, 0.0], [1.0, 1.0]),
                              [Singleton([0.0, 0.0])] * 5, 0.1)
     with pytest.raises(InputError):
@@ -690,9 +688,6 @@ def test_check_rejects_the_runs_reach_rejects():
     assert not check_property(sys, fails_at_0, 4)
     with pytest.raises(InputError):
         check_property(sys, holds, 0)
-    with pytest.raises(DimensionError) as exc:
-        check_property(sys, holds, 4, bs=BlockStructure(4))
-    assert exc.value.tag() == "error:reach:dimension"
 
 
 def test_check_box_inputs_collapse_nothing(monkeypatch):

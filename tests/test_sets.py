@@ -30,6 +30,7 @@ from reachdec import (
     symmetric_interval_hull,
     zero_set,
 )
+from reachdec.approx import overapproximate_box, overapproximate_eps
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +243,60 @@ def test_support_pair_is_bitwise_value_and_vector(sparse):
                 npt.assert_array_equal(sigma, X.support_vector(l))
 
 
+class PairWalkDisc(LazySet):
+    """The unit disc about (0.5, -2), given by its one-direction walk alone."""
+
+    dim = 2
+    center = np.array([0.5, -2.0])
+
+    def _rho_sigma(self, l):
+        nrm = np.hypot(l[0], l[1])
+        return l @ self.center + nrm, self.center + (l / nrm if nrm else 0.0)
+
+
+class BatchWalkBox(LazySet):
+    """The box about (0.5, -2) of radii (1, 0.25), given by its batch walk
+    alone."""
+
+    dim = 2
+    center, radius = np.array([0.5, -2.0]), np.array([1.0, 0.25])
+
+    def _rho_batch(self, L):
+        return L @ self.center + np.abs(L) @ self.radius
+
+
+def test_a_set_with_only_the_pair_walk_answers_every_query():
+    X = PairWalkDisc()
+    rng = np.random.default_rng(3)
+    for l in [*rng.standard_normal((5, 2)), np.zeros(2), np.array([0.0, -1.0])]:
+        rho, sigma = X._rho_sigma(l)
+        assert X.support_function(l) == rho
+        npt.assert_array_equal(X.support_vector(l), sigma)
+        pair = X.support_pair(l)
+        assert pair[0] == rho
+        npt.assert_array_equal(pair[1], sigma)
+    L = rng.standard_normal((6, 2))
+    npt.assert_array_equal(X.support_batch(L), [X._rho_sigma(l)[0] for l in L])
+    box = overapproximate_box(X)
+    npt.assert_allclose(box.center, X.center, atol=1e-15)
+    npt.assert_allclose(box.radius, [1.0, 1.0])
+    eps = 1e-3
+    P = overapproximate_eps(X, eps)
+    U = rng.standard_normal((50, 2))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    gap = P.support_batch(U) - X.support_batch(U)
+    assert gap.min() >= -1e-12 and gap.max() <= eps
+
+
+def test_a_set_with_only_the_batch_walk_answers_batches_and_hulls():
+    X = BatchWalkBox()
+    L = np.array([[1.0, 0.0], [-1.0, 2.0], [0.0, 0.0]])
+    npt.assert_array_equal(X.support_batch(L), [1.5, -3.0, 0.0])
+    hull = symmetric_interval_hull(X)
+    npt.assert_array_equal(hull.center, [0.0, 0.0])
+    npt.assert_array_equal(hull.radius, [1.5, 2.25])
+
+
 def reference_sigma(X, l):
     """A support vector of a combinator tree from each combinator's
     definition, down to the support vectors of the leaves."""
@@ -417,8 +472,8 @@ def test_symmetric_hull_rejects_unbounded():
     class Unbounded(LazySet):
         dim = 2
 
-        def _rho(self, l):
-            return np.inf
+        def _rho_batch(self, L):
+            return np.full(len(L), np.inf)
 
     with pytest.raises(UnboundedSetError):
         symmetric_interval_hull(Unbounded())
