@@ -377,9 +377,16 @@ def _geometric_tail(alpha, k):
     return alpha * (1.0 - alpha ** (k - 1)) / (1.0 - alpha)
 
 
+def _finite_bound(bound, what):
+    """``bound``, or ``NonFiniteError`` when it overflowed."""
+    if not np.isfinite(bound):
+        raise NonFiniteError(f"{what} is not finite", module="oracle")
+    return bound
+
+
 def recurrence_error_bound(report: DecompositionErrorReport, k):
     """Bound on the Hausdorff distance between the decomposed and exact
-    recurrence sets at step k."""
+    recurrence sets at step k, or ``NonFiniteError`` if it overflows."""
     k = int(k)
     if k < 0:
         raise InputError(f"step index must be nonnegative, got {k}", module="oracle")
@@ -387,20 +394,24 @@ def recurrence_error_bound(report: DecompositionErrorReport, k):
     x_term = b * float(report.delta_x.sum()) + report.eps_x
     v_term = b * float(report.delta_v.sum()) + report.eps_v
     a = report.alpha_phi
-    return report.K * (a ** k * x_term + v_term * _geometric_tail(a, k)) \
-        + report.eps_v
+    try:
+        bound = report.K * (a ** k * x_term + v_term * _geometric_tail(a, k)) + report.eps_v
+    except OverflowError:       # a float power beyond the float range
+        bound = np.inf
+    return _finite_bound(bound, f"recurrence_error_bound: the bound at step {k}")
 
 
 def recurrence_error_bound_uniform(report: DecompositionErrorReport):
     """Uniform-in-k version of the step bound; requires a contracting
-    growth factor."""
+    growth factor.  A bound that overflows raises ``NonFiniteError``."""
     a = report.alpha_phi
     if a >= 1.0:
         raise InputError(f"uniform bound requires growth factor < 1, got {a}",
                          module="oracle")
     x_term = report.b * float(report.delta_x.sum()) + report.eps_x
     v_term = report.b * float(report.delta_v.sum()) + report.eps_v
-    return report.K * (x_term + v_term * a / (1.0 - a)) + report.eps_v
+    return _finite_bound(report.K * (x_term + v_term * a / (1.0 - a)) + report.eps_v,
+                         "recurrence_error_bound_uniform: the bound")
 
 
 # ----------------------------------------------------------------------

@@ -181,21 +181,15 @@ class SetTube(ReachTube):
 class BoxTube(ReachTube):
     """A box-scheme tube, held as arrays.
 
-    Row k of ``centers`` and of ``radii`` holds a box of step k over the
+    Row k of ``centers`` and of ``radii`` is the box of step k over the
     rows of the tracked blocks, block after block; row 0 is the initial
-    box, or point (``point0``).  A collapsed tube's row k is step k.  A
-    lazy tube's step k > 0 of block i is R_i x0 plus row k, the input box,
-    with R = ``powers[k]`` the rows of Phi^k (``powers`` is None on a
-    collapsed tube, and ``powers[0]`` None) and x0 the initial box.
-    Supports are read from the arrays; a block's set is built, once, only
-    when it is asked for.
+    box, or point (``point0``).  Supports are read from the arrays; a
+    block's set is built, once, only when it is asked for.
     """
 
-    def __init__(self, delta, model, bs, tracked, centers, radii, point0,
-                 powers=None, x0=None):
+    def __init__(self, delta, model, bs, tracked, centers, radii, point0):
         super().__init__(delta, model, bs, tracked)
         self.centers, self.radii, self.point0 = centers, radii, point0
-        self.powers, self.x0 = powers, x0
         rows = BlockStructure(centers.shape[1])
         self._slices = {i: rows.slice(p) for p, i in enumerate(self.tracked)}
         self._sets = {}
@@ -208,16 +202,13 @@ class BoxTube(ReachTube):
         k = range(self.n_steps)[k]
         key = (k, block)
         if key not in self._sets:
-            s, R = self._slices[block], self.powers and self.powers[k]
-            box = (Singleton(self.centers[0, s]) if k == 0 and self.point0 else
-                   Hyperrectangle(self.centers[k, s], self.radii[k, s]))
-            self._sets[key] = (box if R is None else
-                               MinkowskiSum(LinearMap(R[s], self.x0), box))
+            s = self._slices[block]
+            self._sets[key] = (
+                Singleton(self.centers[0, s]) if k == 0 and self.point0 else
+                Hyperrectangle(self.centers[k, s], self.radii[k, s]))
         return self._sets[key]
 
     def box_bounds(self):
-        if self.powers is not None:
-            return super().box_bounds()
         return {i: (self.centers[:, s], self.radii[:, s])
                 for i, s in self._slices.items()}
 
@@ -227,11 +218,11 @@ class BoxTube(ReachTube):
     def relabeled(self, bs, blocks):
         return BoxTube(self.delta, self.model, bs,
                        [blocks[p] for p in self.tracked], self.centers,
-                       self.radii, self.point0, self.powers, self.x0)
+                       self.radii, self.point0)
 
     def _block_supports(self, k, block, L_b, L_b_abs):
-        return _box_supports(L_b, L_b_abs, self._slices[block], self.centers[k],
-                             self.radii[k], self.powers and self.powers[k], self.x0)
+        s = self._slices[block]
+        return _box_supports(L_b, L_b_abs, self.centers[k, s], self.radii[k, s])
 
 
 def _direction_parts(L, bs, blocks):
@@ -257,12 +248,9 @@ def _support_sum(parts, m, block_supports):
     return total
 
 
-def _box_supports(L_b, L_b_abs, s, c, r, R, x0):
-    """The supports in the rows of L_b of the box (c[s], r[s]) of a block,
-    plus R[s] x0 when the rows R of Phi^k are given (a lazy step), as
-    ``MinkowskiSum(LinearMap(R[s], x0), Hyperrectangle(c[s], r[s]))``."""
-    out = L_b @ c[s] + L_b_abs @ r[s]
-    return out if R is None else x0._rho_batch(L_b @ R[s]) + out
+def _box_supports(L_b, L_b_abs, c, r):
+    """The supports in the rows of L_b of the box (c, r) of a block."""
+    return L_b @ c + L_b_abs @ r
 
 
 # ----------------------------------------------------------------------
@@ -384,35 +372,29 @@ def _box_steps(sys, N, bs, blocks):
         power.advance()
 
 
-def _box_tube(sys, N, bs, tracked, lazy):
+def _box_tube(sys, N, bs, tracked):
     """The ``BoxTube`` of the box scheme over the tracked blocks.
 
-    Row k of a collapsed tube is the box hull of step k of ``_box_steps``,
-    center R c0 + w_c and radius |R| r0 + w_r for x0 = (c0, r0); a lazy
-    tube keeps R and (w_c, w_r).  Each row is checked as it is written: its
-    parts are sums of products of finite data, and of nonnegative ones for
-    the radius, so a non-finite entry is an overflow (the tube builders run
-    with numpy's overflow warnings off)."""
+    Row k is the box hull of step k of ``_box_steps``, center R c0 + w_c
+    and radius |R| r0 + w_r for x0 = (c0, r0).  Each row is checked as it
+    is written: its parts are sums of products of finite data, and of
+    nonnegative ones for the radius, so a non-finite entry is an overflow
+    (the tube builders run with numpy's overflow warnings off)."""
     x, x0 = _box_start(sys)
     cols = bs.coords(tracked)
     centers, radii = np.empty((N, cols.size)), np.empty((N, cols.size))
     centers[0], radii[0] = x0.center[cols], x0.radius[cols]
-    powers = [None] if lazy else None
     for k, R, w_c, w_r in _box_steps(sys, N, bs, tracked):
         c, r = centers[k], radii[k]
-        if lazy:
-            powers.append(R)
-            c[:], r[:] = w_c, w_r
-        else:
-            np.add(row_products(R, x0.center), w_c, out=c)
-            np.add(row_products(np.abs(R), x0.radius), w_r, out=r)
+        np.add(row_products(R, x0.center), w_c, out=c)
+        np.add(row_products(np.abs(R), x0.radius), w_r, out=r)
         if not (np.isfinite(c).all() and np.isfinite(r).all()):
             raise NonFiniteError(f"the box of step {k} overflowed",
                                  module="reach")
     centers.setflags(write=False)
     radii.setflags(write=False)
     return BoxTube(sys.delta, sys.model, bs, tracked, centers, radii,
-                   isinstance(x, Singleton), powers, x0 if lazy else None)
+                   isinstance(x, Singleton))
 
 
 def _steps(sys, N, bs, blocks, scheme, collapse=True):
@@ -446,35 +428,34 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True):
         power.advance()
 
 
-def _reach(sys, N, tracked, scheme, lazy):
+def _reach(sys, N, tracked, scheme):
     N, bs, tracked = _checked_run(sys, N, tracked)
     with np.errstate(over="ignore", invalid="ignore"):     # see _box_tube
         if isinstance(scheme, BoxDirections):
-            return _box_tube(sys, N, bs, tracked, lazy)
-        steps = list(_steps(sys, N, bs, tracked, scheme, not lazy))
+            return _box_tube(sys, N, bs, tracked)
+        steps = list(_steps(sys, N, bs, tracked, scheme))
     return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
 def reach_decomposed(sys: DiscreteSystem, N, tracked=None,
-                     scheme=BoxDirections(), lazy=False):
+                     scheme=BoxDirections()):
     """Reach tube of a constant-input recurrence over N steps.
 
     Step k is built from Phi^k applied to the decomposed initial blocks
-    plus an input accumulation: a box in closed form under the box scheme,
-    collapsed through ``scheme`` each step otherwise.  With ``lazy`` the
-    per-step state combination is kept symbolic (the input accumulation is
-    still a box or a collapsed set), which is what the safety checker
-    evaluates.  A box-scheme run is a ``BoxTube``, lazy or collapsed.
+    plus an input accumulation: a box in closed form under the box scheme
+    (a ``BoxTube``), collapsed through ``scheme`` each step otherwise.  A
+    tube holds collapsed steps; the safety checker and ``bounds`` read the
+    uncollapsed steps as a stream of supports instead (``_lazy_supports``).
     """
     if not sys.constant_input:
         raise InputError("reach_decomposed expects a constant input set; "
                          "use reach_decomposed_varying for sequences",
                          module="reach")
-    return _reach(sys, N, tracked, scheme, lazy)
+    return _reach(sys, N, tracked, scheme)
 
 
 def reach_decomposed_varying(sys: DiscreteSystem, N, tracked=None,
-                             scheme=BoxDirections(), lazy=False):
+                             scheme=BoxDirections()):
     """Reach tube for a per-step input sequence.
 
     The input accumulation cannot be kept separate here: it is propagated
@@ -487,7 +468,7 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, tracked=None,
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
                          "use reach_decomposed for constant inputs", module="reach")
-    return _reach(sys, N, tracked, scheme, lazy)
+    return _reach(sys, N, tracked, scheme)
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +484,9 @@ class Atom:
             raise DimensionError("Atom: coefficient vector must be 1D", module="reach")
         self.coeffs = c
         self.bound = float(bound)
+        if not (np.isfinite(c).all() and np.isfinite(self.bound)):
+            raise InputError("Atom: coefficients and bound must be finite",
+                             module="reach")
         self.strict = bool(strict)
         self.label = label
 
@@ -611,9 +595,12 @@ def _finite_step(k, values):
 
 def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     """Yield, for k = 0..N-1, the supports of lazy step k in the rows of the
-    (m, n) array L, as the lazy tube's ``supports(L)`` does, running the
-    engine (``_box_steps`` or ``_steps``) only for the blocks that L reads.
-    A support that is not finite is an overflow, and raises
+    (m, n) array L, running the engine (``_box_steps`` or ``_steps``) only
+    for the blocks that L reads.  Lazy step k of block i is R_i X0 plus its
+    input accumulation, R_i the block's rows of Phi^k, uncollapsed: under
+    the box scheme X0 is the box (or point) of the initial set and the
+    accumulation a box, so a support is rho(R_i^T d, X0) plus that of the
+    box.  A support that is not finite is an overflow, and raises
     ``NonFiniteError``; the caller turns numpy's overflow warnings off."""
     bs = BlockStructure(sys.n)
     blocks = _blocks_read(L, bs)
@@ -633,9 +620,11 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     local = {i: rows.slice(p) for p, i in enumerate(blocks)}
     first = (0, None, x0.center[cols], x0.radius[cols])
     for k, R, c, r in itertools.chain([first], _box_steps(sys, N, bs, blocks)):
-        yield _finite_step(k, _support_sum(parts, m, lambda i, L_b, L_b_abs:
-                                           _box_supports(L_b, L_b_abs, local[i],
-                                                         c, r, R, x0)))
+        def block_supports(i, L_b, L_b_abs):
+            s = local[i]
+            out = _box_supports(L_b, L_b_abs, c[s], r[s])
+            return out if R is None else x0._rho_batch(L_b @ R[s]) + out
+        yield _finite_step(k, _support_sum(parts, m, block_supports))
 
 
 def check_property(sys: DiscreteSystem, prop: SafetyProperty, N,

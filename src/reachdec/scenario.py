@@ -178,14 +178,12 @@ def _tokenize(text):
                 break
             raise InputError(f"property: cannot read {rest[:12]!r} "
                              f"at position {pos}", module="cli")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        elif m.lastgroup == "word":
-            tokens.append(("word", m.group("word"), m.start("word")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind, word = m.lastgroup, m.group(m.lastgroup)
+        value = float(word) if kind == "num" else word
+        if kind == "num" and not np.isfinite(value):
+            raise InputError(f"property: number {word!r} is not finite "
+                             f"at position {m.start(kind)}", module="cli")
+        tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -275,7 +273,8 @@ class _PropertyParser:
                 if vtok[0] != "var":
                     self._error("expected a variable after the coefficient",
                                 vtok)
-                coeffs[self._variable_index(vtok[1], vtok)] += coeff
+                i = self._variable_index(vtok[1], vtok)
+                coeffs[i] = float(coeffs[i]) + coeff    # unwarned inf; Atom refuses it
             elif tok[0] == "var":
                 coeffs[self._variable_index(tok[1], tok)] += sign
             else:

@@ -25,10 +25,8 @@ from reachdec import (
     HPolygon,
     Hyperrectangle,
     InputError,
-    Singleton,
     discretize,
     reach_decomposed,
-    reach_decomposed_varying,
 )
 from reachdec.cli import main
 from reachdec.emit import (
@@ -99,39 +97,6 @@ def test_csv_round_trip_is_bitwise(tmp_path):
             lo, hi = boxes[(k, i)]
             npt.assert_array_equal(lo, ref.low)
             npt.assert_array_equal(hi, ref.high)
-
-
-@pytest.mark.parametrize("start", ["box", "point"])
-@pytest.mark.parametrize("inputs", ["constant", "sequence"])
-def test_lazy_box_tube_bounds_are_the_hulls_of_its_sets(tmp_path, start, inputs):
-    # the arrays of a lazy box tube hold the input boxes, not its steps:
-    # its bounds, and so its CSV, are the box hulls of its sets
-    n, N = 5, 6
-    rng = np.random.default_rng(41)
-    phi = np.eye(n) * 0.9
-    phi[:2, :2] = 0.95 * rotation(0.4)
-    phi[0, 4] = 0.1
-    X0 = (Singleton(rng.standard_normal(n)) if start == "point" else
-          Hyperrectangle(rng.standard_normal(n), rng.uniform(0.1, 0.5, n)))
-    seq = [Hyperrectangle(0.1 * rng.standard_normal(n), rng.uniform(0.0, 0.1, n))
-           for _ in range(N)]
-    if inputs == "constant":
-        tube = reach_decomposed(DiscreteSystem(phi, X0, seq[0], 0.1), N, lazy=True)
-    else:
-        tube = reach_decomposed_varying(DiscreteSystem(phi, X0, seq, 0.1), N,
-                                        lazy=True)
-    bounds = tube.box_bounds()
-    out = tmp_path / "tube.csv"
-    write_tube_csv(tube, out)
-    _, boxes = read_tube_csv(out)
-    for i in tube.tracked:
-        for k in range(N):
-            hull = tube.box_hull(k, i)
-            npt.assert_array_equal(bounds[i][0][k], hull.center)
-            npt.assert_array_equal(bounds[i][1][k], hull.radius)
-            lo, hi = boxes[(k, i)]
-            npt.assert_array_equal(lo, hull.low)
-            npt.assert_array_equal(hi, hull.high)
 
 
 def test_csv_layout_and_dense_times(tmp_path):
@@ -658,6 +623,38 @@ def test_cli_gaps_allow_rounding_relative_to_large_supports(tmp_path, capsys, mo
     code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
     assert code == 0
     assert [line.split()[0] for line in lines] == ["b=2", "map", "k=0", "k=1", "k=2"]
+
+
+def test_cli_bounds_ends_at_an_overflowing_bound(tmp_path, capsys):
+    # inputs of radius 1e306 under Phi = e I: the recurrence bound of step 3
+    # overflows, and bounds ends there instead of printing bound=inf
+    doc = {"A": "A.mtx", "X0": {"point": [1.0] * 4},
+           "U": {"box": {"center": [0.0] * 4, "radius": [1e306] * 4}},
+           "delta": 1.0, "N": 5, "model": "dense"}
+    sc = write_scenario(tmp_path, doc, {"A": np.eye(4)})
+    code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+    assert code == 3
+    assert [line.split()[0] for line in lines[:2]] == ["b=2", "map"]
+    assert lines[2:] == [
+        "k=0 bound=1.374625e+307 gap=3.118500e+290",
+        "k=1 bound=3.736619e+307 gap=1.247400e+291",
+        "k=2 bound=1.389380e+308 gap=2.494800e+291",
+        "error:oracle:non-finite recurrence_error_bound: the bound at step 3 "
+        "is not finite"]
+
+
+@pytest.mark.parametrize("prop, pos", [("1e999*x1 < 10", 0), ("x1 < 1e999", 5)])
+def test_cli_check_refuses_a_property_number_that_overflows(tmp_path, capsys,
+                                                             prop, pos):
+    # an overflowing coefficient is bad input, not an overflowing support,
+    # and an overflowing bound does not certify a vacuous property
+    doc = {"A": "A.mtx", "X0": {"point": [1.0] * 4},
+           "U": {"box": {"center": [0.0] * 4, "radius": [1.0] * 4}},
+           "delta": 1.0, "N": 5, "model": "discrete", "property": prop}
+    sc = write_scenario(tmp_path, doc, {"A": np.eye(4)})
+    code, lines = run_quiet(capsys, "check", "--scenario", str(sc))
+    assert (code, lines) == (2, ["error:cli:schema property: number '1e999' "
+                                 f"is not finite at position {pos}"])
 
 
 @pytest.mark.parametrize("fault", ["nan", "raised"])

@@ -1,10 +1,10 @@
 """Differential properties of the engine paths on random small systems.
 
 Every path of the decomposed recurrence -- the closed-form box engine,
-collapsed or lazy, the set engine (``conftest.generic_tube`` runs it
-under the box scheme as well), the varying-input recurrence and the
-safety checker -- must agree with the others and stay sound against the
-non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
+the set engine (``conftest.generic_tube`` runs it under the box scheme as
+well), the lazy steps streamed as supports (``reach._lazy_supports``),
+the varying-input recurrence and the safety checker -- must agree with
+the others and stay sound against the non-decomposed oracle.  Systems have n <= 8, dense or CSR Phi, and
 initial and input sets drawn from boxes, p-balls, singletons and
 products of constraint polygons, and input sets also from maps of boxes
 through dense or CSR matrices, with constant inputs or per-step
@@ -172,10 +172,11 @@ def test_lazy_box_inputs_match_set_inputs(case):
     # generic tube collapsed through the scheme every step
     sys, N = case
     L = directions(sys, N)
-    fast = run(sys, N, lazy=True)
+    fast = list(_lazy_supports(sys, N, L))
     slow = generic_tube(sys, N, lazy=True)
+    assert len(fast) == N
     for k in range(N):
-        npt.assert_allclose(fast.support_batch(k, L), slow.support_batch(k, L),
+        npt.assert_allclose(fast[k], slow.support_batch(k, L),
                             rtol=1e-12, atol=1e-12)
 
 
@@ -184,11 +185,10 @@ def test_lazy_box_inputs_match_set_inputs(case):
 def test_oracle_below_lazy_below_collapsed(case, scheme):
     sys, N = case
     L = directions(sys, N)
-    lazy = run(sys, N, scheme=scheme, lazy=True)
+    lazy = list(_lazy_supports(sys, N, L, scheme))
     collapsed = run(sys, N, scheme=scheme)
     exact = reach_nondecomposed(sys, N, L)
-    for k in range(N):
-        lazy_k = lazy.support_batch(k, L)
+    for k, lazy_k in enumerate(lazy):
         collapsed_k = collapsed.support_batch(k, L)
         assert np.all(exact[k] <= lazy_k + 1e-9)
         assert np.all(lazy_k <= collapsed_k + 1e-12 * (1.0 + np.abs(collapsed_k)))
@@ -216,7 +216,6 @@ def test_tracked_subset_is_bitwise_the_full_run(case, data):
        st.data())
 def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
     sys, N = case
-    tube = run(sys, N, scheme=scheme, lazy=True)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     C = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -227,8 +226,8 @@ def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
         C.append(coeffs)
     # the checker asks for all atoms at once, and a set's batch may round
     # a direction differently in a stack of one row than in a stack of m,
-    # so the reference is one batch over all the atoms' rows per step
-    values = np.array([tube.support_batch(k, C) for k in range(N)]).T
+    # so the reference is the stream of one batch over all the atoms' rows
+    values = np.array(list(_lazy_supports(sys, N, np.array(C), scheme))).T
     atoms = []
     for coeffs, vals in zip(C, values):
         # a bound inside the range of the supports: some runs fail late
@@ -250,19 +249,21 @@ def test_check_verdict_matches_lazy_tube_supports(case, scheme, data):
 @PROPERTY
 @given(systems(), st.sampled_from([BoxDirections(), EpsilonClose(0.05)]),
        st.data())
-def test_streamed_supports_are_the_lazy_tube(case, scheme, data):
-    # the stream runs the engine for the blocks that L reads only, and
-    # must give the lazy tube's supports bit for bit
+def test_streamed_supports_do_not_depend_on_unread_blocks(case, scheme, data):
+    # the stream runs the engine for the blocks that L reads only (none,
+    # some or all), and must give bit for bit the supports of a run over
+    # every block
     sys, N = case
     bs = BlockStructure(sys.n)
     L = directions(sys, N)
     read = data.draw(st.sets(st.integers(0, bs.b - 1)))
-    if data.draw(st.booleans()):
-        L[:, np.setdiff1d(np.arange(sys.n), bs.coords(sorted(read)))] = 0.0
-    tube = run(sys, N, scheme=scheme, lazy=True)
-    streamed = list(_lazy_supports(sys, N, L, scheme=scheme))
-    assert len(streamed) == N
-    for got, want in zip(streamed, tube.supports(L)):
+    L[:, np.setdiff1d(np.arange(sys.n), bs.coords(sorted(read)))] = 0.0
+    cut = list(_lazy_supports(sys, N, L, scheme=scheme))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("reachdec.reach._blocks_read", lambda L, bs: list(range(bs.b)))
+        full = list(_lazy_supports(sys, N, L, scheme=scheme))
+    assert len(cut) == len(full) == N
+    for got, want in zip(cut, full):
         npt.assert_array_equal(got, want)
 
 
@@ -326,7 +327,8 @@ def lazy_step_phis():
 def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
                                                              kind, scheme, fast):
     # with V = {0}, the support of block i's lazy step k in direction d is
-    # sum_j rho(((Phi^k)_i^T d)_j, X0_j) over the decomposed initial blocks
+    # sum_j rho(((Phi^k)_i^T d)_j, X0_j) over the decomposed initial blocks;
+    # row r of L holds the direction d of (k, i, d) = asked[r]
     n, N = M.shape[0], 6
     rng = np.random.default_rng(32)
     sys = DiscreteSystem(phi, random_set(rng, kind, n, 1.0),
@@ -334,19 +336,20 @@ def test_lazy_step_is_the_map_of_the_decomposed_initial_set(phi, M, zero_block,
     assert sys.phi.is_sparse == phi.is_sparse
     bs = BlockStructure(n)
     X0 = decompose(sys.x_init, bs, scheme)
-    build = reach_decomposed if fast is None else generic_tube
-    tube = build(sys, N, scheme=scheme, lazy=True)
-    for k in range(N):
-        Pk = np.linalg.matrix_power(M, k)
-        for i in range(bs.b):
-            for di in rng.standard_normal((3, bs.size(i))):
-                d = np.zeros(n)
-                d[bs.slice(i)] = di
-                g = Pk[bs.slice(i)].T @ di
-                want = sum(X0[j].support_function(g[bs.slice(j)])
-                           for j in range(bs.b))
-                got = tube.support(k, d)
-                if k > 0 and i == zero_block:
-                    assert got == 0.0
-                else:
-                    npt.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    asked = [(k, i, di) for k in range(N) for i in range(bs.b)
+             for di in rng.standard_normal((3, bs.size(i)))]
+    L = np.zeros((len(asked), n))
+    for d, (_, i, di) in zip(L, asked):
+        d[bs.slice(i)] = di
+    if fast is None:
+        supports = list(_lazy_supports(sys, N, L, scheme))
+    else:
+        supports = list(generic_tube(sys, N, scheme=scheme, lazy=True).supports(L))
+    for r, (k, i, di) in enumerate(asked):
+        g = np.linalg.matrix_power(M, k)[bs.slice(i)].T @ di
+        want = sum(X0[j].support_function(g[bs.slice(j)]) for j in range(bs.b))
+        got = supports[k][r]
+        if k > 0 and i == zero_block:
+            assert got == 0.0
+        else:
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0.0)

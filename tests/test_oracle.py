@@ -32,7 +32,6 @@ from reachdec import (
     dual_exponent,
     hausdorff_estimate,
     make_error_report,
-    reach_decomposed,
     reach_nondecomposed,
     recurrence_error_bound,
     recurrence_error_bound_uniform,
@@ -42,6 +41,7 @@ from reachdec import (
     support_membership,
 )
 from reachdec.oracle import support_gaps
+from reachdec.reach import _lazy_supports
 
 
 def rotation(theta):
@@ -248,17 +248,18 @@ def test_nondecomposed_varying_matches_deterministic_trajectory():
 
 
 def test_nondecomposed_agrees_with_single_block_run():
-    # with one block and no inputs the lazy decomposed tube is exact, so
+    # with one block and no inputs the lazy decomposed steps are exact, so
     # the two routes must coincide in every direction
     rng = np.random.default_rng(202)
     phi = 1.02 * rotation(0.4)
     X0 = Hyperrectangle([1.0, 0.0], [0.3, 0.2])
     sys = DiscreteSystem(phi, X0, None, 0.1)
-    tube = reach_decomposed(sys, 15, lazy=True)
     L = rng.standard_normal((200, 2))
+    lazy = list(_lazy_supports(sys, 15, L))
     oracle = reach_nondecomposed(sys, 15, L)
+    assert len(lazy) == 15
     for k in range(15):
-        npt.assert_allclose(tube.support_batch(k, L), oracle[k], atol=1e-9)
+        npt.assert_allclose(lazy[k], oracle[k], atol=1e-9)
 
 
 def test_nondecomposed_validation():
@@ -543,6 +544,29 @@ def test_recurrence_bound_uniform():
     for bad in (1.0, 1.5):
         with pytest.raises(InputError):
             recurrence_error_bound_uniform(tail_only_report(bad))
+
+
+def test_recurrence_bounds_that_overflow_raise():
+    # a term beyond the float range, and a float power beyond it (which
+    # Python raises as OverflowError), are numerical failures, not a
+    # bound of inf
+    huge = DecompositionErrorReport(
+        alpha=np.array([0.0]), largest=np.array([0]),
+        delta_x=np.array([1e308]), delta_v=np.array([1e308]),
+        eps_x=1e308, eps_v=0.0, K=1.0, alpha_phi=0.5, p=np.inf)
+    steep = tail_only_report(1e200)
+    for bound, want in (
+            (lambda: recurrence_error_bound(huge, 0),
+             "recurrence_error_bound: the bound at step 0 is not finite"),
+            (lambda: recurrence_error_bound(steep, 3),
+             "recurrence_error_bound: the bound at step 3 is not finite"),
+            (lambda: recurrence_error_bound_uniform(huge),
+             "recurrence_error_bound_uniform: the bound is not finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                bound()
+        assert (exc.value.tag(), str(exc.value)) == ("error:oracle:non-finite", want)
 
 
 def test_report_validation():

@@ -37,6 +37,7 @@ from reachdec import (
     recurrence_error_bound,
     sample_directions,
 )
+from reachdec.reach import _lazy_supports
 
 
 def rotation(theta):
@@ -197,23 +198,24 @@ def test_sparse_and_dense_runs_agree():
 
 
 def test_lazy_flag_keeps_state_symbolic():
+    # the lazy steps, streamed as supports, against the box hulls of the
+    # collapsed tube
     phi = block_diag(rotation(0.7), np.eye(2))
     X0 = Hyperrectangle([1.0, 0.0, 0.0, 0.0], [0.5, 0.1, 0.2, 0.2])
     sys = box_system(phi, X0)
-    lazy = reach_decomposed(sys, 6, lazy=True)
     boxed = reach_decomposed(sys, 6)
-    assert isinstance(lazy.set_at(3, 0), MinkowskiSum)
 
     rng = np.random.default_rng(104)
     L = rng.standard_normal((200, 4))
     E = np.vstack([np.eye(4), -np.eye(4)])
+    lazy_L = list(_lazy_supports(sys, 6, L))
+    lazy_E = list(_lazy_supports(sys, 6, E))
     spread = 0.0
     for k in range(6):
-        diff = boxed.support_batch(k, L) - lazy.support_batch(k, L)
+        diff = boxed.support_batch(k, L) - lazy_L[k]
         assert diff.min() >= -1e-12          # collapsing only ever loses
         spread = max(spread, diff.max())
-        npt.assert_allclose(boxed.support_batch(k, E),
-                            lazy.support_batch(k, E), atol=1e-12)
+        npt.assert_allclose(boxed.support_batch(k, E), lazy_E[k], atol=1e-12)
     assert spread > 1e-3    # the rotated block really is tighter when lazy
 
 
@@ -494,8 +496,7 @@ def test_one_step_runs_form_no_matrix_power(monkeypatch):
         sys = box_system(0.9 * np.eye(3), X0, V)
         run = reach_decomposed if sys.constant_input else reach_decomposed_varying
         for scheme in (BoxDirections(), EpsilonClose(0.1)):
-            for lazy in (False, True):
-                assert run(sys, 1, scheme=scheme, lazy=lazy).n_steps == 1
+            assert run(sys, 1, scheme=scheme).n_steps == 1
             assert check_property(sys, prop, 1, scheme=scheme).verified
 
 
@@ -537,7 +538,7 @@ def test_relabeled_tube_numbers_the_blocks_of_the_larger_system(scheme):
 def test_tube_box_hull():
     phi = block_diag(rotation(0.5), np.eye(2))
     X0 = Hyperrectangle(np.zeros(4), np.ones(4))
-    tube = reach_decomposed(box_system(phi, X0), 4, lazy=True)
+    tube = generic_tube(box_system(phi, X0), 4, lazy=True)
     H = tube.box_hull(2, 0)
     assert isinstance(H, Hyperrectangle)
     E = np.vstack([np.eye(2), -np.eye(2)])
@@ -553,6 +554,17 @@ def atom_x(coord, n, bound, strict=True):
     c = np.zeros(n)
     c[coord] = 1.0
     return Atom(c, bound, strict=strict)
+
+
+def test_atom_refuses_non_finite_coefficients_and_bounds():
+    for coeffs, bound in (([1.0, np.inf], 1.0), ([np.nan, 0.0], 1.0),
+                          ([1.0, 0.0], np.inf), ([1.0, 0.0], -np.inf),
+                          ([1.0, 0.0], np.nan)):
+        with pytest.raises(InputError) as exc:
+            Atom(coeffs, bound)
+        assert (exc.value.tag(), str(exc.value)) == (
+            "error:reach:schema", "Atom: coefficients and bound must be finite")
+    assert Atom([1.0, -1e308], 1e308).bound == 1e308
 
 
 def test_check_stationary_system():
@@ -702,9 +714,8 @@ def test_check_box_inputs_collapse_nothing(monkeypatch):
                         Singleton(rng.uniform(-0.1, 0.1, n)))
            for k in range(N)]
     sys = DiscreteSystem(phi, random_box(rng, n), seq, 0.1)
-    tube = reach_decomposed_varying(sys, N, lazy=True)
     coeffs = np.array([1.0, -0.5, 0.0, 0.0, 2.0, 0.0])
-    values = np.array([tube.support(k, coeffs) for k in range(N)])
+    values = np.array([s[0] for s in _lazy_supports(sys, N, coeffs[None])])
     bound = float(np.quantile(values, 0.6))
 
     def no_collapse(X, scheme):
@@ -773,16 +784,17 @@ def test_eps_close_with_a_block_that_maps_a_direction_to_zero():
     V = Hyperrectangle(np.zeros(4), np.full(4, 0.01))
     N, scheme = 5, EpsilonClose(0.01)
     L = np.vstack([np.eye(4), -np.eye(4), sample_directions(4, 16, seed=3)])
-    exact = reach_nondecomposed(DiscreteSystem(phi, X0, V, 0.1), N, L)
-    tubes = [reach_decomposed(DiscreteSystem(phi, X0, V, 0.1), N,
-                              scheme=scheme, lazy=lazy) for lazy in (False, True)]
-    tubes.append(reach_decomposed_varying(DiscreteSystem(phi, X0, [V] * N, 0.1),
-                                          N, scheme=scheme))
+    sys = DiscreteSystem(phi, X0, V, 0.1)
+    exact = reach_nondecomposed(sys, N, L)
+    lazy = list(_lazy_supports(sys, N, L, scheme))
+    tubes = [reach_decomposed(sys, N, scheme=scheme),
+             reach_decomposed_varying(DiscreteSystem(phi, X0, [V] * N, 0.1),
+                                      N, scheme=scheme)]
     for k in range(N):
-        collapsed, lazy, varying = (t.support_batch(k, L) for t in tubes)
+        collapsed, varying = (t.support_batch(k, L) for t in tubes)
         assert np.all(np.isfinite(collapsed))
-        assert np.all(exact[k] <= lazy + 1e-9)
-        assert np.all(lazy <= collapsed + 1e-12)
+        assert np.all(exact[k] <= lazy[k] + 1e-9)
+        assert np.all(lazy[k] <= collapsed + 1e-12)
         npt.assert_allclose(varying, collapsed, rtol=1e-12)
 
 
@@ -836,7 +848,7 @@ def test_project_random_map_against_vertex_oracle():
 def test_project_eps_scheme_tightens_random_directions():
     phi = block_diag(rotation(0.6), rotation(-0.2))
     X0 = Hyperrectangle(np.zeros(4), np.ones(4))
-    tube = reach_decomposed(box_system(phi, X0), 3, lazy=True)
+    tube = generic_tube(box_system(phi, X0), 3, lazy=True)
     M = np.array([[1.0, 0.5, 0.3, 0.0], [0.2, 0.0, 1.0, -0.5]])
     boxed = project_output(tube, M)
     sharp = project_output(tube, M, scheme=EpsilonClose(1e-4))

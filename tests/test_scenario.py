@@ -1,6 +1,7 @@
 """Scenario files: schema validation, set specs, and the property grammar."""
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -424,6 +425,27 @@ def test_property_grammar_errors():
         with pytest.raises(InputError) as exc:
             parse_property(text, dim)
         assert fragment in str(exc.value), (text, str(exc.value))
+
+
+def test_property_refuses_numbers_that_overflow():
+    # a number beyond the float range is bad input at its position, as for
+    # the other scenario fields; terms that overflow only when summed are
+    # refused by Atom, without a numpy warning on the way
+    for text, pos in (("1e999*x1 < 10", 0), ("x1 < 1e999", 5),
+                      ("x1 < 1 or x2 > -1e400", 16)):
+        with pytest.raises(InputError) as exc:
+            parse_property(text, 2)
+        number = text[pos:].split()[0].split("*")[0]
+        assert (exc.value.tag(), str(exc.value)) == (
+            "error:cli:schema",
+            f"property: number {number!r} is not finite at position {pos}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            parse_property("1e308*x1 + 1e308*x1 < 1", 2)
+    assert (exc.value.tag(), str(exc.value)) == (
+        "error:reach:schema", "Atom: coefficients and bound must be finite")
+    assert parse_property("1e308*x1 < 1.7e308", 1).bound == 1.7e308
 
 
 def test_property_blocks_pullback():
