@@ -369,12 +369,14 @@ def make_error_report(phi: BlockMatrix, x_blocks, v_blocks=None,
 
 
 def _geometric_tail(alpha, k):
-    """sum_{s=1}^{k-1} alpha^s, with the removable singularity at 1."""
+    """sum_{s=1}^{k-1} alpha^s, with the removable singularity at 1.  The
+    quotient, sum_{s=0}^{k-2} alpha^s, is formed before the product, so no
+    intermediate exceeds the sum."""
     if k <= 1:
         return 0.0
     if abs(alpha - 1.0) < 1e-9:
         return float(k - 1)
-    return alpha * (1.0 - alpha ** (k - 1)) / (1.0 - alpha)
+    return alpha * ((alpha ** (k - 1) - 1.0) / (alpha - 1.0))
 
 
 def _finite_bound(bound, what):
@@ -395,7 +397,9 @@ def recurrence_error_bound(report: DecompositionErrorReport, k):
     v_term = b * float(report.delta_v.sum()) + report.eps_v
     a = report.alpha_phi
     try:
-        bound = report.K * (a ** k * x_term + v_term * _geometric_tail(a, k)) + report.eps_v
+        # a zero initial term stays zero, however far a^k would overflow
+        x_part = a ** k * x_term if x_term else 0.0
+        bound = report.K * (x_part + v_term * _geometric_tail(a, k)) + report.eps_v
     except OverflowError:       # a float power beyond the float range
         bound = np.inf
     return _finite_bound(bound, f"recurrence_error_bound: the bound at step {k}")

@@ -35,8 +35,9 @@ from .sets import (
     LinearMap,
     MinkowskiSum,
     Singleton,
+    VertexImageSum,
     _Matrix,
-    minkowski_sum_all,
+    vertex_table,
     zero_set,
 )
 
@@ -307,7 +308,9 @@ def _set_inputs(sys, bs, blocks, scheme):
     An input sequence cannot be kept apart from the dynamics: it is
     propagated through the nonzero blocks of Phi (sliced once) for all
     blocks, W_j <- collapse(sum_jj Phi[j, jj] W_jj + V_j(k-1)), and
-    therefore wraps."""
+    therefore wraps.  The sum is a ``VertexImageSum`` of the vertices of
+    the collapsed W_jj under Phi[j, jj] and of the decomposed V_j(k-1)
+    under the identity."""
     if sys.constant_input:
         W = {i: zero_set(bs.size(i)) for i in blocks}
 
@@ -323,12 +326,13 @@ def _set_inputs(sys, bs, blocks, scheme):
     phi = sys.phi
     phi_blocks = [[(jj, phi.block(j, jj)) for jj in phi.nonzero_col_blocks(j)]
                   for j in range(bs.b)]
+    eye = [np.eye(bs.size(j)) for j in range(bs.b)]
 
     def step(k, _P):
         nonlocal W
         vhat = decompose(sys.v_at(k - 1), bs, scheme)
-        W = [approximate(minkowski_sum_all(
-                 [LinearMap(M, W[jj]) for jj, M in row] + [vhat[j]]), scheme)
+        W = [approximate(VertexImageSum.of_maps(
+                 [(M, W[jj]) for jj, M in row] + [(eye[j], vhat[j])]), scheme)
              for j, row in enumerate(phi_blocks)]
         return W
     return step
@@ -408,21 +412,25 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True):
     (``_set_inputs``); only the rows of Phi^k and Phi^(k-1) in ``blocks``
     are carried.  A lazy step of block i is R_i X0, for the product X0 of
     the decomposed initial blocks and the block's rows R_i of Phi^k, plus
-    its input accumulation: a support query is one product R_i^T d and one
-    query on X0.
+    its input accumulation.  R_i X0 is the sum over the blocks j of X0 of
+    their vertex images under the 2 x 2 blocks of R_i, formed in one
+    product from the vertex table of X0, built once per run
+    (``VertexImageSum``): a support query is one product with these
+    points and a maximum per block, with no search.
     """
     blocks0 = decompose(sys.x_init, bs, scheme)
     yield {i: blocks0[i] for i in blocks}
     if N == 1:
         return
-    X0 = CartesianProduct(blocks0)
+    table = vertex_table(blocks0)
     inputs = _set_inputs(sys, bs, blocks, scheme)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         W = inputs(k, power.P)
         out = {}
         for i in blocks:
-            combined = MinkowskiSum(LinearMap(power.Q.dense_row_block(i), X0), W[i])
+            image = VertexImageSum.of_columns(table, power.Q.dense_row_block(i))
+            combined = MinkowskiSum(image, W[i])
             out[i] = approximate(combined, scheme) if collapse else combined
         yield out
         power.advance()
@@ -600,8 +608,12 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     input accumulation, R_i the block's rows of Phi^k, uncollapsed: under
     the box scheme X0 is the box (or point) of the initial set and the
     accumulation a box, so a support is rho(R_i^T d, X0) plus that of the
-    box.  A support that is not finite is an overflow, and raises
-    ``NonFiniteError``; the caller turns numpy's overflow warnings off."""
+    box; otherwise X0 is the product of the decomposed initial blocks, and
+    a support is the sum over its blocks of the maxima of d over their
+    vertex images under R_i (``VertexImageSum``), plus the support of the
+    collapsed accumulation.  A support that is not finite is an overflow,
+    and raises ``NonFiniteError``; the caller turns numpy's overflow
+    warnings off."""
     bs = BlockStructure(sys.n)
     blocks = _blocks_read(L, bs)
     parts = _direction_parts(L, bs, blocks)

@@ -3,7 +3,10 @@
 Concrete types (boxes, norm balls, constraint polygons, points) answer
 support queries in closed form; lazy combinators (linear map, Minkowski
 sum, Cartesian product, convex hull of a pair) answer them by recursion
-over the operand tree without ever materialising the combined set.
+over the operand tree without ever materialising the combined set.  A
+sum of linear images of low-dimensional vertex tables
+(``VertexImageSum``) holds its image points and answers by maxima over
+them.
 
 All set objects are immutable after construction and safe to share
 between threads.
@@ -36,6 +39,8 @@ __all__ = [
     "MinkowskiSum",
     "CartesianProduct",
     "ConvexHullPair",
+    "VertexImageSum",
+    "vertex_table",
     "support_function",
     "support_vector",
     "polygon_support_vector",
@@ -73,7 +78,10 @@ class LazySet:
     `_rho_batch` (the support values of a stack of directions; by default
     one `_rho_sigma` per row) and `_axis_supports` (the support values in
     +-e_i of a transform of the set; by default support batches).  The
-    public queries below read only these.
+    public queries below read only these.  Boxes, balls and points give
+    all three in closed form, the combinators recurse into their operands,
+    ``VertexImageSum`` takes maxima over its image points, and a polygon
+    searches its vertices, its axis supports being support batches.
     """
 
     dim = 0
@@ -839,6 +847,105 @@ class ConvexHullPair(LazySet):
         ha, na = self.left._axis_supports(T)
         hb, nb = self.right._axis_supports(T)
         return np.maximum(ha, hb), np.maximum(na, nb)
+
+
+# ----------------------------------------------------------------------
+# sums of the images of low-dimensional vertex tables
+# ----------------------------------------------------------------------
+
+def _set_vertices(X):
+    """The vertices of a point, a box of dimension at most 2 or an
+    `HPolygon`, as a (K, X.dim) array whose convex hull is X.  A polygon's
+    near-parallel pairs are solved as a query solves them, so a degenerate
+    one raises `DegeneratePolygonError`."""
+    if isinstance(X, Singleton):
+        return X.point[None]
+    if isinstance(X, Hyperrectangle) and X.dim <= 2:
+        signs = (np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+                 if X.dim == 2 else np.array([[-1.0], [1.0]]))
+        return X.center + signs * X.radius
+    if isinstance(X, HPolygon):
+        V = X._vertices
+        if X._near_parallel:
+            V = V.copy()
+            for i in sorted(X._near_parallel):
+                V[i] = X._exact_vertex(i)
+        return V
+    raise InvalidSetError(f"no vertex table for {X!r}: expected a point, "
+                          "a box of dimension at most 2 or an HPolygon")
+
+
+def vertex_table(sets):
+    """The vertices (`_set_vertices`) of each of ``sets`` as one (P, K, 2)
+    array: a set of dimension 1 has 0 as second coordinate, and a set of
+    fewer than K vertices repeats its last one."""
+    tables = [_set_vertices(X) for X in sets]
+    out = np.zeros((len(tables), max(len(V) for V in tables), 2))
+    for p, V in enumerate(tables):
+        out[p, :len(V), :V.shape[1]] = V
+        out[p, len(V):, :V.shape[1]] = V[-1]
+    return out
+
+
+class VertexImageSum(LazySet):
+    """Minkowski sum sum_p M_p conv(V_p) of the images of vertex tables
+    V_p of dimension at most 2, held as the (P K, d) array of the image
+    points, K per part (those of a `vertex_table`, whose padding repeats
+    a point).
+
+    A support is a sum of per-part maxima (Le Guernic & Girard 2010):
+    rho(l) = sum_p max_k <l, M_p v_pk>, attained at the sum of the argmax
+    points, so a query is one product with the image points and no
+    search.  numpy's sums start from +0.0, so a zero map reads +0.0,
+    never -0.0.
+    """
+
+    def __init__(self, table, maps):
+        """The images of the parts of a (P, K, 2) ``table`` under the
+        (P, 2, d) ``maps``, M_p^T in slice p (zero in the second row of a
+        part of dimension 1)."""
+        G = table @ maps
+        self.dim = G.shape[2]
+        self._parts, self._count = G.shape[:2]
+        self._points = G.reshape(-1, self.dim)
+        self._points.setflags(write=False)
+        self._first = np.arange(self._parts) * self._count
+
+    @classmethod
+    def of_columns(cls, table, R):
+        """R X for the product X of the parts of ``table``, R holding two
+        columns per part (one for a last part of dimension 1)."""
+        d, n = R.shape
+        maps = np.zeros((2 * table.shape[0], d))
+        maps[:n] = R.T
+        return cls(table, maps.reshape(-1, 2, d))
+
+    @classmethod
+    def of_maps(cls, pairs):
+        """sum_p M_p X_p for pairs (M_p, X_p) of a matrix of d rows and a
+        set of `_set_vertices`."""
+        pairs = list(pairs)
+        maps = np.zeros((len(pairs), 2, np.shape(pairs[0][0])[0]))
+        for p, (M, X) in enumerate(pairs):
+            maps[p, :X.dim] = np.asarray(M, dtype=float).T
+        return cls(vertex_table([X for _, X in pairs]), maps)
+
+    def _rho_sigma(self, l):
+        vals = self._points @ l
+        best = vals.reshape(self._parts, self._count).argmax(axis=1)
+        rows = self._first + best
+        return (np.add.reduce(vals.take(rows)),
+                np.add.reduce(self._points.take(rows, axis=0)))
+
+    def _rho_batch(self, L):
+        vals = (self._points @ L.T).reshape(self._parts, self._count, -1)
+        return np.add.reduce(np.maximum.reduce(vals, axis=1))
+
+    def _axis_supports(self, T):
+        pts = _transform_apply(T, self._points.T).reshape(-1, self._parts,
+                                                          self._count)
+        return (np.add.reduce(pts.max(axis=2), axis=1),
+                np.add.reduce(-pts.min(axis=2), axis=1))
 
 
 def minkowski_sum_all(parts):

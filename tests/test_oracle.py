@@ -40,7 +40,7 @@ from reachdec import (
     simulate,
     support_membership,
 )
-from reachdec.oracle import support_gaps
+from reachdec.oracle import _geometric_tail, support_gaps
 from reachdec.reach import _lazy_supports
 
 
@@ -694,3 +694,12 @@ def test_simulate_continuous_rejections():
     with pytest.raises(InputError) as exc:
         simulate(seqU, [0.0, 0.0], inputs=np.zeros((3, 1)), N=3, delta=0.1)
     assert "2 entries" in str(exc.value)
+
+
+def test_geometric_tail_forms_no_intermediate_beyond_the_sum():
+    # alpha (1 - alpha^(k-1)) overflows for alpha = 1e200 although the
+    # tail at k = 2 is alpha itself
+    assert _geometric_tail(1e200, 2) == 1e200
+    assert recurrence_error_bound(tail_only_report(1e200), 2) == 1e200
+    with pytest.raises(NonFiniteError):
+        recurrence_error_bound(tail_only_report(1e200), 3)
