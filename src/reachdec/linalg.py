@@ -623,7 +623,7 @@ class MatrixPowerState:
             new = np.empty_like(R)
             for _, rows in self.Q._row_slices():
                 np.matmul(R[rows], phi, out=new[rows])
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise NonFiniteError(
                 f"matrix power overflowed to non-finite values at exponent {self.k + 2}",
                 module="linalg")

@@ -26,7 +26,7 @@ from .approx import (
     overapproximate_box,
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
-from .errors import DimensionError, InputError, NonFiniteError
+from .errors import DimensionError, EngineError, InputError, NonFiniteError
 from .linalg import BlockMatrix, MatrixPowerState, row_products
 from .sets import (
     CartesianProduct,
@@ -284,18 +284,17 @@ def _checked_run(sys, N, tracked=None):
 
 def _row_image_box(R, V):
     """(center, radius) of the box hull of the image of V under the rows
-    held by R, block after block, by ``row_products`` for a box or a
-    point and otherwise from one axis-support walk of V under R: each
-    row's bounds are then the same whatever other rows R holds.  An entry
-    that overflows is left non-finite, for the check of the step that
-    takes it (``_box_tube``, ``_lazy_supports``)."""
+    of the array R, by ``row_products`` for a box or a point and
+    otherwise from one axis-support walk of V under R: each row's bounds
+    are then the same whatever other rows R holds.  An entry that
+    overflows is left non-finite, for the check of the step that takes it
+    (``_box_tube``, ``_lazy_supports``)."""
     if isinstance(V, Hyperrectangle):
-        return (row_products(R.data, V.center),
-                row_products(np.abs(R.data), V.radius))
+        return row_products(R, V.center), row_products(np.abs(R), V.radius)
     if isinstance(V, Singleton):
-        c = row_products(R.data, V.point)
+        c = row_products(R, V.point)
         return c, np.zeros_like(c)
-    hi, nlo = V._axis_supports(_Matrix(R.data))
+    hi, nlo = V._axis_supports(_Matrix(R))
     return (hi - nlo) / 2.0, (hi + nlo) / 2.0
 
 
@@ -348,40 +347,89 @@ def _box_start(sys):
     return box, box
 
 
+#: entries of held rows of Phi^k that a chunk of ``_box_steps`` may reach
+_CHUNK_ENTRIES = 2 ** 12
+
+
+def _stacked(arrays):
+    """The equal-shape ``arrays`` stacked on a new first axis; one array is
+    viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _box_steps(sys, N, bs, blocks):
-    """The loop of the box scheme over the row blocks ``blocks``: yield
-    (k, R, w_c, w_r) for k = 1..N-1, with R the rows of Phi^k in
-    ``blocks``, block after block (an array kept by no one else), and
-    (w_c, w_r) the accumulated input box of step k over them.  Step k is
-    R x0 plus that box, for the box (or point) x0 of the initial set
+    """The loop of the box scheme over the row blocks ``blocks``, a chunk
+    of steps at a time: yield (k, R, w_c, w_r) for consecutive chunks of
+    the steps 1..N-1, with k the chunk's first step, R an (m, rows, n)
+    array whose entry j holds the rows of Phi^(k+j) in ``blocks``, block
+    after block, and w_c, w_r (m, rows) arrays whose row j is the
+    accumulated input box of step k+j over them.  Step k+j is R[j] x0 plus
+    that box, for the box (or point) x0 of the initial set
     (``_box_start``).
 
-    A constant input adds the box hull of Phi^(k-1) V.  An input sequence
-    is carried in full dimension, w <- Phi w + V(k-1), with |Phi| acting on
-    the radii and V(k-1) replaced by its box hull."""
+    Only the recurrences run step by step: the power advance and, for an
+    input sequence, w <- Phi w + V(k-1), carried in full dimension with
+    |Phi| acting on the radii and V(k-1) replaced by its box hull.  A
+    constant input adds the box hull of Phi^(k-1) V: one
+    ``_row_image_box`` call over the chunk's stacked rows of Phi^(k-1),
+    then a running sum from the last box of the previous chunk, the
+    additions of w <- w + c in the same order.  Chunks hold 1, 2, 4, ...
+    steps, at most ``_CHUNK_ENTRIES`` entries of R but never fewer than
+    one step, so a consumer that stops at step k has formed at most about
+    2k powers.  An error in forming a step's input or the next power ends
+    the chunk: the steps before it are yielded, and the error is raised
+    when the next chunk is asked for, after the consumer has checked
+    them."""
     if N == 1:
         return
     power = MatrixPowerState(sys.phi, blocks)
-    w_c = w_r = np.zeros(bs.coords(blocks).size if sys.constant_input else bs.n)
-    cols = slice(None) if sys.constant_input else bs.coords(blocks)
-    phi_abs = None if sys.constant_input else sys.phi.abs()
-    for k in range(1, N):
-        if sys.constant_input:
-            c, r = _row_image_box(power.P, sys.v)
-            w_c, w_r = w_c + c, w_r + r
-        else:
-            v_c, v_r = _box_bounds(sys.v_at(k - 1))
-            w_c, w_r = sys.phi @ w_c + v_c, phi_abs @ w_r + v_r
-        yield k, power.Q.data, w_c[cols], w_r[cols]
-        power.advance()
+    constant = sys.constant_input
+    w_c = w_r = np.zeros(bs.coords(blocks).size if constant else bs.n)
+    cols = slice(None) if constant else bs.coords(blocks)
+    phi_abs = None if constant else sys.phi.abs()
+    cap = max(1, _CHUNK_ENTRIES // power.Q.data.size)
+    k, size = 1, 1
+    while k < N:
+        prev, Q, W_c, W_r, error = power.P.data, [], [], [], None
+        try:
+            for j in range(k, min(k + size, N)):
+                if not constant:
+                    v_c, v_r = _box_bounds(sys.v_at(j - 1))
+                    w_c, w_r = sys.phi @ w_c + v_c, phi_abs @ w_r + v_r
+                    W_c.append(w_c[cols])
+                    W_r.append(w_r[cols])
+                Q.append(power.Q.data)
+                power.advance()
+        except EngineError as exc:  # raised once the steps before it
+            error = exc             # are yielded and checked
+        if Q:
+            R = _stacked(Q)
+            if constant:
+                m, rows, n = R.shape
+                c, r = _row_image_box(_stacked([prev] + Q[:-1]).reshape(-1, n),
+                                      sys.v)
+                W_c = np.add.accumulate(
+                    np.concatenate([w_c[None], c.reshape(m, rows)]))[1:]
+                W_r = np.add.accumulate(
+                    np.concatenate([w_r[None], r.reshape(m, rows)]))[1:]
+                w_c, w_r = W_c[-1], W_r[-1]
+            else:
+                W_c, W_r = _stacked(W_c), _stacked(W_r)
+            yield k, R, W_c, W_r
+        if error is not None:
+            raise error
+        k += len(Q)
+        size = min(2 * size, cap)
 
 
 def _box_tube(sys, N, bs, tracked):
     """The ``BoxTube`` of the box scheme over the tracked blocks.
 
     Row k is the box hull of step k of ``_box_steps``, center R c0 + w_c
-    and radius |R| r0 + w_r for x0 = (c0, r0).  Each row is checked as it
-    is written: its parts are sums of products of finite data, and of
+    and radius |R| r0 + w_r for x0 = (c0, r0), written a chunk of steps
+    at a time from one ``row_products`` over the chunk's stacked rows.
+    Each chunk is checked as it is written, and the first non-finite step
+    named: its parts are sums of products of finite data, and of
     nonnegative ones for the radius, so a non-finite entry is an overflow
     (the tube builders run with numpy's overflow warnings off)."""
     x, x0 = _box_start(sys)
@@ -389,12 +437,15 @@ def _box_tube(sys, N, bs, tracked):
     centers, radii = np.empty((N, cols.size)), np.empty((N, cols.size))
     centers[0], radii[0] = x0.center[cols], x0.radius[cols]
     for k, R, w_c, w_r in _box_steps(sys, N, bs, tracked):
-        c, r = centers[k], radii[k]
-        np.add(row_products(R, x0.center), w_c, out=c)
-        np.add(row_products(np.abs(R), x0.radius), w_r, out=r)
-        if not (np.isfinite(c).all() and np.isfinite(r).all()):
-            raise NonFiniteError(f"the box of step {k} overflowed",
-                                 module="reach")
+        m = len(R)
+        R = R.reshape(-1, R.shape[2])
+        c, r = centers[k:k + m], radii[k:k + m]
+        np.add(row_products(R, x0.center).reshape(m, -1), w_c, out=c)
+        np.add(row_products(np.abs(R), x0.radius).reshape(m, -1), w_r, out=r)
+        bad = ~(np.isfinite(c).all(axis=1) & np.isfinite(r).all(axis=1))
+        if bad.any():
+            raise NonFiniteError(f"the box of step {k + int(bad.argmax())} "
+                                 "overflowed", module="reach")
     centers.setflags(write=False)
     radii.setflags(write=False)
     return BoxTube(sys.delta, sys.model, bs, tracked, centers, radii,
@@ -611,9 +662,10 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     box; otherwise X0 is the product of the decomposed initial blocks, and
     a support is the sum over its blocks of the maxima of d over their
     vertex images under R_i (``VertexImageSum``), plus the support of the
-    collapsed accumulation.  A support that is not finite is an overflow,
-    and raises ``NonFiniteError``; the caller turns numpy's overflow
-    warnings off."""
+    collapsed accumulation.  The box engine's chunks of steps are read one
+    step at a time, with the supports of each step taken block by block.
+    A support that is not finite is an overflow, and raises
+    ``NonFiniteError``; the caller turns numpy's overflow warnings off."""
     bs = BlockStructure(sys.n)
     blocks = _blocks_read(L, bs)
     parts = _direction_parts(L, bs, blocks)
@@ -630,13 +682,14 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
     cols = bs.coords(blocks)
     rows = BlockStructure(cols.size)
     local = {i: rows.slice(p) for p, i in enumerate(blocks)}
-    first = (0, None, x0.center[cols], x0.radius[cols])
-    for k, R, c, r in itertools.chain([first], _box_steps(sys, N, bs, blocks)):
-        def block_supports(i, L_b, L_b_abs):
-            s = local[i]
-            out = _box_supports(L_b, L_b_abs, c[s], r[s])
-            return out if R is None else x0._rho_batch(L_b @ R[s]) + out
-        yield _finite_step(k, _support_sum(parts, m, block_supports))
+    first = (0, [None], x0.center[cols][None], x0.radius[cols][None])
+    for k0, Rs, cs, rs in itertools.chain([first], _box_steps(sys, N, bs, blocks)):
+        for k, R, c, r in zip(itertools.count(k0), Rs, cs, rs):
+            def block_supports(i, L_b, L_b_abs):
+                s = local[i]
+                out = _box_supports(L_b, L_b_abs, c[s], r[s])
+                return out if R is None else x0._rho_batch(L_b @ R[s]) + out
+            yield _finite_step(k, _support_sum(parts, m, block_supports))
 
 
 def check_property(sys: DiscreteSystem, prop: SafetyProperty, N,

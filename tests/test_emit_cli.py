@@ -511,6 +511,65 @@ def test_cli_box_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys):
     assert not (tmp_path / "tube.csv").exists()
 
 
+def test_cli_input_failure_in_a_chunk_ends_the_run_after_its_earlier_steps(
+        tmp_path, capsys):
+    # Phi = 1e50 I and x0 = 1e110: the box of step 4 overflows.  The input
+    # box of step 5, Phi1 U(4) with U(4) centered at 1e300, is not finite
+    # either, and the box engine forms it in the same chunk as step 4:
+    # step 4 must still be checked, and end the run, first
+    tiny = {"box": {"center": [0.0, 0.0], "radius": [1e-300, 1e-300]}}
+    seq = [tiny] * 8
+    seq[4] = {"box": {"center": [1e300, 0.0], "radius": [1e-300, 1e-300]}}
+    doc = {"A": "A.mtx", "X0": {"point": [1e110, 1.0]}, "U": {"sequence": seq},
+           "delta": 1.0, "N": 8, "model": "discrete", "scheme": "box",
+           "property": "x1 < 1e300"}
+    sc = write_scenario(tmp_path, doc, {"A": np.log(1e50) * np.eye(2)})
+    lines = {"reach": "error:reach:non-finite the box of step 4 overflowed\n",
+             "check": "error:reach:non-finite the support of step 4 overflowed\n",
+             "compare": "error:reach:non-finite the box of step 4 overflowed\n"}
+    for cmd, line in lines.items():
+        code, out = run_quiet(capsys, cmd, "--scenario", str(sc),
+                              "--out", str(tmp_path))
+        assert (cmd, code, out) == (cmd, 3, [line.rstrip("\n")])
+    assert not (tmp_path / "tube.csv").exists()
+
+
+def test_cli_check_stops_at_a_violation_before_a_later_power_overflow(
+        tmp_path, capsys, monkeypatch):
+    # Phi = 1e100 I: step 2 violates x1 < 1e150, and Phi^4 overflows.  The
+    # box engine forms steps 2 and 3 in one chunk, so it meets the overflow
+    # of Phi^4 before check reads step 2: check must report the violation,
+    # and reach, which reads every step, the overflow
+    doc = {"A": "A.mtx", "X0": {"point": [1.0, 1.0]}, "delta": 1.0, "N": 6,
+           "model": "discrete", "scheme": "box", "property": "x1 < 1e150"}
+    sc = write_scenario(tmp_path, doc, {"A": np.log(1e100) * np.eye(2)})
+    assert run_quiet(capsys, "check", "--scenario", str(sc)) == (
+        1, ["violated k=2 value=1e+200 atom=x1 < 1e150"])
+    assert run_quiet(capsys, "reach", "--scenario", str(sc),
+                     "--out", str(tmp_path)) == (
+        3, ["error:linalg:non-finite matrix power overflowed to non-finite "
+            "values at exponent 4"])
+    # a violation at step k forms at most 2k powers: the rows of Phi and
+    # one power per advance
+    advances = []
+    advance = reachdec.linalg.MatrixPowerState.advance
+
+    def counted(self):
+        advances.append(self.k)
+        return advance(self)
+
+    monkeypatch.setattr(reachdec.linalg.MatrixPowerState, "advance", counted)
+    doc = {"A": "A.mtx", "X0": {"point": [1.0, 1.0]}, "delta": 1.0, "N": 200,
+           "model": "discrete", "scheme": "box"}
+    for k in (1, 2, 3, 4, 5, 17, 64, 150):
+        doc["property"] = f"x1 < {0.75 * 2.0 ** k!r}"
+        sc = write_scenario(tmp_path, doc, {"A": np.log(2.0) * np.eye(2)})
+        advances.clear()
+        code, out = run_quiet(capsys, "check", "--scenario", str(sc))
+        assert (code, out[0].split()[:2]) == (1, ["violated", f"k={k}"])
+        assert 1 + len(advances) <= 2 * k
+
+
 @pytest.mark.parametrize("scheme", ["box", "eps:0.1"])
 @pytest.mark.parametrize("X0", [{"point": [1e10, 1.0]},
                                 {"box": {"center": [1e10, 1.0],

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+import reachdec.reach
 from conftest import generic_tube, random_box, random_stable_matrix
 from reachdec import (
     And,
@@ -37,6 +38,7 @@ from reachdec import (
     recurrence_error_bound,
     sample_directions,
 )
+from reachdec.linalg import MatrixPowerState, row_products
 from reachdec.reach import _lazy_supports
 
 
@@ -498,6 +500,108 @@ def test_one_step_runs_form_no_matrix_power(monkeypatch):
         for scheme in (BoxDirections(), EpsilonClose(0.1)):
             assert run(sys, 1, scheme=scheme).n_steps == 1
             assert check_property(sys, prop, 1, scheme=scheme).verified
+
+
+def per_step_box_engine(sys, N, blocks):
+    """(R, w_c, w_r) for the steps k = 1..N-1 of the box scheme over
+    ``blocks``, one step at a time: R the rows of Phi^k, and (w_c, w_r)
+    the input box, w <- w + box(Phi^(k-1) V) for a constant box V and
+    w <- Phi w + box(V(k-1)) for a sequence of boxes."""
+    cols = BlockStructure(sys.n).coords(blocks)
+    power = MatrixPowerState(sys.phi, blocks)
+    w_c = w_r = np.zeros(cols.size if sys.constant_input else sys.n)
+    out = []
+    for k in range(1, N):
+        if sys.constant_input:
+            P = power.P.data
+            w_c = w_c + row_products(P, sys.v.center)
+            w_r = w_r + row_products(np.abs(P), sys.v.radius)
+            out.append((power.Q.data, w_c, w_r))
+        else:
+            V = sys.v_at(k - 1)
+            w_c = sys.phi @ w_c + V.center
+            w_r = sys.phi.abs() @ w_r + V.radius
+            out.append((power.Q.data, w_c[cols], w_r[cols]))
+        power.advance()
+    return out
+
+
+def box_start(sys):
+    x = sys.x_init
+    if isinstance(x, Singleton):
+        return Hyperrectangle(x.point, np.zeros(x.dim))
+    return x
+
+
+def per_step_tube(sys, N, blocks):
+    """(centers, radii) of the box tube over ``blocks``, step by step."""
+    x0 = box_start(sys)
+    cols = BlockStructure(sys.n).coords(blocks)
+    centers, radii = [x0.center[cols]], [x0.radius[cols]]
+    for R, w_c, w_r in per_step_box_engine(sys, N, blocks):
+        centers.append(row_products(R, x0.center) + w_c)
+        radii.append(row_products(np.abs(R), x0.radius) + w_r)
+    return np.array(centers), np.array(radii)
+
+
+def per_step_supports(sys, N, L):
+    """The lazy supports of the box scheme in the rows of L, step by
+    step and block by block."""
+    bs = BlockStructure(sys.n)
+    blocks = sorted({int(i) for i in bs.block_of(np.flatnonzero(L.any(axis=0)))})
+    x0 = box_start(sys)
+    cols = bs.coords(blocks)
+    local = BlockStructure(cols.size)
+    steps = [(None, x0.center[cols], x0.radius[cols])]
+    out = []
+    for R, c, r in steps + per_step_box_engine(sys, N, blocks):
+        total = np.zeros(len(L))
+        for p, i in enumerate(blocks):
+            sub = L[:, bs.slice(i)]
+            rows = np.any(sub != 0.0, axis=1)
+            L_b, s = sub[rows], local.slice(p)
+            value = L_b @ c[s] + np.abs(L_b) @ r[s]
+            total[rows] += value if R is None else x0._rho_batch(L_b @ R[s]) + value
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 9, 33])
+def test_box_engine_chunks_are_bitwise_the_per_step_loop(monkeypatch, N):
+    # the chunked engine against the per-step loop, at every chunk
+    # boundary under a budget of three steps (chunks 1, 2, 3, 3, ...) and
+    # under the default one; tobytes tells -0.0 from 0.0, as the CSV does
+    rng = np.random.default_rng(77)
+    n = 7
+    phi = 0.9 * rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)
+    phi[rng.uniform(size=(n, n)) < 0.3] = 0.0
+    phi[0, 3] = -0.0
+    inputs = {"constant": random_box(rng, n, 0.1),
+              "sequence": [random_box(rng, n, 0.1) for _ in range(N)]}
+    starts = {"point": Singleton(rng.uniform(-1.0, 1.0, n)),
+              "box": random_box(rng, n)}
+    L = rng.normal(size=(3, n))
+    cases = itertools.product(("constant", "sequence"), ("dense", "csr"),
+                              ("point", "box"), ((1,), None), (True, False))
+    for inp, storage, start, tracked, small in cases:
+        M = BlockMatrix(sp.csr_array(phi) if storage == "csr" else phi)
+        sys = box_system(M, starts[start], inputs[inp])
+        blocks = tuple(range(4)) if tracked is None else tracked
+        cols = BlockStructure(n).coords(blocks)
+        budget = 3 * cols.size * n if small else reachdec.reach._CHUNK_ENTRIES
+        monkeypatch.setattr(reachdec.reach, "_CHUNK_ENTRIES", budget)
+        run = reach_decomposed if inp == "constant" else reach_decomposed_varying
+        tube = run(sys, N, tracked=tracked)
+        centers, radii = per_step_tube(sys, N, blocks)
+        assert tube.centers.tobytes() == centers.tobytes()
+        assert tube.radii.tobytes() == radii.tobytes()
+        L_read = L * np.isin(np.arange(n), cols)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(_lazy_supports(sys, N, L_read))
+        want = per_step_supports(sys, N, L_read)
+        assert len(got) == len(want) == N
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        monkeypatch.undo()
 
 
 def test_box_tube_sets_and_arrays_are_read_only():
