@@ -23,6 +23,7 @@ from .emit import (
 from .errors import EngineError, InputError
 from .linalg import write_matrix_market
 from .oracle import (
+    _first_failing_row,
     decomposed_image,
     decomposed_map_error_bound,
     hausdorff_estimate,
@@ -173,16 +174,18 @@ def _cmd_compare(sc, out, args):
     tube, dsys, kept = _restricted_tube(sc, tracked)
     D, n_coord = _compare_directions(sc, bs, tracked, kept)
     oracle_vals = reach_nondecomposed(dsys, sc.N, D)
-    max_gap = 0.0
-    supports = tube.supports(D)
-    for k in range(sc.N):
-        diff = support_gaps(next(supports), oracle_vals[k],
-                            f"support gap at step {k}", "cli")
-        gap = float(diff[:n_coord].max())
-        haus = float(np.clip(diff, 0.0, None).max())
-        max_gap = max(max_gap, gap)
-        print(f"k={k} gap={gap:.6e} hausdorff={haus:.6e}")
-    print(f"max_gap={max_gap:.6e}")
+    supports = np.array(list(tube.supports(D)))
+    bad = _first_failing_row(supports, oracle_vals)
+    diff = supports[:bad] - oracle_vals[:bad]
+    gaps = diff[:, :n_coord].max(axis=1).tolist()
+    hauss = np.clip(diff, 0.0, None).max(axis=1).tolist()
+    if bad:
+        print("\n".join(f"k={k} gap={gap:.6e} hausdorff={haus:.6e}"
+                        for k, (gap, haus) in enumerate(zip(gaps, hauss))))
+    if bad < sc.N:
+        support_gaps(supports[bad], oracle_vals[bad],
+                     f"support gap at step {bad}", "cli")
+    print(f"max_gap={max([0.0] + gaps):.6e}")
     return 0
 
 

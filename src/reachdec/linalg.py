@@ -582,6 +582,18 @@ class BlockRows:
         return self.data
 
 
+#: entries of held rows that a chunk of a row recurrence may reach: the
+#: powers of ``reach._box_steps`` and the levels of
+#: ``oracle.reach_nondecomposed``; a chunk never holds fewer than one step
+_CHUNK_ENTRIES = 2 ** 12
+
+
+def _stacked(arrays):
+    """The equal-shape ``arrays`` stacked on a new first axis; one array is
+    viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class MatrixPowerState:
     """Row blocks of consecutive powers of a square matrix.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .approx import BlockStructure
 from .discretize import ContinuousSystem, DiscreteSystem, _step_set
 from .errors import ContainmentError, DimensionError, InputError, NonFiniteError
-from .linalg import BlockMatrix
+from .linalg import _CHUNK_ENTRIES, BlockMatrix, _stacked
 from .sets import (
     Hyperrectangle,
     LinearMap,
@@ -111,7 +111,8 @@ def support_gaps(outer, inner, what, module):
     ("<what> is not finite").  A g below -1e-9 * max(1, |outer|, |inner|)
     contradicts the containment beyond the rounding of values of that
     size, and raises ``ContainmentError`` for the direction where g is
-    lowest relative to that allowance.
+    lowest relative to that allowance.  ``_first_failing_row`` decides
+    the same rule for many rows at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = outer - inner
@@ -126,6 +127,19 @@ def support_gaps(outer, inner, what, module):
             f"{what} is {g[i]:.3e} in direction {i}, below the rounding "
             f"allowance {-allowance[i]:.3e}", module=module)
     return g
+
+
+def _first_failing_row(outer, inner):
+    """The first row k of the (N, m) arrays of support values at which
+    ``support_gaps(outer[k], inner[k], ...)`` raises, or N: the rule of
+    ``support_gaps``, decided for all rows at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = outer - inner
+        allowance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(outer), np.abs(inner)))
+        i = np.argmin(g / allowance, axis=1)[:, None]
+    low = np.take_along_axis(g, i, 1) < -np.take_along_axis(allowance, i, 1)
+    bad = ~np.isfinite(g).all(axis=1) | low[:, 0]
+    return int(bad.argmax()) if bad.any() else len(g)
 
 
 def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):
@@ -187,16 +201,20 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     carry no approximation error beyond floating point.
 
     With L_k = L Phi^k, step k is rho(L_k, X(0)) + sum over s < k of
-    rho(L_{k-1-s}, V(s)).  A constant input sums one query per level.  An
-    input sequence is queried once per set, V(s) over the levels
-    L_0 .. L_{N-2-s} stacked, so a run makes 2N - 1 support queries: N on
-    X(0) and N - 1 on the inputs.  When every V(s) is a ``LinearMap`` over
-    one matrix object M (as ``discretize_discrete`` builds them), each
-    level is mapped once, L_k M, and the operands are queried on those
-    rows, since rho(l, M U) = rho(l M, U).  Each step adds its terms in
-    the order X(0), V(0), V(1), ..., as a sum of per-pair queries would;
-    only a query over stacked rows may round a row differently in the
-    last bit.
+    rho(L_{k-1-s}, V(s)).  The levels are formed a chunk at a time
+    (``_level_chunks``), and X(0) is queried once per chunk over its
+    stacked levels.  A constant input is queried once per chunk too, over
+    the chunk's levels among L_0 .. L_{N-2}, and its terms are summed in a
+    running sum carried from chunk to chunk.  An input sequence is
+    queried once per set, V(s) over the levels L_0 .. L_{N-2-s} stacked,
+    so a run makes N - 1 queries on the inputs and one on X(0) per chunk:
+    2N - 1 when every chunk holds one level.  When every V(s) is a
+    ``LinearMap`` over one matrix object M (as ``discretize_discrete``
+    builds them), each chunk of levels is mapped once, L_k M, and the
+    operands are queried on those rows, since rho(l, M U) = rho(l M, U).
+    Each step adds its terms in the order X(0), V(0), V(1), ..., as a sum
+    of per-pair queries would; only a query over stacked rows may round a
+    row differently in the last bit.
     """
     N = int(N)
     if N < 1:
@@ -209,32 +227,56 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
                              f"state dimension is {sys.n}", module="oracle")
     if not np.all(np.isfinite(L)):
         raise InputError("directions must be finite", module="oracle")
-    m = L.shape[0]
+    m, n = L.shape
     out = np.empty((N, m))
     if sys.constant_input:
-        acc = np.zeros(m)
-        Lk = L
-        out[0] = sys.x_init.support_batch(Lk)
-        for k in range(1, N):
-            acc = acc + sys.v.support_batch(Lk)
-            Lk = sys.phi.left_product(Lk)
-            out[k] = sys.x_init.support_batch(Lk) + acc
+        acc = np.zeros((1, m))
+    else:
+        seq = [sys.v_at(s) for s in range(N - 1)]
+        shared = _shared_map(seq)
+        if shared is not None:
+            seq = [V.operand for V in seq]
+        p = n if shared is None else shared.matrix.shape[1]
+        rows = np.empty((N - 1, m, p))
+    for k, levels in _level_chunks(sys.phi, L, N):
+        c = len(levels) // m
+        out[k:k + c] = sys.x_init.support_batch(levels).reshape(c, m)
+        held = levels[:min(c, N - 1 - k) * m]     # the levels of L_0 .. L_{N-2}
+        if sys.constant_input:
+            if len(held):       # the input sums of steps k .. k + len(held) / m
+                acc = np.add.accumulate(np.concatenate(
+                    [acc, sys.v.support_batch(held).reshape(-1, m)]))
+            # step 0 is X(0) alone: adding the empty sum would turn -0.0
+            # into 0.0
+            first = 1 if k == 0 else 0
+            out[k + first:k + c] += acc[first:c]
+            acc = acc[-1:]
+        elif len(held):
+            mapped = held if shared is None else shared.map_rows(held)
+            rows[k:k + len(held) // m] = mapped.reshape(-1, m, p)
+    if sys.constant_input:
         return out
-    seq = [sys.v_at(s) for s in range(N - 1)]
-    shared = _shared_map(seq)
-    if shared is not None:
-        seq = [V.operand for V in seq]
-    p = sys.n if shared is None else shared.matrix.shape[1]
-    rows = np.empty((N - 1, m, p))
-    Lk = L
-    for k in range(N):
-        out[k] = sys.x_init.support_batch(Lk)
-        if k < N - 1:
-            rows[k] = Lk if shared is None else shared.map_rows(Lk)
-            Lk = sys.phi.left_product(Lk)
     for s, V in enumerate(seq):
         out[s + 1:] += V.support_batch(rows[:N - 1 - s].reshape(-1, p)).reshape(-1, m)
     return out
+
+
+def _level_chunks(phi, L, N):
+    """Yield (k, levels) for consecutive chunks of the levels L_k = L Phi^k,
+    k = 0 .. N - 1: ``levels`` holds the rows of L_k, L_(k+1), ... of the
+    chunk one level after another, at most ``_CHUNK_ENTRIES`` entries but
+    never fewer than one level.  Each level is formed once from the one
+    before it, and none past L_(N-1)."""
+    m, n = L.shape
+    size = max(1, _CHUNK_ENTRIES // (m * n))
+    level = L
+    for k in range(0, N, size):
+        chunk = [level]
+        for _ in range(min(size, N - k) - 1):
+            chunk.append(phi.left_product(chunk[-1]))
+        if k + len(chunk) < N:
+            level = phi.left_product(chunk[-1])
+        yield k, _stacked(chunk).reshape(-1, n)
 
 
 def _shared_map(seq):

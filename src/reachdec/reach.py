@@ -27,7 +27,13 @@ from .approx import (
 )
 from .discretize import DENSE, DiscreteSystem, _step_set
 from .errors import DimensionError, EngineError, InputError, NonFiniteError
-from .linalg import BlockMatrix, MatrixPowerState, row_products
+from .linalg import (
+    _CHUNK_ENTRIES,
+    BlockMatrix,
+    MatrixPowerState,
+    _stacked,
+    row_products,
+)
 from .sets import (
     CartesianProduct,
     HPolygon,
@@ -345,16 +351,6 @@ def _box_start(sys):
         return x, Hyperrectangle(x.point, np.zeros(x.dim))
     box = overapproximate_box(x)
     return box, box
-
-
-#: entries of held rows of Phi^k that a chunk of ``_box_steps`` may reach
-_CHUNK_ENTRIES = 2 ** 12
-
-
-def _stacked(arrays):
-    """The equal-shape ``arrays`` stacked on a new first axis; one array is
-    viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _box_steps(sys, N, bs, blocks):

@@ -667,6 +667,42 @@ def test_cli_compare_fails_on_a_non_finite_gap(tmp_path, capsys, monkeypatch):
     assert lines[2:] == ["error:cli:non-finite support gap at step 2 is not finite"]
 
 
+@pytest.mark.parametrize("fault", ["nan", "above"])
+def test_cli_compare_stops_at_a_bad_oracle_gap_past_the_first_chunk(
+        tmp_path, capsys, monkeypatch, fault):
+    # a NaN oracle value, or one 1.0 above the tube's support, at step 20
+    # of 40 (72 directions over 4 states: the oracle's chunks hold 14
+    # levels, so step 20 is in the second): compare prints steps 0..19 as
+    # a clean run does, then the error of step 20 and nothing after it
+    sc = stable_scenario(tmp_path, N=40)
+    code, clean = run_quiet(capsys, "compare", "--scenario", str(sc))
+    assert code == 0 and len(clean) == 41
+    code, _ = run_quiet(capsys, "reach", "--scenario", str(sc),
+                        "--out", str(tmp_path / "tube"))
+    _, boxes = read_tube_csv(tmp_path / "tube" / "tube.csv")
+    outer = boxes[20, 0][1][0]      # direction 0 is +e_0, in block 0
+    real = reachdec.cli.reach_nondecomposed
+    raised = []
+
+    def bad_oracle(*args):
+        values = np.array(real(*args))
+        values[20, 0] = np.nan if fault == "nan" else values[20, 0] + 1.0
+        raised.append(values[20, 0])
+        return values
+
+    monkeypatch.setattr(reachdec.cli, "reach_nondecomposed", bad_oracle)
+    code, lines = run_quiet(capsys, "compare", "--scenario", str(sc))
+    assert code == 3
+    if fault == "nan":
+        want = "error:cli:non-finite support gap at step 20 is not finite"
+    else:
+        allowance = 1e-9 * max(1.0, abs(outer), abs(raised[0]))
+        want = (f"error:cli:containment support gap at step 20 is "
+                f"{outer - raised[0]:.3e} in direction 0, below the rounding "
+                f"allowance {-allowance:.3e}")
+    assert lines == clean[:20] + [want]
+
+
 @pytest.mark.parametrize("model", ["discrete", "dense"])
 def test_cli_gaps_allow_rounding_relative_to_large_supports(tmp_path, capsys, model):
     # inputs of radius 1e306: the supports round by about 1e290, 1e-16 of

@@ -1,11 +1,14 @@
 """Reference supports, sampled distances, error bounds, and simulation."""
 
+import itertools
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
+import reachdec.oracle
 from conftest import random_box, random_polygon, random_stable_matrix
 from reachdec import (
     BallP,
@@ -14,6 +17,7 @@ from reachdec import (
     CartesianProduct,
     ContainmentError,
     ContinuousSystem,
+    ConvexHullPair,
     DENSE,
     DISCRETE,
     DecompositionErrorReport,
@@ -39,6 +43,7 @@ from reachdec import (
     set_diameter,
     simulate,
     support_membership,
+    zero_set,
 )
 from reachdec.oracle import _geometric_tail, support_gaps
 from reachdec.reach import _lazy_supports
@@ -317,8 +322,6 @@ def test_nondecomposed_varying_shared_dense_map(N):
 
 @pytest.mark.parametrize("N", [1, 2, 7])
 def test_nondecomposed_varying_shared_csr_map(N):
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(204)
     M = sp.csr_array(np.diag(rng.uniform(0.5, 1.5, 5))
                      + np.diag(rng.uniform(-0.3, 0.3, 4), 1))
@@ -373,8 +376,10 @@ class CountingSet(LazySet):
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_nondecomposed_varying_queries_each_set_once(shared):
-    # N queries on X(0) and one per input set: 2N - 1, not N(N+1)/2
+def test_nondecomposed_varying_queries_each_set_once(monkeypatch, shared):
+    # one query on X(0) per chunk of levels and one per input set, not
+    # N(N+1)/2: 1 + (N - 1) with the default budget (all 12 levels of 10
+    # rows fit one chunk), and 2N - 1 with one level per chunk
     rng = np.random.default_rng(208)
     N, n, M = 12, 4, random_stable_matrix(rng, 4).data
     count = [0]
@@ -385,11 +390,151 @@ def test_nondecomposed_varying_queries_each_set_once(shared):
     sys = DiscreteSystem(random_stable_matrix(rng, n),
                          CountingSet(random_box(rng, n), count), vs, 0.1)
     L = rng.standard_normal((10, n))
-    out = reach_nondecomposed(sys, N, L)
-    assert count[0] == 2 * N - 1
-    count[0] = 0
-    npt.assert_allclose(out, pairwise_nondecomposed(sys, N, L), rtol=1e-12, atol=0)
+    want = pairwise_nondecomposed(sys, N, L)
     assert count[0] == N * (N + 1) // 2
+    for budget, queries in ((reachdec.oracle._CHUNK_ENTRIES, 1 + (N - 1)),
+                            (1, 2 * N - 1)):
+        monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+        count[0] = 0
+        out = reach_nondecomposed(sys, N, L)
+        assert count[0] == queries
+        npt.assert_allclose(out, want, rtol=1e-12, atol=0)
+
+
+def per_level_nondecomposed(sys, N, L):
+    """The exact recurrence supports a level at a time: X(0) and a
+    constant input queried once per level, in the order of the running
+    sum, and each set of an input sequence once over its stacked levels,
+    on the levels mapped through a matrix shared by all of them."""
+    m = L.shape[0]
+    levels = [L]
+    for _ in range(N - 1):
+        levels.append(sys.phi.left_product(levels[-1]))
+    out = np.empty((N, m))
+    if sys.constant_input:
+        acc = np.zeros(m)
+        out[0] = sys.x_init.support_batch(levels[0])
+        for k in range(1, N):
+            acc = acc + sys.v.support_batch(levels[k - 1])
+            out[k] = sys.x_init.support_batch(levels[k]) + acc
+        return out
+    for k in range(N):
+        out[k] = sys.x_init.support_batch(levels[k])
+    seq = [sys.v_at(s) for s in range(N - 1)]
+    if seq and all(isinstance(V, LinearMap) and V.matrix is seq[0].matrix
+                   for V in seq):
+        rows = np.array([seq[0].map_rows(Lk) for Lk in levels[:N - 1]])
+        seq = [V.operand for V in seq]
+    else:
+        rows = np.array(levels[:N - 1])
+    for s, V in enumerate(seq):
+        stacked = rows[:N - 1 - s].reshape(-1, rows.shape[2])
+        out[s + 1:] += V.support_batch(stacked).reshape(-1, m)
+    return out
+
+
+def chunk_systems():
+    """{(input, model, storage): system} of n = 10 over dense and CSR Phi:
+    a constant input or a sequence of 40, discretized dense-time (X(0) a
+    ``ConvexHullPair``, inputs without a shared map) or discrete (X(0) a
+    box, the inputs maps over one matrix)."""
+    rng = np.random.default_rng(209)
+    n = 10
+    A = {"dense": random_stable_matrix(rng, n).data - 0.5 * np.eye(n),
+         "csr": np.zeros((n, n))}
+    for i in range(0, n, 2):        # 6 of the 25 blocks occupied: CSR
+        A["csr"][i:i + 2, i:i + 2] = rotation(0.3 * i) - 0.4 * np.eye(2)
+    A["csr"][0:2, 2:4] = 0.2 * rng.standard_normal((2, 2))
+    A["csr"] = sp.csr_array(A["csr"])
+    U = {"constant": random_box(rng, n, scale=0.3),
+         "sequence": [random_box(rng, n, scale=0.3) for _ in range(40)]}
+    X0 = random_box(rng, n)
+    systems = {}
+    for inp, model, storage in itertools.product(U, (DENSE, DISCRETE), A):
+        sys = discretize(ContinuousSystem(A[storage], X0, None, U[inp]), 0.1,
+                         model=model)
+        assert sys.phi.is_sparse == (storage == "csr")
+        systems[inp, model, storage] = sys
+    return systems
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 9, 33])
+def test_nondecomposed_level_chunks_match_the_per_level_loop(monkeypatch, N):
+    # chunks of one level are bitwise the per-level loop (tobytes tells
+    # -0.0 from 0.0); chunks of three levels (1, 3, 3, ... levels of 5
+    # rows) and the default one (all 33) stack the rows of several levels
+    # in one product, which may round a row differently in the last bits
+    L = np.random.default_rng(210).standard_normal((5, 10))
+    for (inp, model, storage), sys in chunk_systems().items():
+        assert isinstance(sys.x_init, ConvexHullPair) == (model == DENSE)
+        if inp == "sequence":
+            assert all(isinstance(V, LinearMap) for V in sys.v) == (model == DISCRETE)
+        want = per_level_nondecomposed(sys, N, L)
+        for levels in (1, 3, None):
+            budget = reachdec.oracle._CHUNK_ENTRIES if levels is None else levels * L.size
+            monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+            got = reach_nondecomposed(sys, N, L)
+            if levels == 1:
+                assert got.tobytes() == want.tobytes()
+            else:
+                npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 9, 33])
+def test_nondecomposed_forms_levels_up_to_the_last_step_only(monkeypatch, N):
+    # N - 1 products form L_1 .. L_(N-1) under any budget, one of less
+    # than a level among them; L_N = L Phi^N would overflow here and warn
+    real = BlockMatrix.left_product
+    count = [0]
+
+    def counting(self, L):
+        count[0] += 1
+        return real(self, L)
+
+    monkeypatch.setattr(BlockMatrix, "left_product", counting)
+    rng = np.random.default_rng(211)
+    sys = DiscreteSystem(random_stable_matrix(rng, 4), random_box(rng, 4),
+                         random_box(rng, 4, scale=0.3), 0.1)
+    L = rng.standard_normal((3, 4))
+    huge = [DiscreteSystem(np.array([[1e200]]), Hyperrectangle([1.0], [0.5]),
+                           v, 0.1) for v in (None, [zero_set(1)])]
+    for budget in (1, L.size, 3 * L.size, reachdec.oracle._CHUNK_ENTRIES):
+        monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+        count[0] = 0
+        reach_nondecomposed(sys, N, L)
+        assert count[0] == N - 1
+        for big in huge:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = reach_nondecomposed(big, 2, np.array([[1.0]]))
+            assert out.tolist() == [[1.5], [1.5e200]]
+
+
+class SignedZero(LazySet):
+    """The set {0} in ``dim`` dimensions, whose supports are -0.0."""
+
+    def __init__(self, dim):
+        self._dim = dim
+
+    @property
+    def dim(self):
+        return self._dim
+
+    def _rho_batch(self, L):
+        return np.full(len(L), -0.0)
+
+
+def test_nondecomposed_step_zero_adds_no_input_sum(monkeypatch):
+    # step 0 is rho(L, X(0)) alone: adding the empty input sum 0.0 would
+    # turn -0.0 into 0.0, which the per-level loop does not
+    sys = DiscreteSystem(0.5 * np.eye(2), SignedZero(2), SignedZero(2), 0.1)
+    L = np.eye(2)
+    for budget in (1, 3 * L.size, reachdec.oracle._CHUNK_ENTRIES):
+        monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+        out = reach_nondecomposed(sys, 4, L)
+        assert out.tobytes() == per_level_nondecomposed(sys, 4, L).tobytes()
+        assert np.signbit(out[0]).all() and not np.signbit(out[1:]).any()
 
 
 # ----------------------------------------------------------------------
