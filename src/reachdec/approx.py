@@ -24,6 +24,7 @@ from .sets import (
     LazySet,
     LinearMap,
     Singleton,
+    _cut,
 )
 
 __all__ = [
@@ -201,14 +202,6 @@ def approximate(X, scheme):
     raise InvalidSetError(f"unknown approximation scheme {scheme!r}", module="approx")
 
 
-def _box_block(X, bs, i):
-    """Block i of a box or a point X, sliced from it."""
-    s = bs.slice(i)
-    if isinstance(X, Singleton):
-        return Singleton(X.point[s])
-    return Hyperrectangle(X.center[s], X.radius[s])
-
-
 def decompose(X, bs, scheme=BoxDirections()):
     """Per-block overapproximations of the projections of X.
 
@@ -223,7 +216,7 @@ def decompose(X, bs, scheme=BoxDirections()):
     if isinstance(X, (Singleton, Hyperrectangle)) or isinstance(scheme, BoxDirections):
         if not isinstance(X, Singleton):
             X = overapproximate_box(X)
-        return [_box_block(X, bs, i) for i in range(bs.b)]
+        return [_cut(X, bs.slice(i), "approx") for i in range(bs.b)]
     out = []
     for i in range(bs.b):
         proj = LinearMap(bs.projection_matrix(i), X)

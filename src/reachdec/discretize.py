@@ -33,6 +33,7 @@ from .sets import (
     MinkowskiSum,
     Scaled,
     Singleton,
+    _cut,
     minkowski_sum_all,
     symmetric_interval_hull,
     zero_set,
@@ -267,16 +268,6 @@ def discretize_discrete(sys: ContinuousSystem, delta):
                           model=DISCRETE, u_sets=sys.U)
 
 
-def _cut(X, coords):
-    """The projection of a box or a point on the coordinates ``coords``."""
-    if isinstance(X, Hyperrectangle):
-        return Hyperrectangle(X.center[coords], X.radius[coords])
-    if isinstance(X, Singleton):
-        return Singleton(X.point[coords])
-    raise InputError(f"restrict: cannot cut a {type(X).__name__} to some "
-                     "blocks", module="discretize")
-
-
 def restrict(sys: ContinuousSystem, blocks):
     """The system on the block closure of ``blocks``, and the closure as a
     sorted tuple of block indices (``linalg.block_closure``).
@@ -302,11 +293,11 @@ def restrict(sys: ContinuousSystem, blocks):
     if B is not None:
         B = BlockMatrix(B.data[coords])
     elif isinstance(U, LazySet):
-        U = _cut(U, coords)
+        U = _cut(U, coords, "discretize")
     elif U is not None:
-        U = [_cut(Uk, coords) for Uk in U]
-    return ContinuousSystem(sys.A.principal(coords), _cut(sys.X0, coords),
-                            B, U), kept
+        U = [_cut(Uk, coords, "discretize") for Uk in U]
+    return ContinuousSystem(sys.A.principal(coords),
+                            _cut(sys.X0, coords, "discretize"), B, U), kept
 
 
 def discretize(sys: ContinuousSystem, delta, model=DENSE):

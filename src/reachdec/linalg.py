@@ -42,7 +42,6 @@ estimate is made.
 
 from __future__ import annotations
 
-import bisect
 import io
 import math
 import sys
@@ -123,6 +122,16 @@ class BlockStructure:
         index array."""
         pairs = 2 * np.asarray(blocks, dtype=np.intp).reshape(-1, 1) + (0, 1)
         return pairs[pairs < self.n]
+
+    def row_slices(self, blocks):
+        """{block: its rows} in the rows of ``blocks`` stacked in their
+        order, as ``coords(blocks)`` lists them: the one rule that says
+        where a held block's rows lie."""
+        out, start = {}, 0
+        for i in blocks:
+            out[i] = slice(start, start + self.size(i))
+            start = out[i].stop
+        return out
 
     def block_of(self, coords):
         """Block of a coordinate, or the blocks of an array of them."""
@@ -548,38 +557,17 @@ def row_products(R, X):
 
 
 class BlockRows:
-    """Some row blocks of an n-column matrix, stacked in one ndarray.
+    """The held rows of a power of an n-column matrix, stacked in one
+    C-contiguous ndarray ``data``: the rows of the blocks that
+    ``MatrixPowerState`` holds, placed by ``BlockStructure.row_slices``."""
 
-    ``blocks`` holds the sorted indices of the row blocks of the full
-    matrix, and ``data`` their rows one after another, C-contiguous.  Only
-    the last block of a matrix can have one row, so the stacked rows are
-    blocked by the same rule: block ``blocks[p]`` is block p of ``data``.
-    """
-
-    def __init__(self, data, blocks):
+    def __init__(self, data):
         self.data = data
-        self.blocks = tuple(blocks)
-        self._rows = BlockStructure(len(data)) if self.blocks else None
 
     @property
     def is_sparse(self):
         """False: the rows are always held dense."""
         return False
-
-    def _row_slices(self):
-        """(block index, its rows in ``data``) of every held block."""
-        return [(i, self._rows.slice(p)) for p, i in enumerate(self.blocks)]
-
-    def dense_row_block(self, i):
-        """Rows of block-row i as a dense array."""
-        p = bisect.bisect_left(self.blocks, i)
-        if self.blocks[p:p + 1] != (i,):
-            raise KeyError(f"BlockRows: row block {i} is not held")
-        return self.data[self._rows.slice(p)]
-
-    def to_dense(self):
-        """All held rows as one ndarray, in block order."""
-        return self.data
 
 
 #: entries of held rows that a chunk of a row recurrence may reach: the
@@ -598,10 +586,12 @@ class MatrixPowerState:
     """Row blocks of consecutive powers of a square matrix.
 
     For the row blocks ``blocks`` (all of them when None), P holds the rows
-    of Phi^k and Q the rows of Phi^(k+1), as dense ``BlockRows``.
-    ``advance`` moves k on by one with R <- R Phi, which costs
-    O(|blocks| nnz(Phi)) for a sparse Phi: no full power is ever formed.
-    Powers fill in, so their rows are held dense even when Phi is sparse.
+    of Phi^k and Q the rows of Phi^(k+1), as dense ``BlockRows`` laid out
+    by ``BlockStructure.row_slices``.  ``advance`` moves k on by one with
+    R <- R Phi, which costs O(|blocks| nnz(Phi)) for a sparse Phi: no full
+    power is ever formed.  Powers fill in, so their rows are held dense
+    even when Phi is sparse.  A power that overflows is held as it is,
+    non-finite: the step that reads it checks what it computes from it.
     """
 
     def __init__(self, phi, blocks=None):
@@ -615,13 +605,13 @@ class MatrixPowerState:
                 if not 0 <= i < bs.b:
                     raise DimensionError(f"MatrixPowerState: row block {i} out of "
                                          f"range ({bs.b} blocks)", module="linalg")
+        self._slices = list(bs.row_slices(blocks).values())
         picked = bs.coords(blocks)
         eye_rows = np.zeros((picked.size, bs.n))
         eye_rows[np.arange(picked.size), picked] = 1.0
         rows = self.phi.data[picked]
-        self.k = 0
-        self.P = BlockRows(eye_rows, blocks)
-        self.Q = BlockRows(rows.toarray() if self.phi.is_sparse else rows, blocks)
+        self.P = BlockRows(eye_rows)
+        self.Q = BlockRows(rows.toarray() if self.phi.is_sparse else rows)
 
     def advance(self):
         R, phi = self.Q.data, self.phi.data
@@ -633,15 +623,9 @@ class MatrixPowerState:
             # so each block is its own product, which measured faster than
             # the batched ``row_products`` for one block and for all blocks
             new = np.empty_like(R)
-            for _, rows in self.Q._row_slices():
+            for rows in self._slices:
                 np.matmul(R[rows], phi, out=new[rows])
-        if not np.isfinite(new).all():
-            raise NonFiniteError(
-                f"matrix power overflowed to non-finite values at exponent {self.k + 2}",
-                module="linalg")
-        self.k += 1
-        self.P = self.Q
-        self.Q = BlockRows(new, self.Q.blocks)
+        self.P, self.Q = self.Q, BlockRows(new)
         return self
 
 

@@ -102,6 +102,23 @@ def _dual_normalize(directions, p):
 # sampled Hausdorff distance and diameters
 # ----------------------------------------------------------------------
 
+def _gap_rule(outer, inner):
+    """(g, bad, i, allowance): the rule of ``support_gaps``, decided over
+    the last axis of the equal-shape arrays ``outer`` and ``inner``.
+
+    g = outer - inner, and allowance = 1e-9 * max(1, |outer|, |inner|).
+    i is the index where g is lowest relative to the allowance, and
+    ``bad`` whether some g is not finite or g at i lies below minus the
+    allowance there; both drop the last axis."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = outer - inner
+        allowance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(outer), np.abs(inner)))
+        i = np.argmin(g / allowance, axis=-1)[..., None]
+        low = np.take_along_axis(g, i, -1) < -np.take_along_axis(allowance, i, -1)
+    bad = ~np.isfinite(g).all(axis=-1) | low[..., 0]
+    return g, bad, i[..., 0], allowance
+
+
 def support_gaps(outer, inner, what, module):
     """The gaps g = outer - inner between the support values ``outer`` of
     a set and ``inner`` of a set it is to contain, two arrays over the
@@ -111,35 +128,25 @@ def support_gaps(outer, inner, what, module):
     ("<what> is not finite").  A g below -1e-9 * max(1, |outer|, |inner|)
     contradicts the containment beyond the rounding of values of that
     size, and raises ``ContainmentError`` for the direction where g is
-    lowest relative to that allowance.  ``_first_failing_row`` decides
-    the same rule for many rows at once.
+    lowest relative to that allowance (``_gap_rule``).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = outer - inner
+    g, bad, i, allowance = _gap_rule(outer, inner)
+    if not bad:
+        return g
     if not np.isfinite(g).all():
         raise NonFiniteError(f"{what} is not finite", module=module)
-    if g.min() >= -1e-9:    # the allowance is at least 1e-9
-        return g
-    allowance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(outer), np.abs(inner)))
-    i = int(np.argmin(g / allowance))
-    if g[i] < -allowance[i]:
-        raise ContainmentError(
-            f"{what} is {g[i]:.3e} in direction {i}, below the rounding "
-            f"allowance {-allowance[i]:.3e}", module=module)
-    return g
+    i = int(i)
+    raise ContainmentError(
+        f"{what} is {g[i]:.3e} in direction {i}, below the rounding "
+        f"allowance {-allowance[i]:.3e}", module=module)
 
 
 def _first_failing_row(outer, inner):
     """The first row k of the (N, m) arrays of support values at which
     ``support_gaps(outer[k], inner[k], ...)`` raises, or N: the rule of
-    ``support_gaps``, decided for all rows at once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = outer - inner
-        allowance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(outer), np.abs(inner)))
-        i = np.argmin(g / allowance, axis=1)[:, None]
-    low = np.take_along_axis(g, i, 1) < -np.take_along_axis(allowance, i, 1)
-    bad = ~np.isfinite(g).all(axis=1) | low[:, 0]
-    return int(bad.argmax()) if bad.any() else len(g)
+    ``_gap_rule``, decided for all rows at once."""
+    bad = _gap_rule(outer, inner)[1]
+    return int(bad.argmax()) if bad.any() else len(bad)
 
 
 def hausdorff_estimate(X, Y, p=np.inf, directions=None, count=4096, seed=0):

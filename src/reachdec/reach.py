@@ -197,8 +197,7 @@ class BoxTube(ReachTube):
     def __init__(self, delta, model, bs, tracked, centers, radii, point0):
         super().__init__(delta, model, bs, tracked)
         self.centers, self.radii, self.point0 = centers, radii, point0
-        rows = BlockStructure(centers.shape[1])
-        self._slices = {i: rows.slice(p) for p, i in enumerate(self.tracked)}
+        self._slices = bs.row_slices(self.tracked)
         self._sets = {}
 
     @property
@@ -306,7 +305,8 @@ def _row_image_box(R, V):
 
 def _set_inputs(sys, bs, blocks, scheme):
     """Input accumulation collapsed through ``scheme``, as a function of
-    (k, P) -- P holding the rows of Phi^(k-1) -- that returns the
+    (k, P) -- P the rows of Phi^(k-1) in ``blocks``, stacked as
+    ``BlockStructure.row_slices`` places them -- that returns the
     accumulated input set of each block at step k.
 
     A constant input adds Phi^(k-1) V to each block and collapses the sum.
@@ -318,12 +318,12 @@ def _set_inputs(sys, bs, blocks, scheme):
     under the identity."""
     if sys.constant_input:
         W = {i: zero_set(bs.size(i)) for i in blocks}
+        rows = bs.row_slices(blocks)
 
         def step(_k, P):
-            for i in blocks:
-                W[i] = approximate(
-                    MinkowskiSum(W[i], LinearMap(P.dense_row_block(i), sys.v)),
-                    scheme)
+            for i, s in rows.items():
+                W[i] = approximate(MinkowskiSum(W[i], LinearMap(P[s], sys.v)),
+                                   scheme)
             return W
         return step
 
@@ -372,10 +372,11 @@ def _box_steps(sys, N, bs, blocks):
     additions of w <- w + c in the same order.  Chunks hold 1, 2, 4, ...
     steps, at most ``_CHUNK_ENTRIES`` entries of R but never fewer than
     one step, so a consumer that stops at step k has formed at most about
-    2k powers.  An error in forming a step's input or the next power ends
-    the chunk: the steps before it are yielded, and the error is raised
-    when the next chunk is asked for, after the consumer has checked
-    them."""
+    2k powers.  A power that overflows is yielded as it is, for the
+    consumer's check of the steps that read it.  An error in forming a
+    step's input ends the chunk: the steps before it are yielded, and the
+    error is raised when the next chunk is asked for, after the consumer
+    has checked them."""
     if N == 1:
         return
     power = MatrixPowerState(sys.phi, blocks)
@@ -471,12 +472,13 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True):
         return
     table = vertex_table(blocks0)
     inputs = _set_inputs(sys, bs, blocks, scheme)
+    rows = bs.row_slices(blocks)
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
-        W = inputs(k, power.P)
+        W = inputs(k, power.P.data)
         out = {}
-        for i in blocks:
-            image = VertexImageSum.of_columns(table, power.Q.dense_row_block(i))
+        for i, s in rows.items():
+            image = VertexImageSum.of_columns(table, power.Q.data[s])
             combined = MinkowskiSum(image, W[i])
             out[i] = approximate(combined, scheme) if collapse else combined
         yield out
@@ -676,8 +678,7 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
         return
     _, x0 = _box_start(sys)
     cols = bs.coords(blocks)
-    rows = BlockStructure(cols.size)
-    local = {i: rows.slice(p) for p, i in enumerate(blocks)}
+    local = bs.row_slices(blocks)
     first = (0, [None], x0.center[cols][None], x0.radius[cols][None])
     for k0, Rs, cs, rs in itertools.chain([first], _box_steps(sys, N, bs, blocks)):
         for k, R, c, r in zip(itertools.count(k0), Rs, cs, rs):

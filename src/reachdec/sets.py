@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DegeneratePolygonError,
     DimensionError,
+    InputError,
     InvalidSetError,
     UnboundedSetError,
 )
@@ -369,6 +370,18 @@ class Singleton(LazySet):
 def zero_set(dim):
     """The origin of R^dim as a Singleton."""
     return Singleton(np.zeros(dim))
+
+
+def _cut(X, index, module):
+    """The projection of a box or a point X on the coordinates ``index``,
+    a slice or an index array, sliced from it.  Other sets are not cut:
+    they raise an ``error:<module>:schema``."""
+    if isinstance(X, Hyperrectangle):
+        return Hyperrectangle(X.center[index], X.radius[index])
+    if isinstance(X, Singleton):
+        return Singleton(X.point[index])
+    raise InputError(f"cannot cut a {type(X).__name__} to some blocks",
+                     module=module)
 
 
 # ----------------------------------------------------------------------

@@ -534,28 +534,52 @@ def test_cli_input_failure_in_a_chunk_ends_the_run_after_its_earlier_steps(
     assert not (tmp_path / "tube.csv").exists()
 
 
+def test_cli_power_that_no_step_reads_may_overflow(tmp_path, capsys):
+    # Phi = 1e200: a two-step run reads Phi^0 and Phi^1 alone, so the
+    # overflow of Phi^2, which the engines still form, ends nothing
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0], "radius": [0.5]}},
+           "delta": 1.0, "N": 2, "model": "discrete"}
+    for scheme in ("box", "eps:0.1"):
+        doc["scheme"] = scheme
+        sc = write_scenario(tmp_path, doc, {"A": np.array([[np.log(1e200)]])})
+        for cmd in ("reach", "compare", "bounds"):
+            code, lines = run_quiet(capsys, cmd, "--scenario", str(sc),
+                                    "--out", str(tmp_path))
+            assert (scheme, cmd, code) == (scheme, cmd, 0), lines
+            assert not any(line.startswith("error:") for line in lines)
+
+
 def test_cli_check_stops_at_a_violation_before_a_later_power_overflow(
         tmp_path, capsys, monkeypatch):
     # Phi = 1e100 I: step 2 violates x1 < 1e150, and Phi^4 overflows.  The
-    # box engine forms steps 2 and 3 in one chunk, so it meets the overflow
-    # of Phi^4 before check reads step 2: check must report the violation,
-    # and reach, which reads every step, the overflow
+    # box engine forms steps 2 and 3 in one chunk, and Phi^4 with them:
+    # check must report the violation, and the commands that read every
+    # step the overflow of step 4, the first to read Phi^4
     doc = {"A": "A.mtx", "X0": {"point": [1.0, 1.0]}, "delta": 1.0, "N": 6,
-           "model": "discrete", "scheme": "box", "property": "x1 < 1e150"}
-    sc = write_scenario(tmp_path, doc, {"A": np.log(1e100) * np.eye(2)})
-    assert run_quiet(capsys, "check", "--scenario", str(sc)) == (
-        1, ["violated k=2 value=1e+200 atom=x1 < 1e150"])
-    assert run_quiet(capsys, "reach", "--scenario", str(sc),
-                     "--out", str(tmp_path)) == (
-        3, ["error:linalg:non-finite matrix power overflowed to non-finite "
-            "values at exponent 4"])
+           "model": "discrete", "property": "x1 < 1e150"}
+    reach_line = {
+        "box": "error:reach:non-finite the box of step 4 overflowed",
+        "eps:0.1": "error:approx:unbounded-set overapproximate_eps: "
+                   "non-finite support value"}
+    for scheme, line in reach_line.items():
+        doc["scheme"] = scheme
+        sc = write_scenario(tmp_path, doc, {"A": np.log(1e100) * np.eye(2)})
+        assert run_quiet(capsys, "check", "--scenario", str(sc)) == (
+            1, ["violated k=2 value=1e+200 atom=x1 < 1e150"])
+        for cmd in ("reach", "compare"):
+            assert run_quiet(capsys, cmd, "--scenario", str(sc),
+                             "--out", str(tmp_path)) == (3, [line])
+        code, lines = run_quiet(capsys, "bounds", "--scenario", str(sc))
+        assert (code, lines[2:]) == (
+            3, ["error:reach:non-finite the support of step 4 overflowed"])
+    assert not (tmp_path / "tube.csv").exists()
     # a violation at step k forms at most 2k powers: the rows of Phi and
     # one power per advance
     advances = []
     advance = reachdec.linalg.MatrixPowerState.advance
 
     def counted(self):
-        advances.append(self.k)
+        advances.append(None)
         return advance(self)
 
     monkeypatch.setattr(reachdec.linalg.MatrixPowerState, "advance", counted)

@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachdec.oracle
 from conftest import random_box, random_polygon, random_stable_matrix
@@ -45,7 +47,7 @@ from reachdec import (
     support_membership,
     zero_set,
 )
-from reachdec.oracle import _geometric_tail, support_gaps
+from reachdec.oracle import _first_failing_row, _geometric_tail, support_gaps
 from reachdec.reach import _lazy_supports
 
 
@@ -150,6 +152,48 @@ def test_support_gaps_allow_rounding_relative_to_the_values():
     with pytest.raises(NonFiniteError) as exc:
         support_gaps(np.array([np.inf]), np.array([np.inf]), "gap", "oracle")
     assert exc.value.tag() == "error:oracle:non-finite"
+
+
+@st.composite
+def support_pair(draw):
+    """(outer, inner) support values that sit on the edges of the gap
+    rule: non-finite values, signed zeros, magnitudes up to 1e306, and
+    gaps within an ulp of the allowance 1e-9 * max(1, |outer|, |inner|)."""
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+    inner = draw(st.one_of(st.sampled_from(special),
+                           st.floats(-1e306, 1e306),
+                           st.sampled_from([1e306, -1e306, 1.0, -1.0, 0.5])))
+    kind = draw(st.sampled_from(["any", "edge", "below", "above", "equal"]))
+    if kind == "any" or not np.isfinite(inner):
+        return draw(st.one_of(st.sampled_from(special),
+                              st.floats(-1e306, 1e306))), inner
+    if kind == "equal":
+        return inner, inner
+    # outer = inner - allowance, moved by an ulp or two either way
+    edge = inner - 1e-9 * max(1.0, abs(inner))
+    step = {"edge": 0, "below": -1, "above": 1}[kind]
+    for _ in range(draw(st.integers(0, 2)) if step else 0):
+        edge = np.nextafter(edge, step * np.inf)
+    return float(edge), inner
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_first_failing_row_is_the_first_row_support_gaps_refuses(N, m, data):
+    pairs = data.draw(st.lists(support_pair(), min_size=N * m, max_size=N * m))
+    outer, inner = np.array(pairs).T.reshape(2, N, m)
+
+    def refused(k):
+        try:
+            support_gaps(outer[k], inner[k], "gap", "oracle")
+        except (NonFiniteError, ContainmentError):
+            return True
+        return False
+
+    expect = next((k for k in range(N) if refused(k)), N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _first_failing_row(outer, inner) == expect
 
 
 def test_hausdorff_rejects_bad_inputs():

@@ -650,6 +650,20 @@ def test_tube_box_hull():
                         tube.set_at(2, 0).support_batch(E), atol=1e-12)
 
 
+@pytest.mark.parametrize("scheme", [BoxDirections(), EpsilonClose(0.1)])
+def test_a_power_that_no_step_reads_may_overflow(scheme):
+    # Phi^2 = 1e400 overflows, but the steps of a two-step run read Phi^0
+    # and Phi^1 alone: the run gives the oracle's boxes
+    sys = DiscreteSystem([[1e200]], Hyperrectangle([1.0], [0.5]), None, 1.0)
+    tube = reach_decomposed(sys, 2, scheme=scheme)
+    oracle = reach_nondecomposed(sys, 2, np.array([[1.0], [-1.0]]))
+    hulls = [(0.5, 1.5), (5e199, 1.5e200)]
+    for k, (low, high) in enumerate(hulls):
+        box = tube.box_hull(k, 0)
+        assert (box.low.tolist(), box.high.tolist()) == ([low], [high])
+        assert oracle[k].tolist() == [high, -low]
+
+
 # ----------------------------------------------------------------------
 # safety checking
 # ----------------------------------------------------------------------
