@@ -1,8 +1,10 @@
 """Command-line driver: one scenario file, one command, artifact files.
 
 Exit codes are a stable contract: 0 success (or property verified),
-1 property not certified, 2 input error, 3 numerical failure.  Engine
-errors print a single machine-parsable line `error:<module>:<kind> ...`.
+1 property not certified, 2 input error, 3 numerical failure or an array
+that cannot be allocated.  Engine errors print a single machine-parsable
+line `error:<module>:<kind> ...`, and an allocation that numpy refuses
+prints `error:cli:memory <numpy's message>`.
 """
 
 from __future__ import annotations
@@ -275,6 +277,9 @@ def main(argv=None):
     except EngineError as e:
         print(f"{e.tag()} {e}")
         return 2 if e.category == "input" else 3
+    except MemoryError as e:
+        print(f"error:cli:memory {e}")
+        return 3
     except Exception as e:  # pragma: no cover - defensive
         print(f"error:cli:internal {e}")
         return 3

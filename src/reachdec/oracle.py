@@ -18,6 +18,7 @@ from .discretize import ContinuousSystem, DiscreteSystem, _step_set
 from .errors import ContainmentError, DimensionError, InputError, NonFiniteError
 from .linalg import _CHUNK_ENTRIES, BlockMatrix, _stacked
 from .sets import (
+    FactoredRows,
     Hyperrectangle,
     LinearMap,
     Singleton,
@@ -209,19 +210,36 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
 
     With L_k = L Phi^k, step k is rho(L_k, X(0)) + sum over s < k of
     rho(L_{k-1-s}, V(s)).  The levels are formed a chunk at a time
-    (``_level_chunks``), and X(0) is queried once per chunk over its
-    stacked levels.  A constant input is queried once per chunk too, over
-    the chunk's levels among L_0 .. L_{N-2}, and its terms are summed in a
-    running sum carried from chunk to chunk.  An input sequence is
-    queried once per set, V(s) over the levels L_0 .. L_{N-2-s} stacked,
-    so a run makes N - 1 queries on the inputs and one on X(0) per chunk:
-    2N - 1 when every chunk holds one level.  When every V(s) is a
-    ``LinearMap`` over one matrix object M (as ``discretize_discrete``
-    builds them), each chunk of levels is mapped once, L_k M, and the
-    operands are queried on those rows, since rho(l, M U) = rho(l M, U).
-    Each step adds its terms in the order X(0), V(0), V(1), ..., as a sum
-    of per-pair queries would; only a query over stacked rows may round a
-    row differently in the last bit.
+    (``_level_chunks``), as many as fit in ``_CHUNK_ENTRIES`` entries of
+    m x n levels, and X(0) is queried once per chunk over its stacked
+    levels.  A constant input is queried once per chunk too, over the
+    chunk's levels among L_0 .. L_{N-2}, and its terms are summed in a
+    running sum carried from chunk to chunk.
+
+    With a constant input, the recurrence runs on the rows it needs.
+    When L reads only the columns C, L = D E with D = L[:, C] (m x |C|)
+    and E the |C| unit rows of C, so L_k = D (E Phi^k).  If one product
+    of the |C| rows E Phi^k by Phi and one expansion by D cost fewer flops
+    than the product of the m rows, |C| (nnz(Phi) + m n) < m nnz(Phi)
+    with nnz(Phi) = n^2 for a dense Phi, the recurrence advances the |C|
+    rows and the sets are queried through ``LazySet.support_factored``:
+    a ``LinearMap`` in X(0) or V maps the |C| rows by its matrix, and
+    each chunk's expansion by D is formed once per map and shared by the
+    operands of sums and hulls (``FactoredRows``).  The levels then
+    differ from the direct products by rounding only.  Otherwise, as for
+    the L of ``bounds``, which reads every column, the m rows of L are
+    advanced.
+
+    An input sequence advances the m rows of L and is queried once per
+    set, V(s) over the levels L_0 .. L_{N-2-s} stacked, so a run makes
+    N - 1 queries on the inputs and one on X(0) per chunk: 2N - 1 when
+    every chunk holds one level.  When every V(s) is a ``LinearMap`` over
+    one matrix object M (as ``discretize_discrete`` builds them), each
+    chunk of levels is mapped once, L_k M, and the operands are queried
+    on those rows, since rho(l, M U) = rho(l M, U).  Each step adds its
+    terms in the order X(0), V(0), V(1), ..., as a sum of per-pair
+    queries would; only a query over stacked rows may round a row
+    differently in the last bit.
     """
     N = int(N)
     if N < 1:
@@ -236,8 +254,13 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
         raise InputError("directions must be finite", module="oracle")
     m, n = L.shape
     out = np.empty((N, m))
+    D, start = None, L
     if sys.constant_input:
         acc = np.zeros((1, m))
+        cols = _read_columns(sys.phi, L)
+        if cols is not None:
+            D, start = L[:, cols], np.zeros((len(cols), n))
+            start[np.arange(len(cols)), cols] = 1.0
     else:
         seq = [sys.v_at(s) for s in range(N - 1)]
         shared = _shared_map(seq)
@@ -245,22 +268,25 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
             seq = [V.operand for V in seq]
         p = n if shared is None else shared.matrix.shape[1]
         rows = np.empty((N - 1, m, p))
-    for k, levels in _level_chunks(sys.phi, L, N):
-        c = len(levels) // m
-        out[k:k + c] = sys.x_init.support_batch(levels).reshape(c, m)
-        held = levels[:min(c, N - 1 - k) * m]     # the levels of L_0 .. L_{N-2}
+    size = max(1, _CHUNK_ENTRIES // (m * n))
+    for k, R in _level_chunks(sys.phi, start, N, size):
+        count = len(R) // len(start)
+        levels = FactoredRows(D, R, count)
+        out[k:k + count] = sys.x_init.support_factored(levels).reshape(count, m)
+        h = min(count, N - 1 - k)   # the levels of L_0 .. L_{N-2}
         if sys.constant_input:
-            if len(held):       # the input sums of steps k .. k + len(held) / m
+            if h:       # the input sums of steps k .. k + h
                 acc = np.add.accumulate(np.concatenate(
-                    [acc, sys.v.support_batch(held).reshape(-1, m)]))
+                    [acc, sys.v.support_factored(levels.head(h)).reshape(-1, m)]))
             # step 0 is X(0) alone: adding the empty sum would turn -0.0
             # into 0.0
             first = 1 if k == 0 else 0
-            out[k + first:k + c] += acc[first:c]
+            out[k + first:k + count] += acc[first:count]
             acc = acc[-1:]
-        elif len(held):
+        elif h:
+            held = R[:h * m]
             mapped = held if shared is None else shared.map_rows(held)
-            rows[k:k + len(held) // m] = mapped.reshape(-1, m, p)
+            rows[k:k + h] = mapped.reshape(-1, m, p)
     if sys.constant_input:
         return out
     for s, V in enumerate(seq):
@@ -268,15 +294,24 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     return out
 
 
-def _level_chunks(phi, L, N):
-    """Yield (k, levels) for consecutive chunks of the levels L_k = L Phi^k,
-    k = 0 .. N - 1: ``levels`` holds the rows of L_k, L_(k+1), ... of the
-    chunk one level after another, at most ``_CHUNK_ENTRIES`` entries but
-    never fewer than one level.  Each level is formed once from the one
-    before it, and none past L_(N-1)."""
+def _read_columns(phi, L):
+    """The columns C that the directions L read, when advancing their |C|
+    unit rows and expanding them by L[:, C] costs fewer flops than
+    advancing the m rows of L: |C| (nnz(Phi) + m n) < m nnz(Phi), with
+    nnz(Phi) = n^2 for a dense Phi.  Else None."""
     m, n = L.shape
-    size = max(1, _CHUNK_ENTRIES // (m * n))
-    level = L
+    cols = np.flatnonzero(L.any(axis=0))
+    nnz = phi.data.nnz if phi.is_sparse else n * n
+    return cols if 0 < len(cols) and len(cols) * (nnz + m * n) < m * nnz else None
+
+
+def _level_chunks(phi, start, N, size):
+    """Yield (k, levels) for consecutive chunks of ``size`` levels
+    start Phi^k, k = 0 .. N - 1: ``levels`` holds the rows of the chunk's
+    levels one level after another.  Each level is formed once from the
+    one before it, and none past start Phi^(N-1)."""
+    n = start.shape[1]
+    level = start
     for k in range(0, N, size):
         chunk = [level]
         for _ in range(min(size, N - k) - 1):

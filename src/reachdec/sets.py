@@ -41,6 +41,7 @@ __all__ = [
     "CartesianProduct",
     "ConvexHullPair",
     "VertexImageSum",
+    "FactoredRows",
     "vertex_table",
     "support_function",
     "support_vector",
@@ -74,15 +75,18 @@ def _as_vector(x, name):
 class LazySet:
     """Base class: a nonempty compact convex set queried via support functions.
 
-    Every set answers through three walks of its operand tree:
+    Every set answers through four walks of its operand tree:
     `_rho_sigma` (one direction: its support value and a maximizer),
     `_rho_batch` (the support values of a stack of directions; by default
-    one `_rho_sigma` per row) and `_axis_supports` (the support values in
-    +-e_i of a transform of the set; by default support batches).  The
-    public queries below read only these.  Boxes, balls and points give
-    all three in closed form, the combinators recurse into their operands,
-    ``VertexImageSum`` takes maxima over its image points, and a polygon
-    searches its vertices, its axis supports being support batches.
+    one `_rho_sigma` per row), `_rho_factored` (those of directions held
+    as a product D R, a `FactoredRows`; by default `_rho_batch` on the
+    product, while maps, sums and hulls pass the factors down) and
+    `_axis_supports` (the support values in +-e_i of a transform of the
+    set; by default support batches).  The public queries below read only
+    these.  Boxes, balls and points give the other three in closed form,
+    the combinators recurse into their operands, ``VertexImageSum`` takes
+    maxima over its image points, and a polygon searches its vertices,
+    its axis supports being support batches.
     """
 
     dim = 0
@@ -112,6 +116,16 @@ class LazySet:
                 f"set has dimension {self.dim}")
         return self._rho_batch(L)
 
+    def support_factored(self, F):
+        """Support values for each row of the directions D R_j of a
+        `FactoredRows` F, level after level: (s m,) for s levels of m
+        rows."""
+        if F.R.shape[1] != self.dim:
+            raise DimensionError(
+                f"{type(self).__name__}: factored directions have "
+                f"{F.R.shape[1]} columns, set has dimension {self.dim}")
+        return self._rho_factored(F)
+
     # -- subclass hooks -------------------------------------------------
 
     def _rho_sigma(self, l):
@@ -119,6 +133,9 @@ class LazySet:
 
     def _rho_batch(self, L):
         return np.array([self._rho_sigma(row)[0] for row in L])
+
+    def _rho_factored(self, F):
+        return self._rho_batch(F.rows)
 
     def _axis_supports(self, T):
         """(hi, nlo): the support values of T X in +e_i and in -e_i, for
@@ -160,6 +177,46 @@ def support_function(X, direction):
 def support_vector(X, direction):
     """Some point of ``X`` attaining the support value in ``direction``."""
     return X.support_vector(direction)
+
+
+class FactoredRows:
+    """Directions held as a product: the rows of D R_j for each level j of
+    a stack of ``levels`` levels R_j of c rows, R holding them one level
+    after another, (levels c, d).  D is (m, c), or None for the identity,
+    where the rows are R itself.
+
+    Since rho(D R, M X) = rho(D (R M), X), a `LinearMap` maps R, c rows,
+    not the m rows of the product (``mapped``).  Every set that does not
+    pass the factors on, a `Scaled` among them, answers on the product
+    ``rows``, formed once, on first use, so the operands of a sum or a
+    hull, which are passed the same object, share it."""
+
+    __slots__ = ("D", "R", "levels", "_rows")
+
+    def __init__(self, D, R, levels):
+        self.D, self.R, self.levels = D, R, levels
+        self._rows = R if D is None else None
+
+    @property
+    def rows(self):
+        """The (levels m, d) array of D R_0, D R_1, ..."""
+        if self._rows is None:
+            d = self.R.shape[1]
+            self._rows = (self.D @ self.R.reshape(self.levels, -1, d)).reshape(-1, d)
+        return self._rows
+
+    def mapped(self, linear_map):
+        """D (R_j M) for the matrix M of a `LinearMap`."""
+        return FactoredRows(self.D, linear_map.map_rows(self.R), self.levels)
+
+    def head(self, levels):
+        """The first ``levels`` levels, with the part of ``rows`` already
+        formed."""
+        out = FactoredRows(self.D, self.R[:levels * len(self.R) // self.levels],
+                           levels)
+        if self._rows is not None:
+            out._rows = self._rows[:levels * len(self._rows) // self.levels]
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -736,6 +793,9 @@ class LinearMap(LazySet):
     def _rho_batch(self, L):
         return self.operand._rho_batch(self.map_rows(L))
 
+    def _rho_factored(self, F):
+        return self.operand._rho_factored(F.mapped(self))
+
     def _axis_supports(self, T):
         # nested maps compose first: T (M Y) = (T M) Y
         return self.operand._axis_supports(_transform_compose(T, self._m))
@@ -785,6 +845,9 @@ class MinkowskiSum(LazySet):
 
     def _rho_batch(self, L):
         return self.left._rho_batch(L) + self.right._rho_batch(L)
+
+    def _rho_factored(self, F):
+        return self.left._rho_factored(F) + self.right._rho_factored(F)
 
     def _axis_supports(self, T):
         ha, na = self.left._axis_supports(T)
@@ -855,6 +918,9 @@ class ConvexHullPair(LazySet):
 
     def _rho_batch(self, L):
         return np.maximum(self.left._rho_batch(L), self.right._rho_batch(L))
+
+    def _rho_factored(self, F):
+        return np.maximum(self.left._rho_factored(F), self.right._rho_factored(F))
 
     def _axis_supports(self, T):
         ha, na = self.left._axis_supports(T)

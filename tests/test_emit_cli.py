@@ -762,6 +762,20 @@ def test_cli_bounds_ends_at_an_overflowing_bound(tmp_path, capsys):
         "is not finite"]
 
 
+def test_cli_refused_allocation_is_a_memory_error(tmp_path, capsys):
+    # N = 10^12 steps of a 2 x 2 system ask for a 14.6 TiB tube array,
+    # which numpy refuses at once; check streams and is not run here
+    doc = {"A": "A.mtx", "X0": {"box": {"center": [1.0, 0.0], "radius": [0.1, 0.1]}},
+           "delta": 0.1, "N": 10 ** 12, "model": "discrete"}
+    sc = write_scenario(tmp_path, doc, {"A": -np.eye(2)})
+    for cmd in ("reach", "compare"):
+        code, lines = run_quiet(capsys, cmd, "--scenario", str(sc),
+                                "--out", str(tmp_path))
+        assert (code, lines) == (3, [
+            "error:cli:memory Unable to allocate 14.6 TiB for an array with "
+            "shape (1000000000000, 2) and data type float64"])
+
+
 @pytest.mark.parametrize("prop, pos", [("1e999*x1 < 10", 0), ("x1 < 1e999", 5)])
 def test_cli_check_refuses_a_property_number_that_overflows(tmp_path, capsys,
                                                              prop, pos):

@@ -10,8 +10,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachdec.cli
 import reachdec.oracle
-from conftest import random_box, random_polygon, random_stable_matrix
+from conftest import (
+    random_box,
+    random_polygon,
+    random_stable_matrix,
+    write_large_decoupled,
+)
 from reachdec import (
     BallP,
     BlockMatrix,
@@ -579,6 +585,93 @@ def test_nondecomposed_step_zero_adds_no_input_sum(monkeypatch):
         out = reach_nondecomposed(sys, 4, L)
         assert out.tobytes() == per_level_nondecomposed(sys, 4, L).tobytes()
         assert np.signbit(out[0]).all() and not np.signbit(out[1:]).any()
+
+
+def few_column_directions(rng, m, n, cols):
+    """m normal directions of n columns, zero outside the columns
+    ``cols``: the shape of the directions of ``compare``."""
+    L = np.zeros((m, n))
+    L[:, cols] = rng.standard_normal((m, len(cols)))
+    return L
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33])
+def test_nondecomposed_factored_levels_agree_with_the_direct_ones(monkeypatch, N):
+    # 30 directions that read 2 of the 10 columns: the recurrence advances
+    # the 2 unit rows and expands them by L[:, C] in the set walk, which
+    # may round a row differently from the direct product of the 30 rows
+    rng = np.random.default_rng(212)
+    L = few_column_directions(rng, 30, 10, [0, 1])
+    for (inp, model, storage), sys in chunk_systems().items():
+        if inp == "sequence":
+            continue
+        assert isinstance(sys.x_init, ConvexHullPair) == (model == DENSE)
+        cols = reachdec.oracle._read_columns(sys.phi, L)
+        assert cols.tolist() == [0, 1]
+        for levels in (1, 3, None):
+            budget = reachdec.oracle._CHUNK_ENTRIES if levels is None else levels * L.size
+            monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+            got = reach_nondecomposed(sys, N, L)
+            monkeypatch.setattr(reachdec.oracle, "_read_columns", lambda phi, L: None)
+            want = reach_nondecomposed(sys, N, L)
+            monkeypatch.undo()
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_nondecomposed_directions_that_read_every_column_advance_their_rows():
+    # as the directions of bounds do: the flop rule keeps the m rows of L,
+    # and the supports are bitwise those of the per-level loop
+    rng = np.random.default_rng(213)
+    n = 10
+    L = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((64, n))])
+    for (inp, model, storage), sys in chunk_systems().items():
+        if inp == "sequence":
+            continue
+        assert reachdec.oracle._read_columns(sys.phi, L) is None
+        assert (reach_nondecomposed(sys, 9, L).tobytes()
+                == per_level_nondecomposed(sys, 9, L).tobytes())
+
+
+def test_nondecomposed_factored_step_zero_adds_no_input_sum(monkeypatch):
+    # the factored path keeps -0.0 at step 0, as the direct one does
+    sys = DiscreteSystem(0.5 * np.eye(10), SignedZero(10), SignedZero(10), 0.1)
+    L = few_column_directions(np.random.default_rng(214), 20, 10, [3])
+    assert reachdec.oracle._read_columns(sys.phi, L).tolist() == [3]
+    for budget in (1, 3 * L.size, reachdec.oracle._CHUNK_ENTRIES):
+        monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+        out = reach_nondecomposed(sys, 4, L)
+        assert out.tobytes() == per_level_nondecomposed(sys, 4, L).tobytes()
+        assert np.signbit(out[0]).all() and not np.signbit(out[1:]).any()
+
+
+@pytest.mark.parametrize("n", [40, 4000])
+def test_compare_oracle_advances_the_rows_of_the_tracked_coordinates(
+        monkeypatch, tmp_path, capsys, n):
+    # the 68 directions of compare read the 2 coordinates of block 0, so
+    # each of the N - 1 = 39 products of the oracle's recurrence
+    # multiplies 2 rows, whatever n is
+    real_product, real_oracle = BlockMatrix.left_product, reachdec.cli.reach_nondecomposed
+    rows, inside = [], [False]
+
+    def counting(self, L):
+        if inside[0]:
+            rows.append(L.shape[0])
+        return real_product(self, L)
+
+    def oracle(sys, N, L):
+        assert L.shape[0] == 68
+        inside[0] = True
+        try:
+            return real_oracle(sys, N, L)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(BlockMatrix, "left_product", counting)
+    monkeypatch.setattr(reachdec.cli, "reach_nondecomposed", oracle)
+    sc = write_large_decoupled(tmp_path, n)
+    code = reachdec.cli.main(["compare", "--scenario", str(sc), "--out", str(tmp_path)])
+    assert code == 0 and capsys.readouterr().out.startswith("k=0 gap=")
+    assert rows == [2] * 39
 
 
 # ----------------------------------------------------------------------
