@@ -794,7 +794,11 @@ def read_matrix_market(path):
     Formats: Initial Design", NIST 1996).  Symmetric entries are mirrored
     on load, and duplicate coordinate entries are summed.  The entries are
     parsed by one numpy call with correctly rounded values, so the matrix
-    is bitwise the one ``scipy.io.mmread`` reads.
+    is bitwise the one ``scipy.io.mmread`` reads, with one known
+    exception: a row stored CSR by the rule below that holds more than 16
+    entries and repeats one position three or more times.  scipy's CSR
+    build sorts such a row without keeping the entries' order and sums
+    the repeats in that order, where ``mmread`` sums them in file order.
 
     Storage is decided here, once, by the block rule: an array file is
     dense, and a coordinate file is dense when more than

@@ -222,13 +222,14 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     of the |C| rows E Phi^k by Phi and one expansion by D cost fewer flops
     than the product of the m rows, |C| (nnz(Phi) + m n) < m nnz(Phi)
     with nnz(Phi) = n^2 for a dense Phi, the recurrence advances the |C|
-    rows and the sets are queried through ``LazySet.support_factored``:
-    a ``LinearMap`` in X(0) or V maps the |C| rows by its matrix, and
-    each chunk's expansion by D is formed once per map and shared by the
-    operands of sums and hulls (``FactoredRows``).  The levels then
-    differ from the direct products by rounding only.  Otherwise, as for
-    the L of ``bounds``, which reads every column, the m rows of L are
-    advanced.
+    rows and the sets are queried through ``LazySet.support_batch`` on
+    the factors (D, R) of a chunk (``FactoredRows``): a ``LinearMap`` in
+    X(0) or V maps the |C| rows by its matrix, and each chunk's expansion
+    by D is formed once per map and shared by the operands of sums and
+    hulls.  The levels then differ from the direct products by rounding
+    only.  Otherwise, as for the L of ``bounds``, which reads every
+    column, the m rows of L are advanced, and the sets are queried on the
+    levels themselves.
 
     An input sequence advances the m rows of L and is queried once per
     set, V(s) over the levels L_0 .. L_{N-2-s} stacked, so a run makes
@@ -272,12 +273,12 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     for k, R in _level_chunks(sys.phi, start, N, size):
         count = len(R) // len(start)
         levels = FactoredRows(D, R, count)
-        out[k:k + count] = sys.x_init.support_factored(levels).reshape(count, m)
+        out[k:k + count] = sys.x_init.support_batch(levels).reshape(count, m)
         h = min(count, N - 1 - k)   # the levels of L_0 .. L_{N-2}
         if sys.constant_input:
             if h:       # the input sums of steps k .. k + h
                 acc = np.add.accumulate(np.concatenate(
-                    [acc, sys.v.support_factored(levels.head(h)).reshape(-1, m)]))
+                    [acc, sys.v.support_batch(levels.head(h)).reshape(-1, m)]))
             # step 0 is X(0) alone: adding the empty sum would turn -0.0
             # into 0.0
             first = 1 if k == 0 else 0

@@ -685,7 +685,10 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
             def block_supports(i, L_b, L_b_abs):
                 s = local[i]
                 out = _box_supports(L_b, L_b_abs, c[s], r[s])
-                return out if R is None else x0._rho_batch(L_b @ R[s]) + out
+                if R is None:
+                    return out
+                M = L_b @ R[s]
+                return _box_supports(M, np.abs(M), x0.center, x0.radius) + out
             yield _finite_step(k, _support_sum(parts, m, block_supports))
 
 
@@ -747,8 +750,7 @@ def project_output(tube: ReachTube, M, scheme=BoxDirections()):
     if M.shape[1] != tube.bs.n:
         raise DimensionError(f"projection matrix has {M.shape[1]} columns, "
                              f"state dimension is {tube.bs.n}", module="reach")
-    cols = np.flatnonzero(np.any(M != 0.0, axis=0))
-    needed_blocks = np.unique(tube.bs.block_of(cols)).tolist()
+    needed_blocks = _blocks_read(M, tube.bs)
     missing = [i for i in needed_blocks if i not in tube.tracked]
     if missing:
         raise InputError(f"projection touches untracked blocks {missing}",

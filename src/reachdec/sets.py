@@ -75,18 +75,16 @@ def _as_vector(x, name):
 class LazySet:
     """Base class: a nonempty compact convex set queried via support functions.
 
-    Every set answers through four walks of its operand tree:
+    Every set answers through three walks of its operand tree:
     `_rho_sigma` (one direction: its support value and a maximizer),
-    `_rho_batch` (the support values of a stack of directions; by default
-    one `_rho_sigma` per row), `_rho_factored` (those of directions held
-    as a product D R, a `FactoredRows`; by default `_rho_batch` on the
-    product, while maps, sums and hulls pass the factors down) and
-    `_axis_supports` (the support values in +-e_i of a transform of the
-    set; by default support batches).  The public queries below read only
-    these.  Boxes, balls and points give the other three in closed form,
-    the combinators recurse into their operands, ``VertexImageSum`` takes
-    maxima over its image points, and a polygon searches its vertices,
-    its axis supports being support batches.
+    `_rho_batch` (the support values of the rows of a `FactoredRows`; by
+    default one `_rho_sigma` per row) and `_axis_supports` (the support
+    values in +-e_i of a transform of the set; by default support
+    batches).  The public queries below read only these.  Boxes, balls
+    and points give the other two in closed form, the combinators recurse
+    into their operands, ``VertexImageSum`` takes maxima over its image
+    points, and a polygon searches its vertices, its axis supports being
+    support batches.
     """
 
     dim = 0
@@ -108,34 +106,24 @@ class LazySet:
         return float(rho), sigma
 
     def support_batch(self, directions):
-        """Support values for each row of a (m, dim) direction array."""
-        L = np.asarray(directions, dtype=float)
-        if L.ndim != 2 or L.shape[1] != self.dim:
+        """Support values for each row of a (m, dim) direction array, or of
+        the directions D R_j of a `FactoredRows`, level after level: (s m,)
+        for s levels of m rows."""
+        F = (directions if isinstance(directions, FactoredRows) else
+             FactoredRows(None, np.asarray(directions, dtype=float), 1))
+        if F.R.ndim != 2 or F.R.shape[1] != self.dim:
             raise DimensionError(
-                f"{type(self).__name__}: direction batch has shape {L.shape}, "
+                f"{type(self).__name__}: direction batch has shape {F.R.shape}, "
                 f"set has dimension {self.dim}")
-        return self._rho_batch(L)
-
-    def support_factored(self, F):
-        """Support values for each row of the directions D R_j of a
-        `FactoredRows` F, level after level: (s m,) for s levels of m
-        rows."""
-        if F.R.shape[1] != self.dim:
-            raise DimensionError(
-                f"{type(self).__name__}: factored directions have "
-                f"{F.R.shape[1]} columns, set has dimension {self.dim}")
-        return self._rho_factored(F)
+        return self._rho_batch(F)
 
     # -- subclass hooks -------------------------------------------------
 
     def _rho_sigma(self, l):
         raise NotImplementedError
 
-    def _rho_batch(self, L):
-        return np.array([self._rho_sigma(row)[0] for row in L])
-
-    def _rho_factored(self, F):
-        return self._rho_batch(F.rows)
+    def _rho_batch(self, F):
+        return np.array([self._rho_sigma(row)[0] for row in F.rows])
 
     def _axis_supports(self, T):
         """(hi, nlo): the support values of T X in +e_i and in -e_i, for
@@ -151,7 +139,7 @@ class LazySet:
             rows = np.flatnonzero(R.any(axis=1))  # a zero row has support 0
             if len(rows) < len(R):
                 R = R[rows]
-            vals = self._rho_batch(np.vstack([R, -R]))
+            vals = self._rho_batch(FactoredRows(None, np.vstack([R, -R]), 1))
             h[rows], nl[rows] = vals[:len(rows)], vals[len(rows):]
             hi.append(h)
             nlo.append(nl)
@@ -180,14 +168,16 @@ def support_vector(X, direction):
 
 
 class FactoredRows:
-    """Directions held as a product: the rows of D R_j for each level j of
-    a stack of ``levels`` levels R_j of c rows, R holding them one level
-    after another, (levels c, d).  D is (m, c), or None for the identity,
-    where the rows are R itself.
+    """The directions of a batch query (`LazySet.support_batch`), held as
+    a product: the rows of D R_j for each level j of a stack of
+    ``levels`` levels R_j of c rows, R holding them one level after
+    another, (levels c, d).  D is (m, c), or None for the identity, where
+    the rows are R itself; a plain direction array L is FactoredRows(None,
+    L, 1).
 
     Since rho(D R, M X) = rho(D (R M), X), a `LinearMap` maps R, c rows,
-    not the m rows of the product (``mapped``).  Every set that does not
-    pass the factors on, a `Scaled` among them, answers on the product
+    not the m rows of the product (``mapped``).  Every other set, a
+    `Scaled` and a `CartesianProduct` among them, answers on the product
     ``rows``, formed once, on first use, so the operands of a sum or a
     hull, which are passed the same object, share it."""
 
@@ -336,7 +326,8 @@ class Hyperrectangle(LazySet):
         return (l @ self.center + np.abs(l) @ self.radius,
                 self.center + np.where(l >= 0.0, self.radius, -self.radius))
 
-    def _rho_batch(self, L):
+    def _rho_batch(self, F):
+        L = F.rows
         return L @ self.center + np.abs(L) @ self.radius
 
     def _axis_supports(self, T):
@@ -387,7 +378,8 @@ class BallP(LazySet):
         x[i] += self.radius * (1.0 if l[i] >= 0 else -1.0)
         return rho, x
 
-    def _rho_batch(self, L):
+    def _rho_batch(self, F):
+        L = F.rows
         return L @ self.center + self.radius * _row_norms(L, self._dual_ord)
 
     def _axis_supports(self, T):
@@ -416,8 +408,8 @@ class Singleton(LazySet):
     def _rho_sigma(self, l):
         return l @ self.point, self.point.copy()
 
-    def _rho_batch(self, L):
-        return L @ self.point
+    def _rho_batch(self, F):
+        return F.rows @ self.point
 
     def _axis_supports(self, T):
         Tp = _transform_apply(T, self.point)
@@ -719,7 +711,8 @@ class HPolygon(LazySet):
              else self._vertices[i].copy())
         return l @ v, v
 
-    def _rho_batch(self, L):
+    def _rho_batch(self, F):
+        L = F.rows
         idx = [self._search(x, y) for x, y in L.tolist()]
         for i in self._near_parallel.intersection(idx):
             self._exact_vertex(i)  # raises on a degenerate pair
@@ -790,11 +783,8 @@ class LinearMap(LazySet):
         LM = (self._mt @ L.T).T if issparse(self.matrix) else L @ self.matrix
         return np.asarray(LM, dtype=float)
 
-    def _rho_batch(self, L):
-        return self.operand._rho_batch(self.map_rows(L))
-
-    def _rho_factored(self, F):
-        return self.operand._rho_factored(F.mapped(self))
+    def _rho_batch(self, F):
+        return self.operand._rho_batch(F.mapped(self))
 
     def _axis_supports(self, T):
         # nested maps compose first: T (M Y) = (T M) Y
@@ -818,8 +808,8 @@ class Scaled(LazySet):
         rho, sigma = self.operand._rho_sigma(self.factor * l)
         return rho, self.factor * sigma
 
-    def _rho_batch(self, L):
-        return self.operand._rho_batch(self.factor * L)
+    def _rho_batch(self, F):
+        return self.operand._rho_batch(FactoredRows(None, self.factor * F.rows, 1))
 
     def _axis_supports(self, T):
         return self.operand._axis_supports(_transform_scale(T, self.factor))
@@ -843,11 +833,8 @@ class MinkowskiSum(LazySet):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
         return a + b, sa + sb
 
-    def _rho_batch(self, L):
-        return self.left._rho_batch(L) + self.right._rho_batch(L)
-
-    def _rho_factored(self, F):
-        return self.left._rho_factored(F) + self.right._rho_factored(F)
+    def _rho_batch(self, F):
+        return self.left._rho_batch(F) + self.right._rho_batch(F)
 
     def _axis_supports(self, T):
         ha, na = self.left._axis_supports(T)
@@ -875,10 +862,13 @@ class CartesianProduct(LazySet):
         pairs = [p._rho_sigma(l[s]) for p, s in zip(self.parts, self._slices)]
         return sum(rho for rho, _ in pairs), np.concatenate([s for _, s in pairs])
 
-    def _rho_batch(self, L):
+    def _rho_batch(self, F):
+        # the parts read column slices of the expanded rows: a product over
+        # a slice of R is not promised to round as the slice of D R does
+        L = F.rows
         total = np.zeros(L.shape[0])
         for p, s in zip(self.parts, self._slices):
-            total += p._rho_batch(L[:, s])
+            total += p._rho_batch(FactoredRows(None, L[:, s], 1))
         return total
 
     def _axis_supports(self, T):
@@ -916,11 +906,8 @@ class ConvexHullPair(LazySet):
         (a, sa), (b, sb) = self.left._rho_sigma(l), self.right._rho_sigma(l)
         return max(a, b), (sa if a >= b else sb)
 
-    def _rho_batch(self, L):
-        return np.maximum(self.left._rho_batch(L), self.right._rho_batch(L))
-
-    def _rho_factored(self, F):
-        return np.maximum(self.left._rho_factored(F), self.right._rho_factored(F))
+    def _rho_batch(self, F):
+        return np.maximum(self.left._rho_batch(F), self.right._rho_batch(F))
 
     def _axis_supports(self, T):
         ha, na = self.left._axis_supports(T)
@@ -1016,8 +1003,8 @@ class VertexImageSum(LazySet):
         return (np.add.reduce(vals.take(rows)),
                 np.add.reduce(self._points.take(rows, axis=0)))
 
-    def _rho_batch(self, L):
-        vals = (self._points @ L.T).reshape(self._parts, self._count, -1)
+    def _rho_batch(self, F):
+        vals = (self._points @ F.rows.T).reshape(self._parts, self._count, -1)
         return np.add.reduce(np.maximum.reduce(vals, axis=1))
 
     def _axis_supports(self, T):

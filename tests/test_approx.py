@@ -434,6 +434,34 @@ def polygon_product(rng, n):
 
 
 @pytest.mark.parametrize("sparse", [False, True])
+def test_factored_batches_are_batches_of_the_expanded_rows(sparse):
+    # FactoredRows(D, R, s) asks for the rows D R_0, ..., D R_{s-1}: with
+    # the identity factor it is bitwise the plain batch, and otherwise it
+    # agrees with the batch of the expanded rows up to rounding, since a
+    # map multiplies R before D does; an R of the wrong width is rejected
+    rng = np.random.default_rng(64 + sparse)
+    cases = closed_form_sets(rng, sparse)
+    for n in (2, 5, 8):
+        product = polygon_product(rng, n)
+        cases += [product, LinearMap(random_matrix(rng, 3, n, sparse), product),
+                  sets.VertexImageSum.of_columns(
+                      sets.vertex_table(product.parts),
+                      rng.standard_normal((3, n)))]
+    m, c, levels = 4, 3, 2
+    for X in cases:
+        L = rng.standard_normal((m, X.dim))
+        assert (X.support_batch(sets.FactoredRows(None, L, 1)).tobytes()
+                == X.support_batch(L).tobytes())
+        D, R = rng.standard_normal((m, c)), rng.standard_normal((levels * c, X.dim))
+        got = X.support_batch(sets.FactoredRows(D, R, levels))
+        assert got.shape == (levels * m,)
+        rows = np.concatenate([D @ R_j for R_j in np.split(R, levels)])
+        npt.assert_allclose(got, X.support_batch(rows), rtol=1e-12, atol=1e-12)
+        with pytest.raises(DimensionError):
+            X.support_batch(sets.FactoredRows(D, np.hstack([R, R[:, :1]]), levels))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
 def test_box_of_mapped_polygons_matches_support_route(sparse):
     # no closed form below the map: the polygons are asked on the rows of +-M
     rng = np.random.default_rng(62)

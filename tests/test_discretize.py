@@ -391,8 +391,8 @@ def test_dense_discretization_is_one_exponential_action(monkeypatch, U):
 class _UnboundedStub(LazySet):
     dim = 2
 
-    def _rho_batch(self, L):
-        return np.full(len(L), np.inf)
+    def _rho_batch(self, F):
+        return np.full(len(F.rows), np.inf)
 
 
 def test_dense_rejects_unbounded_initial_set():

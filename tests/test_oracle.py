@@ -451,6 +451,45 @@ def test_nondecomposed_varying_queries_each_set_once(monkeypatch, shared):
         npt.assert_allclose(out, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 33])
+def test_nondecomposed_queries_each_set_once_per_chunk(monkeypatch, N):
+    # through the one public batch query: X(0) once per chunk of levels, a
+    # constant input once per chunk that holds one of L_0 .. L_{N-2}, and
+    # each set of an input sequence once, on the factored path (L reads
+    # two columns) and on the direct one (L reads every column, as the L
+    # of `bounds` does) alike
+    rng = np.random.default_rng(211)
+    factored = np.zeros((5, 10))
+    factored[:, [2, 3]] = rng.standard_normal((5, 2))
+    direct = rng.standard_normal((5, 10))
+    queried = []
+    support_batch = LazySet.support_batch
+
+    def counting(self, directions):
+        queried.append(self)
+        return support_batch(self, directions)
+
+    monkeypatch.setattr(LazySet, "support_batch", counting)
+    systems = chunk_systems()
+    for budget in (1, reachdec.oracle._CHUNK_ENTRIES):
+        monkeypatch.setattr(reachdec.oracle, "_CHUNK_ENTRIES", budget)
+        size = max(1, budget // direct.size)
+        for (inp, _, storage), sys in systems.items():
+            assert reachdec.oracle._read_columns(sys.phi, direct) is None
+            if inp == "sequence":
+                cases, inputs = [direct], N - 1
+            else:
+                cases, inputs = [factored, direct], -(-(N - 1) // size)
+                if storage == "dense":
+                    assert reachdec.oracle._read_columns(sys.phi, factored) is not None
+            for L in cases:
+                queried.clear()
+                reach_nondecomposed(sys, N, L)
+                x0 = sum(X is sys.x_init for X in queried)
+                assert x0 == -(-N // size)
+                assert len(queried) - x0 == inputs
+
+
 def per_level_nondecomposed(sys, N, L):
     """The exact recurrence supports a level at a time: X(0) and a
     constant input queried once per level, in the order of the running
@@ -571,8 +610,8 @@ class SignedZero(LazySet):
     def dim(self):
         return self._dim
 
-    def _rho_batch(self, L):
-        return np.full(len(L), -0.0)
+    def _rho_batch(self, F):
+        return np.full(len(F.rows), -0.0)
 
 
 def test_nondecomposed_step_zero_adds_no_input_sum(monkeypatch):

@@ -561,7 +561,7 @@ def per_step_supports(sys, N, L):
             rows = np.any(sub != 0.0, axis=1)
             L_b, s = sub[rows], local.slice(p)
             value = L_b @ c[s] + np.abs(L_b) @ r[s]
-            total[rows] += value if R is None else x0._rho_batch(L_b @ R[s]) + value
+            total[rows] += value if R is None else x0.support_batch(L_b @ R[s]) + value
         out.append(total)
     return out
 

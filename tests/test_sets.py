@@ -30,6 +30,7 @@ from reachdec import (
     symmetric_interval_hull,
     zero_set,
 )
+from reachdec import sets
 from reachdec.approx import overapproximate_box, overapproximate_eps
 
 
@@ -261,7 +262,8 @@ class BatchWalkBox(LazySet):
     dim = 2
     center, radius = np.array([0.5, -2.0]), np.array([1.0, 0.25])
 
-    def _rho_batch(self, L):
+    def _rho_batch(self, F):
+        L = F.rows
         return L @ self.center + np.abs(L) @ self.radius
 
 
@@ -295,6 +297,20 @@ def test_a_set_with_only_the_batch_walk_answers_batches_and_hulls():
     hull = symmetric_interval_hull(X)
     npt.assert_array_equal(hull.center, [0.0, 0.0])
     npt.assert_array_equal(hull.radius, [1.5, 2.25])
+
+
+def test_sets_answer_through_three_walks_and_no_others():
+    # every set answers through `_rho_sigma`, `_rho_batch` and
+    # `_axis_supports`, and the public queries read only these
+    exported = [getattr(sets, name) for name in sets.__all__]
+    classes = [c for c in exported if isinstance(c, type) and issubclass(c, LazySet)]
+    assert len(classes) >= 11
+    for cls in classes:
+        walks = {name for name in dir(cls) if name.startswith("_rho_")}
+        assert walks == {"_rho_sigma", "_rho_batch"}, cls.__name__
+    queries = {name for name in dir(LazySet) if name.startswith("support_")}
+    assert queries == {"support_function", "support_vector", "support_pair",
+                       "support_batch"}
 
 
 def reference_sigma(X, l):
@@ -472,8 +488,8 @@ def test_symmetric_hull_rejects_unbounded():
     class Unbounded(LazySet):
         dim = 2
 
-        def _rho_batch(self, L):
-            return np.full(len(L), np.inf)
+        def _rho_batch(self, F):
+            return np.full(len(F.rows), np.inf)
 
     with pytest.raises(UnboundedSetError):
         symmetric_interval_hull(Unbounded())
