@@ -16,15 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationError, DimensionError, InvalidSetError, UnboundedSetError
-from .linalg import BlockStructure
+from .errors import (
+    ApproximationError,
+    DimensionError,
+    EngineError,
+    InvalidSetError,
+    UnboundedSetError,
+)
+from .linalg import BlockStructure, issparse
 from .sets import (
     HPolygon,
     Hyperrectangle,
     LazySet,
     LinearMap,
     Singleton,
+    _common_matrix,
     _cut,
+    _transform_compose,
 )
 
 __all__ = [
@@ -92,6 +100,77 @@ def _box_from_supports(hi, nlo):
     if not (np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all()):
         Hyperrectangle(c, r)    # raises the error of the box
     return c, r
+
+
+def _box_bounds_rows(sets):
+    """(C, R, error): rows j of C and of R are ``_box_bounds(sets[j])``,
+    bit for bit, for the sets before the first one whose bounds raise, and
+    ``error`` is what that set raises, or None.
+
+    When every set maps a box or a point by one matrix M, or by a product
+    M = M_1 M_2 ... of matrices each shared by all the sets
+    (``_common_matrix``; Phi1 B for inputs through B), M is composed once,
+    as each set's axis walk composes it, and the rows come from two
+    stacked products, M c_j and |M| r_j, with the arithmetic of
+    ``_box_from_supports`` (``_mapped_box_rows``).  Otherwise, or when
+    some row fails the checks, each set takes its own ``_box_bounds``, in
+    turn, so the error and the numpy warnings are those of that walk."""
+    T, operands = None, sets
+    while (m := _common_matrix(operands)) is not None:
+        T, operands = _transform_compose(T, m), [V.operand for V in operands]
+    if T is not None:
+        rows = _mapped_box_rows(T, operands)
+        if rows is not None:
+            return (*rows, None)
+    C, R = [], []
+    for V in sets:
+        try:
+            c, r = _box_bounds(V)
+        except EngineError as exc:
+            return C, R, exc
+        C.append(c)
+        R.append(r)
+    return C, R, None
+
+
+def _stacked_products(M, X):
+    """Row j is M x_j for the rows x_j of X, bitwise what ``LazySet``'s
+    axis walk forms for one vector: for a dense M, the 1 x p by p x 1
+    products of ``row_products`` in one stack; for a CSR M, one sparse
+    product, which sums each entry's terms in the order of one vector's."""
+    if issparse(M):
+        return np.asarray(M @ X.T, dtype=float).T
+    return (M[None, :, None, :] @ X[:, None, :, None])[..., 0, 0]
+
+
+def _mapped_box_rows(m, operands):
+    """(C, R): the box hulls of the maps by the `_Matrix` m of ``operands``,
+    boxes or points, one per row, as ``_box_bounds`` of each map forms
+    them: hi = M c + |M| r and nlo = -M c + |M| r for a box, M p and -M p
+    for a point.  None when some operand is another set or some row fails
+    the checks of ``_box_from_supports``: computed with numpy's overflow
+    warnings off, the rows then leave the error to each set's own walk.
+    None also for a CSR M that is not in canonical form (sorted indices,
+    no duplicates): scipy puts M in that form in place when it forms |M|,
+    and that moves the order of the sums of M's later products, so each
+    set's own walk keeps the order it has met M in."""
+    if issparse(m.M) and not m.M.has_canonical_format:
+        return None
+    box = np.array([isinstance(U, Hyperrectangle) for U in operands])
+    if not all(b or isinstance(U, Singleton) for b, U in zip(box, operands)):
+        return None
+    zeros = np.zeros(m.M.shape[1])
+    X = np.array([U.center if b else U.point for b, U in zip(box, operands)])
+    W = np.array([U.radius if b else zeros for b, U in zip(box, operands)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Tc = _stacked_products(m.M, X)
+        Tr = _stacked_products(m.abs, W)
+        hi = np.where(box[:, None], Tc + Tr, Tc)
+        lo = -np.where(box[:, None], -Tc + Tr, -Tc)
+        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        ok = (np.isfinite(hi).all() and np.isfinite(lo).all()
+              and np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all())
+    return (c, r) if ok else None
 
 
 def _local_gap(d1, r1, s1, d2, r2, s2):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import BlockStructure, decompose, overapproximate_box
+from .approx import BlockStructure, _box_bounds_rows, decompose, overapproximate_box
 from .discretize import discretize, is_zero_set, restrict
 from .emit import (
     tube_has_polygons,
@@ -23,7 +23,7 @@ from .emit import (
     write_tube_svg,
 )
 from .errors import EngineError, InputError
-from .linalg import write_matrix_market
+from .linalg import _CHUNK_ENTRIES, write_matrix_market
 from .oracle import (
     _first_failing_row,
     decomposed_image,
@@ -89,11 +89,17 @@ def _write_v_bounds(dsys, path):
             for j, (lo, hi) in enumerate(zip(box.low, box.high)):
                 fh.write(f"{j + 1},{float(lo)!r},{float(hi)!r}\n")
         else:
+            # the hulls of a chunk of sets at a time, as the box engine
+            # takes them (``reach._box_steps``)
             fh.write("k,var,lo,hi\n")
-            for k, vk in enumerate(dsys.v):
-                box = overapproximate_box(vk)
-                for j, (lo, hi) in enumerate(zip(box.low, box.high)):
-                    fh.write(f"{k},{j + 1},{float(lo)!r},{float(hi)!r}\n")
+            size = max(1, _CHUNK_ENTRIES // dsys.n)
+            for k0 in range(0, len(dsys.v), size):
+                C, R, error = _box_bounds_rows(dsys.v[k0:k0 + size])
+                for k, (c, r) in enumerate(zip(C, R), k0):
+                    for j, (lo, hi) in enumerate(zip(c - r, c + r)):
+                        fh.write(f"{k},{j + 1},{float(lo)!r},{float(hi)!r}\n")
+                if error is not None:
+                    raise error
 
 
 def _cmd_discretize(sc, out, args):

@@ -34,6 +34,7 @@ from .sets import (
     Scaled,
     Singleton,
     _cut,
+    _Matrix,
     minkowski_sum_all,
     symmetric_interval_hull,
     zero_set,
@@ -176,11 +177,15 @@ def _step_set(U, k, module):
 
 def _mapped_inputs(sys):
     """The input sets mapped into the state space through B, as a list:
-    one entry for a constant input, none when there is no input."""
+    one entry for a constant input, none when there is no input.  B is
+    checked once, and every map holds it (``_Matrix.checked``)."""
     if sys.U is None:
         return []
     U = [sys.U] if isinstance(sys.U, LazySet) else sys.U
-    return U if sys.B is None else [LinearMap(sys.B.data, Uk) for Uk in U]
+    if sys.B is None:
+        return U
+    B = _Matrix.checked(sys.B.data)
+    return [LinearMap(B, Uk) for Uk in U]
 
 
 def _shaped_like(U, vs):
@@ -235,9 +240,10 @@ def discretize_dense(sys: ContinuousSystem, delta):
     mapped = _mapped_inputs(sys)
     live = [k for k, U in enumerate(mapped) if not is_zero_set(U)]
     A2 = sys.A @ sys.A
+    A = _Matrix.checked(sys.A.data) if live else None   # one check for all
     eplus, *epsi = _bloat_from(
         sys.A, [LinearMap(A2.data, sys.X0)]
-        + [LinearMap(sys.A.data, mapped[k]) for k in live], delta)
+        + [LinearMap(A, mapped[k]) for k in live], delta)
     epsi = dict(zip(live, epsi))
     vs = [MinkowskiSum(Scaled(delta, U), epsi[k]) if k in epsi
           else zero_set(sys.n) for k, U in enumerate(mapped)]
@@ -255,14 +261,18 @@ def discretize_discrete(sys: ContinuousSystem, delta):
     """Discrete-time model: step k covers the time point k d only.
 
     X(0) is X0 unchanged and inputs act through the first exponential
-    integral: V(k) = Phi1(A, d) B U(k).
+    integral: V(k) = Phi1(A, d) B U(k).  Phi1 is checked once, and every
+    V(k) of a sequence is a map over that one matrix object
+    (``_Matrix.checked``): the maps share Phi1, its transpose and |Phi1|,
+    and the box engine and the oracle take the whole sequence's hulls and
+    supports through that shared matrix (``sets._common_matrix``).
     """
     if sys.U is None:
         return DiscreteSystem(exp_matrix(sys.A, delta), sys.X0, None,
                               float(delta), model=DISCRETE)
     phi, phi1, _ = discretization_matrices(sys.A, delta)
-    phi1 = phi1.stored()
-    vs = [zero_set(sys.n) if is_zero_set(U) else LinearMap(phi1.data, U)
+    phi1 = _Matrix.checked(phi1.stored().data)
+    vs = [zero_set(sys.n) if is_zero_set(U) else LinearMap(phi1, U)
           for U in _mapped_inputs(sys)]
     return DiscreteSystem(phi, sys.X0, _shaped_like(sys.U, vs), float(delta),
                           model=DISCRETE, u_sets=sys.U)

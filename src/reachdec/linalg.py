@@ -80,14 +80,31 @@ def issparse(M):
     return sp is not None and sp.issparse(M)
 
 
+def _unique(keys, inverse=False):
+    """The sorted distinct values of the 1-D array ``keys``, and with
+    ``inverse`` the index of each entry's value among them: what
+    ``np.unique`` returns, without its import of ``numpy.ma`` (through
+    ``np.ma.is_masked``), which a process that parses a CSR-stored matrix
+    would otherwise pay for."""
+    order = np.argsort(keys, kind="stable") if inverse else None
+    ordered = keys[order] if inverse else np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    if not inverse:
+        return ordered[first]
+    at = np.empty(len(keys), dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
+    return ordered[first], at
+
+
 def _occupied_blocks(rows, cols, shape):
     """(keys, starts): the sorted keys (block row times block columns plus
     block column) of the 2x2 blocks of a ``shape`` matrix that hold one of
     the entries (rows[e], cols[e]); block row r holds the keys
     keys[starts[r]:starts[r + 1]]."""
     rb, cb = (shape[0] + 1) // 2, (shape[1] + 1) // 2
-    keys = np.unique(np.asarray(rows, dtype=np.int64) // 2 * cb
-                     + np.asarray(cols) // 2)
+    keys = _unique(np.asarray(rows, dtype=np.int64) // 2 * cb
+                   + np.asarray(cols) // 2)
     return keys, np.searchsorted(keys, cb * np.arange(rb + 1))
 
 
@@ -572,7 +589,9 @@ class BlockRows:
 
 #: entries of held rows that a chunk of a row recurrence may reach: the
 #: powers of ``reach._box_steps`` and the levels of
-#: ``oracle.reach_nondecomposed``; a chunk never holds fewer than one step
+#: ``oracle.reach_nondecomposed``; a chunk never holds fewer than one step.
+#: The input hulls that ``cli`` writes to v_bounds.csv are taken in chunks
+#: of as many entries
 _CHUNK_ENTRIES = 2 ** 12
 
 
@@ -748,8 +767,8 @@ def _stored(rows, cols, vals, shape):
         with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
             np.add.at(M, (rows, cols), vals)
         return BlockMatrix(M)
-    at = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
-                   return_inverse=True)[1]
+    at = _unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
+                 inverse=True)[1]
     if not np.all(np.isfinite(np.bincount(at, weights=vals))):
         raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
     return held

@@ -22,6 +22,7 @@ from .sets import (
     Hyperrectangle,
     LinearMap,
     Singleton,
+    _common_matrix,
     minkowski_sum_all,
     zero_set,
 )
@@ -235,12 +236,15 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
     set, V(s) over the levels L_0 .. L_{N-2-s} stacked, so a run makes
     N - 1 queries on the inputs and one on X(0) per chunk: 2N - 1 when
     every chunk holds one level.  When every V(s) is a ``LinearMap`` over
-    one matrix object M (as ``discretize_discrete`` builds them), each
-    chunk of levels is mapped once, L_k M, and the operands are queried
-    on those rows, since rho(l, M U) = rho(l M, U).  Each step adds its
-    terms in the order X(0), V(0), V(1), ..., as a sum of per-pair
-    queries would; only a query over stacked rows may round a row
-    differently in the last bit.
+    one matrix object M (``sets._common_matrix``; ``discretize_discrete``
+    builds them so), each chunk of levels is mapped once, L_k M, and the
+    operands are queried on those rows, since rho(l, M U) = rho(l M, U).
+    The queries read prefixes of one ``FactoredRows`` over all the held
+    rows (``head``), so the absolute rows that box operands read are
+    formed once, by the query of V(0).  Each step adds its terms in the
+    order X(0), V(0), V(1), ..., as a sum of per-pair queries would; only
+    a query over stacked rows may round a row differently in the last
+    bit.
     """
     N = int(N)
     if N < 1:
@@ -264,10 +268,10 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
             start[np.arange(len(cols)), cols] = 1.0
     else:
         seq = [sys.v_at(s) for s in range(N - 1)]
-        shared = _shared_map(seq)
+        shared = _common_matrix(seq)
         if shared is not None:
             seq = [V.operand for V in seq]
-        p = n if shared is None else shared.matrix.shape[1]
+        p = n if shared is None else shared.M.shape[1]
         rows = np.empty((N - 1, m, p))
     size = max(1, _CHUNK_ENTRIES // (m * n))
     for k, R in _level_chunks(sys.phi, start, N, size):
@@ -290,8 +294,9 @@ def reach_nondecomposed(sys: DiscreteSystem, N, directions):
             rows[k:k + h] = mapped.reshape(-1, m, p)
     if sys.constant_input:
         return out
+    levels = FactoredRows(None, rows.reshape(-1, p), N - 1)
     for s, V in enumerate(seq):
-        out[s + 1:] += V.support_batch(rows[:N - 1 - s].reshape(-1, p)).reshape(-1, m)
+        out[s + 1:] += V.support_batch(levels.head(N - 1 - s)).reshape(-1, m)
     return out
 
 
@@ -320,16 +325,6 @@ def _level_chunks(phi, start, N, size):
         if k + len(chunk) < N:
             level = phi.left_product(chunk[-1])
         yield k, _stacked(chunk).reshape(-1, n)
-
-
-def _shared_map(seq):
-    """The first set of ``seq`` when every set is a ``LinearMap`` over the
-    same matrix object, else None."""
-    first = seq[0] if seq else None
-    if isinstance(first, LinearMap) and all(
-            isinstance(V, LinearMap) and V.matrix is first.matrix for V in seq):
-        return first
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .approx import (
     BlockStructure,
     BoxDirections,
-    _box_bounds,
+    _box_bounds_rows,
     approximate,
     decompose,
     overapproximate_box,
@@ -32,6 +32,7 @@ from .linalg import (
     BlockMatrix,
     MatrixPowerState,
     _stacked,
+    _unique,
     row_products,
 )
 from .sets import (
@@ -343,6 +344,22 @@ def _set_inputs(sys, bs, blocks, scheme):
     return step
 
 
+def _input_boxes(sys, steps):
+    """(V_c, V_r, error): the box hulls of the input sets V(j - 1) of the
+    consecutive ``steps`` j of a sequence, one row per step, from one
+    ``_box_bounds_rows`` call, for the steps before the first whose set
+    fails or is missing from a short sequence; ``error`` is what that
+    step raises (``DiscreteSystem.v_at``), or None."""
+    held = sys.v[steps[0] - 1:steps[-1]]
+    V_c, V_r, error = _box_bounds_rows(held)
+    if error is None and len(held) < len(steps):
+        try:
+            sys.v_at(steps[len(held)] - 1)
+        except EngineError as exc:
+            error = exc
+    return V_c, V_r, error
+
+
 def _box_start(sys):
     """(x, x0): the initial point or the box of the initial set, and x0,
     that box or the point as a box of radius 0."""
@@ -365,18 +382,23 @@ def _box_steps(sys, N, bs, blocks):
 
     Only the recurrences run step by step: the power advance and, for an
     input sequence, w <- Phi w + V(k-1), carried in full dimension with
-    |Phi| acting on the radii and V(k-1) replaced by its box hull.  A
+    |Phi| acting on the radii and V(k-1) replaced by its box hull.  The
+    box hulls of a chunk's input sets come from one ``_box_bounds_rows``
+    call: for the maps of boxes by Phi1 (or Phi1 B) that
+    ``discretize_discrete`` builds, two stacked products, bitwise the hull
+    of each set.  A
     constant input adds the box hull of Phi^(k-1) V: one
     ``_row_image_box`` call over the chunk's stacked rows of Phi^(k-1),
     then a running sum from the last box of the previous chunk, the
     additions of w <- w + c in the same order.  Chunks hold 1, 2, 4, ...
     steps, at most ``_CHUNK_ENTRIES`` entries of R but never fewer than
     one step, so a consumer that stops at step k has formed at most about
-    2k powers.  A power that overflows is yielded as it is, for the
-    consumer's check of the steps that read it.  An error in forming a
-    step's input ends the chunk: the steps before it are yielded, and the
-    error is raised when the next chunk is asked for, after the consumer
-    has checked them."""
+    2k powers, and the input hulls held are bounded by the chunk too.  A
+    power that overflows is yielded as it is, for the consumer's check of
+    the steps that read it.  An error in forming a step's input (a set
+    whose hull fails, or a sequence too short for the step) ends the
+    chunk: the steps before it are yielded, and the error is raised when
+    the next chunk is asked for, after the consumer has checked them."""
     if N == 1:
         return
     power = MatrixPowerState(sys.phi, blocks)
@@ -388,17 +410,18 @@ def _box_steps(sys, N, bs, blocks):
     k, size = 1, 1
     while k < N:
         prev, Q, W_c, W_r, error = power.P.data, [], [], [], None
-        try:
-            for j in range(k, min(k + size, N)):
-                if not constant:
-                    v_c, v_r = _box_bounds(sys.v_at(j - 1))
-                    w_c, w_r = sys.phi @ w_c + v_c, phi_abs @ w_r + v_r
-                    W_c.append(w_c[cols])
-                    W_r.append(w_r[cols])
-                Q.append(power.Q.data)
-                power.advance()
-        except EngineError as exc:  # raised once the steps before it
-            error = exc             # are yielded and checked
+        steps = range(k, min(k + size, N))
+        if not constant:
+            V_c, V_r, error = _input_boxes(sys, steps)
+            steps = steps[:len(V_c)]
+        for j in steps:
+            if not constant:
+                w_c = sys.phi @ w_c + V_c[j - k]
+                w_r = phi_abs @ w_r + V_r[j - k]
+                W_c.append(w_c[cols])
+                W_r.append(w_r[cols])
+            Q.append(power.Q.data)
+            power.advance()
         if Q:
             R = _stacked(Q)
             if constant:
@@ -520,7 +543,9 @@ def reach_decomposed_varying(sys: DiscreteSystem, N, tracked=None,
     as one full-dimensional box, w <- Phi w + box(V(k)), otherwise through
     the block rows of Phi with the per-step input sets decomposed on the
     fly.  All blocks of the accumulation are maintained even when only a
-    subset is tracked.
+    subset is tracked.  The box scheme takes the hulls box(V(k)) a chunk
+    of steps at a time, from one batched call per chunk
+    (``_box_bounds_rows``), bitwise the hull of each set.
     """
     if sys.constant_input:
         raise InputError("reach_decomposed_varying expects an input sequence; "
@@ -623,7 +648,7 @@ def _state_directions(prop, bs):
 
 def _blocks_read(L, bs):
     """The sorted blocks on which some row of L is nonzero."""
-    return np.unique(bs.block_of(np.flatnonzero(np.any(L != 0.0, axis=0)))).tolist()
+    return _unique(bs.block_of(np.flatnonzero(np.any(L != 0.0, axis=0)))).tolist()
 
 
 @dataclass

@@ -10,6 +10,7 @@ offending entry, so nothing starts computing on a half-valid input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -89,6 +90,46 @@ def _finite_box(box, path):
     if not finite:
         _fail(path, "center - radius or center + radius is not finite")
     return box
+
+
+def _box_sequence(seq):
+    """The boxes of an input sequence of plain box specs, validated by the
+    rules of ``set_from_spec`` for all entries at once: one array
+    conversion for every center and one for every radius, each box a pair
+    of rows of those two read-only arrays.  None when some entry is
+    another spec or breaks a rule, for the entry-by-entry parse to name
+    the first bad one."""
+    bodies = []
+    for spec in seq:
+        if not (isinstance(spec, dict) and spec.keys() == {"box"}):
+            return None
+        body = spec["box"]
+        if not (isinstance(body, dict) and body.keys() == {"center", "radius"}):
+            return None
+        bodies.append(body)
+    centers = [b["center"] for b in bodies]
+    radii = [b["radius"] for b in bodies]
+    vectors = centers + radii
+    if not all(isinstance(v, list) for v in vectors):
+        return None
+    if len(set(map(len, vectors))) != 1 or not vectors[0]:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}:
+        return None     # a bool is not a number here
+    try:
+        C, R = np.array(centers, dtype=float), np.array(radii, dtype=float)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    if not (np.isfinite(C).all() and np.isfinite(R).all() and (R >= 0.0).all()):
+        return None
+    # as in _finite_box: only boxes near the float range are checked entrywise
+    if not math.isfinite(float(np.abs(C).max()) + float(R.max())):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.isfinite(C - R).all() and np.isfinite(C + R).all()):
+                return None
+    C.setflags(write=False)
+    R.setflags(write=False)
+    return [Hyperrectangle._from_checked(c, r) for c, r in zip(C, R)]
 
 
 def set_from_spec(spec, path):
@@ -456,8 +497,8 @@ def parse_scenario(file):
             seq = spec["sequence"]
             if not isinstance(seq, list) or not seq:
                 _fail("$.U.sequence", "expected a nonempty list of set specs")
-            U = [set_from_spec(s, f"$.U.sequence[{i}]")
-                 for i, s in enumerate(seq)]
+            U = _box_sequence(seq) or [set_from_spec(s, f"$.U.sequence[{i}]")
+                                       for i, s in enumerate(seq)]
             for i, Uk in enumerate(U):
                 if Uk.dim != input_dim:
                     _fail(f"$.U.sequence[{i}]", f"has dimension {Uk.dim}, "

@@ -15,7 +15,6 @@ between threads.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -181,11 +180,12 @@ class FactoredRows:
     ``rows``, formed once, on first use, so the operands of a sum or a
     hull, which are passed the same object, share it."""
 
-    __slots__ = ("D", "R", "levels", "_rows")
+    __slots__ = ("D", "R", "levels", "_rows", "_abs")
 
     def __init__(self, D, R, levels):
         self.D, self.R, self.levels = D, R, levels
         self._rows = R if D is None else None
+        self._abs = None
 
     @property
     def rows(self):
@@ -195,17 +195,28 @@ class FactoredRows:
             self._rows = (self.D @ self.R.reshape(self.levels, -1, d)).reshape(-1, d)
         return self._rows
 
+    @property
+    def abs_rows(self):
+        """|rows|, formed once, on first use."""
+        if self._abs is None:
+            self._abs = np.abs(self.rows)
+        return self._abs
+
     def mapped(self, linear_map):
         """D (R_j M) for the matrix M of a `LinearMap`."""
         return FactoredRows(self.D, linear_map.map_rows(self.R), self.levels)
 
     def head(self, levels):
-        """The first ``levels`` levels, with the part of ``rows`` already
-        formed."""
+        """The first ``levels`` levels (this object, for all of them), with
+        the part of ``rows`` and of ``abs_rows`` already formed."""
+        if levels == self.levels:
+            return self
         out = FactoredRows(self.D, self.R[:levels * len(self.R) // self.levels],
                            levels)
         if self._rows is not None:
             out._rows = self._rows[:levels * len(self._rows) // self.levels]
+        if self._abs is not None:
+            out._abs = self._abs[:levels * len(self._abs) // self.levels]
         return out
 
 
@@ -218,20 +229,39 @@ _AXIS_CHUNK_ENTRIES = 1 << 16
 
 
 class _Matrix:
-    """A dense or CSR matrix with its entrywise absolute value, formed
-    once, on first use."""
+    """A dense or CSR matrix with its entrywise absolute value and its
+    transpose (CSR for a CSR matrix), each formed once, on first use."""
 
-    __slots__ = ("M", "_abs")
+    __slots__ = ("M", "_abs", "_t")
 
     def __init__(self, M):
         self.M = M
-        self._abs = None
+        self._abs = self._t = None
+
+    @classmethod
+    def checked(cls, M):
+        """M checked and converted once (as `LinearMap` checks a matrix),
+        for the maps that are to share it: a `LinearMap` built over the
+        result holds its matrix object, transpose and |M|, formed once for
+        all of them."""
+        return cls(_wrap_matrix(M))
 
     @property
     def abs(self):
         if self._abs is None:
             self._abs = abs(self.M)
         return self._abs
+
+    @property
+    def T(self):
+        if self._t is None:
+            self._t = self.M.T.tocsr() if issparse(self.M) else self.M.T
+        return self._t
+
+    def map_rows(self, L):
+        """The rows of L times M, formed as (M^T L^T)^T for a CSR M."""
+        LM = (self.T @ L.T).T if issparse(self.M) else L @ self.M
+        return np.asarray(LM, dtype=float)
 
 
 def _transform_row_chunks(T, n):
@@ -303,6 +333,15 @@ class Hyperrectangle(LazySet):
         self.radius = _frozen(r)
 
     @classmethod
+    def _from_checked(cls, center, radius):
+        """The box of a center and a radius that pass the checks of
+        ``__init__``, such as rows of two frozen arrays checked at once,
+        held as they are: read-only float vectors, not copied."""
+        box = cls.__new__(cls)
+        box.center, box.radius = center, radius
+        return box
+
+    @classmethod
     def from_bounds(cls, low, high):
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
@@ -327,8 +366,7 @@ class Hyperrectangle(LazySet):
                 self.center + np.where(l >= 0.0, self.radius, -self.radius))
 
     def _rho_batch(self, F):
-        L = F.rows
-        return L @ self.center + np.abs(L) @ self.radius
+        return F.rows @ self.center + F.abs_rows @ self.radius
 
     def _axis_supports(self, T):
         # T c -+ |T| r
@@ -746,42 +784,38 @@ def _wrap_matrix(M):
 class LinearMap(LazySet):
     """Image M X of a set under a (possibly sparse) matrix.
 
-    M^T, as CSR for a sparse M, and |M| are formed on first use and kept.
-    A batch of directions L is mapped as L M = (M^T L^T)^T: for a CSR
-    matrix this is how scipy computes L M, but with the transpose built
-    anew on every call and in CSC storage, whose product is several times
-    slower.  A dense float array or a CSR array is held as passed, not
-    copied, so maps built over one matrix hold the same object.
+    M^T, as CSR for a sparse M, and |M| are formed on first use and kept
+    (`_Matrix`).  A batch of directions L is mapped as L M = (M^T L^T)^T:
+    for a CSR matrix this is how scipy computes L M, but with the
+    transpose built anew on every call and in CSC storage, whose product
+    is several times slower.  A dense float array or a CSR array is held
+    as passed, not copied, so maps built over one matrix hold the same
+    object.  Maps built over one `_Matrix` (``_Matrix.checked``) also
+    share its check, its transpose and |M|.
     """
 
     def __init__(self, matrix, operand):
-        M = _wrap_matrix(matrix)
-        if M.shape[1] != operand.dim:
+        m = matrix if isinstance(matrix, _Matrix) else _Matrix.checked(matrix)
+        if m.M.shape[1] != operand.dim:
             raise DimensionError(
-                f"LinearMap: matrix has {M.shape[1]} columns, "
+                f"LinearMap: matrix has {m.M.shape[1]} columns, "
                 f"operand has dimension {operand.dim}")
-        self.matrix = M
+        self.matrix = m.M
         self.operand = operand
-        self._m = _Matrix(M)
+        self._m = m
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
-    @cached_property
-    def _mt(self):
-        M = self.matrix
-        return M.T.tocsr() if issparse(M) else M.T
-
     def _rho_sigma(self, l):
-        rho, inner = self.operand._rho_sigma(np.asarray(self._mt @ l, dtype=float))
+        rho, inner = self.operand._rho_sigma(np.asarray(self._m.T @ l, dtype=float))
         return rho, np.asarray(self.matrix @ inner, dtype=float)
 
     def map_rows(self, L):
         """The directions L (one per row) mapped into the operand's
-        space: L M, formed as (M^T L^T)^T for a CSR matrix."""
-        LM = (self._mt @ L.T).T if issparse(self.matrix) else L @ self.matrix
-        return np.asarray(LM, dtype=float)
+        space: L M (`_Matrix.map_rows`)."""
+        return self._m.map_rows(L)
 
     def _rho_batch(self, F):
         return self.operand._rho_batch(F.mapped(self))
@@ -789,6 +823,17 @@ class LinearMap(LazySet):
     def _axis_supports(self, T):
         # nested maps compose first: T (M Y) = (T M) Y
         return self.operand._axis_supports(_transform_compose(T, self._m))
+
+
+def _common_matrix(sets):
+    """The `_Matrix` of the first of ``sets`` when every one of them is a
+    `LinearMap` over one matrix object (as ``discretize_discrete`` builds
+    an input sequence), else None."""
+    first = sets[0] if sets else None
+    if isinstance(first, LinearMap) and all(
+            isinstance(V, LinearMap) and V.matrix is first.matrix for V in sets):
+        return first._m
+    return None
 
 
 class Scaled(LazySet):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 import reachdec.linalg
+import reachdec.sets
 from conftest import augmented_exponential, random_box
 from reachdec import (
     BallP,
@@ -260,6 +261,42 @@ def test_input_maps_form_their_transpose_on_first_use(monkeypatch):
     got = d.v_at(7).support_batch(L)
     assert sum(M is phi1 for M in transposes) == 1
     npt.assert_array_equal(got, steps[7].support_batch(np.asarray(L @ phi1)))
+
+
+@pytest.mark.parametrize("model", ["dense", "discrete"])
+@pytest.mark.parametrize("with_B", [False, True])
+def test_sequence_maps_check_their_matrix_once(monkeypatch, model, with_B):
+    # a count, not a clock: the input maps of a sequence are built over one
+    # checked matrix (Phi1, A in the dense-time bloat, and B), whatever the
+    # sequence's length, and share its transpose and |M|
+    rng = np.random.default_rng(95)
+    n = 6
+    m = 3 if with_B else n
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    B = rng.standard_normal((n, m)) if with_B else None
+    wraps = []
+    wrap = reachdec.sets._wrap_matrix
+
+    def counted(M):
+        wraps.append(M)
+        return wrap(M)
+
+    monkeypatch.setattr(reachdec.sets, "_wrap_matrix", counted)
+
+    def checks(N):
+        wraps.clear()
+        U = [random_box(rng, m) for _ in range(N)]
+        d = discretize(ContinuousSystem(A, unit_box(n), B=B, U=U), 0.1, model)
+        return len(wraps), d
+
+    (short, _), (long, d) = checks(3), checks(40)
+    assert short == long
+    if model == "discrete":
+        assert long == (2 if with_B else 1)
+        assert all(V._m is d.v[0]._m for V in d.v)
+        assert d.v[3]._m.T is d.v[0]._m.T and d.v[5]._m.abs is d.v[1]._m.abs
+        if with_B:
+            assert all(V.operand._m is d.v[0].operand._m for V in d.v)
 
 
 def test_dense_sequence_inputs():

@@ -673,6 +673,46 @@ def test_cli_rejects_a_box_whose_bounds_overflow(tmp_path, capsys):
     assert not (tmp_path / "tube.csv").exists()
 
 
+def sequence_with(i, entry):
+    """A sequence of three input boxes over 4 states, entry i replaced."""
+    seq = [{"box": {"center": [0.1, 0.0, -0.1, 0.2], "radius": [0.01] * 4}}
+           for _ in range(3)]
+    seq[i] = entry
+    return seq
+
+
+@pytest.mark.parametrize("seq, line", [
+    (sequence_with(1, {"box": {"center": [0.1, True, 0.0, 0.0],
+                               "radius": [0.01] * 4}}),
+     "$.U.sequence[1].box.center[1]: expected a number, got bool"),
+    (sequence_with(2, {"box": {"center": [0.0] * 4,
+                               "radius": [0.01, -0.5, 0.01, 0.01]}}),
+     "$.U.sequence[2].box.radius: must be nonnegative"),
+    (sequence_with(1, {"box": {"center": [0.0] * 3, "radius": [0.01] * 4}}),
+     "$.U.sequence[1].box: center has length 3, radius 4"),
+    (sequence_with(2, {"box": {"center": [0, 0, 10 ** 400, 0],
+                               "radius": [0.01] * 4}}),
+     "$.U.sequence[2].box.center[2]: must be finite"),
+    (sequence_with(1, {"box": {"center": [1e308] * 4, "radius": [1e308] * 4}}),
+     "$.U.sequence[1].box: center - radius or center + radius is not finite"),
+    (sequence_with(2, {"box": {"center": [0.0] * 2, "radius": [0.01] * 2}}),
+     "$.U.sequence[2]: has dimension 2, inputs have dimension 4"),
+    (sequence_with(1, {"point": [0.0] * 4})[:2] + [{"point": [0.0] * 3}],
+     "$.U.sequence[2]: has dimension 3, inputs have dimension 4"),
+    (sequence_with(1, {"point": [0.0] * 4})[:2] + [{"box": {"center": [],
+                                                            "radius": []}}],
+     "$.U.sequence[2].box.center: expected a nonempty list of numbers"),
+])
+def test_cli_input_sequence_names_its_first_bad_entry(tmp_path, capsys, seq, line):
+    # a sequence of boxes is converted in one go; any bad entry is still
+    # named, with its path, as the entry-by-entry parse names it
+    sc = stable_scenario(tmp_path, U={"sequence": seq}, N=3)
+    for cmd in ("reach", "check", "compare", "bounds", "discretize"):
+        code, out = run_quiet(capsys, cmd, "--scenario", str(sc),
+                              "--out", str(tmp_path))
+        assert (code, out) == (2, [f"error:cli:schema {line}"])
+
+
 def test_cli_compare_fails_on_a_non_finite_gap(tmp_path, capsys, monkeypatch):
     # max() skips a NaN gap, so compare must stop at the first one
     real = reachdec.cli.reach_nondecomposed
@@ -885,6 +925,21 @@ def test_cli_import_loads_no_scipy_solvers(tmp_path):
                          "verified N=40"]
     assert lines[-2].startswith("max_gap=")
     assert lines[-1] == "[]"
+
+
+def test_parsing_a_csr_matrix_loads_no_numpy_ma(tmp_path):
+    # the block tables and the blocks a property reads sort their keys
+    # themselves: np.unique imports numpy.ma, about 20 ms of every process
+    # that parses an A stored CSR by the block rule
+    sc = write_large_decoupled(tmp_path, 40)
+    code = ("import sys\nimport reachdec\n"
+            f"sc = reachdec.parse_scenario({str(sc)!r})\n"
+            "print(sc.A.is_sparse, sc.resolve_blocks(reachdec.BlockStructure(sc.n)))\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True (0,)", "False"]
 
 
 def test_cli_discretize_writes_phi_with_numpy(tmp_path):

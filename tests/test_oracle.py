@@ -55,6 +55,7 @@ from reachdec import (
 )
 from reachdec.oracle import _first_failing_row, _geometric_tail, support_gaps
 from reachdec.reach import _lazy_supports
+from reachdec.sets import FactoredRows
 
 
 def rotation(theta):
@@ -488,6 +489,41 @@ def test_nondecomposed_queries_each_set_once_per_chunk(monkeypatch, N):
                 x0 = sum(X is sys.x_init for X in queried)
                 assert x0 == -(-N // size)
                 assert len(queried) - x0 == inputs
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_nondecomposed_sequence_forms_the_absolute_rows_once(monkeypatch, storage):
+    # the boxes of a sequence mapped by one matrix are queried on prefixes
+    # of one array of held rows, and all read slices of one |rows|, formed
+    # by the query of V(0), not one per query
+    N = 9
+    sys = chunk_systems()["sequence", DISCRETE, storage]
+    L = np.random.default_rng(212).standard_normal((5, 10))
+    read = []
+    rho_batch = Hyperrectangle._rho_batch
+
+    def recording(self, F):
+        read.append((self, F.abs_rows))
+        return rho_batch(self, F)
+
+    monkeypatch.setattr(Hyperrectangle, "_rho_batch", recording)
+    reach_nondecomposed(sys, N, L)
+    inputs = [A for X, A in read if X is not sys.x_init]
+    assert [len(A) for A in inputs] == [5 * (N - 1 - s) for s in range(N - 1)]
+    assert all(A.base is inputs[0] for A in inputs[1:])
+
+
+def test_factored_rows_head_shares_what_is_formed():
+    rng = np.random.default_rng(213)
+    F = FactoredRows(rng.standard_normal((3, 2)), rng.standard_normal((8, 5)), 4)
+    assert F.head(4) is F
+    H = F.head(3)
+    assert H._rows is None and H._abs is None
+    assert H.abs_rows.tobytes() == np.abs(F.rows[:9]).tobytes()
+    F.abs_rows
+    H = F.head(2)
+    assert np.shares_memory(H.rows, F.rows) and np.shares_memory(H.abs_rows, F.abs_rows)
+    assert H.abs_rows.tobytes() == np.abs(F.rows)[:6].tobytes()
 
 
 def per_level_nondecomposed(sys, N, L):

@@ -1,12 +1,16 @@
 """Decomposed reach tubes, safety checking, and output projection."""
 
+import contextlib
 import itertools
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reachdec.approx
 import reachdec.reach
 from conftest import generic_tube, random_box, random_stable_matrix
 from reachdec import (
@@ -38,8 +42,11 @@ from reachdec import (
     recurrence_error_bound,
     sample_directions,
 )
+from reachdec.approx import _box_bounds, _box_bounds_rows
+from reachdec.errors import EngineError
 from reachdec.linalg import MatrixPowerState, row_products
-from reachdec.reach import _lazy_supports
+from reachdec.reach import _box_steps, _lazy_supports
+from reachdec.sets import _Matrix
 
 
 def rotation(theta):
@@ -602,6 +609,213 @@ def test_box_engine_chunks_are_bitwise_the_per_step_loop(monkeypatch, N):
         assert len(got) == len(want) == N
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         monkeypatch.undo()
+
+
+def each_hull(sets):
+    """(C, R, error): ``_box_bounds`` of each set in turn, up to the first
+    that raises, and what it raised."""
+    C, R = [], []
+    for V in sets:
+        try:
+            c, r = _box_bounds(V)
+        except EngineError as exc:
+            return C, R, exc
+        C.append(c)
+        R.append(r)
+    return C, R, None
+
+
+def assert_same_rows(got, want):
+    (C, R, error), (C0, R0, error0) = got, want
+    assert len(C) == len(R) == len(C0) == len(R0)
+    for c, r, c0, r0 in zip(C, R, C0, R0):
+        assert c.tobytes() == c0.tobytes() and r.tobytes() == r0.tobytes()
+    assert type(error) is type(error0) and str(error) == str(error0)
+
+
+@st.composite
+def mapped_operands(draw):
+    """(matrices, operands): one or two dense matrices, whose product maps
+    the boxes and points ``operands``, with signed zeros, magnitudes over
+    16 decades, and a scale at which some products overflow."""
+    dims = draw(st.lists(st.integers(1, 40), min_size=2, max_size=3))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e299]))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entries(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        return np.where(rng.uniform(size=shape) < zeros,
+                        np.where(rng.uniform(size=shape) < 0.5, -0.0, 0.0), x)
+
+    matrices = [entries(a, b) for a, b in zip(dims, dims[1:])]
+    matrices[0] *= scale
+    p = dims[-1]
+    operands = [Hyperrectangle(entries(p), np.abs(entries(p))) if rng.uniform() < 0.5
+                else Singleton(entries(p)) for _ in range(draw(st.integers(1, 8)))]
+    return matrices, operands
+
+
+@contextlib.contextmanager
+def hull_walks():
+    """The sets that ``approx._box_bounds`` walks while the block runs."""
+    walks = []
+    walk = reachdec.approx._box_bounds
+    reachdec.approx._box_bounds = lambda X: walks.append(X) or walk(X)
+    try:
+        yield walks
+    finally:
+        reachdec.approx._box_bounds = walk
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mapped_operands(), st.booleans())
+def test_batched_input_hulls_are_bitwise_each_hull(case, csr):
+    # the stacked products of the box engine against the axis walk of each
+    # map, of a box or point or of a map of one (Phi1 B U): every row, its
+    # signed zeros, and the first error, where the scale overflows
+    matrices, operands = case
+    shared = [_Matrix.checked(sp.csr_array(M) if csr else M) for M in matrices]
+    sets = list(operands)
+    for m in reversed(shared):
+        sets = [LinearMap(m, X) for X in sets]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = each_hull(sets)
+        with hull_walks() as walks:
+            assert_same_rows(_box_bounds_rows(sets), want)
+    # the rows came from the stacked products (a product of two CSR
+    # matrices need not have sorted indices, and is walked set by set)
+    if want[2] is None and not (csr and len(matrices) == 2):
+        assert walks == []
+
+
+def test_batched_input_hulls_walk_each_other_set():
+    # maps over different matrices, or of sets other than boxes and
+    # points, are bounded one set at a time
+    rng = np.random.default_rng(133)
+    M = rng.standard_normal((4, 3))
+    box = random_box(rng, 3)
+    cases = [[LinearMap(M, box), LinearMap(M.copy(), box)],
+             [LinearMap(M, box), LinearMap(M, BallP(np.zeros(3), 0.5, 2))],
+             [LinearMap(M, box), Singleton(np.zeros(4))],
+             [random_box(rng, 4), random_box(rng, 4)]]
+    for sets in cases:
+        assert_same_rows(_box_bounds_rows(sets), each_hull(sets))
+
+
+def unsorted_csr(M):
+    """M as a CSR array with each row's entries in reverse column order."""
+    S = sp.csr_array(M)
+    indices, data = S.indices.copy(), S.data.copy()
+    for i in range(S.shape[0]):
+        row = slice(S.indptr[i], S.indptr[i + 1])
+        indices[row], data[row] = indices[row][::-1], data[row][::-1]
+    return sp.csr_array((data, indices, S.indptr.copy()), shape=S.shape)
+
+
+def test_batched_input_hulls_keep_the_order_of_an_unsorted_csr_matrix():
+    # scipy sorts a CSR matrix in place when it forms |M|, and later
+    # products sum in the sorted order: the batch meets M as each set's
+    # own walk does, whether it comes sorted or not
+    rng = np.random.default_rng(136)
+    M = rng.standard_normal((6, 8)) * 10.0 ** rng.uniform(-8, 8, (6, 8))
+    operands = [random_box(rng, 8) for _ in range(12)]
+    alone = _Matrix.checked(unsorted_csr(M))
+    walked = [LinearMap(alone, U) for U in operands]
+    want = each_hull(walked)
+    shared = _Matrix.checked(unsorted_csr(M))
+    assert not shared.M.has_canonical_format
+    assert_same_rows(_box_bounds_rows([LinearMap(shared, U) for U in operands]), want)
+    assert shared.M.has_canonical_format
+    assert_same_rows(_box_bounds_rows([LinearMap(shared, U) for U in operands]),
+                     each_hull(walked))
+
+
+def per_step_input_boxes(sys, N, cols):
+    """([(k, w_c, w_r)], error): the input box w <- Phi w + box(V(k - 1))
+    of a sequence at the steps k = 1, 2, ..., one step at a time, up to
+    the first step whose input raises, and what it raised."""
+    w_c = w_r = np.zeros(sys.n)
+    out = []
+    for k in range(1, N):
+        try:
+            v_c, v_r = _box_bounds(sys.v_at(k - 1))
+        except EngineError as exc:
+            return out, exc
+        w_c, w_r = sys.phi @ w_c + v_c, sys.phi.abs() @ w_r + v_r
+        out.append((k, w_c[cols], w_r[cols]))
+    return out, None
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("fault", ["overflow", "short"])
+def test_box_steps_end_a_sequence_at_its_first_bad_input(monkeypatch, storage, fault):
+    # V(6) overflows, or the sequence ends before it: whatever the chunks,
+    # steps 1..6 are yielded bitwise as the per-step loop forms them, and
+    # step 7 raises what the per-step loop raises
+    rng = np.random.default_rng(134)
+    n, N = 6, 12
+    phi = random_stable_matrix(rng, n, sparse=storage == "csr")
+    M = rng.standard_normal((n, 3))
+    M[:, 0] = 2.0
+    shared = _Matrix.checked(sp.csr_array(M) if storage == "csr" else M)
+    U = [random_box(rng, 3, 0.1) for _ in range(N - 1)]
+    if fault == "overflow":
+        U[6] = Hyperrectangle([1e308, 0.0, 0.0], [1e308, 0.0, 0.0])
+    else:
+        U = U[:6]
+    sys = DiscreteSystem(phi, random_box(rng, n), [LinearMap(shared, Uk) for Uk in U],
+                         0.1)
+    bs = BlockStructure(n)
+    for blocks in ((1,), (0, 1, 2)):
+        cols = bs.coords(blocks)
+        for budget in (1, 3 * cols.size * n, reachdec.reach._CHUNK_ENTRIES):
+            monkeypatch.setattr(reachdec.reach, "_CHUNK_ENTRIES", budget)
+            steps, error = [], None
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    for k, R, W_c, W_r in _box_steps(sys, N, bs, blocks):
+                        steps += zip(range(k, k + len(R)), W_c, W_r)
+                except EngineError as exc:
+                    error = exc
+                want, want_error = per_step_input_boxes(sys, N, cols)
+            assert [k for k, _, _ in steps] == [k for k, _, _ in want] == list(range(1, 7))
+            for (_, c, r), (_, c0, r0) in zip(steps, want):
+                assert c.tobytes() == c0.tobytes() and r.tobytes() == r0.tobytes()
+            assert type(error) is type(want_error) and str(error) == str(want_error)
+            assert ("non-finite support value" if fault == "overflow" else
+                    "input sequence has 6 entries, step 6 requested") in str(error)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("with_B", [False, True])
+def test_box_steps_bound_a_chunk_of_inputs_in_one_call(monkeypatch, with_B):
+    # a count, not a clock: the input hulls of a discretized sequence, with
+    # or without B, take one batched call per chunk of steps, and no hull
+    # walk per step
+    rng = np.random.default_rng(135)
+    n, N = 6, 40
+    A = random_stable_matrix(rng, n).data - 0.5 * np.eye(n)
+    B = rng.standard_normal((n, 3)) if with_B else None
+    U = [random_box(rng, 3 if with_B else n, 0.1) for _ in range(N)]
+    sys = discretize_discrete(ContinuousSystem(A, random_box(rng, n), B, U), 0.1)
+    calls = []
+    rows = reachdec.reach._box_bounds_rows
+
+    def counted(sets):
+        calls.append(len(sets))
+        return rows(sets)
+
+    def no_walk(_X):
+        raise AssertionError("an input hull was walked on its own")
+
+    monkeypatch.setattr(reachdec.reach, "_box_bounds_rows", counted)
+    monkeypatch.setattr(reachdec.approx, "_box_bounds", no_walk)
+    chunks = [len(R) for _, R, _, _ in _box_steps(sys, N, BlockStructure(n), (0, 1, 2))]
+    assert calls == chunks and sum(chunks) == N - 1 and len(chunks) < 8
+    calls.clear()
+    tube = reach_decomposed_varying(sys, N, tracked={1})
+    assert tube.n_steps == N and sum(calls) == N - 1 and len(calls) < 8
 
 
 def test_box_tube_sets_and_arrays_are_read_only():

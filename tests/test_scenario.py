@@ -327,6 +327,73 @@ def test_scalar_beyond_the_float_range_is_not_finite(tmp_path):
     assert str(exc.value) == "$.U.intervals[1][1]: must be finite"
 
 
+def box_entry(center, radius):
+    return {"box": {"center": center, "radius": radius}}
+
+
+def test_box_sequence_is_the_entry_by_entry_parse(tmp_path):
+    # one conversion of all centers and radii gives, bit for bit, the boxes
+    # that parsing entry by entry gives, as read-only rows
+    rng = np.random.default_rng(17)
+    sequences = [
+        [box_entry([0.5, -0.0, 5e-324, 1.7976931348623157e308],
+                   [0.0, -0.0, 1e-300, 0.0]),
+         box_entry([3, -7, 2 ** 53 + 1, 2 ** 63 + 1],
+                   [1, 0, 10 ** 300, 2 ** 70])],
+        # beyond the quick bound on |c| + r, within the entrywise one
+        [box_entry([1.7e308, -1.7e308, 0.0], [0.0, 1e292, 1.7e308]),
+         box_entry([1, 2.5, 3], [0, 1e-300, 4])],
+        [box_entry(rng.standard_normal(6).tolist(),
+                   rng.uniform(0.0, 1.0, 6).tolist()) for _ in range(20)],
+    ]
+    for seq in sequences:
+        got = scenario._box_sequence(seq)
+        want = [set_from_spec(s, f"$.U.sequence[{i}]") for i, s in enumerate(seq)]
+        assert len(got) == len(want)
+        for G, W in zip(got, want):
+            assert isinstance(G, Hyperrectangle)
+            assert G.center.tobytes() == W.center.tobytes()
+            assert G.radius.tobytes() == W.radius.tobytes()
+            assert not (G.center.flags.writeable or G.radius.flags.writeable)
+    # and parse_scenario holds those boxes
+    seq = [box_entry([0.1, 2, -0.0, 1e-3], [0.5, 0, 0.25, 3])] * 3
+    sc = parse_scenario(write_scenario(tmp_path, base_doc(N=3, U={"sequence": seq})))
+    for Uk in sc.U:
+        assert Uk.center.tobytes() == np.array([0.1, 2.0, -0.0, 1e-3]).tobytes()
+        assert Uk.radius.tobytes() == np.array([0.5, 0.0, 0.25, 3.0]).tobytes()
+
+
+def test_box_sequence_leaves_any_other_sequence_to_the_entry_parse(tmp_path):
+    good = box_entry([0.0, 0.0], [0.1, 0.1])
+    others = [
+        box_entry([0.0, True], [0.1, 0.1]),                 # a bool
+        box_entry([0.0, "1"], [0.1, 0.1]),                  # a string
+        box_entry([0.0, [1.0]], [0.1, 0.1]),                # a nested list
+        box_entry([0.0, 0.0], [0.1, -0.1]),                 # a negative radius
+        box_entry([0.0, 0.0, 0.0], [0.1, 0.1, 0.1]),        # another length
+        box_entry([0.0, 0.0], [0.1]),                       # center vs radius
+        box_entry([], []),                                  # empty
+        box_entry([0.0, 10 ** 400], [0.1, 0.1]),            # beyond a float
+        box_entry([0.0, float("nan")], [0.1, 0.1]),
+        box_entry([0.0, 0.0], [0.1, float("inf")]),
+        box_entry([1e308, 0.0], [1e308, 0.1]),              # c + r overflows
+        box_entry((0.0, 0.0), [0.1, 0.1]),                  # not a list
+        {"box": {"center": [0.0, 0.0], "radius": [0.1, 0.1], "x": 1}},
+        {"box": good["box"], "point": [0.0, 0.0]},
+        {"point": [0.0, 0.0]},
+        {"intervals": [[0.0, 1.0], [0.0, 1.0]]},
+        [0.0, 0.0],
+    ]
+    for other in others:
+        assert scenario._box_sequence([good, other, good]) is None, other
+    # a mixed sequence of boxes and points is parsed entry by entry
+    seq = [box_entry([0.0] * 4, [0.1] * 4), {"point": [1.0, 2.0, 3.0, 4.0]},
+           box_entry([1.0] * 4, [0.0] * 4)]
+    sc = parse_scenario(write_scenario(tmp_path, base_doc(N=3, U={"sequence": seq})))
+    assert [type(Uk) for Uk in sc.U] == [Hyperrectangle, Singleton, Hyperrectangle]
+    npt.assert_array_equal(sc.U[1].point, [1.0, 2.0, 3.0, 4.0])
+
+
 def test_scheme_strings():
     assert isinstance(parse_scheme("box"), BoxDirections)
     es = parse_scheme("eps:0.25")
