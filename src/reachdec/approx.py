@@ -32,6 +32,7 @@ from .sets import (
     Singleton,
     _common_matrix,
     _cut,
+    _frozen,
     _transform_compose,
 )
 
@@ -196,6 +197,10 @@ def _local_gap(d1, r1, s1, d2, r2, s2):
     return math.sqrt(ex * ex + ey * ey)
 
 
+#: the first directions of the refinement, in angular order from (0, -1)
+_START = [_frozen(d) for d in [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
+
+
 def overapproximate_eps(X, eps, max_constraints=10_000):
     """Sandwich refinement of a 2D set down to Hausdorff distance eps.
 
@@ -256,8 +261,7 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
         entries.append(em)
         refine(em, e2)
 
-    start = [entry(np.array(d)) for d in
-             [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
+    start = [entry(l) for l in _START]
     for i in range(4):
         entries.append(start[i])
         head = len(entries)
@@ -265,9 +269,7 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
     # the normals are distinct and in angular order from (0, -1) on; the
     # order of HPolygon starts at -pi, so the last wedge comes first
     entries = entries[head:] + entries[:head]
-    normals = np.array([e[1] for e in entries])
-    offsets = np.array([e[2] for e in entries])
-    return HPolygon._from_sorted(normals, offsets)
+    return HPolygon._from_sorted([e[1] for e in entries], [e[2] for e in entries])
 
 
 def approximate(X, scheme):

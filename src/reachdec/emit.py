@@ -88,9 +88,8 @@ def write_tube_poly(tube, path):
         w = csv.writer(fh)
         w.writerow(["block", "k", "a1", "a2", "b"])
         for k, i, s in tube.polygons():
-            for a, b in zip(s.normals, s.offsets):
-                w.writerow([i, k, repr(float(a[0])), repr(float(a[1])),
-                            repr(float(b))])
+            w.writerows([i, k, repr(a1), repr(a2), repr(b)] for (a1, a2), b
+                        in zip(s.normals.tolist(), s.offsets.tolist()))
 
 
 # ----------------------------------------------------------------------

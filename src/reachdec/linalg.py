@@ -308,12 +308,16 @@ class BlockMatrix:
         """Fraction of the blocks that are occupied."""
         return self._block_table()[0].size / (self._blocks(0).b * self._blocks(1).b)
 
+    def _dense_by_rule(self):
+        """Whether the block rule stores this matrix dense: more than
+        ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied."""
+        return self.block_density() > DENSIFY_BLOCK_FRACTION
+
     def stored(self):
-        """This matrix in the storage the recurrences use: CSR storage with
-        more than ``DENSIFY_BLOCK_FRACTION`` of its blocks occupied is made
-        dense, by the rule ``read_matrix_market`` applies at load.  Dense
-        storage stays dense."""
-        if self.is_sparse and self.block_density() > DENSIFY_BLOCK_FRACTION:
+        """This matrix in the storage the recurrences use: CSR storage that
+        the block rule stores dense is made dense, by the rule
+        ``read_matrix_market`` applies at load.  Dense storage stays dense."""
+        if self.is_sparse and self._dense_by_rule():
             return BlockMatrix(self.to_dense())
         return self
 
@@ -445,13 +449,29 @@ def _series(B, X, s, m):
     return T
 
 
+def _rule_storage(F, eye):
+    """F and the identity ``eye`` in the storage the block rule gives the
+    iterate F[0] (``BlockMatrix.stored``): all dense once it stores a CSR
+    F[0] dense, else as they are.  The iterate is read as it is held,
+    unchecked: an overflow is refused once the squarings are done."""
+    if issparse(F[0]):
+        held = BlockMatrix.__new__(BlockMatrix)
+        held._data, held._shape = F[0], F[0].shape
+        if held._dense_by_rule():
+            return [f.toarray() for f in F], np.eye(F[0].shape[0])
+    return F, eye
+
+
 def _phi_matrices(B, s):
     """[phi_0(B), ..., phi_s(B)] for s <= 2, in the storage of B.
 
     The series is summed for B h with h = 2^-j and ||B h||_1 <= 1, and the
     results are doubled back j times with F_k(t) = t^k phi_k(t B):
     F_0(2t) = F_0(t)^2, F_1(2t) = (I + F_0(t)) F_1(t) and
-    F_2(2t) = (I + F_0(t)) F_2(t) + t F_1(t).
+    F_2(2t) = (I + F_0(t)) F_2(t) + t F_1(t).  Before each doubling the
+    block rule is applied to the iterate (``_rule_storage``): a CSR iterate
+    that has filled in is squared dense from then on, and the results are
+    made CSR again.
     """
     theta = _one_norm(B)
     j = math.ceil(math.log2(theta / _THETA_MAX)) if theta > _THETA_MAX else 0
@@ -463,6 +483,7 @@ def _phi_matrices(B, s):
         F.insert(0, eye * (1.0 / math.factorial(k - 1)) + Bh @ F[0])
     F = [f * h ** k for k, f in enumerate(F)]
     for _ in range(j):
+        F, eye = _rule_storage(F, eye)
         grow = eye + F[0]
         if s == 2:
             F[2] = grow @ F[2] + F[1] * h
@@ -470,6 +491,9 @@ def _phi_matrices(B, s):
             F[1] = grow @ F[1]
         F[0] = F[0] @ F[0]
         h *= 2.0
+    if issparse(B) and not issparse(F[0]):
+        from scipy import sparse as sp
+        F = [sp.csr_array(f) for f in F]
     return F
 
 
@@ -762,7 +786,7 @@ def _stored(rows, cols, vals, shape):
     held = BlockMatrix.__new__(BlockMatrix)
     held._entries, held._shape = (rows, cols, vals), shape
     held._table = _occupied_blocks(rows, cols, shape)
-    if held.block_density() > DENSIFY_BLOCK_FRACTION:
+    if held._dense_by_rule():
         M = np.zeros(shape)
         with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
             np.add.at(M, (rows, cols), vals)

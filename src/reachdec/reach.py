@@ -185,6 +185,23 @@ class SetTube(ReachTube):
     def _block_supports(self, k, block, L_b, _L_b_abs):
         return self.steps[k][block].support_batch(L_b)
 
+    def supports(self, directions):
+        """As ``ReachTube.supports``, with the polygons of each block
+        searched for all their steps at once (``HPolygon._search_all``):
+        a step then takes only the products of its batch query."""
+        L = self._checked_directions(directions, 2)
+        parts = _direction_parts(L, self.bs, self.tracked)
+        found = {}
+        for i, _, L_b, _ in parts:
+            ks = [k for k, step in enumerate(self.steps) if isinstance(step[i], HPolygon)]
+            if ks:
+                polygons = [self.steps[k][i] for k in ks]
+                found[i] = dict(zip(ks, HPolygon._search_all(polygons, L_b)))
+        for k, step in enumerate(self.steps):
+            yield _support_sum(parts, len(L), lambda i, L_b, _abs: (
+                step[i]._supports_at(L_b, found[i][k]) if k in found.get(i, ())
+                else step[i].support_batch(L_b)))
+
 
 class BoxTube(ReachTube):
     """A box-scheme tube, held as arrays.

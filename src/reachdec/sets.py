@@ -95,14 +95,15 @@ class LazySet:
 
     def support_vector(self, direction):
         """Return a maximizer of <direction, x> over the set."""
-        l = self._direction(direction)
-        return self._rho_sigma(l)[1]
+        return self.support_pair(direction)[1]
 
     def support_pair(self, direction):
-        """(support_function, support_vector) from one walk of the set."""
+        """(support_function, support_vector) from one walk of the set.
+        The vector is the caller's own: `_rho_sigma` may answer with a
+        read-only row of a set's table."""
         l = self._direction(direction)
         rho, sigma = self._rho_sigma(l)
-        return float(rho), sigma
+        return float(rho), np.array(sigma)
 
     def support_batch(self, directions):
         """Support values for each row of a (m, dim) direction array, or of
@@ -444,7 +445,7 @@ class Singleton(LazySet):
         return self.point.shape[0]
 
     def _rho_sigma(self, l):
-        return l @ self.point, self.point.copy()
+        return l @ self.point, self.point
 
     def _rho_batch(self, F):
         return F.rows @ self.point
@@ -514,16 +515,34 @@ def _intersect_rows(a1, b1, a2, b2):
     return np.array([x, y])
 
 
-def _successive_vertices(A, b):
-    """Vertex of every constraint pair (i, i + 1), as `_intersect_rows`
-    computes it but without its parallel test, and the pair's determinant."""
-    A1, b1 = np.concatenate((A[1:], A[:1])), np.concatenate((b[1:], b[:1]))
-    det = A[:, 0] * A1[:, 1] - A[:, 1] * A1[:, 0]
-    V = np.empty_like(A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        V[:, 0] = (A1[:, 1] * b - A[:, 1] * b1) / det
-        V[:, 1] = (A[:, 0] * b1 - A1[:, 0] * b) / det
-    return V, det
+def _polygon_tables(A, b):
+    """(ax, ay, V, sec, near) of unit normals A in angular order and
+    offsets b: the normals as Python floats and their sectors, the
+    read-only (m, 2) array V of the vertex of every constraint pair
+    (i, i + 1) as `_intersect_rows` computes it but without its parallel
+    test, and the pairs that test may reject (the normals have unit
+    length, so its scale is about 1).  Raises unless every pair turns
+    counter-clockwise by less than pi.
+
+    One loop on Python floats: each value is one IEEE operation on two
+    floats, as numpy's elementwise ufuncs make it, so V is bitwise the
+    same formulas on arrays."""
+    (ax, ay), bb = A.T.tolist(), b.tolist()
+    if len(bb) < 3:
+        raise InvalidSetError("HPolygon: fewer than 3 distinct normal directions")
+    V, sec, near = [], [], []
+    pairs = zip(ax, ay, bb, ax[1:] + ax[:1], ay[1:] + ay[:1], bb[1:] + bb[:1])
+    for i, (x1, y1, b1, x2, y2, b2) in enumerate(pairs):
+        det = x1 * y2 - y1 * x2
+        if det <= 0.0:
+            raise InvalidSetError(
+                "HPolygon: normals do not positively span the plane "
+                "(the feasible set is unbounded)")
+        if det < 2.0 * PARALLEL_TOL:
+            near.append(i)
+        V += ((y2 * b1 - y1 * b2) / det, (x1 * b2 - x2 * b1) / det)
+        sec.append(_sector(x1, y1))
+    return ax, ay, _frozen(V).reshape(-1, 2), sec, near
 
 
 def _bounding_rows(A, b):
@@ -591,12 +610,18 @@ class HPolygon(LazySet):
 
     @classmethod
     def _from_sorted(cls, normals, offsets):
-        """The polygon of constraints whose normals are distinct and already
-        in the angular order, such as support evaluations of a set in
-        increasing direction angle, without sorting them and without the
+        """The polygon of constraints whose normals, float pairs, are
+        distinct and already in the angular order, such as support
+        evaluations of a set in increasing direction angle, with their
+        offsets, floats: scaled to unit normals as `_normalised` scales
+        them, without its checks, without sorting and without the
         feasibility check."""
+        A, b = np.array(normals), np.array(offsets)
+        norms = np.hypot(A[:, 0], A[:, 1])
+        A /= norms[:, None]
+        b /= norms
         P = cls.__new__(cls)
-        P._build(*cls._normalised(normals, offsets), check_feasible=False)
+        P._build(A, b, check_feasible=False)
         return P
 
     # -- construction helpers ------------------------------------------
@@ -623,20 +648,16 @@ class HPolygon(LazySet):
 
     def _build(self, A, b, check_feasible):
         """Set the polygon up from unit normals in angular order."""
-        V, det = _successive_vertices(A, b)
-        self._check_spanning(det)
+        tables = _polygon_tables(A, b)
         if check_feasible:
-            A, b, V, det = self._canonicalize(A, b, V, det)
+            A, b, tables = self._canonicalize(A, b, tables)
+        # the search reads the normals as Python floats, and their sectors
+        self._ax, self._ay, V, self._sec_list, near = tables
         self.normals = _frozen(A)
         self.offsets = _frozen(b)
-        self._vertices = _frozen(V)
-        # the search reads the normals as Python floats, and their sectors
-        self._ax, self._ay = A[:, 0].tolist(), A[:, 1].tolist()
-        self._sec_list = _sectors(A[:, 0], A[:, 1]).tolist()
-        # pairs that `_intersect_rows` may reject: it decides them at query
-        # time (the normals have unit length, so its scale is about 1)
-        self._near_parallel = frozenset(
-            np.flatnonzero(np.abs(det) < 2.0 * PARALLEL_TOL).tolist())
+        self._vertices = V
+        # pairs that `_intersect_rows` may reject: it decides them at query time
+        self._near_parallel = frozenset(near)
 
     @staticmethod
     def _sort_and_dedup(A, b):
@@ -675,35 +696,24 @@ class HPolygon(LazySet):
         return A[keep], b[keep]
 
     @staticmethod
-    def _check_spanning(det):
-        """Reject normals whose successive pairs (determinants det) do not
-        all turn counter-clockwise by less than pi."""
-        if det.shape[0] < 3:
-            raise InvalidSetError("HPolygon: fewer than 3 distinct normal directions")
-        if np.any(det <= 0.0):
-            raise InvalidSetError(
-                "HPolygon: normals do not positively span the plane "
-                "(the feasible set is unbounded)")
-
-    @staticmethod
-    def _canonicalize(A, b, V, det):
+    def _canonicalize(A, b, tables):
         """Ensure every successive constraint pair meets at a feasible vertex.
 
-        When that already holds for the successive vertices V the support
-        search is exact.
+        When that already holds for the vertices of the `_polygon_tables`
+        the support search is exact.
         Otherwise the redundant halfplanes are stripped by one pass over
         the angular order (`_bounding_rows`).  A region that does not
         contain a disc of radius 1e-10 * scale, which that pass detects
         on the offsets moved inwards by this radius, is rejected.
-        Returns the constraints kept, with `_successive_vertices` of them.
+        Returns the constraints kept, with their `_polygon_tables`.
         """
         scale = 1.0 + np.max(np.abs(b))
 
         def feasible(V):
             return np.all(np.isfinite(V)) and np.all(A @ V.T <= b[:, None] + 1e-9 * scale)
 
-        if feasible(V):
-            return A, b, V, det
+        if feasible(tables[2]):
+            return A, b, tables
         inset = 1e-10 * scale
         if _bounding_rows(A, b - inset) is None:
             if _bounding_rows(A, b + inset) is None:
@@ -712,9 +722,9 @@ class HPolygon(LazySet):
                 "HPolygon: feasible region has empty interior")
         rows = _bounding_rows(A, b)
         if rows is not None:
-            V, det = _successive_vertices(A[rows], b[rows])
-            if feasible(V):
-                return A[rows], b[rows], V, det
+            tables = _polygon_tables(A[rows], b[rows])
+            if feasible(tables[2]):
+                return A[rows], b[rows], tables
         raise InvalidSetError("HPolygon: could not reduce constraints "
                               "to a minimal representation")
 
@@ -745,17 +755,56 @@ class HPolygon(LazySet):
 
     def _rho_sigma(self, l):
         i = self._search(*l.tolist())
-        v = (self._exact_vertex(i) if i in self._near_parallel
-             else self._vertices[i].copy())
+        v = self._exact_vertex(i) if i in self._near_parallel else self._vertices[i]
         return l @ v, v
+
+    def _axis_supports(self, T):
+        # the identity: one batch over the rows that the generic walk builds
+        if T is not None:
+            return super()._axis_supports(T)
+        vals = self._rho_batch(FactoredRows(None, _AXES, 1))
+        return vals[:2], vals[2:]
 
     def _rho_batch(self, F):
         L = F.rows
-        idx = [self._search(x, y) for x, y in L.tolist()]
+        return self._supports_at(L, [self._search(x, y) for x, y in L.tolist()])
+
+    def _supports_at(self, L, idx):
+        """The supports in the rows of L, whose searches found ``idx``."""
         for i in self._near_parallel.intersection(idx):
             self._exact_vertex(i)  # raises on a degenerate pair
         # a stack of 1x2 by 2x1 products rounds each row as `l @ v` does
         return (L[:, None, :] @ self._vertices[idx][:, :, None]).ravel()
+
+    @staticmethod
+    def _search_all(polygons, L):
+        """`_search` of every row of L, (r, 2), in each of ``polygons``, as
+        an (S, r) list of lists: its binary search run on all the pairs at
+        once, with the same sector and cross-product comparisons,
+        elementwise, so each index is the one `_search` finds."""
+        m = np.array([len(P._ax) for P in polygons])
+        start, last = (np.cumsum(m) - m)[:, None], (m - 1)[:, None]
+        A = np.concatenate([P.normals for P in polygons])
+        ax, ay, sec = A[:, 0], A[:, 1], _sectors(A[:, 0], A[:, 1])
+        x, y = L[:, 0], L[:, 1]
+        s = _sectors(x, y)
+
+        def leq(i):   # `_angle_leq` of normal i of each polygon and each row
+            j = start + i
+            return (sec[j] < s) | ((sec[j] == s) & (ax[j] * y - ay[j] * x >= 0.0))
+
+        lo, hi = np.zeros((len(m), len(L)), dtype=np.intp), last
+        while (active := lo < hi).any():
+            mid = (lo + hi + 1) // 2
+            below = leq(mid)
+            lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid - 1, hi)
+        idx = np.where(leq(0), lo, last)
+        return np.where((x == 0.0) & (y == 0.0), 0, idx).tolist()
+
+
+#: the rows of I and of -I that `LazySet._axis_supports` asks for the
+#: identity of the plane, the signed zeros of -I included
+_AXES = _frozen([[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]])
 
 
 def polygon_support_vector(P, direction):
@@ -809,8 +858,8 @@ class LinearMap(LazySet):
         return self.matrix.shape[0]
 
     def _rho_sigma(self, l):
-        rho, inner = self.operand._rho_sigma(np.asarray(self._m.T @ l, dtype=float))
-        return rho, np.asarray(self.matrix @ inner, dtype=float)
+        rho, inner = self.operand._rho_sigma(self._m.T @ l)
+        return rho, self.matrix @ inner
 
     def map_rows(self, L):
         """The directions L (one per row) mapped into the operand's

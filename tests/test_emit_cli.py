@@ -164,6 +164,10 @@ def test_poly_sidecar_reconstructs_sets(tmp_path):
     for (i, k), cons in groups.items():
         stored = tube.set_at(k, i)
         assert isinstance(stored, HPolygon)
+        # the floats read back are the stored constraints, bit for bit
+        normals, offsets = np.array(cons)[:, :2], np.array(cons)[:, 2]
+        assert normals.tobytes() == stored.normals.tobytes()
+        assert offsets.tobytes() == stored.offsets.tobytes()
         rebuilt = HPolygon(np.array([c[:2] for c in cons]),
                            np.array([c[2] for c in cons]))
         npt.assert_allclose(rebuilt.support_batch(L),

@@ -195,6 +195,18 @@ def test_oracle_below_lazy_below_collapsed(case, scheme):
 
 
 @PROPERTY
+@given(systems())
+def test_tube_supports_are_bitwise_the_step_queries(case):
+    # the polygons of a block are searched for all its steps at once, and
+    # each step must still read what its own batch query reads
+    sys, N = case
+    tube = run(sys, N, scheme=EpsilonClose(0.05))
+    L = directions(sys, N)
+    for k, got in enumerate(tube.supports(L)):
+        assert got.tobytes() == tube.support_batch(k, L).tobytes()
+
+
+@PROPERTY
 @given(systems(), st.data())
 def test_tracked_subset_is_bitwise_the_full_run(case, data):
     sys, N = case

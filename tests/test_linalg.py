@@ -285,6 +285,40 @@ def test_kernel_matches_augmented_exponential(name, sparse):
     assert all(M.is_sparse == sparse for M in discretization_matrices(op, delta))
 
 
+def test_squaring_goes_dense_once_the_block_rule_says_so(monkeypatch):
+    # a CSR diffusion chain over a long step is squared 8 times: its
+    # powers fill in band by band, and once the block rule would store the
+    # iterate dense, it and every later iterate are squared dense
+    n, delta = 200, 50.0
+    A = sp.diags_array([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                       offsets=[-1, 0, 1], format="csr")
+    seen = []
+    rule = reachdec.linalg._rule_storage
+
+    def spy(F, eye):
+        out = rule(F, eye)
+        dense = not sp.issparse(F[0]) or BlockMatrix(F[0])._dense_by_rule()
+        seen.append((dense, [sp.issparse(f) for f in (*out[0], out[1])]))
+        return out
+
+    monkeypatch.setattr(reachdec.linalg, "_rule_storage", spy)
+    for build in (exp_matrix, discretization_matrices):
+        seen.clear()
+        results = build(A, delta)
+        results = results if isinstance(results, tuple) else (results,)
+        assert len(seen) == 8
+        fired = [dense for dense, _ in seen].index(True)
+        assert fired > 0        # the first squarings stay sparse
+        for k, (dense, storage) in enumerate(seen):
+            assert dense == (k >= fired)
+            assert storage == [k < fired] * len(storage)
+        assert all(M.is_sparse for M in results)
+        want = build(A.toarray(), delta)
+        want = want if isinstance(want, tuple) else (want,)
+        for M, ref in zip(results, want):
+            npt.assert_allclose(M.to_dense(), ref.to_dense(), rtol=1e-10, atol=1e-14)
+
+
 def phi_scalar(lam, k):
     """phi_k(lam) = sum_i lam^i / (i+k)! of a real scalar, k <= 2."""
     if abs(lam) < 1.0:

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reachdec
 from conftest import polygon_vertices_bruteforce, random_polygon, spanning_angles
@@ -27,7 +29,15 @@ from reachdec import (
     overapproximate_eps,
     polygon_support_vector,
 )
-from reachdec.sets import _intersect_rows, _sector, _sectors, direction_leq
+from reachdec.approx import overapproximate_box
+from reachdec.sets import (
+    PARALLEL_TOL,
+    LazySet,
+    _intersect_rows,
+    _sector,
+    _sectors,
+    direction_leq,
+)
 
 SQUARE = HPolygon([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                   [1.0, 1.0, 1.0, 1.0])
@@ -309,6 +319,17 @@ def test_scalar_and_batched_queries_are_the_reference_vertex(build):
             assert_bitwise(rho, l @ v)
 
 
+def test_search_of_many_polygons_is_the_search_of_each():
+    rng = np.random.default_rng(33)
+    polygons = ([random_polygon(rng) for _ in range(15)]
+                + [eps_polygon(rng) for _ in range(15)] + [SQUARE])
+    # the normals of some of the polygons are ties of the search
+    L = np.vstack([kernel_directions(rng, P) for P in polygons[::6]])
+    found = HPolygon._search_all(polygons, L)
+    for P, idx in zip(polygons, found):
+        assert idx == [P._search(x, y) for x, y in L.tolist()]
+
+
 def test_support_vector_is_a_private_copy():
     v = SQUARE.support_vector([1.0, 1.0])
     v[:] = 7.0
@@ -377,3 +398,124 @@ def test_redundancy_removal_with_cuts_through_vertices():
                         rtol=1e-12, atol=1e-12)
     verts = [reference_vertex(P, a) for a in P.normals]
     assert np.all(P.normals @ np.transpose(verts) <= P.offsets[:, None] + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# the float build of sorted constraints against the same formulas on arrays
+# ----------------------------------------------------------------------
+
+def numpy_build(normals, offsets):
+    """(normals, offsets, vertices, sectors, near-parallel pairs) of
+    constraints in angular order, each formula as one numpy ufunc over all
+    pairs (i, i + 1): the reference of `HPolygon._from_sorted`."""
+    A, b = np.array(normals, dtype=float), np.array(offsets, dtype=float)
+    norms = np.hypot(A[:, 0], A[:, 1])
+    A, b = A / norms[:, None], b / norms
+    A1, b1 = np.roll(A, -1, axis=0), np.roll(b, -1)
+    det = A[:, 0] * A1[:, 1] - A[:, 1] * A1[:, 0]
+    V = np.empty_like(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V[:, 0] = (A1[:, 1] * b - A[:, 1] * b1) / det
+        V[:, 1] = (A[:, 0] * b1 - A1[:, 0] * b) / det
+    if len(b) < 3:
+        raise InvalidSetError("HPolygon: fewer than 3 distinct normal directions")
+    if np.any(det <= 0.0):
+        raise InvalidSetError("HPolygon: normals do not positively span the "
+                              "plane (the feasible set is unbounded)")
+    near = frozenset(np.flatnonzero(np.abs(det) < 2.0 * PARALLEL_TOL).tolist())
+    return A, b, V, _sectors(A[:, 0], A[:, 1]).tolist(), near
+
+
+#: the axis normals as the refinement starts from them, by angle
+AXIS_NORMALS = {-np.pi / 2: (0.0, -1.0), 0.0: (1.0, 0.0), np.pi / 2: (0.0, 1.0),
+                np.pi: (-1.0, 0.0)}
+
+
+@st.composite
+def sorted_constraints(draw):
+    """Normals of any length in angular order, with offsets.  Their cyclic
+    gaps are drawn as weights of the full turn, so a weight of half the
+    total or more leaves the plane unspanned; some normals have a twin
+    turned by 1e-15 to 1e-12, and the exact axis normals may join, one of
+    them with a negative zero."""
+    m = draw(st.integers(2, 16))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    start = draw(st.floats(-np.pi, np.pi))
+    angles = start + 2.0 * np.pi * np.cumsum(weights) / weights.sum()
+    angles = list(np.mod(angles + np.pi, 2.0 * np.pi) - np.pi)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3, unique=True)):
+        angles.append(angles[i] + draw(st.floats(1e-15, 1e-12)))
+    units = {a: (np.cos(a), np.sin(a)) for a in angles}
+    if draw(st.booleans()):
+        units.update(AXIS_NORMALS)
+        if draw(st.booleans()):
+            units[np.pi / 2] = (-0.0, 1.0)
+    order = sorted(units)
+    lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=len(order),
+                            max_size=len(order)))
+    normals = [[r * units[a][0], r * units[a][1]] for a, r in zip(order, lengths)]
+    offsets = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(order),
+                            max_size=len(order)))
+    return normals, offsets
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(sorted_constraints())
+@example(([[1.0, 0.0], [1.0, 1e-13], [-1.0, 1.0], [-1.0, -1.0]], [1.0] * 4))
+@example(([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1.0] * 3))
+def test_float_build_is_bitwise_the_numpy_build(case):
+    normals, offsets = case
+    try:
+        want = numpy_build(normals, offsets)
+    except InvalidSetError as exc:
+        with pytest.raises(InvalidSetError) as got:
+            HPolygon._from_sorted(normals, offsets)
+        assert str(got.value) == str(exc)
+        return
+    P = HPolygon._from_sorted(normals, offsets)
+    A, b, V, sec, near = want
+    for got, ref in ((P.normals, A), (P.offsets, b), (P._vertices, V)):
+        assert_same_bits(got, ref)
+    assert P._sec_list == sec and P._near_parallel == near
+    assert (P._ax, P._ay) == (A[:, 0].tolist(), A[:, 1].tolist())
+
+
+# ----------------------------------------------------------------------
+# the closed-form axis supports of a polygon
+# ----------------------------------------------------------------------
+
+def polygons_with_a_vertex_on_an_axis():
+    """Polygons with vertices on the axes, where the zeros of I and of -I
+    meet zero coordinates (signed ones among them): a diamond, a corner at
+    the origin, shifted diamonds and ε-close polygons of balls centred on
+    an axis."""
+    diamond = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+    out = [HPolygon(diamond, [1.0] * 4),
+           HPolygon([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]),
+           HPolygon([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0],
+                    check_feasible=False)]
+    for shift in (0.5, 2.0, -3.0):
+        out.append(HPolygon(diamond, [1.0 + shift, 1.0 - shift, 1.0 - shift,
+                                      1.0 + shift]))
+    for p in (1.0, 2.0, np.inf):
+        for c in ([0.0, 0.0], [0.0, 1.5], [-2.0, 0.0]):
+            out.append(overapproximate_eps(BallP(c, 1.0, p), 1e-3))
+    return out
+
+
+@pytest.mark.parametrize("P", polygons_with_a_vertex_on_an_axis())
+def test_axis_supports_are_bitwise_the_generic_walk(P):
+    hi, nlo = P._axis_supports(None)
+    ref_hi, ref_nlo = LazySet._axis_supports(P, None)
+    assert_same_bits(hi, ref_hi)
+    assert_same_bits(nlo, ref_nlo)
+    box = overapproximate_box(P)
+    lo = -ref_nlo
+    assert_same_bits(box.center, (lo + ref_hi) / 2.0)
+    assert_same_bits(box.radius, (ref_hi - lo) / 2.0)
+
