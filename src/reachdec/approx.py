@@ -25,14 +25,19 @@ from .errors import (
 )
 from .linalg import BlockStructure, issparse
 from .sets import (
+    _AXES,
     HPolygon,
     Hyperrectangle,
     LazySet,
     LinearMap,
+    MinkowskiSum,
     Singleton,
+    VertexImageSum,
     _common_matrix,
     _cut,
     _frozen,
+    _Images,
+    _Polygons,
     _transform_compose,
 )
 
@@ -103,6 +108,34 @@ def _box_from_supports(hi, nlo):
     return c, r
 
 
+def _box_rows(hi, nlo):
+    """(C, R): row j is ``_box_from_supports(hi[j], nlo[j])``, from one
+    array expression, or None when some row fails its checks: computed
+    with numpy's overflow warnings off, the rows then leave the error to
+    each set's own walk."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = -nlo
+        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+        ok = (np.isfinite(hi).all() and np.isfinite(lo).all()
+              and np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all())
+    return (c, r) if ok else None
+
+
+def _polygon_box_rows(polygons):
+    """(C, R): row j is ``_box_bounds(polygons[j])``, bit for bit, from one
+    query of all the polygons in the rows of ``_AXES`` (``_Polygons``),
+    or None when that query meets a near-parallel vertex, which a
+    polygon's own query solves again, or some row fails the checks of a
+    box (``_box_rows``)."""
+    S = len(polygons)
+    vals, _, plain = _Polygons(polygons).supports(np.repeat(np.arange(S), 4),
+                                                  np.tile(_AXES, (S, 1)))
+    if not plain.all():
+        return None
+    vals = vals.reshape(S, 4)
+    return _box_rows(vals[:, :2], vals[:, 2:])
+
+
 def _box_bounds_rows(sets):
     """(C, R, error): rows j of C and of R are ``_box_bounds(sets[j])``,
     bit for bit, for the sets before the first one whose bounds raise, and
@@ -167,11 +200,8 @@ def _mapped_box_rows(m, operands):
         Tc = _stacked_products(m.M, X)
         Tr = _stacked_products(m.abs, W)
         hi = np.where(box[:, None], Tc + Tr, Tc)
-        lo = -np.where(box[:, None], -Tc + Tr, -Tc)
-        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
-        ok = (np.isfinite(hi).all() and np.isfinite(lo).all()
-              and np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all())
-    return (c, r) if ok else None
+        nlo = np.where(box[:, None], -Tc + Tr, -Tc)
+    return _box_rows(hi, nlo)
 
 
 def _local_gap(d1, r1, s1, d2, r2, s2):
@@ -197,8 +227,43 @@ def _local_gap(d1, r1, s1, d2, r2, s2):
     return math.sqrt(ex * ex + ey * ey)
 
 
+def _local_gaps(d1, r1, s1, d2, r2, s2):
+    """`_local_gap` of every row of (m, 2) directions d and support
+    vectors s and (m,) support values r: the same IEEE operations,
+    elementwise, so each gap is bitwise the scalar one."""
+    (ax, ay), (bx, by) = d1.T, d2.T
+    (x1, y1), (x2, y2) = s1.T, s2.T
+    det = ax * by - ay * bx
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        px = (by * r1 - ay * r2) / det
+        py = (ax * r2 - bx * r1) / det
+        cx, cy = x2 - x1, y2 - y1
+        cc = cx * cx + cy * cy
+        ux, uy = px - x1, py - y1
+        t = np.minimum(np.maximum((ux * cx + uy * cy) / cc, 0.0), 1.0)
+        ex, ey = px - (x1 + t * cx), py - (y1 + t * cy)
+        gap = np.where(cc == 0.0, np.sqrt(ux * ux + uy * uy), np.sqrt(ex * ex + ey * ey))
+    return np.where(abs(det) < 1e-12, 0.0, gap)
+
+
 #: the first directions of the refinement, in angular order from (0, -1)
 _START = [_frozen(d) for d in [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]]
+
+
+def _bisector(l1, l2):
+    """The unit bisector of the wedge of the unit directions l1 and l2,
+    arrays, or None when the wedge no longer splits numerically.  The
+    norm and the test take numpy's dot of 2-vectors, which can round
+    otherwise than x * x + y * y: every refinement takes its directions
+    from here, so they are those of the refinement written on arrays."""
+    l = l1 + l2
+    nrm = math.sqrt(l.dot(l))
+    if nrm == 0.0:
+        return None
+    l = l / nrm
+    if l.dot(l1) >= 1.0 - 1e-15 or l.dot(l2) >= 1.0 - 1e-15:
+        return None
+    return l
 
 
 def overapproximate_eps(X, eps, max_constraints=10_000):
@@ -209,13 +274,13 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
     constraints are support evaluations of X, so it contains X and is
     within eps of it.
 
-    The refinement runs on Python floats.  An entry is (l, d, rho, s): the
-    unit direction as an array l and as a float pair d, its support value
-    and its support vector as a float pair.  Only the bisection takes
-    numpy dot products, to normalise l as ``np.linalg.norm`` does and to
-    test splittability: numpy's dot of 2-vectors can round otherwise than
-    x * x + y * y, and the normals must stay those of the refinement
-    written on arrays.
+    The refinement runs on Python floats, depth first.  An entry is (l,
+    d, rho, s): the unit direction as an array l and as a float pair d,
+    its support value and its support vector as a float pair.  Only the
+    bisection (``_bisector``) takes numpy dot products.  The directions
+    do not depend on X, and a tube refines the steps of a chunk together,
+    level after level (``_overapproximate_eps_all``); this refinement is
+    the reference of that walk, and the one of every other set.
     """
     if X.dim != 2:
         raise DimensionError(f"overapproximate_eps: set has dimension {X.dim}, "
@@ -247,14 +312,9 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
                 f"overapproximate_eps: constraint budget {max_constraints} "
                 f"exhausted, local gap still {gap:.3e} > {eps:.3e}",
                 module="approx")
-        l1, l2 = e1[0], e2[0]
-        l = l1 + l2
-        nrm = math.sqrt(l.dot(l))
-        if nrm == 0.0:
+        l = _bisector(e1[0], e2[0])
+        if l is None:
             return
-        l = l / nrm
-        if l.dot(l1) >= 1.0 - 1e-15 or l.dot(l2) >= 1.0 - 1e-15:
-            return  # wedge no longer numerically splittable
         budget -= 1
         em = entry(l)
         refine(e1, em)
@@ -270,6 +330,148 @@ def overapproximate_eps(X, eps, max_constraints=10_000):
     # order of HPolygon starts at -pi, so the last wedge comes first
     entries = entries[head:] + entries[:head]
     return HPolygon._from_sorted([e[1] for e in entries], [e[2] for e in entries])
+
+
+class _Directions:
+    """The directions of a walk (``_eps_walk``), which do not depend on
+    the set: the four start directions, 0 to 3, and the bisector of each
+    wedge met (``_bisector``), formed once.  ``table`` holds them as rows
+    and ``key`` orders them as a refined polygon orders its constraints:
+    a bisector's key halves its wedge's, and the wedge from 3 round to 0
+    spans (-1, 0), since its constraints come first."""
+
+    def __init__(self):
+        self.arrays = list(_START)
+        self.key = [0.0, 1.0, 2.0, 3.0]
+        self.table = np.array(self.arrays)
+        self._child = {}
+
+    def bisectors(self, i, j):
+        """The index of the bisector of each wedge (i[w], j[w]), or -1
+        where the wedge does not split."""
+        codes, inverse = np.unique(i << 32 | j, return_inverse=True)
+        found = []
+        for wedge in (divmod(code, 1 << 32) for code in codes.tolist()):
+            if wedge not in self._child:
+                self._child[wedge] = self._add(*wedge)
+            found.append(self._child[wedge])
+        if len(self.table) < len(self.arrays):
+            self.table = np.array(self.arrays)
+        return np.array(found, dtype=np.intp)[inverse]
+
+    def _add(self, a, b):
+        l = _bisector(self.arrays[a], self.arrays[b])
+        if l is None:
+            return -1
+        lo, hi = self.key[a], self.key[b]
+        mid = (lo + (hi if hi > lo else hi + 4.0)) / 2.0
+        self.key.append(mid - 4.0 if mid > 3.0 else mid)
+        self.arrays.append(l)
+        return len(self.arrays) - 1
+
+
+def _walk_shape(X):
+    """The shape (parts, points per part) of the image M of a set M + W,
+    a planar `VertexImageSum` plus an `HPolygon`, as a lazy step of a
+    tube's block is (``reach._steps``); None for any other set."""
+    if (isinstance(X, MinkowskiSum) and isinstance(X.left, VertexImageSum)
+            and isinstance(X.right, HPolygon) and X.dim == 2):
+        return X.left._parts, X.left._count
+    return None
+
+
+def _eps_walk(sets, eps, max_constraints):
+    """The refinement of ``overapproximate_eps`` of sets M + W of one
+    shape (``_walk_shape``), breadth first: one level of the bisection at
+    a time for all of them, each level one stacked query of every open
+    wedge of every set.  Returns the constraints of each set's polygon,
+    (normals, offsets) in angular order, or None for a set whose walk
+    meets a non-finite support, a near-parallel vertex pair or more open
+    wedges than its budget of splits; the refinement of that set alone
+    meets the same or, its order being depth first, may not, and decides.
+
+    A support of M + W is the sum of those of its terms (Le Guernic &
+    Girard 2010), each from one stacked product for all the pairs
+    (``_Images``, ``_Polygons``), bitwise its own query; the gaps are
+    ``_local_gaps`` and the directions ``_Directions``, so every entry
+    is bitwise the depth-first one.  With at most ``max_constraints - 4``
+    open wedges no wedge of the depth-first order meets a spent budget."""
+    T = len(sets)
+    images, polygons = _Images([X.left for X in sets]), _Polygons([X.right for X in sets])
+    directions = _Directions()
+    failed = np.zeros(T, dtype=bool)
+    opened = np.zeros(T, dtype=np.intp)
+
+    def query(t, d):
+        L = directions.table[d]
+        rho_m, s_m = images.supports(t, L)
+        rho_w, s_w, plain = polygons.supports(t, L)
+        rho, s = rho_m + rho_w, s_m + s_w
+        failed[t[~(plain & np.isfinite(rho) & np.isfinite(s).all(axis=1))]] = True
+        return rho, s
+
+    t, d = np.repeat(np.arange(T), 4), np.tile(np.arange(4), T)
+    rho, s = query(t, d)
+    entries = [(t, d, rho)]
+    # the open wedges: set t, from direction i with its entry (r1, s1) to
+    # direction j with its entry (r2, s2); first the four of the start
+    nxt = 4 * t + (d + 1) % 4
+    i, r1, s1, j, r2, s2 = d, rho, s, d[nxt], rho[nxt], s[nxt]
+    while True:
+        gap = _local_gaps(directions.table[i], r1, s1, directions.table[j], r2, s2)
+        live = ~(gap <= eps) & ~failed[t]
+        opened += np.bincount(t[live], minlength=T)
+        failed |= opened > max_constraints - 4
+        t, i, r1, s1, j, r2, s2 = (a[live] for a in (t, i, r1, s1, j, r2, s2))
+        m = directions.bisectors(i, j)
+        split = (m >= 0) & ~failed[t]
+        t, i, r1, s1, j, r2, s2, m = (a[split] for a in (t, i, r1, s1, j, r2, s2, m))
+        if not len(t):
+            break
+        rho, s = query(t, m)
+        entries.append((t, m, rho))
+        t, i, j = np.concatenate([t, t]), np.concatenate([i, m]), np.concatenate([m, j])
+        r1, r2 = np.concatenate([r1, rho]), np.concatenate([rho, r2])
+        s1, s2 = np.concatenate([s1, s]), np.concatenate([s, s2])
+
+    t, d, rho = (np.concatenate(a) for a in zip(*entries))
+    done = ~failed[t]
+    t, d, rho = t[done], d[done], rho[done]
+    order = np.lexsort((np.array(directions.key)[d], t))
+    ends = np.cumsum(np.bincount(t, minlength=T))
+    normals = np.split(directions.table[d[order]], ends[:-1])
+    offsets = np.split(rho[order], ends[:-1])
+    return [None if f else (A, b) for f, A, b in zip(failed, normals, offsets)]
+
+
+def _overapproximate_eps_all(sets, eps, max_constraints=10_000):
+    """Yield ``overapproximate_eps(X, eps, max_constraints)`` for each of
+    ``sets`` in turn, bit for bit, so the first error raised is the one
+    of the loop over the sets.  The sets M + W of a tube's lazy steps
+    are refined together, one breadth-first walk (``_eps_walk``) for
+    each shape of M, on the first request; each other set, and each that
+    a walk leaves, is refined alone."""
+    shapes = {}
+    for t, X in enumerate(sets):
+        if eps > 0 and (shape := _walk_shape(X)) is not None:
+            shapes.setdefault(shape, []).append(t)
+    found = {}
+    for ts in shapes.values():
+        found.update(zip(ts, _eps_walk([sets[t] for t in ts], eps, max_constraints)))
+    for t, X in enumerate(sets):
+        constraints = found.get(t)
+        yield (overapproximate_eps(X, eps, max_constraints) if constraints is None
+               else HPolygon._from_sorted(*constraints))
+
+
+def _approximate_all(sets, scheme):
+    """``[approximate(X, scheme) for X in sets]``, bit for bit and with
+    the same first error, the planar sets of the ε-close scheme refined
+    together (``_overapproximate_eps_all``)."""
+    if not isinstance(scheme, EpsilonClose):
+        return [approximate(X, scheme) for X in sets]
+    polygons = _overapproximate_eps_all([X for X in sets if X.dim == 2], scheme.eps)
+    return [next(polygons) if X.dim == 2 else overapproximate_box(X) for X in sets]
 
 
 def approximate(X, scheme):

@@ -20,7 +20,10 @@ import numpy as np
 from .approx import (
     BlockStructure,
     BoxDirections,
+    _approximate_all,
+    _box_bounds,
     _box_bounds_rows,
+    _polygon_box_rows,
     approximate,
     decompose,
     overapproximate_box,
@@ -184,6 +187,24 @@ class SetTube(ReachTube):
 
     def _block_supports(self, k, block, L_b, _L_b_abs):
         return self.steps[k][block].support_batch(L_b)
+
+    def box_bounds(self):
+        """As ``ReachTube.box_bounds``, with the hulls of a block's
+        polygons from one query of them all in +-e_i
+        (``_polygon_box_rows``), bitwise each step's ``box_hull``.  The
+        other steps, and all the steps of a block for which that query
+        declines, take their own hull, in turn, so an error is the one of
+        the first step that raises it."""
+        out = {}
+        for i in self.tracked:
+            sets = [step[i] for step in self.steps]
+            ks = [k for k, X in enumerate(sets) if isinstance(X, HPolygon)]
+            rows = _polygon_box_rows([sets[k] for k in ks]) if ks else None
+            hulls = {} if rows is None else dict(zip(ks, zip(*rows)))
+            bounds = [hulls[k] if k in hulls else _box_bounds(X)
+                      for k, X in enumerate(sets)]
+            out[i] = (np.array([c for c, _ in bounds]), np.array([r for _, r in bounds]))
+        return out
 
     def supports(self, directions):
         """As ``ReachTube.supports``, with the polygons of each block
@@ -489,20 +510,21 @@ def _box_tube(sys, N, bs, tracked):
                    isinstance(x, Singleton))
 
 
-def _steps(sys, N, bs, blocks, scheme, collapse=True):
+def _steps(sys, N, bs, blocks, scheme):
     """The set engine, for any scheme (the box scheme has ``_box_steps``):
     yield {block: set} for the steps k = 0..N-1 of the recurrence, for the
-    row blocks ``blocks``, as lazy sets or, with ``collapse``, collapsed
-    through ``scheme``.
+    row blocks ``blocks``: step 0 the decomposed initial blocks, and every
+    later step lazy, for the tube to collapse (``_reach``) or the checker
+    to query (``_lazy_supports``).
 
     Step k is Phi^k applied to the decomposed initial blocks plus the
     inputs, accumulated and collapsed through ``scheme`` every step
     (``_set_inputs``); only the rows of Phi^k and Phi^(k-1) in ``blocks``
-    are carried.  A lazy step of block i is R_i X0, for the product X0 of
-    the decomposed initial blocks and the block's rows R_i of Phi^k, plus
-    its input accumulation.  R_i X0 is the sum over the blocks j of X0 of
-    their vertex images under the 2 x 2 blocks of R_i, formed in one
-    product from the vertex table of X0, built once per run
+    are carried.  A lazy step of block i is M + W: M = R_i X0, for the
+    product X0 of the decomposed initial blocks and the block's rows R_i
+    of Phi^k, and W its input accumulation.  M is the sum over the blocks
+    j of X0 of their vertex images under the 2 x 2 blocks of R_i, formed
+    in one product from the vertex table of X0, built once per run
     (``VertexImageSum``): a support query is one product with these
     points and a maximum per block, with no search.
     """
@@ -516,21 +538,52 @@ def _steps(sys, N, bs, blocks, scheme, collapse=True):
     power = MatrixPowerState(sys.phi, blocks)
     for k in range(1, N):
         W = inputs(k, power.P.data)
-        out = {}
-        for i, s in rows.items():
-            image = VertexImageSum.of_columns(table, power.Q.data[s])
-            combined = MinkowskiSum(image, W[i])
-            out[i] = approximate(combined, scheme) if collapse else combined
-        yield out
+        yield {i: MinkowskiSum(VertexImageSum.of_columns(table, power.Q.data[s]), W[i])
+               for i, s in rows.items()}
         power.advance()
 
 
+def _step_chunks(steps):
+    """Lists of consecutive lazy steps of ``_steps``, each of as many steps
+    as fit in ``_CHUNK_ENTRIES`` entries of image points, and never fewer
+    than one.  An error in forming a step ends its chunk: the steps
+    before it are yielded, and the error is raised when the next chunk is
+    asked for, so that a consumer meets errors in step order."""
+    chunk, error = [], None
+    try:
+        for step in steps:
+            chunk.append(step)
+            entries = sum(X.left._points.size for X in chunk[0].values())
+            if (len(chunk) + 1) * entries > _CHUNK_ENTRIES:
+                yield chunk
+                chunk = []
+    except EngineError as exc:
+        error = exc
+    if chunk:
+        yield chunk
+    if error is not None:
+        raise error
+
+
 def _reach(sys, N, tracked, scheme):
+    """The tube of a run: the box engine's arrays under the box scheme
+    (``_box_tube``); otherwise the set engine's steps, each lazy step
+    collapsed through ``scheme``, a chunk of steps at a time
+    (``_step_chunks``), by one call for all the blocks of the chunk's
+    steps (``approx._approximate_all``), which refines the planar ones
+    of the ε-close scheme in one breadth-first walk.  The steps, their
+    sets and their errors, in step order, are those of collapsing each
+    set in turn."""
     N, bs, tracked = _checked_run(sys, N, tracked)
     with np.errstate(over="ignore", invalid="ignore"):     # see _box_tube
         if isinstance(scheme, BoxDirections):
             return _box_tube(sys, N, bs, tracked)
-        steps = list(_steps(sys, N, bs, tracked, scheme))
+        lazy = _steps(sys, N, bs, tracked, scheme)
+        steps = [next(lazy)]
+        for chunk in _step_chunks(lazy):
+            done = iter(_approximate_all([X for step in chunk for X in step.values()],
+                                         scheme))
+            steps += [{i: next(done) for i in step} for step in chunk]
     return SetTube(sys.delta, sys.model, bs, tracked, steps)
 
 
@@ -714,7 +767,7 @@ def _lazy_supports(sys, N, L, scheme=BoxDirections()):
         yield from (np.zeros(m) for _ in range(N))
         return
     if not isinstance(scheme, BoxDirections):
-        for k, sets in enumerate(_steps(sys, N, bs, blocks, scheme, collapse=False)):
+        for k, sets in enumerate(_steps(sys, N, bs, blocks, scheme)):
             yield _finite_step(k, _support_sum(parts, m, lambda i, L_b, _:
                                                sets[i].support_batch(L_b)))
         return

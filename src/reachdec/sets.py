@@ -610,11 +610,11 @@ class HPolygon(LazySet):
 
     @classmethod
     def _from_sorted(cls, normals, offsets):
-        """The polygon of constraints whose normals, float pairs, are
-        distinct and already in the angular order, such as support
-        evaluations of a set in increasing direction angle, with their
-        offsets, floats: scaled to unit normals as `_normalised` scales
-        them, without its checks, without sorting and without the
+        """The polygon of constraints whose normals, m float pairs or an
+        (m, 2) array, are distinct and already in the angular order, such
+        as support evaluations of a set in increasing direction angle,
+        with their m offsets: scaled to unit normals as `_normalised`
+        scales them, without its checks, without sorting and without the
         feasibility check."""
         A, b = np.array(normals), np.array(offsets)
         norms = np.hypot(A[:, 0], A[:, 1])
@@ -773,33 +773,72 @@ class HPolygon(LazySet):
         """The supports in the rows of L, whose searches found ``idx``."""
         for i in self._near_parallel.intersection(idx):
             self._exact_vertex(i)  # raises on a degenerate pair
-        # a stack of 1x2 by 2x1 products rounds each row as `l @ v` does
-        return (L[:, None, :] @ self._vertices[idx][:, :, None]).ravel()
+        return _row_dots(L, self._vertices[idx])
 
     @staticmethod
     def _search_all(polygons, L):
         """`_search` of every row of L, (r, 2), in each of ``polygons``, as
-        an (S, r) list of lists: its binary search run on all the pairs at
+        an (S, r) list of lists, from one pairwise search over their
+        product (`_Polygons.search`)."""
+        S, r = len(polygons), len(L)
+        which = np.repeat(np.arange(S), r)
+        idx = _Polygons(polygons).search(which, np.tile(L[:, 0], S),
+                                         np.tile(L[:, 1], S))
+        return idx.reshape(S, r).tolist()
+
+
+def _row_dots(L, V):
+    """The dot of each row of L with the same row of V: a stack of 1x2 by
+    2x1 products rounds each row as `l @ v` does."""
+    return (L[:, None, :] @ V[:, :, None]).ravel()
+
+
+class _Polygons:
+    """A list of polygons with their tables concatenated, to answer
+    (polygon, direction) pairs of any of them in a few array operations,
+    each pair bitwise as its polygon's own query answers it."""
+
+    def __init__(self, polygons):
+        m = np.array([len(P._sec_list) for P in polygons])
+        self.start, self.last = np.cumsum(m) - m, m - 1
+        A = np.concatenate([P.normals for P in polygons])
+        self.ax, self.ay = A[:, 0], A[:, 1]
+        self.sec = _sectors(self.ax, self.ay)
+        self.vertices = np.concatenate([P._vertices for P in polygons])
+        self.near = np.zeros(len(A), dtype=bool)
+        for start, P in zip(self.start, polygons):
+            self.near[[start + i for i in P._near_parallel]] = True
+
+    def search(self, which, x, y):
+        """`HPolygon._search` of the direction (x[j], y[j]) in polygon
+        which[j], for every j: its binary search run on all the pairs at
         once, with the same sector and cross-product comparisons,
         elementwise, so each index is the one `_search` finds."""
-        m = np.array([len(P._ax) for P in polygons])
-        start, last = (np.cumsum(m) - m)[:, None], (m - 1)[:, None]
-        A = np.concatenate([P.normals for P in polygons])
-        ax, ay, sec = A[:, 0], A[:, 1], _sectors(A[:, 0], A[:, 1])
-        x, y = L[:, 0], L[:, 1]
+        start, last = self.start[which], self.last[which]
         s = _sectors(x, y)
 
-        def leq(i):   # `_angle_leq` of normal i of each polygon and each row
+        def leq(i):   # `_angle_leq` of normal i of each pair's polygon
             j = start + i
-            return (sec[j] < s) | ((sec[j] == s) & (ax[j] * y - ay[j] * x >= 0.0))
+            return ((self.sec[j] < s)
+                    | ((self.sec[j] == s) & (self.ax[j] * y - self.ay[j] * x >= 0.0)))
 
-        lo, hi = np.zeros((len(m), len(L)), dtype=np.intp), last
+        lo, hi = np.zeros_like(last), last
         while (active := lo < hi).any():
             mid = (lo + hi + 1) // 2
             below = leq(mid)
             lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid - 1, hi)
         idx = np.where(leq(0), lo, last)
-        return np.where((x == 0.0) & (y == 0.0), 0, idx).tolist()
+        return np.where((x == 0.0) & (y == 0.0), 0, idx)
+
+    def supports(self, which, L):
+        """(rho, v, plain) of the pairs (polygon which[j], row L[j]): the
+        support values and the vertices that `HPolygon._rho_sigma` takes,
+        and plain[j] False where that vertex is a near-parallel pair's,
+        which a query solves again (`HPolygon._exact_vertex`) and may
+        reject."""
+        rows = self.start[which] + self.search(which, L[:, 0], L[:, 1])
+        v = self.vertices[rows]
+        return _row_dots(L, v), v, ~self.near[rows]
 
 
 #: the rows of I and of -I that `LazySet._axis_supports` asks for the
@@ -1106,6 +1145,28 @@ class VertexImageSum(LazySet):
                                                           self._count)
         return (np.add.reduce(pts.max(axis=2), axis=1),
                 np.add.reduce(-pts.min(axis=2), axis=1))
+
+
+class _Images:
+    """A list of `VertexImageSum` sets of one shape (dimension, parts and
+    points per part), their image points stacked: the supports of (set,
+    direction) pairs from one stacked product, each pair bitwise
+    `VertexImageSum._rho_sigma`."""
+
+    def __init__(self, images):
+        self.points = np.stack([X._points for X in images])
+        self.parts, self.count = images[0]._parts, images[0]._count
+
+    def supports(self, which, L):
+        """(rho, sigma) of the pairs (set which[j], row L[j])."""
+        G = self.points[which]
+        # a stack of (P K, d) by (d, 1) products rounds each as the product
+        # of one direction does; one (P K, d) by (d, m) product does not
+        vals = (G @ L[:, :, None])[..., 0]
+        rows = (np.arange(self.parts) * self.count
+                + vals.reshape(len(L), self.parts, self.count).argmax(axis=2))
+        return (np.add.reduce(np.take_along_axis(vals, rows, axis=1), axis=1),
+                np.add.reduce(np.take_along_axis(G, rows[:, :, None], axis=1), axis=1))
 
 
 def minkowski_sum_all(parts):

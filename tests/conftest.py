@@ -16,6 +16,7 @@ from reachdec import (
     Hyperrectangle,
     Singleton,
 )
+from reachdec.approx import approximate
 from reachdec.reach import SetTube, _checked_run, _steps
 
 
@@ -79,12 +80,19 @@ def random_stable_matrix(rng, n, cap=0.95, sparse=False):
 def generic_tube(sys, N, tracked=None, scheme=BoxDirections(), lazy=False):
     """The tube of `reach_decomposed` (or `reach_decomposed_varying`) as the
     set engine `reachdec.reach._steps` builds it for any scheme: step sets,
-    with the inputs collapsed through ``scheme`` every step.  Under the box
-    scheme it is the generic reference for the closed-form box engine."""
+    with the inputs collapsed through ``scheme`` every step, and the lazy
+    steps too unless ``lazy``, each set in turn by `approximate`.  Under
+    the box scheme it is the generic reference for the closed-form box
+    engine, and under the ε-close scheme the per-step reference for the
+    tube's walk over a chunk of steps."""
     N, bs, tracked = _checked_run(sys, N, tracked)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = list(_steps(sys, N, bs, tracked, scheme, collapse=not lazy))
-    return SetTube(sys.delta, sys.model, bs, tracked, steps)
+        steps = _steps(sys, N, bs, tracked, scheme)
+        out = [next(steps)]
+        for step in steps:
+            out.append(step if lazy else
+                       {i: approximate(X, scheme) for i, X in step.items()})
+    return SetTube(sys.delta, sys.model, bs, tracked, out)
 
 
 def augmented_exponential(A, delta):

@@ -1,27 +1,41 @@
 """The sum of vertex images of decomposed blocks (`VertexImageSum`)
-against the lazy map of their product, and the scaling of the ε-close
-engine that uses it."""
+against the lazy map of their product, and the ε-close engine that uses
+it: its scaling, and its walk over the steps of a tube against the
+refinement of each step alone."""
+
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_polygon
+import reachdec.approx
+import reachdec.reach
+from conftest import generic_tube, random_polygon, random_stable_matrix
 from reachdec import (
     BallP,
     BlockStructure,
     CartesianProduct,
     DegeneratePolygonError,
     DiscreteSystem,
+    EngineError,
     EpsilonClose,
     HPolygon,
     Hyperrectangle,
     LinearMap,
+    MinkowskiSum,
     Singleton,
+    UnboundedSetError,
+    overapproximate_eps,
     reach_decomposed,
+    reach_decomposed_varying,
 )
-from reachdec.sets import VertexImageSum, _Matrix, vertex_table
+from reachdec.approx import _overapproximate_eps_all
+from reachdec.reach import ReachTube, SetTube
+from reachdec.sets import VertexImageSum, _Images, _Matrix, _Polygons, vertex_table
 
 
 def random_part(rng, dim):
@@ -120,16 +134,22 @@ def test_a_near_parallel_polygon_pair_is_reported():
 
 def test_eps_step_queries_do_not_grow_with_the_dimension(monkeypatch):
     # one tracked block of a block-diagonal system: the polygon searches of
-    # a run are the same at every n, since the untracked blocks of X0 are
-    # read through their vertex images, not searched
+    # a run, one direction at a time or pairwise for the tube's walk, are
+    # the same at every n, since the untracked blocks of X0 are read
+    # through their vertex images, not searched
     calls = []
-    search = HPolygon._search
+    search, search_pairs = HPolygon._search, _Polygons.search
 
     def counted(self, x, y):
         calls.append(1)
         return search(self, x, y)
 
+    def counted_pairs(self, which, x, y):
+        calls.append(len(x))
+        return search_pairs(self, which, x, y)
+
     monkeypatch.setattr(HPolygon, "_search", counted)
+    monkeypatch.setattr(_Polygons, "search", counted_pairs)
     R = np.array([[0.99, -0.05], [0.05, 0.99]])
     counts = []
     for n in (8, 32):
@@ -139,5 +159,175 @@ def test_eps_step_queries_do_not_grow_with_the_dimension(monkeypatch):
         calls.clear()
         tube = reach_decomposed(sys, 20, tracked=[0], scheme=EpsilonClose(0.01))
         assert isinstance(tube.set_at(19, 0), HPolygon)
-        counts.append(len(calls))
+        counts.append(sum(calls))
     assert counts[0] == counts[1] > 0
+
+
+#: a polygon whose normals (1, 0) and (1, 1e-13) meet at a degenerate
+#: vertex, which a query in the direction (1, 0) solves again and rejects
+DEGENERATE = HPolygon([[1.0, 0.0], [1.0, 1e-13], [-1.0, 1.0], [-1.0, -1.0]],
+                      [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+
+
+def lazy_step(rng, parts):
+    """A set M + W as a tube's lazy step is: the image M of the product
+    of ``parts`` under a random 2 x n map, plus a polygon W (a box or a
+    point now and then, which the walk leaves to the refinement alone)."""
+    n = sum(X.dim for X in parts)
+    M = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-1, 1)
+    W = random_part(rng, 2) if rng.random() < 0.2 else HPolygon(
+        *(lambda P: (P.normals, P.offsets + P.normals @ rng.uniform(-2, 2, 2)))(
+            random_polygon(rng, 3, 12)))
+    return MinkowskiSum(VertexImageSum.of_columns(vertex_table(parts), M), W)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message of its error."""
+    try:
+        return run()
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def polygon_bytes(polygons):
+    """The constraint bytes of each of ``polygons``, formed in turn."""
+    return [(P.normals.tobytes(), P.offsets.tobytes()) for P in polygons]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.booleans(),
+       st.sampled_from([1e-1, 1e-2, 1e-3]),
+       st.sampled_from(["none", "overflow", "budget", "near"]))
+def test_eps_walk_is_bitwise_each_refinement(seed, count, shared, eps, fault):
+    # products of up to 10 parts, so the sums of the maxima over the parts
+    # take numpy's pairwise order; one table for all, as in a tube, or a
+    # table per set, so the walk stacks images of several shapes
+    rng = np.random.default_rng(seed)
+
+    def parts():
+        bs = BlockStructure(int(rng.integers(1, 21)))
+        return [random_part(rng, bs.size(j)) for j in range(bs.b)]
+
+    table = parts()
+    sets = [lazy_step(rng, table if shared else parts()) for _ in range(count)]
+    budget = 10_000
+    at = int(rng.integers(count))
+    if fault == "overflow":   # image points of 3e308
+        with np.errstate(over="ignore"):
+            image = VertexImageSum.of_columns(vertex_table([Singleton([3.0, 3.0])]),
+                                              1e308 * np.eye(2))
+        sets[at] = MinkowskiSum(image, sets[at].right)
+    elif fault == "budget":   # just enough for the first set, or one short
+        budget = len(overapproximate_eps(sets[0], eps).offsets) - int(rng.integers(2))
+    elif fault == "near":
+        sets[at] = MinkowskiSum(sets[at].left, DEGENERATE)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the tube runs
+        want = outcome(lambda: polygon_bytes(overapproximate_eps(X, eps, budget)
+                                             for X in sets))
+        with mock.patch.object(reachdec.approx, "overapproximate_eps",
+                               wraps=overapproximate_eps) as alone:
+            got = outcome(lambda: polygon_bytes(
+                _overapproximate_eps_all(sets, eps, budget)))
+    assert got == want
+    if fault == "none":   # the walk refines every set of a polygon W
+        assert alone.call_count == sum(not isinstance(X.right, HPolygon) for X in sets)
+    elif fault != "budget":
+        assert isinstance(want, tuple)
+
+
+def tube_bytes(tube):
+    """The constraint bytes of every polygon of a tube, step by step."""
+    return [(k, i, P.normals.tobytes(), P.offsets.tobytes())
+            for k, i, P in tube.polygons()]
+
+
+@pytest.mark.parametrize("N, bad", [(4, None), (8, None), (8, 3), (8, 4), (8, 6)])
+def test_eps_tube_chunks_are_the_per_step_loop(monkeypatch, N, bad):
+    # Phi = 1e50 I and x0 = 1e110: the tube's step 4 overflows.  The input
+    # V(bad - 1), a degenerate polygon, ends the accumulation W_bad, which
+    # the per-step loop forms before the tube of step bad: a chunk of one
+    # step, of three or of the default size fails as that loop does
+    seq = [Hyperrectangle(np.zeros(2), np.full(2, 1e-300))] * N
+    if bad is not None:
+        seq[bad - 1] = DEGENERATE
+    sys = DiscreteSystem(1e50 * np.eye(2), Singleton([1e110, 1.0]), seq, 1.0)
+    scheme = EpsilonClose(0.1)
+    want = outcome(lambda: tube_bytes(generic_tube(sys, N, scheme=scheme)))
+    if N == 4:
+        assert len(want) == 3
+    else:
+        assert want[0] is (DegeneratePolygonError if bad in (3, 4) else UnboundedSetError)
+    # a lazy step holds 2 entries of image points: the point of x0's block
+    for entries in (1, 3 * 2, reachdec.reach._CHUNK_ENTRIES):
+        monkeypatch.setattr(reachdec.reach, "_CHUNK_ENTRIES", entries)
+        got = outcome(lambda: tube_bytes(reach_decomposed_varying(sys, N, scheme=scheme)))
+        assert got == want
+
+
+def bisection_depth(a):
+    """The level of the refinement at which the normal a is formed: the
+    start directions are at level 0, and a bisector at level d is an odd
+    multiple of pi / 2^(d+1) from (0, -1)."""
+    p = (np.arctan2(a[1], a[0]) / (np.pi / 2) + 1.0) % 4.0
+    return next(d for d in range(40) if abs(p * 2 ** d - round(p * 2 ** d)) < 1e-6)
+
+
+def test_eps_tube_makes_one_query_per_level_of_each_chunk(monkeypatch):
+    # a 40-step run of one block in chunks of 10 steps: each chunk is one
+    # walk, which asks one stacked query per level of its deepest
+    # refinement, and no lazy step is queried one direction at a time
+    walks, queries = [], []
+    walk, supports = reachdec.approx._eps_walk, _Images.supports
+
+    def counted_walk(sets, eps, max_constraints):
+        walks.append(len(sets))
+        queries.append(0)
+        return walk(sets, eps, max_constraints)
+
+    def counted_supports(self, which, L):
+        queries[-1] += 1
+        return supports(self, which, L)
+
+    def lone(self, l):
+        raise AssertionError("a lazy step was queried one direction at a time")
+
+    monkeypatch.setattr(reachdec.approx, "_eps_walk", counted_walk)
+    monkeypatch.setattr(_Images, "supports", counted_supports)
+    monkeypatch.setattr(VertexImageSum, "_rho_sigma", lone)
+    # a lazy step holds 8 entries of image points: the 4 corners of x0's box
+    monkeypatch.setattr(reachdec.reach, "_CHUNK_ENTRIES", 80)
+    R = np.array([[0.99, -0.05], [0.05, 0.99]])
+    sys = DiscreteSystem(R, Hyperrectangle([1.0, 0.0], [0.1, 0.2]),
+                         BallP(np.zeros(2), 0.01, 2), 0.1)
+    tube = reach_decomposed(sys, 40, scheme=EpsilonClose(0.01))
+    assert walks == [10, 10, 10, 9]
+    levels = [1 + max(bisection_depth(a) for a in tube.set_at(k, 0).normals)
+              for k in range(1, 40)]
+    assert max(levels) > 2
+    assert queries == [max(levels[lo:lo + 10]) for lo in range(0, 39, 10)]
+
+
+def test_set_tube_box_bounds_are_bitwise_each_hull():
+    # two tracked blocks of an odd n, one of them the interval of size 1
+    rng = np.random.default_rng(35)
+    sys = DiscreteSystem(random_stable_matrix(rng, 5), BallP(np.ones(5), 0.3, 2),
+                         Hyperrectangle(np.zeros(5), np.full(5, 0.01)), 0.1)
+    tube = reach_decomposed(sys, 30, tracked=[1, 2], scheme=EpsilonClose(0.01))
+    got, want = tube.box_bounds(), ReachTube.box_bounds(tube)
+    assert list(got) == list(want) == [1, 2]
+    for i in want:
+        for g, w in zip(got[i], want[i]):
+            assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+    # a near-parallel vertex, which a query solves again: a valid one
+    # gives the same hulls, a degenerate one the same error, in step order
+    near = HPolygon([[1.0, 0.0], [1.0, 1.5e-12], [-1.0, 1.0], [-1.0, -1.0]],
+                    [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+    P = tube.set_at(1, 1)
+    bs = BlockStructure(2)
+    for steps in ([P, near, P], [P, DEGENERATE, near]):
+        hand = SetTube(0.1, tube.model, bs, [0], [{0: X} for X in steps])
+        got = outcome(lambda: [[a.tobytes() for a in b] for b in hand.box_bounds()[0]])
+        want = outcome(lambda: [[a.tobytes() for a in b]
+                                for b in ReachTube.box_bounds(hand)[0]])
+        assert got == want
+    assert want[0] is DegeneratePolygonError
