@@ -88,31 +88,29 @@ def overapproximate_box(X):
 
 
 def _box_bounds(X):
-    """(center, radius) of ``overapproximate_box(X)``, without building it."""
+    """(center, radius) of ``overapproximate_box(X)``, without building it;
+    a support, center or radius beyond the float range is refused, with
+    numpy's overflow warnings off."""
     if isinstance(X, Hyperrectangle):
         return X.center, X.radius
-    return _box_from_supports(*X._axis_supports(None))
-
-
-def _box_from_supports(hi, nlo):
-    """(center, radius) of the box whose support values in +e_i and in
-    -e_i are hi and nlo (``LazySet._axis_supports``), under the checks of
-    ``overapproximate_box`` and of ``Hyperrectangle``."""
-    lo = -nlo
-    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-        raise UnboundedSetError("overapproximate_box: non-finite support value",
-                                module="approx")
-    c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
-    if not (np.isfinite(c).all() and np.isfinite(r).all() and (r >= 0.0).all()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, nlo = X._axis_supports(None)
+        lo = -nlo
+        c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+    for what, values in (("support value", (hi, lo)), ("center or radius", (c, r))):
+        if not all(np.isfinite(v).all() for v in values):
+            raise UnboundedSetError(f"overapproximate_box: non-finite {what}",
+                                    module="approx")
+    if not (r >= 0.0).all():
         Hyperrectangle(c, r)    # raises the error of the box
     return c, r
 
 
 def _box_rows(hi, nlo):
-    """(C, R): row j is ``_box_from_supports(hi[j], nlo[j])``, from one
-    array expression, or None when some row fails its checks: computed
-    with numpy's overflow warnings off, the rows then leave the error to
-    each set's own walk."""
+    """(C, R): row j is the (center, radius) that ``_box_bounds`` forms
+    from the supports hi[j] and nlo[j], from one array expression, or
+    None when some row fails its checks: computed with numpy's overflow
+    warnings off, the rows then leave the error to each set's own walk."""
     with np.errstate(over="ignore", invalid="ignore"):
         lo = -nlo
         c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -146,9 +144,9 @@ def _box_bounds_rows(sets):
     (``_common_matrix``; Phi1 B for inputs through B), M is composed once,
     as each set's axis walk composes it, and the rows come from two
     stacked products, M c_j and |M| r_j, with the arithmetic of
-    ``_box_from_supports`` (``_mapped_box_rows``).  Otherwise, or when
+    ``_box_bounds`` (``_mapped_box_rows``).  Otherwise, or when
     some row fails the checks, each set takes its own ``_box_bounds``, in
-    turn, so the error and the numpy warnings are those of that walk."""
+    turn, so the error is the one of that walk."""
     T, operands = None, sets
     while (m := _common_matrix(operands)) is not None:
         T, operands = _transform_compose(T, m), [V.operand for V in operands]
@@ -182,14 +180,9 @@ def _mapped_box_rows(m, operands):
     boxes or points, one per row, as ``_box_bounds`` of each map forms
     them: hi = M c + |M| r and nlo = -M c + |M| r for a box, M p and -M p
     for a point.  None when some operand is another set or some row fails
-    the checks of ``_box_from_supports``: computed with numpy's overflow
+    the checks of ``_box_bounds``: computed with numpy's overflow
     warnings off, the rows then leave the error to each set's own walk.
-    None also for a CSR M that is not in canonical form (sorted indices,
-    no duplicates): scipy puts M in that form in place when it forms |M|,
-    and that moves the order of the sums of M's later products, so each
-    set's own walk keeps the order it has met M in."""
-    if issparse(m.M) and not m.M.has_canonical_format:
-        return None
+    A sparse M is canonical (`_Matrix`): |M| does not reorder it."""
     box = np.array([isinstance(U, Hyperrectangle) for U in operands])
     if not all(b or isinstance(U, Singleton) for b, U in zip(box, operands)):
         return None

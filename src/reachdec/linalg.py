@@ -14,7 +14,11 @@ coordinate file as it loads them (an array file is always dense),
 ``BlockMatrix.principal`` to the entries of a cut, and
 ``BlockMatrix.stored`` to a CSR result such as exp(A delta).
 
-A CSR matrix read from a file, or cut by ``principal``, is held as its
+Sparse storage has one form, canonical CSR: sorted column indices, each
+position stored once (Saad, 2003, 3.4).  A file's repeated positions are
+summed once at load, and any other CSR array is made canonical once, on
+a copy (``_canonical``), so no product depends on the order of entries.
+A CSR matrix read from a file, or cut by ``principal``, is held as these
 entries and the block table the storage rule read until a product or a
 slice needs the CSR array, so a run whose closure is stored dense loads
 no scipy module even when A is CSR by the rule.  ``scipy.sparse`` is
@@ -80,21 +84,27 @@ def issparse(M):
     return sp is not None and sp.issparse(M)
 
 
-def _unique(keys, inverse=False):
+def _canonical(M):
+    """The sparse array M in canonical form: M itself, or a canonical copy.
+    scipy would sort M in place when it first needs the form (for |M|),
+    changing the order of the sums of M's later products."""
+    if M.has_canonical_format:
+        return M
+    M = M.copy()
+    M.sum_duplicates()
+    return M
+
+
+def _unique(keys, first=False):
     """The sorted distinct values of the 1-D array ``keys``, and with
-    ``inverse`` the index of each entry's value among them: what
-    ``np.unique`` returns, without its import of ``numpy.ma`` (through
-    ``np.ma.is_masked``), which a process that parses a CSR-stored matrix
-    would otherwise pay for."""
-    order = np.argsort(keys, kind="stable") if inverse else None
-    ordered = keys[order] if inverse else np.sort(keys)
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    if not inverse:
-        return ordered[first]
-    at = np.empty(len(keys), dtype=np.intp)
-    at[order] = np.cumsum(first) - 1
-    return ordered[first], at
+    ``first`` the index of each value's first entry: ``np.unique`` (with
+    ``return_index``) without its import of ``numpy.ma`` (through
+    ``np.ma.is_masked``), which parsing a CSR-stored matrix would pay."""
+    order = np.argsort(keys, kind="stable") if first else None
+    ordered = keys[order] if first else np.sort(keys)
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return (ordered[new], order[new]) if first else ordered[new]
 
 
 def _occupied_blocks(rows, cols, shape):
@@ -182,11 +192,12 @@ class BlockMatrix:
     (dense).  Every block query reads the one table of the occupied blocks
     (``_block_table``) and, for values, ``_block_values``.
 
-    Sparse storage may be held as its entries (rows, cols, vals), repeated
-    positions not yet summed, as ``read_matrix_market`` and ``principal``
-    make it: the CSR array is then built on the first access to ``data``.
-    ``shape``, ``principal``, ``block_density``, ``nonzero_col_blocks``
-    and ``block_closure`` read the entries alone, so they import no scipy.
+    Sparse storage is canonical CSR (``_canonical``).  It may be held as
+    its entries (rows, cols, vals) in row and column order, as
+    ``read_matrix_market`` and ``principal`` make them: the CSR array is
+    then built on the first access to ``data``.  ``shape``, ``principal``,
+    ``block_density``, ``nonzero_col_blocks`` and ``block_closure`` read
+    the entries alone, so they import no scipy.
     """
 
     #: held entries, and what is built from the storage on first use
@@ -195,8 +206,8 @@ class BlockMatrix:
     def __init__(self, data):
         if issparse(data):
             from scipy import sparse as sp
-            self._data = sp.csr_array(data)
-            if self._data.nnz and not np.all(np.isfinite(self._data.data)):
+            self._data = _canonical(sp.csr_array(data))
+            if not np.all(np.isfinite(self._data.data)):
                 raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
         else:
             arr = np.asarray(data, dtype=float)
@@ -213,15 +224,16 @@ class BlockMatrix:
 
     @property
     def data(self):
-        """The read-only ndarray or the CSR array, built from the entries
-        on first access."""
+        """The read-only ndarray or the CSR array, built from the held
+        entries on first access."""
         if self._data is None:
             from scipy import sparse as sp
             rows, cols, vals = self._entries
-            csr = sp.csr_array((vals, (rows, cols)), shape=self._shape)
-            if not np.all(np.isfinite(csr.data)):
-                raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
-            self._data = csr
+            # int32 indices while they fit, as scipy's own CSR build gives
+            idx = np.int32 if max(*self._shape, vals.size) < 2 ** 31 else np.int64
+            indptr = np.searchsorted(rows, np.arange(self._shape[0] + 1))
+            self._data = sp.csr_array((vals, cols.astype(idx, copy=False),
+                                       indptr.astype(idx)), shape=self._shape)
         return self._data
 
     # -- basic properties ----------------------------------------------
@@ -267,8 +279,8 @@ class BlockMatrix:
 
     def _block_values(self):
         """The occupied blocks in key order, padded to 2x2 with zeros, read
-        off ``data`` on the first call: sparse entries summed in storage
-        order from 0.0, as ``toarray`` does, dense blocks copied bitwise."""
+        off ``data`` on the first call: sparse entries added to 0.0, as
+        ``toarray`` does, dense blocks copied bitwise."""
         if self._values is None:
             keys, _ = self._block_table()
             cb = self._blocks(1).b
@@ -778,23 +790,28 @@ def _entries(path, body, dtype, count):
 
 
 def _stored(rows, cols, vals, shape):
-    """The matrix of the entries (rows[e], cols[e], vals[e]), repeated
-    positions summed in the order given, stored by the block rule: dense,
-    or held as the entries with the block table the rule read.  A
-    non-finite sum is refused here, though the CSR array may never be
-    built (``data`` checks it again: scipy may sum repeats in another order)."""
+    """The matrix of the entries (rows[e], cols[e], vals[e]) stored by the
+    block rule: dense, or held as its canonical entries with the block
+    table the rule read.  A repeated position is summed in the order given
+    from its first entry on, as ``scipy.io.mmread`` sums it; a non-finite
+    sum is refused."""
+    keys = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+    distinct, first = _unique(keys, first=True)
+    summed = vals[first]
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[first] = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(summed, np.searchsorted(distinct, keys[repeat]), vals[repeat])
+    if not np.all(np.isfinite(summed)):
+        raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
+    rows, cols = rows[first], cols[first]
     held = BlockMatrix.__new__(BlockMatrix)
-    held._entries, held._shape = (rows, cols, vals), shape
+    held._entries, held._shape = (rows, cols, summed), shape
     held._table = _occupied_blocks(rows, cols, shape)
     if held._dense_by_rule():
         M = np.zeros(shape)
-        with np.errstate(over="ignore", invalid="ignore"):   # BlockMatrix checks
-            np.add.at(M, (rows, cols), vals)
+        M[rows, cols] = summed + 0.0      # a zero sum reads as +0.0
         return BlockMatrix(M)
-    at = _unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
-                 inverse=True)[1]
-    if not np.all(np.isfinite(np.bincount(at, weights=vals))):
-        raise NonFiniteError("BlockMatrix: non-finite entries", module="linalg")
     return held
 
 
@@ -835,21 +852,17 @@ def read_matrix_market(path):
     Supports the coordinate and array formats with general or symmetric
     storage (Boisvert, Pozo & Remington, "The Matrix Market Exchange
     Formats: Initial Design", NIST 1996).  Symmetric entries are mirrored
-    on load, and duplicate coordinate entries are summed.  The entries are
-    parsed by one numpy call with correctly rounded values, so the matrix
-    is bitwise the one ``scipy.io.mmread`` reads, with one known
-    exception: a row stored CSR by the rule below that holds more than 16
-    entries and repeats one position three or more times.  scipy's CSR
-    build sorts such a row without keeping the entries' order and sums
-    the repeats in that order, where ``mmread`` sums them in file order.
+    on load, and duplicate coordinate entries are summed once, in file
+    order.  The entries are parsed by one numpy call with correctly
+    rounded values, so the matrix is bitwise the one ``scipy.io.mmread``
+    reads.
 
     Storage is decided here, once, by the block rule: an array file is
     dense, and a coordinate file is dense when more than
     ``DENSIFY_BLOCK_FRACTION`` of its 2x2 blocks hold an entry, CSR
-    otherwise.  A CSR matrix is held as its entries, and its CSR array is
-    built, importing ``scipy.sparse``, when a product or a slice first
-    needs it; entries whose sum is not finite are refused here all the
-    same.  Reading a file imports no scipy module.
+    otherwise.  A CSR matrix is held as its canonical entries, and its CSR
+    array is built, importing ``scipy.sparse``, when a product or a slice
+    first needs it.  Reading a file imports no scipy module.
     """
     try:
         with open(path, "r") as fh:
@@ -874,8 +887,8 @@ def write_matrix_market(path, A, comment=None):
     """Write a BlockMatrix (or array) to a MatrixMarket file.
 
     Dense storage is written in the array format, sparse storage in the
-    coordinate format (its entries as held, so no CSR array is built), both
-    with general symmetry so the output stays readable by
+    coordinate format (its entries as held, row by row, so no CSR array is
+    built), both with general symmetry so the output stays readable by
     read_matrix_market regardless of the matrix's structure.  Each line of
     ``comment`` becomes a ``%`` line, and values are written in shortest
     round-trip form, so the file reads back bitwise (a negative zero reads

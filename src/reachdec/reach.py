@@ -47,6 +47,7 @@ from .sets import (
     Singleton,
     VertexImageSum,
     _Matrix,
+    _Polygons,
     vertex_table,
     zero_set,
 )
@@ -208,20 +209,25 @@ class SetTube(ReachTube):
 
     def supports(self, directions):
         """As ``ReachTube.supports``, with the polygons of each block
-        searched for all their steps at once (``HPolygon._search_all``):
-        a step then takes only the products of its batch query."""
+        queried for all their steps at once (``_Polygons.supports``),
+        bitwise each one's batch query.  A step whose rows meet a
+        near-parallel vertex pair, which a query solves again, takes its
+        own batch query instead, so it raises what that query raises, in
+        step order."""
         L = self._checked_directions(directions, 2)
         parts = _direction_parts(L, self.bs, self.tracked)
         found = {}
         for i, _, L_b, _ in parts:
             ks = [k for k, step in enumerate(self.steps) if isinstance(step[i], HPolygon)]
             if ks:
-                polygons = [self.steps[k][i] for k in ks]
-                found[i] = dict(zip(ks, HPolygon._search_all(polygons, L_b)))
+                vals, _, plain = _Polygons([self.steps[k][i] for k in ks]).supports(
+                    np.repeat(np.arange(len(ks)), len(L_b)), np.tile(L_b, (len(ks), 1)))
+                plain = plain.reshape(len(ks), -1).all(axis=1)
+                found[i] = {k: v for k, v, ok in zip(ks, vals.reshape(len(ks), -1), plain)
+                            if ok}
         for k, step in enumerate(self.steps):
             yield _support_sum(parts, len(L), lambda i, L_b, _abs: (
-                step[i]._supports_at(L_b, found[i][k]) if k in found.get(i, ())
-                else step[i].support_batch(L_b)))
+                found[i][k] if k in found.get(i, ()) else step[i].support_batch(L_b)))
 
 
 class BoxTube(ReachTube):

@@ -26,7 +26,7 @@ from .errors import (
     InvalidSetError,
     UnboundedSetError,
 )
-from .linalg import issparse, row_products
+from .linalg import _canonical, issparse, row_products
 
 __all__ = [
     "LazySet",
@@ -230,13 +230,14 @@ _AXIS_CHUNK_ENTRIES = 1 << 16
 
 
 class _Matrix:
-    """A dense or CSR matrix with its entrywise absolute value and its
-    transpose (CSR for a CSR matrix), each formed once, on first use."""
+    """A dense or canonical sparse matrix (``linalg._canonical``) with its
+    entrywise absolute value and its transpose (CSR for a sparse matrix),
+    each formed once, on first use."""
 
     __slots__ = ("M", "_abs", "_t")
 
     def __init__(self, M):
-        self.M = M
+        self.M = _canonical(M) if issparse(M) else M
         self._abs = self._t = None
 
     @classmethod
@@ -589,11 +590,10 @@ class HPolygon(LazySet):
     """Bounded planar polygon as an intersection of halfplanes a.x <= b.
 
     Constraints are normalised to unit normals and stored sorted by the
-    angular order of their normals.  With ``check_feasible`` the
-    constructor verifies that the constraints describe a nonempty bounded
-    region and removes redundant halfplanes; internally constructed
-    polygons (whose constraints are support evaluations of an existing
-    set) may skip that.
+    angular order of their normals.  The constructor verifies that the
+    constraints describe a nonempty bounded region and removes redundant
+    halfplanes; polygons whose constraints are support evaluations of an
+    existing set skip that (``_from_sorted``).
 
     The vertex of each adjacent constraint pair is computed once, here, and
     every support query is one binary search over the angular order of
@@ -604,9 +604,9 @@ class HPolygon(LazySet):
 
     dim = 2
 
-    def __init__(self, normals, offsets, check_feasible=True):
+    def __init__(self, normals, offsets):
         A, b = self._sort_and_dedup(*self._normalised(normals, offsets))
-        self._build(A, b, check_feasible)
+        self._build(*self._canonicalize(A, b, _polygon_tables(A, b)))
 
     @classmethod
     def _from_sorted(cls, normals, offsets):
@@ -621,7 +621,7 @@ class HPolygon(LazySet):
         A /= norms[:, None]
         b /= norms
         P = cls.__new__(cls)
-        P._build(A, b, check_feasible=False)
+        P._build(A, b, _polygon_tables(A, b))
         return P
 
     # -- construction helpers ------------------------------------------
@@ -646,11 +646,9 @@ class HPolygon(LazySet):
             raise InvalidSetError("HPolygon: zero normal vector")
         return A / norms[:, None], b / norms
 
-    def _build(self, A, b, check_feasible):
-        """Set the polygon up from unit normals in angular order."""
-        tables = _polygon_tables(A, b)
-        if check_feasible:
-            A, b, tables = self._canonicalize(A, b, tables)
+    def _build(self, A, b, tables):
+        """Set the polygon up from unit normals in angular order, their
+        offsets and their `_polygon_tables`."""
         # the search reads the normals as Python floats, and their sectors
         self._ax, self._ay, V, self._sec_list, near = tables
         self.normals = _frozen(A)
@@ -767,24 +765,10 @@ class HPolygon(LazySet):
 
     def _rho_batch(self, F):
         L = F.rows
-        return self._supports_at(L, [self._search(x, y) for x, y in L.tolist()])
-
-    def _supports_at(self, L, idx):
-        """The supports in the rows of L, whose searches found ``idx``."""
+        idx = [self._search(x, y) for x, y in L.tolist()]
         for i in self._near_parallel.intersection(idx):
             self._exact_vertex(i)  # raises on a degenerate pair
         return _row_dots(L, self._vertices[idx])
-
-    @staticmethod
-    def _search_all(polygons, L):
-        """`_search` of every row of L, (r, 2), in each of ``polygons``, as
-        an (S, r) list of lists, from one pairwise search over their
-        product (`_Polygons.search`)."""
-        S, r = len(polygons), len(L)
-        which = np.repeat(np.arange(S), r)
-        idx = _Polygons(polygons).search(which, np.tile(L[:, 0], S),
-                                         np.tile(L[:, 1], S))
-        return idx.reshape(S, r).tolist()
 
 
 def _row_dots(L, V):
@@ -876,10 +860,10 @@ class LinearMap(LazySet):
     (`_Matrix`).  A batch of directions L is mapped as L M = (M^T L^T)^T:
     for a CSR matrix this is how scipy computes L M, but with the
     transpose built anew on every call and in CSC storage, whose product
-    is several times slower.  A dense float array or a CSR array is held
-    as passed, not copied, so maps built over one matrix hold the same
-    object.  Maps built over one `_Matrix` (``_Matrix.checked``) also
-    share its check, its transpose and |M|.
+    is several times slower.  A dense float array or a canonical CSR
+    array is held as passed, not copied, so maps built over one matrix
+    hold the same object.  Maps built over one `_Matrix`
+    (``_Matrix.checked``) also share its check, its transpose and |M|.
     """
 
     def __init__(self, matrix, operand):

@@ -77,6 +77,21 @@ def random_stable_matrix(rng, n, cap=0.95, sparse=False):
     return BlockMatrix(M)
 
 
+def unsorted_csr(M):
+    """M as a CSR array with each row's entries in reverse column order
+    and its first entry stored again as a zero: not canonical."""
+    import scipy.sparse as sp
+
+    S = sp.csr_array(M)
+    indices, data, indptr = [], [], [0]
+    for i in range(S.shape[0]):
+        row = slice(S.indptr[i], S.indptr[i + 1])
+        indices += S.indices[row][::-1].tolist() + S.indices[row][:1].tolist()
+        data += S.data[row][::-1].tolist() + [0.0] * min(1, row.stop - row.start)
+        indptr.append(len(indices))
+    return sp.csr_array((data, indices, indptr), shape=S.shape)
+
+
 def generic_tube(sys, N, tracked=None, scheme=BoxDirections(), lazy=False):
     """The tube of `reach_decomposed` (or `reach_decomposed_varying`) as the
     set engine `reachdec.reach._steps` builds it for any scheme: step sets,

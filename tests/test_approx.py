@@ -268,7 +268,9 @@ def reference_eps(X, eps, max_constraints=10_000):
     offsets = np.array([e[1] for e in entries])
     if not np.all(np.isfinite(offsets)):
         raise UnboundedSetError("reference: non-finite support value")
-    return HPolygon(normals, offsets, check_feasible=False)
+    # HPolygon's angular order starts at -pi
+    order = np.argsort(np.arctan2(normals[:, 1], normals[:, 0]))
+    return HPolygon._from_sorted(normals[order], offsets[order])
 
 
 def planar_sets(rng):

@@ -497,6 +497,31 @@ def test_cli_input_image_overflow_is_a_non_finite_error(tmp_path, capsys):
     assert not (tmp_path / "tube.csv").exists()
 
 
+def test_cli_input_hull_overflow_is_an_unbounded_set(tmp_path, capsys):
+    # V = Phi1 U of A = I and delta = 1: a centre of 1e308 gives a support
+    # beyond the float range, a radius of 1e308 finite supports but a
+    # width beyond it.  Either hull is an unbounded set, with no numpy
+    # warning on the way; the discrete box engine ends at the step's box
+    unbounded = "error:approx:unbounded-set overapproximate_box: non-finite "
+    inputs = {"support value": {"center": [1e308] * 2, "radius": [1e307] * 2},
+              "center or radius": {"center": [0.0] * 2, "radius": [1e308] * 2}}
+    for what, U in inputs.items():
+        for model in ("discrete", "dense"):
+            doc = {"A": "A.mtx", "X0": {"box": {"center": [0.0] * 2,
+                                               "radius": [1.0] * 2}},
+                   "U": {"box": U}, "delta": 1.0, "N": 3, "model": model}
+            sc = write_scenario(tmp_path, doc, {"A": np.eye(2)})
+            for cmd in ("discretize", "bounds", "reach"):
+                line = unbounded + what + "\n"
+                if (model, cmd) == ("discrete", "reach"):
+                    line = "error:reach:non-finite the box of step 1 overflowed\n"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, text = run_cli(capsys, cmd, "--scenario", str(sc),
+                                         "--out", str(tmp_path / "out"))
+                assert (what, model, cmd, code, text) == (what, model, cmd, 3, line)
+
+
 def test_cli_box_overflow_at_a_later_step_ends_the_run_there(tmp_path, capsys):
     # Phi = 1e100 I: Phi^3 is finite, but Phi^3 x0 with x0 = 1e10 is not,
     # so the box of step 3 is the first to overflow, before the matrix

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachdec.linalg
-from conftest import augmented_exponential, random_stable_matrix
+from conftest import augmented_exponential, random_stable_matrix, unsorted_csr
 from reachdec import (
     BlockMatrix,
     BlockStructure,
@@ -849,14 +849,16 @@ def test_file_held_entries_agree_with_the_csr_of_the_same_entries(tmp_path):
     assert not M.principal(BlockStructure(8).coords([0, 2])).is_sparse
 
 
-def test_csr_built_from_held_entries_is_checked_again(tmp_path):
-    # the load sums repeats in file order; scipy sorts a row of more than
-    # 16 entries without keeping their order, so three repeats can sum to
-    # inf there alone: the CSR array is then refused when it is built
+def test_csr_of_a_row_with_repeats_is_bitwise_mmread(tmp_path):
+    # a row of 43 entries that repeats one position three times, in file
+    # order: the load sums the repeats once, from the first, so the CSR
+    # array reads bitwise what mmread's toarray sums in file order, though
+    # scipy's own CSR build of such a row would sum them in another order
     rng = np.random.default_rng(83)
     spread = [(1, j, 0.5) for j in range(2, 42)]
-    repeats = [(1, 6, 1e308), (1, 6, -1e308), (1, 6, 1e308)]
     for case in range(20):
+        repeats = ([(1, 6, 1e16), (1, 6, 1.0), (1, 6, -1e16)] if case % 2
+                   else [(1, 6, 1e308), (1, 6, -1e308), (1, 6, 1e308)])
         entries = [spread[i] for i in rng.permutation(len(spread))]
         for e, at in zip(repeats, sorted(rng.choice(len(entries) + 3, 3, replace=False))):
             entries.insert(at, e)
@@ -864,19 +866,61 @@ def test_csr_built_from_held_entries_is_checked_again(tmp_path):
         path.write_text("\n".join(
             ["%%MatrixMarket matrix coordinate real general", f"41 41 {len(entries)}"]
             + [f"{r} {c} {v!r}" for r, c, v in entries]) + "\n")
-        M = read_matrix_market(path)         # 1e308 - 1e308 + 1e308 is finite
-        assert M.is_sparse
-        try:
-            assert np.all(np.isfinite(M.data.data))
-        except NonFiniteError:
-            pass
+        M = read_matrix_market(path)
+        assert M.is_sparse and M.data.has_canonical_format
+        assert M.to_dense().tobytes() == scipy.io.mmread(path).toarray().tobytes()
+
+
+def assert_canonical(M):
+    """M holds canonical CSR: sorted column indices, each position once."""
+    assert M.is_sparse
+    S = M.data
+    assert S.format == "csr" and S.has_canonical_format
+    rows, cols, _ = M._stored_entries()
+    keys = rows.astype(np.int64) * S.shape[1] + cols
+    assert (np.diff(keys) > 0).all()
+
+
+def test_every_sparse_entry_point_holds_canonical_csr(tmp_path):
+    # a file with repeats and unsorted lines, a CSR array given unsorted
+    # and with repeats, an exponential of one and a principal cut of each
+    # hold canonical CSR; the arrays of the caller's CSR stay as given,
+    # also once |M| is formed, which scipy forms by sorting in place
+    rng = np.random.default_rng(85)
+    n = 40
+    rows, cols = rng.integers(0, n, 30), rng.integers(0, n, 30)
+    rows, cols = np.r_[rows, rows[:6]], np.r_[cols, cols[:6]]
+    vals = rng.standard_normal(rows.size)
+    path = tmp_path / "repeats.mtx"
+    path.write_text("\n".join(
+        ["%%MatrixMarket matrix coordinate real general", f"{n} {n} {rows.size}"]
+        + [f"{r + 1} {c + 1} {float(v)!r}" for r, c, v in zip(rows, cols, vals)])
+        + "\n")
+    read = read_matrix_market(path)
+    assert_canonical(read)
+    assert read.to_dense().tobytes() == scipy.io.mmread(path).toarray().tobytes()
+    rotations = np.kron(np.eye(n // 2), np.array([[-0.1, -1.0], [1.0, -0.1]]))
+    for dense in (read.to_dense(), rotations):
+        given = unsorted_csr(dense)
+        assert not given.has_canonical_format
+        arrays = [a.copy() for a in (given.indptr, given.indices, given.data)]
+        held = BlockMatrix(given)
+        assert_canonical(held)
+        assert_canonical(held.abs())
+        assert held.to_dense().tobytes() == given.toarray().tobytes()
+        cut = BlockStructure(n).coords([0, 3, 5, 8])
+        for M in (read, held, exp_matrix(given, 0.1)):
+            assert_canonical(M.principal(cut))
+        assert_canonical(exp_matrix(given, 0.1))
+        for a, b in zip(arrays, (given.indptr, given.indices, given.data)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_matrix_market_writer_is_read_by_mmread(tmp_path):
     # the numpy writer's files read back bitwise with scipy.io.mmread, a
     # dense matrix in the array format and a sparse one in the coordinate
     # format; writing the entries a file's CSR matrix is held as builds no
-    # CSR array, and a repeated entry is written as it was read
+    # CSR array, and they are written row by row, a repeated entry summed
     rng = np.random.default_rng(82)
     dense = rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-300, 300, (3, 5))
     dense[1, 2] = 0.0
@@ -893,8 +937,8 @@ def test_matrix_market_writer_is_read_by_mmread(tmp_path):
     write_matrix_market(path, M)
     assert M._data is None
     assert path.read_text() == ("%%MatrixMarket matrix coordinate real general\n"
-                                "%\n9 9 4\n9 1 0.1\n2 3 0.0\n9 1 0.2\n"
-                                "5 5 -3.5e-310\n")
+                                "%\n9 9 3\n2 3 0.0\n5 5 -3.5e-310\n"
+                                "9 1 0.30000000000000004\n")
     ref = scipy.io.mmread(source).toarray()
     assert scipy.io.mmread(path).toarray().tobytes() == ref.tobytes()
     assert M.to_dense().tobytes() == ref.tobytes()

@@ -34,6 +34,7 @@ from reachdec.sets import (
     PARALLEL_TOL,
     LazySet,
     _intersect_rows,
+    _Polygons,
     _sector,
     _sectors,
     direction_leq,
@@ -222,10 +223,11 @@ def test_zero_direction_gives_zero_support():
 
 
 def test_near_parallel_adjacent_pair_reported():
-    # bypass canonicalization to force an ill-conditioned vertex solve
+    # a feasible near-parallel pair is kept: its vertex is solved again,
+    # ill-conditioned, at query time
     eps = 1e-13
     A = [[1.0, 0.0], [1.0, eps], [-1.0, 1.0], [-1.0, -1.0]]
-    P = HPolygon(A, [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+    P = HPolygon(A, [1.0, 1.0, 1.0, 1.0])
     assert len(P.offsets) == 4
     with pytest.raises(DegeneratePolygonError):
         # direction angularly between the two near-parallel normals
@@ -325,8 +327,10 @@ def test_search_of_many_polygons_is_the_search_of_each():
                 + [eps_polygon(rng) for _ in range(15)] + [SQUARE])
     # the normals of some of the polygons are ties of the search
     L = np.vstack([kernel_directions(rng, P) for P in polygons[::6]])
-    found = HPolygon._search_all(polygons, L)
-    for P, idx in zip(polygons, found):
+    S, r = len(polygons), len(L)
+    found = _Polygons(polygons).search(np.repeat(np.arange(S), r),
+                                       np.tile(L[:, 0], S), np.tile(L[:, 1], S))
+    for P, idx in zip(polygons, found.reshape(S, r).tolist()):
         assert idx == [P._search(x, y) for x, y in L.tolist()]
 
 
@@ -353,7 +357,7 @@ def test_scalar_and_vectorised_angular_orders_agree():
 def test_batch_through_near_parallel_pair_reported():
     eps = 1e-13
     P = HPolygon([[1.0, 0.0], [1.0, eps], [-1.0, 1.0], [-1.0, -1.0]],
-                 [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+                 [1.0, 1.0, 1.0, 1.0])
     # directions that avoid the pair are answered, one that hits it is not
     P.support_batch([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(DegeneratePolygonError):
@@ -361,7 +365,7 @@ def test_batch_through_near_parallel_pair_reported():
     # a near-parallel pair across the wrap (last, first): direction 0 takes
     # vertex 0, in a batch as in a scalar query
     Q = HPolygon([[-1.0, -eps], [1.0, -1.0], [1.0, 1.0], [-1.0, eps]],
-                 [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+                 [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegeneratePolygonError):
         Q.support_batch([[-1.0, 0.0]])
     assert_bitwise(Q.support_batch([[0.0, 0.0], [1.0, 0.0]]),
@@ -497,8 +501,8 @@ def polygons_with_a_vertex_on_an_axis():
     diamond = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
     out = [HPolygon(diamond, [1.0] * 4),
            HPolygon([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]),
-           HPolygon([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0],
-                    check_feasible=False)]
+           HPolygon._from_sorted([[0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]],
+                                 [0.0, 1.0, 0.0])]
     for shift in (0.5, 2.0, -3.0):
         out.append(HPolygon(diamond, [1.0 + shift, 1.0 - shift, 1.0 - shift,
                                       1.0 + shift]))

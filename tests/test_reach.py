@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reachdec.approx
 import reachdec.reach
-from conftest import generic_tube, random_box, random_stable_matrix
+from conftest import generic_tube, random_box, random_stable_matrix, unsorted_csr
 from reachdec import (
     And,
     Atom,
@@ -46,7 +46,7 @@ from reachdec.approx import _box_bounds, _box_bounds_rows
 from reachdec.errors import EngineError
 from reachdec.linalg import MatrixPowerState, row_products
 from reachdec.reach import _box_steps, _lazy_supports
-from reachdec.sets import _Matrix
+from reachdec.sets import _Matrix, _transform_compose
 
 
 def rotation(theta):
@@ -703,32 +703,49 @@ def test_batched_input_hulls_walk_each_other_set():
         assert_same_rows(_box_bounds_rows(sets), each_hull(sets))
 
 
-def unsorted_csr(M):
-    """M as a CSR array with each row's entries in reverse column order."""
-    S = sp.csr_array(M)
-    indices, data = S.indices.copy(), S.data.copy()
-    for i in range(S.shape[0]):
-        row = slice(S.indptr[i], S.indptr[i + 1])
-        indices[row], data[row] = indices[row][::-1], data[row][::-1]
-    return sp.csr_array((data, indices, S.indptr.copy()), shape=S.shape)
+def csr_arrays(S):
+    return [a.tobytes() for a in (S.indptr, S.indices, S.data)]
+
+
+def test_checked_and_composed_csr_matrices_are_canonical_copies():
+    # a checked CSR matrix and the product of two are canonical, sorted
+    # indices and each position once; the caller's arrays stay as given,
+    # also once |M| is formed, which scipy forms by sorting in place
+    rng = np.random.default_rng(137)
+    given = [unsorted_csr(rng.standard_normal((6, 6))),
+             unsorted_csr(rng.standard_normal((6, 8)))]
+    before = [csr_arrays(S) for S in given]
+    outer, inner = (_Matrix.checked(S) for S in given)
+    product = _transform_compose(outer, inner)
+    for m in (outer, inner, product):
+        m.abs
+        assert m.M.has_canonical_format
+    assert [csr_arrays(S) for S in given] == before
+    npt.assert_allclose(product.M.toarray(), given[0].toarray() @ given[1].toarray(),
+                        rtol=1e-13)
 
 
 def test_batched_input_hulls_keep_the_order_of_an_unsorted_csr_matrix():
-    # scipy sorts a CSR matrix in place when it forms |M|, and later
-    # products sum in the sorted order: the batch meets M as each set's
-    # own walk does, whether it comes sorted or not
+    # the hulls of a sequence mapped by a CSR M, or by Phi1 B with both
+    # given with unsorted rows, are bitwise each set's own hull, and these
+    # are the same whether |M| has been formed first or not
     rng = np.random.default_rng(136)
-    M = rng.standard_normal((6, 8)) * 10.0 ** rng.uniform(-8, 8, (6, 8))
+    phi1 = rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-8, 8, (6, 6))
+    B = rng.standard_normal((6, 8)) * 10.0 ** rng.uniform(-8, 8, (6, 8))
     operands = [random_box(rng, 8) for _ in range(12)]
-    alone = _Matrix.checked(unsorted_csr(M))
-    walked = [LinearMap(alone, U) for U in operands]
-    want = each_hull(walked)
-    shared = _Matrix.checked(unsorted_csr(M))
-    assert not shared.M.has_canonical_format
-    assert_same_rows(_box_bounds_rows([LinearMap(shared, U) for U in operands]), want)
-    assert shared.M.has_canonical_format
-    assert_same_rows(_box_bounds_rows([LinearMap(shared, U) for U in operands]),
-                     each_hull(walked))
+    outcomes = []
+    for absolute_first in (False, True):
+        outer, inner = _Matrix.checked(unsorted_csr(phi1)), _Matrix.checked(unsorted_csr(B))
+        if absolute_first:
+            outer.abs, inner.abs
+        for sets in ([LinearMap(inner, U) for U in operands],
+                     [LinearMap(outer, LinearMap(inner, U)) for U in operands]):
+            want = each_hull(sets)
+            assert_same_rows(_box_bounds_rows(sets), want)
+            assert_same_rows(each_hull(sets), want)
+            outcomes.append(want)
+    for got, want in zip(outcomes[2:], outcomes[:2]):
+        assert_same_rows(got, want)
 
 
 def per_step_input_boxes(sys, N, cols):

@@ -125,7 +125,7 @@ def test_a_zero_map_reads_plus_zero():
 def test_a_near_parallel_polygon_pair_is_reported():
     eps = 1e-13
     P = HPolygon([[1.0, 0.0], [1.0, eps], [-1.0, 1.0], [-1.0, -1.0]],
-                 [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+                 [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(DegeneratePolygonError):
         vertex_table([Singleton(np.zeros(2)), P])
     with pytest.raises(DegeneratePolygonError):
@@ -166,7 +166,7 @@ def test_eps_step_queries_do_not_grow_with_the_dimension(monkeypatch):
 #: a polygon whose normals (1, 0) and (1, 1e-13) meet at a degenerate
 #: vertex, which a query in the direction (1, 0) solves again and rejects
 DEGENERATE = HPolygon([[1.0, 0.0], [1.0, 1e-13], [-1.0, 1.0], [-1.0, -1.0]],
-                      [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+                      [1.0, 1.0, 1.0, 1.0])
 
 
 def lazy_step(rng, parts):
@@ -321,7 +321,7 @@ def test_set_tube_box_bounds_are_bitwise_each_hull():
     # a near-parallel vertex, which a query solves again: a valid one
     # gives the same hulls, a degenerate one the same error, in step order
     near = HPolygon([[1.0, 0.0], [1.0, 1.5e-12], [-1.0, 1.0], [-1.0, -1.0]],
-                    [1.0, 1.0, 1.0, 1.0], check_feasible=False)
+                    [1.0, 1.0, 1.0, 1.0])
     P = tube.set_at(1, 1)
     bs = BlockStructure(2)
     for steps in ([P, near, P], [P, DEGENERATE, near]):
@@ -331,3 +331,29 @@ def test_set_tube_box_bounds_are_bitwise_each_hull():
                                 for b in ReachTube.box_bounds(hand)[0]])
         assert got == want
     assert want[0] is DegeneratePolygonError
+
+
+def test_set_tube_supports_are_bitwise_each_step_query():
+    # a tube's supports query its polygons for all steps at once; a step
+    # whose rows meet a near-parallel vertex pair solves it again, so a
+    # valid pair gives the same values, a degenerate one the same error,
+    # after the same steps
+    near = HPolygon([[1.0, 0.0], [1.0, 1.5e-12], [-1.0, 1.0], [-1.0, -1.0]],
+                    [1.0, 1.0, 1.0, 1.0])
+    P = HPolygon([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [2.0, 1.0, 0.5, 1.5])
+    L = np.array([[1.0, 0.0], [1.0, 1e-14], [0.0, -1.0], [-0.6, 0.8]])
+
+    def yielded(supports):
+        out = []
+        try:
+            for v in supports:
+                out.append(v.tobytes())
+        except EngineError as exc:
+            out.append((type(exc), str(exc)))
+        return out
+
+    for steps in ([P, near, P], [P, near, DEGENERATE, P]):
+        hand = SetTube(0.1, "discrete", BlockStructure(2), [0], [{0: X} for X in steps])
+        want = yielded(ReachTube.supports(hand, L))
+        assert yielded(hand.supports(L)) == want
+    assert len(want) == 3 and want[2][0] is DegeneratePolygonError
